@@ -8,16 +8,14 @@ scores stay stable.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log
-from pathlib import Path
 
 import numpy as np
 
-from .sessions import CorpusStats, Document, SearchContext, compute_corpus_stats
+from .sessions import CorpusStats, Document, compute_corpus_stats
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -142,54 +140,3 @@ def score_all(
         contrib = idf(index, term) * tf * (params.k1 + 1.0) / (tf + norm[positions])
         scores[positions] += count * contrib
     return scores
-
-
-def score_context(
-    index: LexicalIndex,
-    params: Bm25Params,
-    context: SearchContext,
-    doc_id: str,
-) -> float:
-    """M(C, d) with the flattened context token sequence as the query."""
-    return score(index, params, context.context_tokens, doc_id)
-
-
-def save_index(index: LexicalIndex, path: str | Path) -> None:
-    payload = {
-        "version": INDEX_FORMAT_VERSION,
-        "doc_ids": index.doc_ids,
-        "doc_lengths": index.doc_lengths.tolist(),
-        "postings": {
-            term: [pos.tolist(), tfs.tolist()]
-            for term, (pos, tfs) in sorted(index.postings.items())
-        },
-        "total_token_count": index.stats.total_token_count,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-
-
-def load_index(path: str | Path) -> LexicalIndex:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != INDEX_FORMAT_VERSION:
-        raise ValueError(f"unsupported index version {payload.get('version')!r}")
-    doc_ids = payload["doc_ids"]
-    lengths = np.array(payload["doc_lengths"], dtype=np.int64)
-    postings = {
-        term: (np.array(pos, dtype=np.int64), np.array(tfs, dtype=np.int64))
-        for term, (pos, tfs) in payload["postings"].items()
-    }
-    doc_freq = {term: len(pos) for term, (pos, _) in postings.items()}
-    n = len(doc_ids)
-    stats = CorpusStats(
-        doc_count=n,
-        total_token_count=payload["total_token_count"],
-        doc_freq=doc_freq,
-        avg_doc_length=float(lengths.sum()) / n if n else 0.0,
-    )
-    return LexicalIndex(
-        stats=stats,
-        doc_ids=doc_ids,
-        doc_index={d: i for i, d in enumerate(doc_ids)},
-        doc_lengths=lengths,
-        postings=postings,
-    )

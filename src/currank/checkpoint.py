@@ -15,26 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .towers import DualEncoderParams, Tower, Vocab
+from .towers import PARAM_NAMES, DualEncoderParams, Tower, Vocab, param_arrays
 
 MAGIC = b"CURRANK1"
 FORMAT_VERSION = 1
-
-_ARRAY_NAMES = [
-    "emb",
-    "ctx.w1", "ctx.b1", "ctx.w2", "ctx.b2",
-    "doc.w1", "doc.b1", "doc.w2", "doc.b2",
-]
-
-
-def _collect(params: DualEncoderParams) -> dict[str, np.ndarray]:
-    return {
-        "emb": params.emb,
-        "ctx.w1": params.ctx_tower.w1, "ctx.b1": params.ctx_tower.b1,
-        "ctx.w2": params.ctx_tower.w2, "ctx.b2": params.ctx_tower.b2,
-        "doc.w1": params.doc_tower.w1, "doc.b1": params.doc_tower.b1,
-        "doc.w2": params.doc_tower.w2, "doc.b2": params.doc_tower.b2,
-    }
 
 
 def save_checkpoint(
@@ -45,12 +29,12 @@ def save_checkpoint(
     extra_arrays: dict[str, np.ndarray] | None = None,
     meta: dict | None = None,
 ) -> None:
-    arrays = dict(_collect(params))
+    arrays = dict(zip(PARAM_NAMES, param_arrays(params)))
     for name, arr in (extra_arrays or {}).items():
         if name in arrays:
             raise ValueError(f"reserved array name {name!r}")
         arrays[name] = arr
-    order = _ARRAY_NAMES + sorted(set(arrays) - set(_ARRAY_NAMES))
+    order = [*PARAM_NAMES, *sorted(set(arrays) - set(PARAM_NAMES))]
     header = {
         "version": FORMAT_VERSION,
         "kind": kind,
@@ -73,8 +57,8 @@ def load_checkpoint(
     with open(path, "rb") as fp:
         if fp.read(len(MAGIC)) != MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", fp.read(4))
-        header = json.loads(fp.read(hlen))
+        (hlen,) = struct.unpack("<I", _read_exact(fp, 4, path, "header length"))
+        header = json.loads(_read_exact(fp, hlen, path, "header"))
         if header["version"] != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {header['version']}")
         if expect_kind is not None and header["kind"] != expect_kind:
@@ -84,23 +68,23 @@ def load_checkpoint(
         arrays: dict[str, np.ndarray] = {}
         for name, shape in header["arrays"]:
             count = int(np.prod(shape)) if shape else 1
-            buf = fp.read(count * 8)
+            buf = _read_exact(fp, count * 8, path, f"array {name!r}")
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    params = DualEncoderParams(
-        emb=arrays.pop("emb"),
-        ctx_tower=Tower(
-            arrays.pop("ctx.w1"), arrays.pop("ctx.b1"),
-            arrays.pop("ctx.w2"), arrays.pop("ctx.b2"),
-        ),
-        doc_tower=Tower(
-            arrays.pop("doc.w1"), arrays.pop("doc.b1"),
-            arrays.pop("doc.w2"), arrays.pop("doc.b2"),
-        ),
-    )
+    emb, *tower_arrays = (arrays.pop(name) for name in PARAM_NAMES)
+    params = DualEncoderParams(emb, Tower(*tower_arrays[:4]), Tower(*tower_arrays[4:]))
     vocab = Vocab.__new__(Vocab)
     vocab.tokens = list(header["vocab"])
     vocab.index = {t: i for i, t in enumerate(vocab.tokens)}
     return params, vocab, arrays, header["meta"]
+
+
+def _read_exact(fp, n: int, path, what: str) -> bytes:
+    buf = fp.read(n)
+    if len(buf) != n:
+        raise ValueError(
+            f"{path}: truncated checkpoint ({what}: {len(buf)} of {n} bytes)"
+        )
+    return buf
 
 
 def file_digest(path: str | Path) -> str:

@@ -17,19 +17,17 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import __version__, bm25, checkpoint, dense, synth, towers
-from .curriculum import (
-    DifficultyLedger, PacingParams, build_ledger, load_ledger, save_ledger,
-)
+from .curriculum import PacingParams, build_ledger, load_ledger, save_ledger
 from .manifest import RunManifest, digest_paths, write_manifest
-from .metrics import entries_from_ranking, evaluate_run, write_qrels, write_run_file
-from .ranker import rank_slate
+from .metrics import evaluate_run, write_qrels, write_run_file
+from .ranker import rank_slate  # noqa: F401 -- perfbench/spans.py traces it here
 from .scorers import Bm25Scorer, DenseScorer
 from .sessions import (
     DEFAULT_NEGATIVE_WINDOW, SEP_TOKEN, SessionLogError,
@@ -38,12 +36,13 @@ from .sessions import (
     write_contexts, write_documents, write_sessions,
 )
 from .towers import Vocab
-from .trainer import (
-    MODES, TrainConfig, evaluate_ranker, load_ranker, save_ranker,
-    steps_per_epoch, sweep, train,
+from .trainer import (  # evaluate_ranker: perfbench/spans.py traces it here
+    MODES, TrainConfig, evaluate_ranker, load_ranker, rank_eval_items,
+    save_ranker, steps_per_epoch, sweep, train, train_and_evaluate,
 )
 
 LOCK_NAME = ".currank.lock"
+BUNDLE_FILES = ("documents.jsonl", "sessions.jsonl", "contexts.jsonl")
 
 
 class CliError(Exception):
@@ -73,15 +72,26 @@ def split_of(session_id: str) -> str:
     return "train" if bucket < 8 else ("val" if bucket == 8 else "test")
 
 
+def in_split(records, split: str) -> list:
+    """The sessions or contexts whose session id falls in `split`."""
+    return [r for r in records if split_of(r.session_id) == split]
+
+
+def bundle_paths(bundle_dir: Path) -> list[Path]:
+    return [bundle_dir / name for name in BUNDLE_FILES]
+
+
 def load_bundle(bundle_dir: Path):
-    for name in ("documents.jsonl", "sessions.jsonl", "contexts.jsonl"):
-        if not (bundle_dir / name).exists():
-            raise CliError(f"bundle file not found: {bundle_dir / name}")
-    with open(bundle_dir / "documents.jsonl") as fp:
+    paths = bundle_paths(bundle_dir)
+    for path in paths:
+        if not path.exists():
+            raise CliError(f"bundle file not found: {path}")
+    docs_path, sessions_path, contexts_path = paths
+    with open(docs_path) as fp:
         documents = read_documents(fp)
-    with open(bundle_dir / "sessions.jsonl") as fp:
+    with open(sessions_path) as fp:
         sessions = read_sessions(fp)
-    with open(bundle_dir / "contexts.jsonl") as fp:
+    with open(contexts_path) as fp:
         contexts = read_contexts(fp)
     return sessions, documents, contexts
 
@@ -96,15 +106,14 @@ def build_vocab(documents, contexts) -> Vocab:
 
 
 def write_bundle(out_dir: Path, sessions, documents, contexts) -> list[Path]:
-    paths = []
-    with open(out_dir / "documents.jsonl", "w") as fp:
+    paths = bundle_paths(out_dir)
+    docs_path, sessions_path, contexts_path = paths
+    with open(docs_path, "w") as fp:
         write_documents(documents, fp)
-    with open(out_dir / "sessions.jsonl", "w") as fp:
+    with open(sessions_path, "w") as fp:
         write_sessions(sessions, fp)
-    with open(out_dir / "contexts.jsonl", "w") as fp:
+    with open(contexts_path, "w") as fp:
         write_contexts(contexts, fp)
-    for name in ("documents.jsonl", "sessions.jsonl", "contexts.jsonl"):
-        paths.append(out_dir / name)
     return paths
 
 
@@ -225,7 +234,7 @@ def _make_scorer(kind: str, args, documents, contexts, vocab, out_dir):
 def cmd_score(args) -> int:
     bundle_dir = Path(args.bundle)
     sessions, documents, contexts = load_bundle(bundle_dir)
-    train_contexts = [c for c in contexts if split_of(c.session_id) == "train"]
+    train_contexts = in_split(contexts, "train")
     if not train_contexts:
         raise CliError("no training-split contexts in bundle")
     vocab = build_vocab(documents, contexts)
@@ -249,10 +258,7 @@ def cmd_score(args) -> int:
                 "neg_scorer": neg_kind, "k1": args.k1, "b": args.b,
                 "fit": args.fit,
             },
-            args.seed,
-            [bundle_dir / n for n in
-             ("documents.jsonl", "sessions.jsonl", "contexts.jsonl")],
-            outputs,
+            args.seed, bundle_paths(bundle_dir), outputs,
             scorer_digest=f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}",
         )
     print(f"positives scored: {len(ledger.positives)}")
@@ -285,25 +291,23 @@ def _train_config_from(args, n_positives: int) -> TrainConfig:
     )
 
 
-def _config_dict(config: TrainConfig) -> dict:
-    d = asdict(config)
-    d["pacing"] = asdict(config.pacing)
-    return d
-
-
-def cmd_train(args) -> int:
+def _load_training_inputs(args):
+    """Bundle, training-split ledger, vocabulary and validation slates,
+    plus the input paths a training manifest digests."""
     bundle_dir = Path(args.bundle)
     sessions, documents, contexts = load_bundle(bundle_dir)
     ledger_path = Path(args.ledger)
     if not ledger_path.exists():
         raise CliError(f"ledger file not found: {ledger_path}")
-    train_contexts = [c for c in contexts if split_of(c.session_id) == "train"]
-    ledger = load_ledger(ledger_path, train_contexts)
+    ledger = load_ledger(ledger_path, in_split(contexts, "train"))
     vocab = build_vocab(documents, contexts)
+    val_items = build_eval_items(in_split(sessions, "val"), documents)
+    return ledger, documents, vocab, val_items, bundle_paths(bundle_dir) + [ledger_path]
+
+
+def cmd_train(args) -> int:
+    ledger, documents, vocab, val_items, inputs = _load_training_inputs(args)
     config = _train_config_from(args, len(ledger.positives))
-    val_items = build_eval_items(
-        [s for s in sessions if split_of(s.session_id) == "val"], documents
-    )
     out_dir = Path(args.out)
     with output_lock(out_dir):
         params, log = train(
@@ -322,11 +326,7 @@ def cmd_train(args) -> int:
                 fp.write(json.dumps({"validation": rec}, sort_keys=True) + "\n")
         outputs = sorted(p for p in out_dir.iterdir() if p.name != LOCK_NAME)
         _emit_manifest(
-            out_dir, "train", _config_dict(config), args.seed,
-            [bundle_dir / n for n in
-             ("documents.jsonl", "sessions.jsonl", "contexts.jsonl")]
-            + [ledger_path],
-            outputs,
+            out_dir, "train", asdict(config), args.seed, inputs, outputs,
             scorer_digest=f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}",
         )
     print(f"steps: {len(log.steps)} (T={config.pacing.T}, mode={config.mode})")
@@ -338,25 +338,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     bundle_dir = Path(args.bundle)
-    sessions, documents, contexts = load_bundle(bundle_dir)
+    sessions, documents, _ = load_bundle(bundle_dir)
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise CliError(f"checkpoint not found: {ckpt_path}")
     params, vocab = load_ranker(ckpt_path)
-    eval_sessions = [s for s in sessions if split_of(s.session_id) == args.split]
-    items = build_eval_items(eval_sessions, documents)
+    items = build_eval_items(in_split(sessions, args.split), documents)
     if not items:
         raise CliError(f"no evaluable interactions in split {args.split!r}")
-    entries = []
-    qrels = {}
-    for ctx, candidates, clicked in items:
-        query_id = f"{ctx.session_id}:{ctx.position}"
-        ranked = rank_slate(params, vocab, ctx, list(candidates), documents)
-        entries.extend(entries_from_ranking(query_id, ranked, args.tag))
-        for doc_id in candidates:
-            qrels.setdefault((query_id, doc_id), 0)
-        for doc_id in clicked:
-            qrels[(query_id, doc_id)] = 1
+    entries, qrels = rank_eval_items(params, vocab, items, documents, args.tag)
     table = evaluate_run(entries, qrels)
     out_dir = Path(args.out)
     with output_lock(out_dir):
@@ -377,11 +367,7 @@ def cmd_eval(args) -> int:
             out_dir, "eval",
             {"bundle": str(bundle_dir), "checkpoint": str(ckpt_path),
              "split": args.split},
-            None,
-            [bundle_dir / n for n in
-             ("documents.jsonl", "sessions.jsonl", "contexts.jsonl")]
-            + [ckpt_path],
-            outputs,
+            None, bundle_paths(bundle_dir) + [ckpt_path], outputs,
         )
     for name, value in table.metrics.items():
         print(f"{name}: {value:.4f}")
@@ -391,31 +377,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    bundle_dir = Path(args.bundle)
-    sessions, documents, contexts = load_bundle(bundle_dir)
-    ledger_path = Path(args.ledger)
-    if not ledger_path.exists():
-        raise CliError(f"ledger file not found: {ledger_path}")
-    train_contexts = [c for c in contexts if split_of(c.session_id) == "train"]
-    ledger = load_ledger(ledger_path, train_contexts)
-    vocab = build_vocab(documents, contexts)
-    val_items = build_eval_items(
-        [s for s in sessions if split_of(s.session_id) == "val"], documents
-    )
+    ledger, documents, vocab, val_items, inputs = _load_training_inputs(args)
     if not val_items:
         raise CliError("ablation needs a non-empty validation split")
     base = _train_config_from(args, len(ledger.positives))
 
     mode_rows = []
     for mode in MODES:
-        config = TrainConfig(**{**asdict_shallow(base), "mode": mode})
-        try:
-            params, _ = train(config, ledger, documents, vocab)
-        except Exception as e:
-            raise CliError(f"ablation mode {mode!r} failed: {e}", exit_code=1)
-        table = evaluate_ranker(params, vocab, val_items, documents)
-        row = {"mode": mode}
-        row.update(table.metrics)
+        row = train_and_evaluate(
+            replace(base, mode=mode), ledger, documents, vocab, val_items, mode=mode
+        )
         mode_rows.append(row)
         print(f"mode {mode:>14s}: MAP={row['MAP']:.4f} MRR={row['MRR']:.4f}")
 
@@ -432,19 +403,10 @@ def cmd_ablate(args) -> int:
             json.dumps(payload, sort_keys=True, indent=2) + "\n"
         )
         _emit_manifest(
-            out_dir, "ablate", _config_dict(base), args.seed,
-            [bundle_dir / n for n in
-             ("documents.jsonl", "sessions.jsonl", "contexts.jsonl")]
-            + [ledger_path],
+            out_dir, "ablate", asdict(base), args.seed, inputs,
             [out_dir / "ablation.json"],
         )
     return 0
-
-
-def asdict_shallow(config: TrainConfig) -> dict:
-    d = asdict(config)
-    d["pacing"] = config.pacing
-    return d
 
 
 # ---------------------------------------------------------------------------

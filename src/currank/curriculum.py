@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -90,12 +90,10 @@ def difficulty_negative(score: float) -> float:
     return score
 
 
-def rank_of_positive(
-    corpus_scores: np.ndarray, doc_ids: Sequence[str], positive_doc_id: str
-) -> int:
-    """1-based rank of the positive among all corpus documents,
-    ties broken by doc id ascending."""
-    pos = list(doc_ids).index(positive_doc_id)
+def rank_of_positive(corpus_scores: np.ndarray, pos: int) -> int:
+    """1-based rank of the positive, the document at corpus position
+    `pos`, among all corpus documents; ties broken by corpus position
+    (doc id ascending)."""
     s = corpus_scores[pos]
     better = int(np.count_nonzero(corpus_scores > s))
     tied_before = int(np.count_nonzero(corpus_scores[:pos] == s))
@@ -152,9 +150,7 @@ def build_ledger(
         scores = pos_scorer.score_corpus(ctx.context_tokens)
         pos = doc_pos[ctx.positive_doc_id]
         s = float(scores[pos])
-        better = int(np.count_nonzero(scores > s))
-        tied_before = int(np.count_nonzero(scores[:pos] == s))
-        raw.append((ctx, better + tied_before + 1, s))
+        raw.append((ctx, rank_of_positive(scores, pos), s))
         corpus_max = max(corpus_max, s)
         if same_scorer:
             neg_scored = [

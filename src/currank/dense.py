@@ -8,21 +8,12 @@ positive and every other document in the batch is a negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import towers
-from .sessions import Document, SearchContext
 from .towers import DualEncoderParams, Vocab
-
-
-@dataclass
-class ScoreMatrix:
-    context_ids: list[str]
-    doc_ids: list[str]
-    values: np.ndarray  # (n_contexts, n_docs) float64
 
 
 def dense_score(
@@ -34,26 +25,6 @@ def dense_score(
     c = towers.encode(params, vocab.encode(context_tokens), "context")
     d = towers.encode(params, vocab.encode(doc_tokens), "document")
     return float(c @ d)
-
-
-def score_all(
-    params: DualEncoderParams,
-    vocab: Vocab,
-    contexts: Sequence[SearchContext],
-    documents: Sequence[Document],
-) -> ScoreMatrix:
-    """Full score matrix; each input is encoded exactly once."""
-    if not contexts or not documents:
-        raise ValueError("contexts and documents must be non-empty")
-    ctx_ids = [vocab.encode(c.context_tokens) for c in contexts]
-    doc_ids = [vocab.encode(d.title_tokens) for d in documents]
-    c_enc, _ = towers.encode_batch(params, ctx_ids, "context")
-    d_enc, _ = towers.encode_batch(params, doc_ids, "document")
-    return ScoreMatrix(
-        context_ids=[c.context_id for c in contexts],
-        doc_ids=[d.doc_id for d in documents],
-        values=c_enc @ d_enc.T,
-    )
 
 
 def in_batch_loss_and_grad(

@@ -9,7 +9,7 @@ byte for byte (timestamps live only in the manifest itself).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,8 +44,3 @@ def write_manifest(out_dir: Path, manifest: RunManifest) -> Path:
     path = out_dir / MANIFEST_NAME
     path.write_text(json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n")
     return path
-
-
-def read_manifest(path: Path) -> RunManifest:
-    data = json.loads(Path(path).read_text())
-    return RunManifest(**data)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 NDCG_CUTOFFS = (1, 3, 5, 10)
 

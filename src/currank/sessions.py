@@ -9,8 +9,8 @@ clicked titles, followed by the current query.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import IO, Iterable
+from dataclasses import dataclass
+from typing import IO, Iterable, Iterator
 
 # Segment separator inserted between queries/documents in flattened
 # context token sequences. `tokenize` never emits it, so it can not
@@ -99,6 +99,13 @@ def compute_corpus_stats(documents: dict[str, Document]) -> CorpusStats:
     )
 
 
+def _candidate_rank(cand: dict) -> int:
+    rank = cand["rank"]
+    if type(rank) is not int:  # also rejects bool, a subclass of int
+        raise ValueError(f"rank {rank!r} is not an integer")
+    return rank
+
+
 def parse_sessions(
     stream: Iterable[str],
 ) -> tuple[list[Session], dict[str, Document]]:
@@ -140,7 +147,10 @@ def parse_sessions(
                 f"line {lineno}: duplicate (session {sid!r}, position {position})"
             )
 
-        ordered = sorted(candidates, key=lambda c: int(c["rank"]))
+        try:
+            ordered = sorted(candidates, key=_candidate_rank)
+        except (KeyError, TypeError, ValueError) as e:
+            raise SessionLogError(f"line {lineno}: missing or bad candidate rank ({e})")
         cand_ids = []
         clicked = set()
         for cand in ordered:
@@ -150,6 +160,10 @@ def parse_sessions(
                 is_clicked = bool(cand["clicked"])
             except (KeyError, TypeError) as e:
                 raise SessionLogError(f"line {lineno}: bad candidate ({e})")
+            if doc_id in cand_ids:
+                raise SessionLogError(
+                    f"line {lineno}: doc {doc_id!r} appears twice among the candidates"
+                )
             tokens = tuple(tokenize(title))
             prev = documents.get(doc_id)
             if prev is not None and prev.title_tokens != tokens:
@@ -174,6 +188,25 @@ def parse_sessions(
     return sessions, documents
 
 
+def _walk(
+    sessions: Iterable[Session], documents: dict[str, Document]
+) -> Iterator[tuple[str, int, Interaction, tuple[str, ...]]]:
+    """Yield (session_id, 1-based position, interaction, context tokens)
+    for every interaction. The context is the flattened history of earlier
+    queries and their clicked titles, then the current query."""
+    for session in sessions:
+        history: list[str] = []
+        for position, inter in enumerate(session.interactions, start=1):
+            if history:
+                history.append(SEP_TOKEN)
+            history.extend(inter.query_tokens)
+            yield session.session_id, position, inter, tuple(history)
+            # Clicked titles join the history for later queries.
+            for doc_id in sorted(inter.clicked_doc_ids):
+                history.append(SEP_TOKEN)
+                history.extend(documents[doc_id].title_tokens)
+
+
 def build_contexts(
     sessions: Iterable[Session],
     documents: dict[str, Document],
@@ -187,31 +220,20 @@ def build_contexts(
     """
     contexts: list[SearchContext] = []
     skipped = 0
-    for session in sessions:
-        history: list[str] = []
-        for position, inter in enumerate(session.interactions, start=1):
-            if history:
-                history.append(SEP_TOKEN)
-            history.extend(inter.query_tokens)
-            if not inter.clicked_doc_ids:
-                skipped += 1
-                continue
-            ctx_tokens = tuple(history)
-            for doc_id in sorted(inter.clicked_doc_ids):
-                pool = negative_window_pool(inter, doc_id, window)
-                contexts.append(
-                    SearchContext(
-                        session_id=session.session_id,
-                        position=position,
-                        context_tokens=ctx_tokens,
-                        positive_doc_id=doc_id,
-                        negative_pool=tuple(pool),
-                    )
+    for session_id, position, inter, ctx_tokens in _walk(sessions, documents):
+        if not inter.clicked_doc_ids:
+            skipped += 1
+        for doc_id in sorted(inter.clicked_doc_ids):
+            pool = negative_window_pool(inter, doc_id, window)
+            contexts.append(
+                SearchContext(
+                    session_id=session_id,
+                    position=position,
+                    context_tokens=ctx_tokens,
+                    positive_doc_id=doc_id,
+                    negative_pool=tuple(pool),
                 )
-            # Clicked titles join the history for later queries.
-            for doc_id in sorted(inter.clicked_doc_ids):
-                history.append(SEP_TOKEN)
-                history.extend(documents[doc_id].title_tokens)
+            )
     contexts.sort(key=lambda c: (c.session_id, c.position, c.positive_doc_id))
     return contexts, skipped
 
@@ -246,28 +268,19 @@ def build_eval_items(
     """One evaluation slate per interaction with at least one click:
     (context, logged candidate list, clicked set)."""
     items = []
-    for session in sessions:
-        history: list[str] = []
-        for position, inter in enumerate(session.interactions, start=1):
-            if history:
-                history.append(SEP_TOKEN)
-            history.extend(inter.query_tokens)
-            if inter.clicked_doc_ids:
-                positive = min(inter.clicked_doc_ids)
-                ctx = SearchContext(
-                    session_id=session.session_id,
-                    position=position,
-                    context_tokens=tuple(history),
-                    positive_doc_id=positive,
-                    negative_pool=tuple(
-                        d for d in inter.candidate_doc_ids
-                        if d not in inter.clicked_doc_ids
-                    ),
-                )
-                items.append((ctx, inter.candidate_doc_ids, inter.clicked_doc_ids))
-                for doc_id in sorted(inter.clicked_doc_ids):
-                    history.append(SEP_TOKEN)
-                    history.extend(documents[doc_id].title_tokens)
+    for session_id, position, inter, ctx_tokens in _walk(sessions, documents):
+        if inter.clicked_doc_ids:
+            ctx = SearchContext(
+                session_id=session_id,
+                position=position,
+                context_tokens=ctx_tokens,
+                positive_doc_id=min(inter.clicked_doc_ids),
+                negative_pool=tuple(
+                    d for d in inter.candidate_doc_ids
+                    if d not in inter.clicked_doc_ids
+                ),
+            )
+            items.append((ctx, inter.candidate_doc_ids, inter.clicked_doc_ids))
     return items
 
 
@@ -279,6 +292,13 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _records(fp: Iterable[str]) -> Iterator[dict]:
+    for line in fp:
+        line = line.strip()
+        if line:
+            yield json.loads(line)
+
+
 def write_documents(documents: dict[str, Document], fp: IO[str]) -> None:
     for doc_id in sorted(documents):
         doc = documents[doc_id]
@@ -286,14 +306,10 @@ def write_documents(documents: dict[str, Document], fp: IO[str]) -> None:
 
 
 def read_documents(fp: Iterable[str]) -> dict[str, Document]:
-    documents = {}
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        documents[rec["doc_id"]] = Document(rec["doc_id"], tuple(rec["title_tokens"]))
-    return documents
+    return {
+        rec["doc_id"]: Document(rec["doc_id"], tuple(rec["title_tokens"]))
+        for rec in _records(fp)
+    }
 
 
 def write_sessions(sessions: Iterable[Session], fp: IO[str]) -> None:
@@ -314,27 +330,21 @@ def write_sessions(sessions: Iterable[Session], fp: IO[str]) -> None:
 
 
 def read_sessions(fp: Iterable[str]) -> list[Session]:
-    sessions = []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        sessions.append(
-            Session(
-                rec["session_id"],
-                tuple(
-                    Interaction(
-                        query_id=i["query_id"],
-                        query_tokens=tuple(i["query_tokens"]),
-                        clicked_doc_ids=frozenset(i["clicked_doc_ids"]),
-                        candidate_doc_ids=tuple(i["candidate_doc_ids"]),
-                    )
-                    for i in rec["interactions"]
-                ),
-            )
+    return [
+        Session(
+            rec["session_id"],
+            tuple(
+                Interaction(
+                    query_id=i["query_id"],
+                    query_tokens=tuple(i["query_tokens"]),
+                    clicked_doc_ids=frozenset(i["clicked_doc_ids"]),
+                    candidate_doc_ids=tuple(i["candidate_doc_ids"]),
+                )
+                for i in rec["interactions"]
+            ),
         )
-    return sessions
+        for rec in _records(fp)
+    ]
 
 
 def write_contexts(contexts: Iterable[SearchContext], fp: IO[str]) -> None:
@@ -350,19 +360,13 @@ def write_contexts(contexts: Iterable[SearchContext], fp: IO[str]) -> None:
 
 
 def read_contexts(fp: Iterable[str]) -> list[SearchContext]:
-    contexts = []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        contexts.append(
-            SearchContext(
-                session_id=rec["session_id"],
-                position=rec["position"],
-                context_tokens=tuple(rec["context_tokens"]),
-                positive_doc_id=rec["positive_doc_id"],
-                negative_pool=tuple(rec["negative_pool"]),
-            )
+    return [
+        SearchContext(
+            session_id=rec["session_id"],
+            position=rec["position"],
+            context_tokens=tuple(rec["context_tokens"]),
+            positive_doc_id=rec["positive_doc_id"],
+            negative_pool=tuple(rec["negative_pool"]),
         )
-    return contexts
+        for rec in _records(fp)
+    ]

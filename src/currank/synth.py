@@ -10,12 +10,11 @@ and never stored on the session objects themselves.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import IO
 
-from .sessions import Document, Interaction, Session
+from .sessions import Document, Interaction, Session, _dumps, _records
 
 MIN_TERMS_PER_TOPIC = 4
 _QUERY_TERMS = 2
@@ -113,25 +112,11 @@ def generate_synthetic(
 
 def write_labels(labels: dict[str, int], fp: IO[str]) -> None:
     for session_id in sorted(labels):
-        fp.write(
-            json.dumps(
-                {"session_id": session_id, "topic_id": labels[session_id]},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
+        fp.write(_dumps({"session_id": session_id, "topic_id": labels[session_id]}) + "\n")
 
 
 def read_labels(fp) -> dict[str, int]:
-    labels = {}
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        labels[rec["session_id"]] = rec["topic_id"]
-    return labels
+    return {rec["session_id"]: rec["topic_id"] for rec in _records(fp)}
 
 
 def write_session_log(sessions: list[Session], documents: dict[str, Document], fp: IO[str]) -> None:
@@ -152,4 +137,4 @@ def write_session_log(sessions: list[Session], documents: dict[str, Document], f
                     for rank, doc_id in enumerate(inter.candidate_doc_ids, start=1)
                 ],
             }
-            fp.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            fp.write(_dumps(rec) + "\n")

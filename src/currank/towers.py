@@ -12,7 +12,7 @@ central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -178,6 +178,14 @@ def backward_batch(
 
 # ---------------------------------------------------------------------------
 # Flat-vector views used by finite-difference checks and SGD updates.
+
+
+# Checkpoint array names of the param_arrays entries, in the same order.
+PARAM_NAMES = (
+    "emb",
+    "ctx.w1", "ctx.b1", "ctx.w2", "ctx.b2",
+    "doc.w1", "doc.b1", "doc.w2", "doc.b2",
+)
 
 
 def param_arrays(params: DualEncoderParams) -> list[np.ndarray]:

@@ -23,12 +23,21 @@ from .curriculum import (
     pacing_positive,
     sample_batch,
 )
-from .metrics import MetricTable, Qrels, entries_from_ranking, evaluate_run
+from .metrics import MetricTable, Qrels, RunEntry, entries_from_ranking, evaluate_run
 from .ranker import RankerParams, init_ranker, loss_and_grad, rank_slate
 from .sessions import Document, SearchContext
-from .towers import Vocab
+from .towers import PARAM_NAMES, Vocab
 
-MODES = ("dual", "pos-only", "neg-only", "none", "easy-neg-only", "hard-neg-only")
+# mode -> (negative half kept or None for all, pin f_p to 1, pin f_n to 1)
+_MODE_TABLE = {
+    "dual": (None, False, False),
+    "pos-only": (None, False, True),
+    "neg-only": (None, True, False),
+    "none": (None, True, True),
+    "easy-neg-only": ("easy", True, True),
+    "hard-neg-only": ("hard", True, True),
+}
+MODES = tuple(_MODE_TABLE)
 
 # Substream labels hung off the master seed.
 _SEED_INIT = 0
@@ -81,43 +90,18 @@ def _halved_negatives(
         n = len(entries)
         half = (n + 1) // 2
         negatives[cid] = entries[:half] if keep == "hard" else entries[n - half:]
-    return DifficultyLedger(
-        positives=ledger.positives,
-        negatives=negatives,
-        contexts=ledger.contexts,
-        pos_scorer_digest=ledger.pos_scorer_digest,
-        neg_scorer_digest=ledger.neg_scorer_digest,
-    )
+    return replace(ledger, negatives=negatives)
 
 
-def _mode_view(
-    config: TrainConfig, ledger: DifficultyLedger
-) -> tuple[DifficultyLedger, bool, bool]:
-    """Returns (effective ledger, pin f_p to 1, pin f_n to 1)."""
-    mode = config.mode
-    if mode == "dual":
-        return ledger, False, False
-    if mode == "pos-only":
-        return ledger, False, True
-    if mode == "neg-only":
-        return ledger, True, False
-    if mode == "none":
-        return ledger, True, True
-    if mode == "easy-neg-only":
-        return _halved_negatives(ledger, "easy"), True, True
-    if mode == "hard-neg-only":
-        return _halved_negatives(ledger, "hard"), True, True
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def evaluate_ranker(
+def rank_eval_items(
     params: RankerParams,
     vocab: Vocab,
     eval_items: list[tuple[SearchContext, tuple[str, ...], frozenset[str]]],
     documents: dict[str, Document],
     tag: str = "currank",
-) -> MetricTable:
-    """Rank each held-out candidate slate and score against clicks."""
+) -> tuple[list[RunEntry], Qrels]:
+    """Rank each held-out candidate slate; returns the run entries and
+    qrels judging every candidate (1 if clicked, else 0)."""
     entries = []
     qrels: Qrels = {}
     for ctx, candidates, clicked in eval_items:
@@ -128,7 +112,18 @@ def evaluate_ranker(
             qrels.setdefault((query_id, doc_id), 0)
         for doc_id in clicked:
             qrels[(query_id, doc_id)] = 1
-    return evaluate_run(entries, qrels)
+    return entries, qrels
+
+
+def evaluate_ranker(
+    params: RankerParams,
+    vocab: Vocab,
+    eval_items: list[tuple[SearchContext, tuple[str, ...], frozenset[str]]],
+    documents: dict[str, Document],
+    tag: str = "currank",
+) -> MetricTable:
+    """Rank each held-out candidate slate and score against clicks."""
+    return evaluate_run(*rank_eval_items(params, vocab, eval_items, documents, tag))
 
 
 def train(
@@ -147,7 +142,8 @@ def train(
     """
     pacing = config.pacing
     T = pacing.T
-    eff_ledger, pin_fp, pin_fn = _mode_view(config, ledger)
+    half, pin_fp, pin_fn = _MODE_TABLE[config.mode]
+    eff_ledger = _halved_negatives(ledger, half) if half else ledger
 
     rng_init = np.random.default_rng([config.seed, _SEED_INIT])
     rng_sampler = np.random.default_rng([config.seed, _SEED_SAMPLER])
@@ -248,21 +244,15 @@ def _validation_loss(params, vocab, val_items, documents) -> float:
 def _save_train_checkpoint(path, params, vocab, velocity, step, rng_sampler):
     extra = {
         f"vel.{name}": arr
-        for name, arr in zip(
-            ["emb", "ctx.w1", "ctx.b1", "ctx.w2", "ctx.b2",
-             "doc.w1", "doc.b1", "doc.w2", "doc.b2"],
-            towers.param_arrays(velocity),
-        )
+        for name, arr in zip(PARAM_NAMES, towers.param_arrays(velocity))
     }
+    # The 128-bit PCG64 state words go into JSON as strings.
     state = rng_sampler.bit_generator.state
     meta = {
         "tau": params.tau,
         "step": step,
         "sampler_state": {
-            "bit_generator": state["bit_generator"],
-            "state": {k: str(v) for k, v in state["state"].items()},
-            "has_uint32": state["has_uint32"],
-            "uinteger": state["uinteger"],
+            **state, "state": {k: str(v) for k, v in state["state"].items()}
         },
     }
     checkpoint.save_checkpoint(
@@ -272,9 +262,7 @@ def _save_train_checkpoint(path, params, vocab, velocity, step, rng_sampler):
 
 def _velocity_from_arrays(params: RankerParams, extra: dict) -> object:
     velocity = towers.zero_grads(params.encoder)
-    names = ["emb", "ctx.w1", "ctx.b1", "ctx.w2", "ctx.b2",
-             "doc.w1", "doc.b1", "doc.w2", "doc.b2"]
-    for name, arr in zip(names, towers.param_arrays(velocity)):
+    for name, arr in zip(PARAM_NAMES, towers.param_arrays(velocity)):
         key = f"vel.{name}"
         if key in extra:
             arr[...] = extra[key]
@@ -282,12 +270,7 @@ def _velocity_from_arrays(params: RankerParams, extra: dict) -> object:
 
 
 def _rng_state_from_meta(meta_state: dict) -> dict:
-    return {
-        "bit_generator": meta_state["bit_generator"],
-        "state": {k: int(v) for k, v in meta_state["state"].items()},
-        "has_uint32": meta_state["has_uint32"],
-        "uinteger": meta_state["uinteger"],
-    }
+    return {**meta_state, "state": {k: int(v) for k, v in meta_state["state"].items()}}
 
 
 def save_ranker(path: str | Path, params: RankerParams, vocab: Vocab) -> None:
@@ -315,18 +298,28 @@ def sweep(
     delta=1.0 / eta=1.0 act as sentinels that disable the respective
     curriculum (the pacing value is pinned at 1 from step 0).
     """
-    rows = []
-    for delta in deltas:
-        for eta in etas:
-            config = replace(
-                base, pacing=replace(base.pacing, delta=delta, eta=eta)
-            )
-            try:
-                params, _ = train(config, ledger, documents, vocab)
-            except Exception as e:
-                raise RuntimeError(f"sweep failed at delta={delta}, eta={eta}: {e}") from e
-            table = evaluate_ranker(params, vocab, eval_items, documents)
-            row = {"delta": delta, "eta": eta}
-            row.update(table.metrics)
-            rows.append(row)
-    return rows
+    return [
+        train_and_evaluate(
+            replace(base, pacing=replace(base.pacing, delta=delta, eta=eta)),
+            ledger, documents, vocab, eval_items, delta=delta, eta=eta,
+        )
+        for delta in deltas
+        for eta in etas
+    ]
+
+
+def train_and_evaluate(
+    config: TrainConfig,
+    ledger: DifficultyLedger,
+    documents: dict[str, Document],
+    vocab: Vocab,
+    eval_items: list,
+    **row,
+) -> dict:
+    """One training run scored on `eval_items`: `row` plus the metrics."""
+    try:
+        params, _ = train(config, ledger, documents, vocab)
+    except Exception as e:
+        raise RuntimeError(f"training run {row} failed: {e}") from e
+    row.update(evaluate_ranker(params, vocab, eval_items, documents).metrics)
+    return row

@@ -127,7 +127,7 @@ def test_criterion_3_difficulty_correctness():
         # max is 4.0, so it ranks second -> d_p = 2 + (1 - 3/4) = 2.25
         doc_ids = ["a", "b", "c", "d", "e"]
         scores = np.array([4.0, 3.0, 2.0, 1.0, 0.5])
-        rank = rank_of_positive(scores, doc_ids, "b")
+        rank = rank_of_positive(scores, doc_ids.index("b"))
         assert rank == 2
         assert difficulty_positive(3.0, rank, 4.0) == 2.25
 
@@ -135,10 +135,9 @@ def test_criterion_3_difficulty_correctness():
         for _ in range(1000):
             n = int(rng.integers(2, 30))
             table = rng.uniform(0.1, 10.0, size=n)
-            ids = [f"d{i}" for i in range(n)]
             rows = []
-            for i, doc in enumerate(ids):
-                r = rank_of_positive(table, ids, doc)
+            for i in range(n):
+                r = rank_of_positive(table, i)
                 rows.append((r, difficulty_positive(float(table[i]), r,
                                                     float(table.max()))))
             rows.sort()

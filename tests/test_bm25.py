@@ -6,11 +6,8 @@ import pytest
 from currank.bm25 import (
     Bm25Params,
     build_index,
-    load_index,
-    save_index,
     score,
     score_all,
-    score_context,
     tokenize,
 )
 from currank.sessions import Document, SearchContext
@@ -137,7 +134,7 @@ class TestScoreContext:
     def test_empty_history_reduces_to_query(self, tiny_index):
         params = Bm25Params()
         ctx = self._context(["clay", "aiken"])
-        assert score_context(tiny_index, params, ctx, "d1") == pytest.approx(
+        assert score(tiny_index, params, ctx.context_tokens, "d1") == pytest.approx(
             score(tiny_index, params, ["clay", "aiken"], "d1"), abs=1e-12
         )
 
@@ -145,8 +142,8 @@ class TestScoreContext:
         params = Bm25Params()
         plain = self._context(["chanel"])
         with_history = self._context(["zzz", "qqq", "|", "chanel"])
-        assert score_context(tiny_index, params, plain, "d2") == pytest.approx(
-            score_context(tiny_index, params, with_history, "d2"), abs=1e-12
+        assert score(tiny_index, params, plain.context_tokens, "d2") == pytest.approx(
+            score(tiny_index, params, with_history.context_tokens, "d2"), abs=1e-12
         )
 
     def test_shared_history_term_raises_score(self):
@@ -160,21 +157,12 @@ class TestScoreContext:
         params = Bm25Params()
         alone = self._context(["news"])
         with_history = self._context(["clay", "|", "news"])
-        s_alone = score_context(index, params, alone, "d1")
-        s_hist = score_context(index, params, with_history, "d1")
+        s_alone = score(index, params, alone.context_tokens, "d1")
+        s_hist = score(index, params, with_history.context_tokens, "d1")
         assert s_hist > s_alone
         assert s_hist == pytest.approx(
             naive_bm25(raw, ["clay", "news"], "d1"), abs=1e-12
         )
-
-
-class TestPersistence:
-    def test_round_trip(self, tiny_index, tmp_path):
-        path = tmp_path / "index.json"
-        save_index(tiny_index, path)
-        loaded = load_index(path)
-        assert loaded.digest() == tiny_index.digest()
-        assert loaded.stats.doc_freq == tiny_index.stats.doc_freq
 
 
 class TestParams:

@@ -17,6 +17,11 @@ SYNTH_ARGS = (
 )
 
 
+def _log_record(position, *candidates):
+    return json.dumps({"session_id": "s1", "query_position": position,
+                       "query_text": "q", "candidates": list(candidates)})
+
+
 @pytest.fixture(scope="module")
 def bundle_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundle")
@@ -70,6 +75,32 @@ class TestSynth:
         assert "locked" in capsys.readouterr().err
 
 
+class TestGoldenDigests:
+    """Digests of the criterion-8 pipeline's `synth` and BM25 `score`
+    outputs (60 sessions, seed 7). Neither stage calls BLAS, so the bytes
+    are the same on every machine; a refactor that changes them changes
+    the program's outputs."""
+
+    SYNTH = {
+        "contexts.jsonl": "22912ffa252598f92f35f3efa247a65df5b2d0cbdf36c19306f68bca78103b70",
+        "documents.jsonl": "f543d91a002d19655696f6f17c23e343b551bda1796640d08598684306cab180",
+        "labels.jsonl": "b6287228381eecce8ddfa74664a051bfd4848e25334ca07df0b89b53653b2009",
+        "log.jsonl": "23458d87211171e26d5b1352629f4e9061c9f03c651c06b45dda9c3137064f2a",
+        "sessions.jsonl": "4b565e475bc221ea9955365d132f6b6a4e72006f17562203347b4b834ce78a92",
+    }
+    LEDGER = {
+        "ledger.json": "e4554f2080c408f2aab172018b7d441bd2fb273354ed33911429dd418ee43166",
+    }
+
+    def test_synth_bundle(self, bundle_dir):
+        manifest = json.loads((bundle_dir / MANIFEST_NAME).read_text())
+        assert manifest["output_digests"] == self.SYNTH
+
+    def test_bm25_ledger(self, ledger_dir):
+        manifest = json.loads((ledger_dir / MANIFEST_NAME).read_text())
+        assert manifest["output_digests"] == self.LEDGER
+
+
 class TestIngest:
     def test_round_trips_synth_log(self, bundle_dir, tmp_path, capsys):
         out = tmp_path / "ingested"
@@ -86,11 +117,25 @@ class TestIngest:
                        "--out", tmp_path / "o") == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_malformed_log_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("record, error", [
+        ("this is not json", "invalid JSON"),
+        (_log_record(2, {"doc_id": "d1", "title": "x", "clicked": True}), "rank"),
+        (_log_record(2, {"doc_id": "d1", "title": "x", "rank": "first",
+                         "clicked": True}), "rank"),
+        (_log_record(2, {"doc_id": "d1", "title": "x", "rank": 1.5,
+                         "clicked": True}), "rank"),
+        (_log_record(2, {"doc_id": "d1", "title": "x", "rank": 1, "clicked": True},
+                     {"doc_id": "d1", "title": "x", "rank": 2, "clicked": False}),
+         "twice"),
+    ], ids=["invalid-json", "missing-rank", "non-integer-rank",
+         "fractional-rank", "duplicate-doc"])
+    def test_malformed_log_exits_two(self, tmp_path, capsys, record, error):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("this is not json\n")
+        good = _log_record(1, {"doc_id": "d0", "title": "y", "rank": 1, "clicked": True})
+        bad.write_text(good + "\n" + record + "\n")
         assert run_cli("ingest", "--log", bad, "--out", tmp_path / "o") == 2
-        assert "line 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 2" in err and error in err
 
 
 class TestScore:

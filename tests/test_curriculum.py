@@ -108,7 +108,7 @@ class TestDifficultyPositive:
         # corpus scores under C: d+ = 3.0, others 4.0, 2.0, 1.0, 0.5
         scores = np.array([4.0, 3.0, 2.0, 1.0, 0.5])
         doc_ids = ["a", "dpos", "c", "d", "e"]
-        rank = rank_of_positive(scores, doc_ids, "dpos")
+        rank = rank_of_positive(scores, doc_ids.index("dpos"))
         assert rank == 2
         assert difficulty_positive(3.0, rank, 4.0) == pytest.approx(2.25, abs=1e-12)
 

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from currank import towers
-from currank.dense import (
-    dense_score,
-    in_batch_loss_and_grad,
-    score_all,
-    train_in_batch,
-)
-from currank.sessions import Document, SearchContext
+from currank.dense import dense_score, in_batch_loss_and_grad, train_in_batch
+from currank.scorers import DenseScorer
+from currank.sessions import Document
 from currank.towers import DualEncoderParams, Tower, Vocab, encode, init_params
 
 from oracles import central_difference_grad, max_relative_error
@@ -24,11 +20,8 @@ def zero_params(vocab_size, d_emb, hidden):
     return params
 
 
-def make_context(tokens):
-    return SearchContext(
-        session_id="s", position=1, context_tokens=tuple(tokens),
-        positive_doc_id="d0", negative_pool=("d1",),
-    )
+def doc_table(docs):
+    return {d.doc_id: d for d in docs}
 
 
 class TestEncode:
@@ -93,55 +86,67 @@ class TestDenseScore:
     def test_matrix_matches_bruteforce(self, rng):
         vocab = Vocab([f"t{i}" for i in range(10)])
         params = init_params(len(vocab), 4, 3, rng)
-        contexts = [make_context([f"t{i}", f"t{(i+1) % 10}"]) for i in range(3)]
+        contexts = [(f"t{i}", f"t{(i+1) % 10}") for i in range(3)]
         docs = [Document(f"d{j}", (f"t{j % 10}",)) for j in range(4)]
-        matrix = score_all(params, vocab, contexts, docs)
-        for i, ctx in enumerate(contexts):
+        scorer = DenseScorer(params, vocab, doc_table(docs))
+        for ctx in contexts:
+            corpus = scorer.score_corpus(ctx)
             for j, doc in enumerate(docs):
-                expected = dense_score(
-                    params, vocab, ctx.context_tokens, doc.title_tokens
+                expected = dense_score(params, vocab, ctx, doc.title_tokens)
+                assert corpus[j] == pytest.approx(expected, abs=1e-12)
+                assert scorer.score(ctx, doc.doc_id) == pytest.approx(
+                    expected, abs=1e-12
                 )
-                assert matrix.values[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 class TestScoreAll:
+    """DenseScorer: the corpus scores behind the dense difficulty ledger."""
+
     def test_one_by_one_reduces_to_dense_score(self, rng):
         vocab = Vocab(["a", "b"])
         params = init_params(len(vocab), 4, 3, rng)
-        ctx = make_context(["a"])
-        doc = Document("d", ("b",))
-        matrix = score_all(params, vocab, [ctx], [doc])
-        assert matrix.values.shape == (1, 1)
-        assert matrix.values[0, 0] == pytest.approx(
-            dense_score(params, vocab, ["a"], ["b"]), abs=1e-12
-        )
+        scorer = DenseScorer(params, vocab, {"d": Document("d", ("b",))})
+        expected = dense_score(params, vocab, ["a"], ["b"])
+        corpus = scorer.score_corpus(["a"])
+        assert corpus.shape == (1,)
+        assert corpus[0] == pytest.approx(expected, abs=1e-12)
+        assert scorer.score(["a"], "d") == pytest.approx(expected, abs=1e-12)
 
     def test_permutation_equivariance(self, rng):
+        # Reversing which doc id carries which title reverses the corpus
+        # scores, which are in doc-id order.
         vocab = Vocab([f"t{i}" for i in range(8)])
         params = init_params(len(vocab), 4, 3, rng)
-        contexts = [make_context([f"t{i}"]) for i in range(4)]
-        docs = [Document(f"d{j}", (f"t{j}",)) for j in range(5)]
-        base = score_all(params, vocab, contexts, docs)
-        perm = score_all(params, vocab, contexts[::-1], docs[::-1])
-        assert np.allclose(base.values[::-1, ::-1], perm.values, atol=0)
+        ids = [f"d{j}" for j in range(5)]
+        titles = [(f"t{j}",) for j in range(5)]
+        base = DenseScorer(params, vocab, doc_table(map(Document, ids, titles)))
+        perm = DenseScorer(params, vocab, doc_table(map(Document, ids, titles[::-1])))
+        for i in range(4):
+            assert np.allclose(
+                base.score_corpus([f"t{i}"])[::-1], perm.score_corpus([f"t{i}"]),
+                atol=0,
+            )
 
     def test_encode_call_budget(self, rng):
         vocab = Vocab([f"t{i}" for i in range(8)])
         params = init_params(len(vocab), 4, 3, rng)
-        contexts = [make_context([f"t{i}"]) for i in range(10)]
+        contexts = [(f"t{i}",) for i in range(10)]
         docs = [Document(f"d{j}", (f"t{j % 8}",)) for j in range(20)]
         before = towers.ENCODE_CALLS
-        score_all(params, vocab, contexts, docs)
+        scorer = DenseScorer(params, vocab, doc_table(docs))
+        for ctx in contexts:
+            scorer.score_corpus(ctx)
         assert towers.ENCODE_CALLS - before == len(contexts) + len(docs)
 
     def test_determinism(self, rng):
         vocab = Vocab([f"t{i}" for i in range(8)])
         params = init_params(len(vocab), 4, 3, rng)
-        contexts = [make_context([f"t{i}"]) for i in range(4)]
-        docs = [Document(f"d{j}", (f"t{j}",)) for j in range(5)]
-        a = score_all(params, vocab, contexts, docs)
-        b = score_all(params, vocab, contexts, docs)
-        assert np.array_equal(a.values, b.values)
+        docs = doc_table(Document(f"d{j}", (f"t{j}",)) for j in range(5))
+        a = DenseScorer(params, vocab, docs)
+        b = DenseScorer(params, vocab, docs)
+        assert a.digest() == b.digest()
+        for i in range(4):
+            assert np.array_equal(a.score_corpus([f"t{i}"]), b.score_corpus([f"t{i}"]))
 
 
 class TestInBatchTraining:

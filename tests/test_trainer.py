@@ -174,6 +174,17 @@ class TestCheckpointRoundTrip:
         assert loaded.tau == params.tau
         assert loaded_vocab.tokens == vocab.tokens
 
+    @pytest.mark.parametrize("keep", [10, 100, -8])
+    def test_truncated_file_rejected(self, small_world, tmp_path, keep):
+        _, documents, _, ledger, vocab, _ = small_world
+        params, _ = train(config_for(ledger, T=0), ledger, documents, vocab)
+        path = tmp_path / "ranker.bin"
+        save_ranker(path, params, vocab)
+        data = path.read_bytes()
+        path.write_bytes(data[:keep])  # cut in the header length, header, last array
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_ranker(path)
+
 
 class TestSweep:
     def test_single_cell_equals_train(self, small_world):
