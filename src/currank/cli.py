@@ -37,8 +37,9 @@ from .sessions import (
 )
 from .towers import Vocab
 from .trainer import (  # evaluate_ranker: perfbench/spans.py traces it here
-    MODES, TrainConfig, evaluate_ranker, load_ranker, rank_eval_items,
-    save_ranker, steps_per_epoch, sweep, train, train_and_evaluate,
+    MODES, TrainConfig, check_negatives, encode_slates, evaluate_ranker,
+    load_ranker, rank_eval_items, save_ranker, steps_per_epoch, sweep, train,
+    train_and_evaluate,
 )
 
 LOCK_NAME = ".currank.lock"
@@ -248,9 +249,10 @@ def cmd_score(args) -> int:
             else _make_scorer(neg_kind, args, documents, contexts, vocab, out_dir)
         )
         ledger = build_ledger(pos_scorer, neg_scorer, train_contexts)
-        ledger_path = out_dir / "ledger.json"
-        save_ledger(ledger, ledger_path)
-        outputs = sorted(p for p in out_dir.iterdir() if p.name != LOCK_NAME)
+        outputs = [out_dir / "ledger.json"]
+        save_ledger(ledger, outputs[0])
+        if "dense" in (pos_kind, neg_kind) and not args.checkpoint:
+            outputs.insert(0, out_dir / "dense_scorer.bin")
         _emit_manifest(
             out_dir, "score",
             {
@@ -324,7 +326,7 @@ def cmd_train(args) -> int:
                 fp.write(json.dumps(rec, sort_keys=True) + "\n")
             for rec in log.validations:
                 fp.write(json.dumps({"validation": rec}, sort_keys=True) + "\n")
-        outputs = sorted(p for p in out_dir.iterdir() if p.name != LOCK_NAME)
+        outputs = [ckpt_path, *log.checkpoints, log_path]
         _emit_manifest(
             out_dir, "train", asdict(config), args.seed, inputs, outputs,
             scorer_digest=f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}",
@@ -346,7 +348,9 @@ def cmd_eval(args) -> int:
     items = build_eval_items(in_split(sessions, args.split), documents)
     if not items:
         raise CliError(f"no evaluable interactions in split {args.split!r}")
-    entries, qrels = rank_eval_items(params, vocab, items, documents, args.tag)
+    entries, qrels = rank_eval_items(
+        params, encode_slates(vocab, items, documents), args.tag
+    )
     table = evaluate_run(entries, qrels)
     out_dir = Path(args.out)
     with output_lock(out_dir):
@@ -381,18 +385,23 @@ def cmd_ablate(args) -> int:
     if not val_items:
         raise CliError("ablation needs a non-empty validation split")
     base = _train_config_from(args, len(ledger.positives))
+    deltas = [float(x) for x in args.grid_deltas.split(",")]
+    etas = [float(x) for x in args.grid_etas.split(",")]
+    for config in [replace(base, mode=mode) for mode in MODES] + [
+            replace(base, pacing=replace(base.pacing, delta=d, eta=e))
+            for d in deltas for e in etas]:
+        check_negatives(config, ledger)  # every run, before the first
+    slates = encode_slates(vocab, val_items, documents)
 
     mode_rows = []
     for mode in MODES:
         row = train_and_evaluate(
-            replace(base, mode=mode), ledger, documents, vocab, val_items, mode=mode
+            replace(base, mode=mode), ledger, documents, vocab, slates, mode=mode
         )
         mode_rows.append(row)
         print(f"mode {mode:>14s}: MAP={row['MAP']:.4f} MRR={row['MRR']:.4f}")
 
-    deltas = [float(x) for x in args.grid_deltas.split(",")]
-    etas = [float(x) for x in args.grid_etas.split(",")]
-    grid_rows = sweep(base, ledger, documents, vocab, deltas, etas, val_items)
+    grid_rows = sweep(base, ledger, documents, vocab, deltas, etas, slates)
     for row in grid_rows:
         print(f"delta={row['delta']:.2f} eta={row['eta']:.2f}: MAP={row['MAP']:.4f}")
 

@@ -185,6 +185,10 @@ def eligible_positive_count(ledger: DifficultyLedger, fraction: float) -> int:
     return min(len(ledger.positives), math.ceil(fraction * len(ledger.positives)))
 
 
+def eligible_negative_count(n_negatives: int, fraction: float) -> int:
+    return min(n_negatives, math.ceil(fraction * n_negatives))
+
+
 def sample_batch(
     ledger: DifficultyLedger,
     pacing: PacingParams,
@@ -215,7 +219,7 @@ def sample_batch(
     for idx in chosen:
         entry = ledger.positives[int(idx)]
         neg_list = ledger.negatives[entry.context_id]
-        n_neg = min(len(neg_list), math.ceil(f_n * len(neg_list)))
+        n_neg = eligible_negative_count(len(neg_list), f_n)
         if n_neg < m:
             raise ValueError(
                 f"context {entry.context_id}: eligible negative prefix "

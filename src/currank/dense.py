@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import towers
-from .towers import DualEncoderParams, Vocab
+from .towers import DualEncoderParams, TokenRows, Vocab
 
 
 def dense_score(
@@ -29,8 +29,8 @@ def dense_score(
 
 def in_batch_loss_and_grad(
     params: DualEncoderParams,
-    ctx_token_ids: Sequence[Sequence[int]],
-    doc_token_ids: Sequence[Sequence[int]],
+    ctx_token_ids: TokenRows | Sequence[Sequence[int]],
+    doc_token_ids: TokenRows | Sequence[Sequence[int]],
 ) -> tuple[float, DualEncoderParams]:
     """Mean in-batch softmax cross-entropy and its exact gradient.
 
@@ -76,8 +76,8 @@ def train_in_batch(
         raise ValueError("batch_size must be >= 2 for in-batch negatives")
     if len(pairs) < 2:
         raise ValueError("need at least 2 positive pairs")
-    ctx_ids = [vocab.encode(c) for c, _ in pairs]
-    doc_ids = [vocab.encode(d) for _, d in pairs]
+    ctx_rows = towers.token_rows(vocab.encode(c) for c, _ in pairs)
+    doc_rows = towers.token_rows(vocab.encode(d) for _, d in pairs)
     rng = np.random.default_rng(seed)
     arrays = towers.param_arrays(params)
     epoch_losses = []
@@ -89,9 +89,7 @@ def train_in_batch(
             if len(batch) < 2:
                 continue  # a trailing singleton has no in-batch negatives
             loss, grads = in_batch_loss_and_grad(
-                params,
-                [ctx_ids[i] for i in batch],
-                [doc_ids[i] for i in batch],
+                params, ctx_rows.take(batch), doc_rows.take(batch)
             )
             for p, g in zip(arrays, towers.param_arrays(grads)):
                 p -= learning_rate * g

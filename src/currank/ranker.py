@@ -15,7 +15,7 @@ import numpy as np
 from . import towers
 from .curriculum import TrainingBatch
 from .sessions import Document, SearchContext
-from .towers import DualEncoderParams, Vocab
+from .towers import DualEncoderParams, TokenRows, Vocab, token_rows
 
 
 @dataclass
@@ -59,34 +59,55 @@ def rank_score(
     return float(c @ d) / params.tau
 
 
+@dataclass
+class EncodedCorpus:
+    """Context and document token rows, encoded once and looked up by
+    context id and doc id."""
+
+    contexts: TokenRows
+    context_row: dict[str, int]
+    docs: TokenRows
+    doc_row: dict[str, int]
+
+    def batch_rows(self, batch: TrainingBatch) -> tuple[TokenRows, TokenRows]:
+        """The batch's context rows, and its document rows slate by slate:
+        each item's positive followed by its m negatives."""
+        items = batch.items
+        if len({len(negs) for _, _, negs in items}) != 1:
+            raise ValueError("need a non-empty batch with m negatives in every item")
+        docs = [self.doc_row[d] for _, pos, negs in items for d in (pos, *negs)]
+        ctxs = [self.context_row[c.context_id] for c, _, _ in items]
+        return self.contexts.take(ctxs), self.docs.take(docs)
+
+
+def encode_corpus(
+    vocab: Vocab, documents: dict[str, Document], contexts: dict[str, SearchContext]
+) -> EncodedCorpus:
+    """Encode `contexts`, keyed by context id, and `documents`; documents
+    with identical titles share a row, so they always score alike."""
+    titles: dict[tuple[str, ...], int] = {}
+    doc_row = {d: titles.setdefault(doc.title_tokens, len(titles))
+               for d, doc in documents.items()}
+    return EncodedCorpus(
+        contexts=token_rows(vocab.encode(c.context_tokens) for c in contexts.values()),
+        context_row={cid: i for i, cid in enumerate(contexts)},
+        docs=token_rows(vocab.encode(t) for t in titles),
+        doc_row=doc_row,
+    )
+
+
 def loss_and_grad(
-    params: RankerParams,
-    vocab: Vocab,
-    batch: TrainingBatch,
-    documents: dict[str, Document],
+    params: RankerParams, ctx_rows: TokenRows, doc_rows: TokenRows
 ) -> LossReport:
-    """Mean listwise cross-entropy over the batch with exact gradients.
+    """Mean listwise cross-entropy over a batch with exact gradients.
 
-    Each item's slate is its positive followed by its m negatives; the
-    softmax is computed with max-subtraction for stability.
+    Rows as EncodedCorpus.batch_rows lays them out: item i's slate is its
+    positive then its m negatives. The softmax subtracts the row max.
     """
-    if not batch.items:
-        raise ValueError("empty batch")
-    m = len(batch.items[0][2])
-    for _, _, negs in batch.items:
-        if len(negs) != m:
-            raise ValueError("all batch items must carry the same number of negatives")
-
-    ctx_ids = [vocab.encode(ctx.context_tokens) for ctx, _, _ in batch.items]
-    slate_doc_ids = []
-    for _, pos_id, negs in batch.items:
-        for doc_id in (pos_id, *negs):
-            slate_doc_ids.append(vocab.encode(documents[doc_id].title_tokens))
-
-    n = len(batch.items)
-    width = m + 1
-    c_enc, c_cache = towers.encode_batch(params.encoder, ctx_ids, "context")
-    d_enc, d_cache = towers.encode_batch(params.encoder, slate_doc_ids, "document")
+    n = len(ctx_rows)
+    width = len(doc_rows) // n
+    c_enc, c_cache = towers.encode_batch(params.encoder, ctx_rows, "context")
+    d_enc, d_cache = towers.encode_batch(params.encoder, doc_rows, "document")
     d_enc3 = d_enc.reshape(n, width, -1)
     dots = np.einsum("nd,nwd->nw", c_enc, d_enc3)
     scores = dots / params.tau
@@ -96,10 +117,9 @@ def loss_and_grad(
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
     loss = float(-np.mean(np.log(probs[:, 0])))
-    positive_ranks = [
-        1 + int(np.count_nonzero(scores[i, 1:] > scores[i, 0]))
-        for i in range(n)
-    ]
+    positive_ranks = (
+        1 + np.count_nonzero(scores[:, 1:] > scores[:, :1], axis=1)
+    ).tolist()
 
     dscores = probs.copy()
     dscores[:, 0] -= 1.0
@@ -131,9 +151,12 @@ def rank_slate(
     )
     doc_ids = [vocab.encode(documents[d].title_tokens) for d in candidate_doc_ids]
     d_enc, _ = towers.encode_batch(params.encoder, doc_ids, "document")
-    scores = (d_enc @ c) / params.tau
-    order = sorted(
-        range(len(candidate_doc_ids)),
-        key=lambda i: (-scores[i], candidate_doc_ids[i]),
-    )
-    return [(candidate_doc_ids[i], float(scores[i])) for i in order]
+    return order_slate(candidate_doc_ids, (d_enc @ c) / params.tau)
+
+
+def order_slate(
+    doc_ids: Sequence[str], scores: np.ndarray
+) -> list[tuple[str, float]]:
+    """(doc id, score) pairs by score descending, ties by doc id ascending."""
+    order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))
+    return [(doc_ids[i], float(scores[i])) for i in order]

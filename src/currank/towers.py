@@ -8,11 +8,19 @@ contexts and one for documents:
 
 Gradients are implemented by hand so they can be validated against
 central finite differences.
+
+Batches are TokenRows: ids padded with -1, the index of a zero row
+appended to emb. Summation order matches per-sequence pooling bit for
+bit: the pool adds token positions in sequence, as emb[ids].mean(axis=0)
+does, then divides by the length; the embedding gradient is one np.add.at
+in row-major (sequence, token) order. np.add.reduceat and a sparse
+averaging matmul would change the order, so neither is used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +46,30 @@ class Vocab:
     def encode(self, tokens: Sequence[str]) -> list[int]:
         idx = self.index
         return [idx.get(t, 1) for t in tokens]
+
+
+@dataclass(frozen=True)
+class TokenRows:
+    """Id sequences padded with -1; an empty one is [0], pooling to emb[0]."""
+
+    ids: np.ndarray  # (n, width), int32
+    lengths: np.ndarray  # (n,), each >= 1
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def take(self, rows) -> "TokenRows":
+        lengths = self.lengths[rows]
+        return TokenRows(self.ids[rows, : lengths.max()], lengths)
+
+
+def token_rows(sequences: Iterable[Sequence[int]]) -> TokenRows:
+    sequences = [s if len(s) else [0] for s in sequences]
+    lengths = np.array([len(s) for s in sequences], dtype=np.intp)
+    ids = np.full((len(sequences), lengths.max(initial=1)), -1, dtype=np.int32)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(sequences), np.int32, lengths.sum())
+    return TokenRows(ids, lengths)
 
 
 @dataclass
@@ -117,34 +149,30 @@ def encode(
 @dataclass
 class ForwardCache:
     tower: str
-    token_ids: list[list[int]]
+    rows: TokenRows
     pooled: np.ndarray  # (n, d_emb)
     hidden: np.ndarray  # (n, hidden), post-tanh
 
 
 def encode_batch(
-    params: DualEncoderParams, sequences: Sequence[Sequence[int]], tower: str
+    params: DualEncoderParams,
+    sequences: TokenRows | Sequence[Sequence[int]],
+    tower: str,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Encode many sequences; returns (n, d_emb) outputs plus a cache
-    for the backward pass."""
+    """Encode many sequences (token rows or id lists); returns (n, d_emb)
+    outputs plus a cache for the backward pass."""
     global ENCODE_CALLS
-    ENCODE_CALLS += len(sequences)
+    rows = sequences if isinstance(sequences, TokenRows) else token_rows(sequences)
+    ENCODE_CALLS += len(rows)
     t = params.tower(tower)
-    pooled = np.empty((len(sequences), params.d_emb))
-    for i, ids in enumerate(sequences):
-        if len(ids):
-            pooled[i] = params.emb[list(ids)].mean(axis=0)
-        else:
-            pooled[i] = params.emb[0]
+    table = np.vstack([params.emb, np.zeros(params.d_emb)])  # row -1 is the pad
+    pooled = table[rows.ids[:, 0]]
+    for j in range(1, rows.ids.shape[1]):
+        pooled += table[rows.ids[:, j]]
+    pooled /= rows.lengths[:, None]
     hidden = np.tanh(pooled @ t.w1.T + t.b1)
     out = hidden @ t.w2.T + t.b2
-    cache = ForwardCache(
-        tower=tower,
-        token_ids=[list(ids) for ids in sequences],
-        pooled=pooled,
-        hidden=hidden,
-    )
-    return out, cache
+    return out, ForwardCache(tower=tower, rows=rows, pooled=pooled, hidden=hidden)
 
 
 def backward_batch(
@@ -167,13 +195,10 @@ def backward_batch(
     gt.w1 += gz.T @ cache.pooled
     gt.b1 += gz.sum(axis=0)
     gpooled = gz @ t.w1
-    for i, ids in enumerate(cache.token_ids):
-        if ids:
-            share = gpooled[i] / len(ids)
-            for tok in ids:
-                grads.emb[tok] += share
-        else:
-            grads.emb[0] += gpooled[i]
+    rows = cache.rows
+    share = gpooled / rows.lengths[:, None]
+    np.add.at(grads.emb, rows.ids[rows.ids >= 0],
+              np.repeat(share, rows.lengths, axis=0))
 
 
 # ---------------------------------------------------------------------------

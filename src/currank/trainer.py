@@ -18,13 +18,17 @@ from . import checkpoint, towers
 from .curriculum import (
     DifficultyLedger,
     PacingParams,
+    eligible_negative_count,
     eligible_positive_count,
     pacing_negative,
     pacing_positive,
     sample_batch,
 )
 from .metrics import MetricTable, Qrels, RunEntry, entries_from_ranking, evaluate_run
-from .ranker import RankerParams, init_ranker, loss_and_grad, rank_slate
+from .ranker import (  # noqa: F401 -- perfbench/spans.py traces rank_slate here
+    EncodedCorpus, RankerParams, encode_corpus, init_ranker, loss_and_grad,
+    order_slate, rank_slate,
+)
 from .sessions import Document, SearchContext
 from .towers import PARAM_NAMES, Vocab
 
@@ -38,6 +42,8 @@ _MODE_TABLE = {
     "hard-neg-only": ("hard", True, True),
 }
 MODES = tuple(_MODE_TABLE)
+
+EvalItems = list[tuple[SearchContext, tuple[str, ...], frozenset[str]]]
 
 # Substream labels hung off the master seed.
 _SEED_INIT = 0
@@ -74,6 +80,7 @@ class TrainConfig:
 class TrainLog:
     steps: list[dict] = field(default_factory=list)
     validations: list[dict] = field(default_factory=list)
+    checkpoints: list[Path] = field(default_factory=list)
 
 
 def steps_per_epoch(n_positives: int, batch_size: int) -> int:
@@ -93,20 +100,62 @@ def _halved_negatives(
     return replace(ledger, negatives=negatives)
 
 
+def check_negatives(config: TrainConfig, ledger: DifficultyLedger) -> None:
+    """Fail before step 0, not in sample_batch mid-run, if m exceeds a
+    context's eligible negatives at the run's last, tightest, f_n."""
+    half, _, pin_fn = _MODE_TABLE[config.mode]
+    T = config.pacing.T
+    if T == 0:
+        return
+    f_n = 1.0 if pin_fn else pacing_negative(config.pacing, T - 1)
+    negatives = (_halved_negatives(ledger, half) if half else ledger).negatives
+    for entry in ledger.positives:
+        n_neg = eligible_negative_count(len(negatives[entry.context_id]), f_n)
+        if n_neg < config.m:
+            raise ValueError(f"context {entry.context_id}: eligible negative prefix "
+                             f"({n_neg}) smaller than m={config.m} at f_n={f_n:.4g}")
+
+
+@dataclass
+class EvalSlates:
+    """Held-out slates (context, logged candidates, clicked set) with
+    every context and document encoded once."""
+
+    items: EvalItems
+    corpus: EncodedCorpus
+
+    def scorer(self, params: RankerParams):
+        """A forward pass over all contexts and documents, returning
+        score(context, doc_ids): that context's scores for those docs."""
+        corpus = self.corpus
+        c_enc, _ = towers.encode_batch(params.encoder, corpus.contexts, "context")
+        d_enc, _ = towers.encode_batch(params.encoder, corpus.docs, "document")
+
+        def score(ctx: SearchContext, doc_ids) -> np.ndarray:
+            c = c_enc[corpus.context_row[ctx.context_id]]
+            return (d_enc[[corpus.doc_row[d] for d in doc_ids]] @ c) / params.tau
+
+        return score
+
+
+def encode_slates(
+    vocab: Vocab, eval_items: EvalItems, documents: dict[str, Document]
+) -> EvalSlates:
+    contexts = {c.context_id: c for c, _, _ in eval_items}
+    return EvalSlates(eval_items, encode_corpus(vocab, documents, contexts))
+
+
 def rank_eval_items(
-    params: RankerParams,
-    vocab: Vocab,
-    eval_items: list[tuple[SearchContext, tuple[str, ...], frozenset[str]]],
-    documents: dict[str, Document],
-    tag: str = "currank",
+    params: RankerParams, slates: EvalSlates, tag: str = "currank"
 ) -> tuple[list[RunEntry], Qrels]:
     """Rank each held-out candidate slate; returns the run entries and
     qrels judging every candidate (1 if clicked, else 0)."""
+    score = slates.scorer(params)
     entries = []
     qrels: Qrels = {}
-    for ctx, candidates, clicked in eval_items:
+    for ctx, candidates, clicked in slates.items:
         query_id = f"{ctx.session_id}:{ctx.position}"
-        ranked = rank_slate(params, vocab, ctx, list(candidates), documents)
+        ranked = order_slate(candidates, score(ctx, candidates))
         entries.extend(entries_from_ranking(query_id, ranked, tag))
         for doc_id in candidates:
             qrels.setdefault((query_id, doc_id), 0)
@@ -116,14 +165,10 @@ def rank_eval_items(
 
 
 def evaluate_ranker(
-    params: RankerParams,
-    vocab: Vocab,
-    eval_items: list[tuple[SearchContext, tuple[str, ...], frozenset[str]]],
-    documents: dict[str, Document],
-    tag: str = "currank",
+    params: RankerParams, slates: EvalSlates, tag: str = "currank"
 ) -> MetricTable:
     """Rank each held-out candidate slate and score against clicks."""
-    return evaluate_run(*rank_eval_items(params, vocab, eval_items, documents, tag))
+    return evaluate_run(*rank_eval_items(params, slates, tag))
 
 
 def train(
@@ -143,7 +188,10 @@ def train(
     pacing = config.pacing
     T = pacing.T
     half, pin_fp, pin_fn = _MODE_TABLE[config.mode]
+    check_negatives(config, ledger)
     eff_ledger = _halved_negatives(ledger, half) if half else ledger
+    corpus = encode_corpus(vocab, documents, eff_ledger.contexts)
+    slates = encode_slates(vocab, val_items, documents) if val_items else None
 
     rng_init = np.random.default_rng([config.seed, _SEED_INIT])
     rng_sampler = np.random.default_rng([config.seed, _SEED_SAMPLER])
@@ -177,7 +225,7 @@ def train(
             f_p=f_p, f_n=f_n,
         )
         try:
-            report = loss_and_grad(params, vocab, batch, documents)
+            report = loss_and_grad(params, *corpus.batch_rows(batch))
         except Exception as e:
             raise RuntimeError(f"step {t}: {e}") from e
         if config.optimizer == "momentum":
@@ -205,14 +253,14 @@ def train(
             done % config.checkpoint_interval == 0 or done == T
         ):
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+            log.checkpoints.append(Path(checkpoint_dir) / f"ckpt_{done:08d}.bin")
             _save_train_checkpoint(
-                Path(checkpoint_dir) / f"ckpt_{done:08d}.bin",
-                params, vocab, velocity, done, rng_sampler,
+                log.checkpoints[-1], params, vocab, velocity, done, rng_sampler
             )
-        if val_items and done % spe == 0:
-            table = evaluate_ranker(params, vocab, val_items, documents)
+        if slates and done % spe == 0:
+            table = evaluate_ranker(params, slates)
             epoch = done // spe
-            val_loss = _validation_loss(params, vocab, val_items, documents)
+            val_loss = _validation_loss(params, slates)
             record = {"epoch": epoch, "step": done, "val_loss": val_loss}
             record.update(table.metrics)
             if prev_val_loss is not None and val_loss >= prev_val_loss:
@@ -223,22 +271,23 @@ def train(
     return params, log
 
 
-def _validation_loss(params, vocab, val_items, documents) -> float:
-    """Listwise loss over each held-out slate with the clicks as positives."""
-    from .curriculum import TrainingBatch
-
-    total = 0.0
-    count = 0
-    for ctx, candidates, clicked in val_items:
-        negs = tuple(d for d in candidates if d not in clicked)
+def _validation_loss(params: RankerParams, slates: EvalSlates) -> float:
+    """Listwise loss over each held-out slate, once per clicked document
+    with the unclicked candidates as negatives; a forward pass only."""
+    score = slates.scorer(params)
+    losses = []
+    for ctx, candidates, clicked in slates.items:
+        negs = [d for d in candidates if d not in clicked]
         if not negs:
             continue
-        for pos in sorted(clicked):
-            batch = TrainingBatch(items=[(ctx, pos, negs)])
-            report = loss_and_grad(params, vocab, batch, documents)
-            total += report.loss
-            count += 1
-    return total / count if count else 0.0
+        pos = sorted(clicked)
+        s = score(ctx, pos + negs)
+        slate = np.column_stack(
+            [s[: len(pos)], np.broadcast_to(s[len(pos):], (len(pos), len(negs)))]
+        )
+        exp = np.exp(slate - slate.max(axis=1, keepdims=True))
+        losses.extend(-np.log(exp[:, 0] / exp.sum(axis=1)))
+    return float(np.mean(losses)) if losses else 0.0
 
 
 def _save_train_checkpoint(path, params, vocab, velocity, step, rng_sampler):
@@ -291,7 +340,7 @@ def sweep(
     vocab: Vocab,
     deltas: list[float],
     etas: list[float],
-    eval_items: list,
+    slates: EvalSlates,
 ) -> list[dict]:
     """One full training run per (delta, eta) grid point, shared seed.
 
@@ -301,7 +350,7 @@ def sweep(
     return [
         train_and_evaluate(
             replace(base, pacing=replace(base.pacing, delta=delta, eta=eta)),
-            ledger, documents, vocab, eval_items, delta=delta, eta=eta,
+            ledger, documents, vocab, slates, delta=delta, eta=eta,
         )
         for delta in deltas
         for eta in etas
@@ -313,13 +362,13 @@ def train_and_evaluate(
     ledger: DifficultyLedger,
     documents: dict[str, Document],
     vocab: Vocab,
-    eval_items: list,
+    slates: EvalSlates,
     **row,
 ) -> dict:
-    """One training run scored on `eval_items`: `row` plus the metrics."""
+    """One training run scored on `slates`: `row` plus the metrics."""
     try:
         params, _ = train(config, ledger, documents, vocab)
     except Exception as e:
         raise RuntimeError(f"training run {row} failed: {e}") from e
-    row.update(evaluate_ranker(params, vocab, eval_items, documents).metrics)
+    row.update(evaluate_ranker(params, slates).metrics)
     return row

@@ -69,3 +69,58 @@ def central_difference_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def loop_pool(emb: np.ndarray, sequences) -> np.ndarray:
+    """Per-sequence mean of the token embeddings; emb[0] for an empty one."""
+    pooled = np.empty((len(sequences), emb.shape[1]))
+    for i, ids in enumerate(sequences):
+        if len(ids):
+            pooled[i] = emb[list(ids)].mean(axis=0)
+        else:
+            pooled[i] = emb[0]
+    return pooled
+
+
+def loop_scatter(grad_emb: np.ndarray, sequences, gpooled: np.ndarray) -> None:
+    """Add each pooled gradient to its tokens' rows, one token at a time."""
+    for i, ids in enumerate(sequences):
+        if ids:
+            share = gpooled[i] / len(ids)
+            for tok in ids:
+                grad_emb[tok] += share
+        else:
+            grad_emb[0] += gpooled[i]
+
+
+def naive_encode(params, vocab, tokens, tower: str) -> np.ndarray:
+    """W2 tanh(W1 mean(emb[ids]) + b1) + b2 for one token list; an empty
+    list pools to the pad row emb[0]."""
+    t = params.tower(tower)
+    pooled = params.emb[vocab.encode(tokens) or [0]].mean(axis=0)
+    return t.w2 @ np.tanh(t.w1 @ pooled + t.b1) + t.b2
+
+
+def loop_validation_loss(params, vocab, eval_items, documents) -> float:
+    """Mean listwise loss of every (slate, clicked document) pair, one
+    pair at a time: the clicked document against the slate's unclicked
+    candidates. `params` are RankerParams."""
+
+    def score(tokens, doc_id):
+        return float(naive_encode(params.encoder, vocab, tokens, "context")
+                     @ naive_encode(params.encoder, vocab,
+                                    documents[doc_id].title_tokens, "document"))
+
+    total = 0.0
+    count = 0
+    for ctx, candidates, clicked in eval_items:
+        negs = tuple(d for d in candidates if d not in clicked)
+        if not negs:
+            continue
+        for pos in sorted(clicked):
+            scores = np.array([score(ctx.context_tokens, d) for d in (pos, *negs)])
+            scores /= params.tau
+            exp = np.exp(scores - scores.max())
+            total += -math.log(exp[0] / exp.sum())
+            count += 1
+    return total / count if count else 0.0

@@ -38,7 +38,7 @@ from currank.curriculum import (
 )
 from currank.manifest import MANIFEST_NAME
 from currank.metrics import NDCG_CUTOFFS, entries_from_ranking, evaluate_run
-from currank.ranker import RankerParams, init_ranker, loss_and_grad
+from currank.ranker import RankerParams, encode_corpus, init_ranker, loss_and_grad
 from currank.scorers import Bm25Scorer
 from currank.sessions import (
     SEP_TOKEN,
@@ -52,6 +52,7 @@ from currank.towers import Vocab
 from currank.trainer import (
     MODES,
     TrainConfig,
+    encode_slates,
     evaluate_ranker,
     steps_per_epoch,
     sweep,
@@ -263,15 +264,18 @@ def test_criterion_5_gradient_checks():
                 (contexts[1], "d3", ("d4", "d5")),
             ])
 
-            def f(flat, params=params, vocab=vocab, batch=batch,
-                  documents=documents):
+            rows = encode_corpus(
+                vocab, documents, {c.context_id: c for c in contexts}
+            ).batch_rows(batch)
+
+            def f(flat, params=params, rows=rows):
                 saved = towers.pack(params.encoder)
                 towers.unpack_into(flat, params.encoder)
-                loss = loss_and_grad(params, vocab, batch, documents).loss
+                loss = loss_and_grad(params, *rows).loss
                 towers.unpack_into(saved, params.encoder)
                 return loss
 
-            report = loss_and_grad(params, vocab, batch, documents)
+            report = loss_and_grad(params, *rows)
             numeric = central_difference_grad(f, towers.pack(params.encoder))
             assert _vector_relative_error(
                 towers.pack(report.grads), numeric) < 1e-4
@@ -280,7 +284,7 @@ def test_criterion_5_gradient_checks():
                 def g(tau_arr):
                     p2 = RankerParams(encoder=params.encoder,
                                       tau=float(tau_arr[0]))
-                    return loss_and_grad(p2, vocab, batch, documents).loss
+                    return loss_and_grad(p2, *rows).loss
 
                 num_tau = central_difference_grad(
                     g, np.array([params.tau]))[0]
@@ -369,7 +373,9 @@ def test_criterion_6_oracle_equivalence():
             )
             params = init_ranker(len(vocab), 4, 4, rng)
             batch = TrainingBatch(items=[(ctx, "d0", ctx.negative_pool)])
-            report = loss_and_grad(params, vocab, batch, documents)
+            rows = encode_corpus(
+                vocab, documents, {ctx.context_id: ctx}).batch_rows(batch)
+            report = loss_and_grad(params, *rows)
             assert report.loss == math.log(m + 1)
 
 
@@ -410,6 +416,7 @@ def desk_experiment():
     val_items = build_eval_items(
         [s for s in sessions if split_of(s.session_id) == "val"], documents)
 
+    slates = encode_slates(vocab, val_items, documents)
     T = 8 * steps_per_epoch(len(ledger.positives), 32)
     base = TrainConfig(pacing=PacingParams(T=T))
     seeds = (0, 1, 2)
@@ -419,13 +426,12 @@ def desk_experiment():
         start = time.monotonic()
         params, _ = train(config, ledger, documents, vocab)
         elapsed = time.monotonic() - start
-        table = evaluate_ranker(params, vocab, val_items, documents)
+        table = evaluate_ranker(params, slates)
         return table.metrics["MAP"], elapsed
 
     untrained, _ = train(replace(base, pacing=replace(base.pacing, T=0)),
                          ledger, documents, vocab)
-    untrained_map = evaluate_ranker(
-        untrained, vocab, val_items, documents).metrics["MAP"]
+    untrained_map = evaluate_ranker(untrained, slates).metrics["MAP"]
 
     mode_results = {}  # mode -> (per-seed MAPs, max wall time)
     for mode in MODES:
@@ -434,7 +440,7 @@ def desk_experiment():
         mode_results[mode] = (list(maps), max(times))
 
     grid = sweep(base, ledger, documents, vocab,
-                 [0.1, 0.3, 0.5], [0.5, 0.7, 0.9], val_items)
+                 [0.1, 0.3, 0.5], [0.5, 0.7, 0.9], slates)
     return {
         "untrained_map": untrained_map,
         "mode_results": mode_results,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -156,6 +159,17 @@ class TestScore:
                        "--out", tmp_path / "o") == 2
         assert "--checkpoint or --fit" in capsys.readouterr().err
 
+    def test_rerun_into_same_directory_digests_own_outputs(
+        self, bundle_dir, ledger_dir, tmp_path
+    ):
+        out = tmp_path / "ledger"
+        for _ in range(2):
+            assert run_cli("score", "--bundle", bundle_dir, "--out", out) == 0
+            manifest = json.loads((out / MANIFEST_NAME).read_text())
+            assert manifest["output_digests"] == json.loads(
+                (ledger_dir / MANIFEST_NAME).read_text())["output_digests"]
+        assert list(manifest["output_digests"]) == ["ledger.json"]
+
     def test_dense_fit_writes_scorer_checkpoint(self, bundle_dir, tmp_path):
         out = tmp_path / "dense"
         assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
@@ -184,6 +198,21 @@ class TestTrain:
         a = json.loads((train_dir / MANIFEST_NAME).read_text())
         b = json.loads((out / MANIFEST_NAME).read_text())
         assert a["output_digests"] == b["output_digests"]
+
+    def test_rerun_into_same_directory_digests_own_outputs(
+        self, bundle_dir, ledger_dir, tmp_path
+    ):
+        out = tmp_path / "train"
+        common = ("train", "--bundle", bundle_dir, "--ledger",
+                  ledger_dir / "ledger.json", "--out", out, "--batch-size", 8)
+        assert run_cli(*common, "--steps", 20, "--checkpoint-interval", 10) == 0
+        assert run_cli(*common, "--steps", 10, "--checkpoint-interval", 5) == 0
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        assert list(manifest["output_digests"]) == [
+            "checkpoint.bin", "ckpt_00000005.bin", "ckpt_00000010.bin",
+            "trainlog.jsonl",
+        ]
+        assert (out / "ckpt_00000020.bin").exists()  # the first run's, not listed
 
     def test_missing_ledger_exits_two(self, bundle_dir, tmp_path):
         assert run_cli("train", "--bundle", bundle_dir,
@@ -226,6 +255,51 @@ class TestAblate:
         ]
         assert len(payload["grid"]) == 2
         assert all("MAP" in r for r in payload["modes"] + payload["grid"])
+
+
+@pytest.fixture(scope="module")
+def desk_dirs(tmp_path_factory):
+    """The acceptance corpus (criterion 7) and its BM25 ledger."""
+    fixture = json.loads(
+        (Path(__file__).parent / "fixtures" / "acceptance_corpus.json").read_text())
+    root = tmp_path_factory.mktemp("desk")
+    assert run_cli(
+        "synth", "--sessions", fixture["n_sessions"],
+        "--vocab-size", fixture["vocab_size"], "--topics", fixture["n_topics"],
+        "--queries", fixture["queries_per_session"],
+        "--candidates", fixture["candidates_per_query"],
+        "--noise", fixture["noise_rate"], "--seed", fixture["seed"],
+        "--out", root / "bundle",
+    ) == 0
+    assert run_cli("score", "--bundle", root / "bundle", "--out", root / "ledger") == 0
+    return root / "bundle", root / "ledger" / "ledger.json"
+
+
+class TestNegativePrefixCheck:
+    """m=2 with eta=0.3 leaves a 3-negative pool one eligible negative;
+    the run used to stop there hundreds of steps in."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_fails_before_first_step(self, desk_dirs, tmp_path, capsys, command):
+        bundle, ledger = desk_dirs
+        out = tmp_path / command
+        assert run_cli(command, "--bundle", bundle, "--ledger", ledger,
+                       "--epochs", 4, "--m", 2, "--eta", 0.3, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "error: context s" in err
+        assert "eligible negative prefix (1) smaller than m=2" in err
+        assert "at step" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+
+def test_python_m_currank_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "currank", "--version"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
 
 
 class TestConfigFile:

@@ -1,0 +1,85 @@
+import numpy as np
+import pytest
+
+from currank import towers
+from currank.towers import Vocab, init_params, token_rows, zero_grads
+
+from oracles import loop_pool, loop_scatter
+
+# Empty sequences, repeats and the unknown id 1 included.
+SEQUENCES = [[2, 3, 2], [], [1], [4, 1, 1, 5, 6, 2], [7], [], [0, 0]]
+
+
+def random_sequences(rng, n=200, vocab_size=60, max_len=16):
+    return [list(rng.integers(0, vocab_size, size=int(rng.integers(0, max_len + 1))))
+            for _ in range(n)]
+
+
+def reference_forward(params, sequences, tower):
+    t = params.tower(tower)
+    pooled = loop_pool(params.emb, sequences)
+    hidden = np.tanh(pooled @ t.w1.T + t.b1)
+    return hidden @ t.w2.T + t.b2, pooled, hidden
+
+
+class TestTokenRows:
+    def test_layout(self):
+        rows = token_rows(SEQUENCES)
+        assert rows.lengths.tolist() == [3, 1, 1, 6, 1, 1, 2]
+        assert rows.ids[0].tolist() == [2, 3, 2, -1, -1, -1]
+        assert rows.ids[1].tolist() == [0, -1, -1, -1, -1, -1]  # empty -> pad token
+
+    def test_take_trims_to_widest_row(self):
+        rows = token_rows(SEQUENCES).take([2, 0])
+        assert rows.ids.tolist() == [[1, -1, -1], [2, 3, 2]]
+        assert rows.lengths.tolist() == [1, 3]
+
+    def test_unknown_tokens_and_empty_sequences(self):
+        vocab = Vocab(["a", "b"])
+        rows = token_rows(map(vocab.encode, [("a", "zzz"), (), ("b",)]))
+        assert rows.ids.tolist() == [[2, 1], [0, -1], [3, -1]]
+
+
+class TestEncodeBatch:
+    @pytest.mark.parametrize("tower", ["context", "document"])
+    def test_bit_equal_to_per_sequence_loop(self, tower):
+        rng = np.random.default_rng(5)
+        params = init_params(60, 32, 32, rng)
+        for sequences in (SEQUENCES, random_sequences(rng)):
+            out, cache = towers.encode_batch(params, token_rows(sequences), tower)
+            want, pooled, hidden = reference_forward(params, sequences, tower)
+            assert np.array_equal(cache.pooled, pooled)
+            assert np.array_equal(cache.hidden, hidden)
+            assert np.array_equal(out, want)
+
+    def test_id_lists_rows_and_taken_rows_agree(self, rng):
+        params = init_params(60, 8, 8, rng)
+        sequences = random_sequences(rng, n=50)
+        pick = [7, 3, 3, 40, 0]
+        from_lists, _ = towers.encode_batch(params, [sequences[i] for i in pick], "context")
+        taken, _ = towers.encode_batch(params, token_rows(sequences).take(pick), "context")
+        assert np.array_equal(from_lists, taken)
+
+    def test_counts_encoded_sequences(self, rng):
+        params = init_params(10, 4, 4, rng)
+        before = towers.ENCODE_CALLS
+        towers.encode_batch(params, token_rows(SEQUENCES), "document")
+        assert towers.ENCODE_CALLS - before == len(SEQUENCES)
+
+
+class TestBackwardBatch:
+    @pytest.mark.parametrize("tower", ["context", "document"])
+    def test_bit_equal_to_per_token_loop(self, tower):
+        rng = np.random.default_rng(6)
+        params = init_params(60, 32, 32, rng)
+        for sequences in (SEQUENCES, random_sequences(rng)):
+            _, cache = towers.encode_batch(params, token_rows(sequences), tower)
+            grad_out = rng.normal(size=(len(sequences), 32))
+            grads = zero_grads(params)
+            towers.backward_batch(params, cache, grad_out, grads)
+
+            t = params.tower(tower)
+            gz = (grad_out @ t.w2) * (1.0 - cache.hidden**2)
+            want = np.zeros_like(params.emb)
+            loop_scatter(want, sequences, gz @ t.w1)
+            assert np.array_equal(grads.emb, want)

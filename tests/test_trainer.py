@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from currank import towers
+from currank import towers, trainer
 from currank.bm25 import Bm25Params, build_index
 from currank.curriculum import PacingParams, build_ledger, sample_batch
 from currank.scorers import Bm25Scorer
 from currank.sessions import SEP_TOKEN, build_contexts, build_eval_items
 from currank.synth import SynthSpec, generate_synthetic
+from currank.ranker import rank_slate
 from currank.towers import Vocab
 from currank.trainer import (
     MODES,
     TrainConfig,
+    encode_slates,
     evaluate_ranker,
     load_ranker,
     save_ranker,
@@ -20,6 +22,8 @@ from currank.trainer import (
     sweep,
     train,
 )
+
+from oracles import loop_validation_loss
 
 
 @pytest.fixture(scope="module")
@@ -155,9 +159,72 @@ class TestTrain:
         config = config_for(ledger, epochs=10, learning_rate=0.1)
         trained, _ = train(config, ledger, documents, vocab)
         untrained, _ = train(config_for(ledger, T=0), ledger, documents, vocab)
-        map_trained = evaluate_ranker(trained, vocab, val_items, documents).metrics["MAP"]
-        map_untrained = evaluate_ranker(untrained, vocab, val_items, documents).metrics["MAP"]
+        slates = encode_slates(vocab, val_items, documents)
+        map_trained = evaluate_ranker(trained, slates).metrics["MAP"]
+        map_untrained = evaluate_ranker(untrained, slates).metrics["MAP"]
         assert map_trained > map_untrained
+
+
+class TestBatchedValidation:
+    def test_loss_matches_per_item_reference(self, small_world):
+        _, documents, _, ledger, vocab, val_items = small_world
+        # one to three clicks per slate, and one slate with no unclicked candidate
+        items = [(ctx, cands, frozenset(cands[: 1 + i % 3]))
+                 for i, (ctx, cands, _) in enumerate(val_items)]
+        items[0] = (items[0][0], items[0][1], frozenset(items[0][1]))
+        params, log = train(config_for(ledger, epochs=2), ledger, documents, vocab,
+                            val_items=items)
+        want = loop_validation_loss(params, vocab, items, documents)
+        assert want > 0
+        assert log.validations[-1]["val_loss"] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_ranking_matches_rank_slate(self, small_world):
+        _, documents, _, ledger, vocab, val_items = small_world
+        params, _ = train(config_for(ledger, epochs=1), ledger, documents, vocab)
+        entries, _ = trainer.rank_eval_items(
+            params, encode_slates(vocab, val_items, documents))
+        by_query = {}
+        for e in entries:
+            by_query.setdefault(e.query_id, []).append((e.doc_id, e.score))
+        assert len(by_query) == len(val_items)
+        for ctx, candidates, _ in val_items:
+            got = by_query[f"{ctx.session_id}:{ctx.position}"]
+            want = rank_slate(params, vocab, ctx, list(candidates), documents)
+            assert [d for d, _ in got] == [d for d, _ in want]
+            assert [s for _, s in got] == pytest.approx([s for _, s in want],
+                                                        rel=1e-12, abs=0)
+
+
+class TestNegativePrefixCheck:
+    """m larger than a context's eligible negative prefix fails before
+    the first step, naming the context."""
+
+    @staticmethod
+    def _no_sampling(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled a batch before the m check")
+
+        monkeypatch.setattr(trainer, "sample_batch", fail)
+
+    def test_tightest_eta_checked_before_step_0(self, small_world, monkeypatch):
+        _, documents, _, ledger, vocab, _ = small_world
+        smallest = min(len(n) for n in ledger.negatives.values())
+        config = config_for(ledger, m=smallest, pacing_kw={"eta": 0.05})
+        self._no_sampling(monkeypatch)
+        with pytest.raises(ValueError, match=r"context \S+: eligible negative prefix"):
+            train(config, ledger, documents, vocab)
+
+    def test_halved_modes_use_halved_lists(self, small_world, monkeypatch):
+        _, documents, _, ledger, vocab, _ = small_world
+        smallest = min(len(n) for n in ledger.negatives.values())
+        self._no_sampling(monkeypatch)
+        for mode in ("easy-neg-only", "hard-neg-only"):
+            config = config_for(ledger, m=(smallest + 1) // 2 + 1, mode=mode)
+            with pytest.raises(ValueError, match="eligible negative prefix"):
+                train(config, ledger, documents, vocab)
+        # the same m with the full lists and no negative curriculum is fine
+        trainer.check_negatives(config_for(ledger, m=(smallest + 1) // 2 + 1,
+                                           mode="none"), ledger)
 
 
 class TestCheckpointRoundTrip:
@@ -190,27 +257,30 @@ class TestSweep:
     def test_single_cell_equals_train(self, small_world):
         _, documents, _, ledger, vocab, val_items = small_world
         base = config_for(ledger, epochs=1)
-        rows = sweep(base, ledger, documents, vocab, [0.3], [0.7], val_items)
+        slates = encode_slates(vocab, val_items, documents)
+        rows = sweep(base, ledger, documents, vocab, [0.3], [0.7], slates)
         assert len(rows) == 1
         from dataclasses import replace
 
         config = replace(base, pacing=replace(base.pacing, delta=0.3, eta=0.7))
         params, _ = train(config, ledger, documents, vocab)
-        table = evaluate_ranker(params, vocab, val_items, documents)
+        table = evaluate_ranker(params, slates)
         assert rows[0]["MAP"] == pytest.approx(table.metrics["MAP"], abs=1e-12)
 
     def test_reproducible(self, small_world):
         _, documents, _, ledger, vocab, val_items = small_world
         base = config_for(ledger, epochs=1)
-        a = sweep(base, ledger, documents, vocab, [0.2, 0.5], [0.7], val_items)
-        b = sweep(base, ledger, documents, vocab, [0.2, 0.5], [0.7], val_items)
+        slates = encode_slates(vocab, val_items, documents)
+        a = sweep(base, ledger, documents, vocab, [0.2, 0.5], [0.7], slates)
+        b = sweep(base, ledger, documents, vocab, [0.2, 0.5], [0.7], slates)
         assert a == b
 
     def test_grid_shape(self, small_world):
         _, documents, _, ledger, vocab, val_items = small_world
         base = config_for(ledger, epochs=1)
         rows = sweep(base, ledger, documents, vocab,
-                     [0.2, 0.5, 1.0], [0.5, 0.8, 1.0], val_items)
+                     [0.2, 0.5, 1.0], [0.5, 0.8, 1.0],
+                     encode_slates(vocab, val_items, documents))
         assert len(rows) == 9
         assert {(r["delta"], r["eta"]) for r in rows} == {
             (d, e) for d in (0.2, 0.5, 1.0) for e in (0.5, 0.8, 1.0)
