@@ -15,7 +15,7 @@ from math import log
 
 import numpy as np
 
-from .sessions import CorpusStats, Document, compute_corpus_stats
+from .sessions import Document
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -41,10 +41,9 @@ class Bm25Params:
 
 @dataclass
 class LexicalIndex:
-    stats: CorpusStats
     doc_ids: list[str]  # sorted; positions index the arrays below
-    doc_index: dict[str, int]
-    doc_lengths: np.ndarray  # int64, len == doc_count
+    doc_lengths: np.ndarray  # int64, one per document
+    avg_doc_length: float
     # term -> (doc positions, term frequencies), parallel int64 arrays
     postings: dict[str, tuple[np.ndarray, np.ndarray]]
 
@@ -65,7 +64,6 @@ def build_index(documents: dict[str, Document]) -> LexicalIndex:
     if not documents:
         raise ValueError("cannot index an empty document table")
     doc_ids = sorted(documents)
-    doc_index = {d: i for i, d in enumerate(doc_ids)}
     lengths = np.array(
         [len(documents[d].title_tokens) for d in doc_ids], dtype=np.int64
     )
@@ -81,45 +79,16 @@ def build_index(documents: dict[str, Document]) -> LexicalIndex:
         for term, pairs in raw.items()
     }
     return LexicalIndex(
-        stats=compute_corpus_stats(documents),
         doc_ids=doc_ids,
-        doc_index=doc_index,
         doc_lengths=lengths,
+        avg_doc_length=int(lengths.sum()) / len(doc_ids),
         postings=postings,
     )
 
 
-def idf(index: LexicalIndex, term: str) -> float:
-    df = index.stats.doc_freq.get(term, 0)
-    n = index.stats.doc_count
+def idf(n: int, df: int) -> float:
+    """idf of a term that occurs in df of the n indexed documents."""
     return log(1.0 + (n - df + 0.5) / (df + 0.5))
-
-
-def score(
-    index: LexicalIndex,
-    params: Bm25Params,
-    query_tokens: list[str] | tuple[str, ...],
-    doc_id: str,
-) -> float:
-    """BM25 score of one document; additive over query token occurrences."""
-    if doc_id not in index.doc_index:
-        raise KeyError(f"unknown doc_id {doc_id!r}")
-    pos = index.doc_index[doc_id]
-    dl = float(index.doc_lengths[pos])
-    avgdl = index.stats.avg_doc_length
-    total = 0.0
-    for term in query_tokens:
-        entry = index.postings.get(term)
-        if entry is None:
-            continue
-        positions, tfs = entry
-        hit = np.searchsorted(positions, pos)
-        if hit >= len(positions) or positions[hit] != pos:
-            continue
-        tf = float(tfs[hit])
-        denom = tf + params.k1 * (1.0 - params.b + params.b * dl / avgdl)
-        total += idf(index, term) * tf * (params.k1 + 1.0) / denom
-    return total
 
 
 def score_all(
@@ -128,8 +97,9 @@ def score_all(
     query_tokens: list[str] | tuple[str, ...],
 ) -> np.ndarray:
     """BM25 scores of every indexed document for one query (float64)."""
-    scores = np.zeros(index.stats.doc_count, dtype=np.float64)
-    avgdl = index.stats.avg_doc_length
+    n = len(index.doc_ids)
+    scores = np.zeros(n, dtype=np.float64)
+    avgdl = index.avg_doc_length
     norm = params.k1 * (1.0 - params.b + params.b * index.doc_lengths / avgdl)
     for term, count in Counter(query_tokens).items():
         entry = index.postings.get(term)
@@ -137,6 +107,6 @@ def score_all(
             continue
         positions, tfs = entry
         tf = tfs.astype(np.float64)
-        contrib = idf(index, term) * tf * (params.k1 + 1.0) / (tf + norm[positions])
+        contrib = idf(n, len(positions)) * tf * (params.k1 + 1.0) / (tf + norm[positions])
         scores[positions] += count * contrib
     return scores

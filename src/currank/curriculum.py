@@ -132,36 +132,40 @@ def build_ledger(
     """Score and sort all training pairs under the frozen scorers.
 
     Positive and negative difficulties may come from different scorers
-    (mixed-mode experiments).
+    (mixed-mode experiments); each context is scored once per scorer,
+    so a scorer's difficulties do not depend on the other scorer.
     """
     if not contexts:
         raise ValueError("no contexts to build a ledger from")
+    if neg_scorer.doc_ids != pos_scorer.doc_ids:
+        raise ValueError("positive and negative scorers rank different corpora")
+    doc_pos = {d: i for i, d in enumerate(pos_scorer.doc_ids)}
     for ctx in contexts:
         if not ctx.negative_pool:
             raise ValueError(f"context {ctx.context_id} has an empty negative pool")
-
-    doc_pos = {d: i for i, d in enumerate(pos_scorer.doc_ids)}
-    same_scorer = neg_scorer is pos_scorer
+        for d in (ctx.positive_doc_id, *ctx.negative_pool):
+            if d not in doc_pos:
+                raise ValueError(
+                    f"context {ctx.context_id}: document {d} is not in the corpus"
+                )
 
     raw: list[tuple[SearchContext, int, float]] = []
     corpus_max = -math.inf
     negatives: dict[str, list[tuple[str, float]]] = {}
     for ctx in contexts:
         scores = pos_scorer.score_corpus(ctx.context_tokens)
+        neg_scores = (
+            scores if neg_scorer is pos_scorer
+            else neg_scorer.score_corpus(ctx.context_tokens)
+        )
         pos = doc_pos[ctx.positive_doc_id]
         s = float(scores[pos])
         raw.append((ctx, rank_of_positive(scores, pos), s))
         corpus_max = max(corpus_max, s)
-        if same_scorer:
-            neg_scored = [
-                (d, difficulty_negative(float(scores[doc_pos[d]])))
-                for d in ctx.negative_pool
-            ]
-        else:
-            neg_scored = [
-                (d, difficulty_negative(neg_scorer.score(ctx.context_tokens, d)))
-                for d in ctx.negative_pool
-            ]
+        neg_scored = [
+            (d, difficulty_negative(float(neg_scores[doc_pos[d]])))
+            for d in ctx.negative_pool
+        ]
         neg_scored.sort(key=lambda e: (-e[1], e[0]))
         negatives[ctx.context_id] = neg_scored
 
@@ -263,15 +267,19 @@ def load_ledger(
     positives = [
         PositiveEntry(cid, doc, float(dp)) for cid, doc, dp in payload["positives"]
     ]
+    negatives = {
+        cid: [(d, float(s)) for d, s in entries]
+        for cid, entries in payload["negatives"].items()
+    }
     missing = [e.context_id for e in positives if e.context_id not in by_id]
     if missing:
         raise ValueError(f"ledger references unknown contexts: {missing[:5]}")
+    uncovered = [e.context_id for e in positives if e.context_id not in negatives]
+    if uncovered:
+        raise ValueError(f"ledger has no negatives for contexts: {uncovered[:5]}")
     return DifficultyLedger(
         positives=positives,
-        negatives={
-            cid: [(d, float(s)) for d, s in entries]
-            for cid, entries in payload["negatives"].items()
-        },
+        negatives=negatives,
         contexts=by_id,
         pos_scorer_digest=payload["pos_scorer_digest"],
         neg_scorer_digest=payload["neg_scorer_digest"],

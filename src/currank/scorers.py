@@ -1,8 +1,10 @@
 """Frozen relevance scorers that feed the difficulty functions.
 
-Both scorers expose the same surface: score one (context, document)
-pair, or score a context against the whole corpus (needed to rank the
-positive document). The corpus ordering is the sorted doc-id order.
+Every scorer has one surface: `doc_ids` is the corpus order (the
+sorted doc ids), `score_corpus` scores a context against every document
+in that order, and `digest` identifies the frozen scorer. The ledger
+reads a context's positive (whose rank needs the whole corpus) and its
+negatives out of one such array.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .towers import DualEncoderParams, Vocab
 class ScoreSource(Protocol):
     doc_ids: list[str]
 
-    def score(self, context_tokens: Sequence[str], doc_id: str) -> float: ...
-
     def score_corpus(self, context_tokens: Sequence[str]) -> np.ndarray: ...
 
     def digest(self) -> str: ...
@@ -32,9 +32,6 @@ class Bm25Scorer:
         self.index = index
         self.params = params
         self.doc_ids = index.doc_ids
-
-    def score(self, context_tokens: Sequence[str], doc_id: str) -> float:
-        return bm25.score(self.index, self.params, context_tokens, doc_id)
 
     def score_corpus(self, context_tokens: Sequence[str]) -> np.ndarray:
         return bm25.score_all(self.index, self.params, context_tokens)
@@ -60,15 +57,6 @@ class DenseScorer:
             vocab.encode(documents[d].title_tokens) for d in self.doc_ids
         ]
         self._doc_enc, _ = towers.encode_batch(params, doc_token_ids, "document")
-        self._doc_pos = {d: i for i, d in enumerate(self.doc_ids)}
-
-    def score(self, context_tokens: Sequence[str], doc_id: str) -> float:
-        if doc_id not in self._doc_pos:
-            raise KeyError(f"unknown doc_id {doc_id!r}")
-        c = towers.encode(
-            self.params, self.vocab.encode(context_tokens), "context"
-        )
-        return float(self._doc_enc[self._doc_pos[doc_id]] @ c)
 
     def score_corpus(self, context_tokens: Sequence[str]) -> np.ndarray:
         c = towers.encode(

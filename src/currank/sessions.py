@@ -75,30 +75,6 @@ class SearchContext:
         return f"{self.session_id}:{self.position}:{self.positive_doc_id}"
 
 
-@dataclass
-class CorpusStats:
-    doc_count: int
-    total_token_count: int
-    doc_freq: dict[str, int]
-    avg_doc_length: float
-
-
-def compute_corpus_stats(documents: dict[str, Document]) -> CorpusStats:
-    doc_freq: dict[str, int] = {}
-    total = 0
-    for doc in documents.values():
-        total += len(doc.title_tokens)
-        for term in set(doc.title_tokens):
-            doc_freq[term] = doc_freq.get(term, 0) + 1
-    n = len(documents)
-    return CorpusStats(
-        doc_count=n,
-        total_token_count=total,
-        doc_freq=doc_freq,
-        avg_doc_length=total / n if n else 0.0,
-    )
-
-
 def _candidate_rank(cand: dict) -> int:
     rank = cand["rank"]
     if type(rank) is not int:  # also rejects bool, a subclass of int

@@ -6,13 +6,17 @@ import pytest
 from currank.bm25 import (
     Bm25Params,
     build_index,
-    score,
     score_all,
     tokenize,
 )
 from currank.sessions import Document, SearchContext
 
 from oracles import naive_bm25
+
+
+def score(index, params, query, doc_id):
+    """One document's entry of the corpus scores."""
+    return score_all(index, params, query)[index.doc_ids.index(doc_id)]
 
 
 class TestTokenize:
@@ -32,10 +36,10 @@ class TestBuildIndex:
     def test_single_doc_counts(self):
         docs = {"d": Document("d", ("a", "b", "a"))}
         index = build_index(docs)
-        assert index.stats.doc_freq["a"] == 1
         positions, tfs = index.postings["a"]
+        assert len(positions) == 1
         assert tfs.tolist() == [2]
-        assert index.stats.avg_doc_length == 3
+        assert index.avg_doc_length == 3
 
     def test_two_doc_counts(self):
         docs = {
@@ -43,8 +47,8 @@ class TestBuildIndex:
             "d2": Document("d2", ("a", "b")),
         }
         index = build_index(docs)
-        assert index.stats.doc_freq == {"a": 2, "b": 1}
-        assert index.stats.avg_doc_length == 1.5
+        assert {t: len(p) for t, (p, _) in index.postings.items()} == {"a": 2, "b": 1}
+        assert index.avg_doc_length == 1.5
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
@@ -77,10 +81,6 @@ class TestScore:
         got = score(index, Bm25Params(k1=1.2, b=0.75), ["a"], "d1")
         assert got == pytest.approx(naive_bm25(raw, ["a"], "d1"), abs=1e-12)
 
-    def test_unknown_doc_rejected(self, tiny_index):
-        with pytest.raises(KeyError):
-            score(tiny_index, Bm25Params(), ["clay"], "nope")
-
     def test_oracle_equivalence_random_corpora(self, rng):
         vocab = [f"t{i}" for i in range(30)]
         for _ in range(5):
@@ -95,14 +95,6 @@ class TestScore:
                 assert score(index, Bm25Params(), query, doc_id) == pytest.approx(
                     naive_bm25(raw, query, doc_id), abs=1e-9
                 )
-
-    def test_score_all_matches_score(self, tiny_index):
-        params = Bm25Params()
-        scores = score_all(tiny_index, params, ["clay", "aiken"])
-        for i, doc_id in enumerate(tiny_index.doc_ids):
-            assert scores[i] == pytest.approx(
-                score(tiny_index, params, ["clay", "aiken"], doc_id), abs=1e-12
-            )
 
     def test_monotone_in_tf(self):
         # same length, higher tf of the matched term never scores lower

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -170,6 +171,30 @@ class TestScore:
                 (ledger_dir / MANIFEST_NAME).read_text())["output_digests"]
         assert list(manifest["output_digests"]) == ["ledger.json"]
 
+    @pytest.mark.parametrize("role,scorer", [
+        ("positive", ("bm25",)),
+        ("negative", ("bm25",)),
+        ("negative", ("dense", "--fit", "--fit-epochs", 1)),
+    ])
+    def test_unknown_document_exits_two(self, bundle_dir, tmp_path, capsys,
+                                        role, scorer):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        path = bundle / "contexts.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        rec = next(r for r in records if split_of(r["session_id"]) == "train")
+        if role == "positive":
+            doc = rec["positive_doc_id"] = "dzzz"
+        else:
+            doc = "dyyy"
+            rec["negative_pool"].append(doc)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run_cli("score", "--bundle", bundle, "--scorer", *scorer,
+                       "--out", tmp_path / "o") == 2
+        context_id = f"{rec['session_id']}:{rec['position']}:{rec['positive_doc_id']}"
+        assert f"context {context_id}: document {doc} is not in the corpus" \
+            in capsys.readouterr().err
+
     def test_dense_fit_writes_scorer_checkpoint(self, bundle_dir, tmp_path):
         out = tmp_path / "dense"
         assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
@@ -218,6 +243,20 @@ class TestTrain:
         assert run_cli("train", "--bundle", bundle_dir,
                        "--ledger", tmp_path / "nope.json",
                        "--out", tmp_path / "o") == 2
+
+    def test_ledger_without_a_context_negatives_exits_two(
+        self, bundle_dir, ledger_dir, tmp_path, capsys
+    ):
+        payload = json.loads((ledger_dir / "ledger.json").read_text())
+        context_id = payload["positives"][0][0]
+        del payload["negatives"][context_id]
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger,
+                       "--out", out, "--steps", 10, "--batch-size", 8) == 2
+        assert f"no negatives for contexts: ['{context_id}']" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestEval:

@@ -19,8 +19,9 @@ from currank.curriculum import (
     sample_batch,
     save_ledger,
 )
-from currank.scorers import Bm25Scorer
+from currank.scorers import Bm25Scorer, DenseScorer
 from currank.sessions import Document, SearchContext
+from currank.towers import Vocab, init_params
 
 
 def random_pacing(rng, T=None):
@@ -145,9 +146,9 @@ class TestDifficultyNegative:
             "other": Document("other", ("misc", "misc2")),
         }
         index = build_index(docs)
-        scorer = Bm25Scorer(index, Bm25Params())
-        d_hit = difficulty_negative(scorer.score(("chanel",), "hit"))
-        d_miss = difficulty_negative(scorer.score(("chanel",), "miss"))
+        scores = Bm25Scorer(index, Bm25Params()).score_corpus(("chanel",))
+        d_hit = difficulty_negative(scores[index.doc_ids.index("hit")])
+        d_miss = difficulty_negative(scores[index.doc_ids.index("miss")])
         assert d_hit > d_miss
 
 
@@ -212,8 +213,9 @@ class TestBuildLedger:
         # hand check: under C=(clay aiken), p0 matches both terms and must
         # rank 1; under C=(chanel,), p1 is the only match and ranks 1; the
         # tie at rank 1 is broken by the normalized score term.
-        s0 = scorer.score(("clay", "aiken"), "p0")
-        s1 = scorer.score(("chanel",), "p1")
+        clay = dict(zip(scorer.doc_ids, scorer.score_corpus(("clay", "aiken"))))
+        s0 = clay["p0"]
+        s1 = dict(zip(scorer.doc_ids, scorer.score_corpus(("chanel",))))["p1"]
         first = ledger.positives[0]
         expected_first = "s0:1:p0" if s0 >= s1 else "s1:1:p1"
         assert first.context_id == expected_first
@@ -221,7 +223,7 @@ class TestBuildLedger:
         neg = ledger.negatives["s0:1:p0"]
         assert [d for d, _ in neg] == sorted(
             ["n0", "n1", "n2"],
-            key=lambda d: (-scorer.score(("clay", "aiken"), d), d),
+            key=lambda d: (-clay[d], d),
         )
 
     def test_empty_contexts_rejected(self):
@@ -238,6 +240,49 @@ class TestBuildLedger:
         assert loaded.positives == ledger.positives
         assert loaded.negatives == ledger.negatives
         assert loaded.pos_scorer_digest == ledger.pos_scorer_digest
+
+
+def _mixed_fixture(extra_doc=False):
+    """A BM25 and an untrained dense scorer over one random corpus."""
+    rng = np.random.default_rng(7)
+    words = [f"w{i}" for i in range(30)]
+
+    def tokens(lo, hi):
+        return tuple(str(w) for w in rng.choice(words, size=int(rng.integers(lo, hi))))
+
+    docs = {f"d{j:02d}": Document(f"d{j:02d}", tokens(2, 6)) for j in range(60)}
+    contexts = [
+        SearchContext(
+            f"s{i:02d}", 1, tokens(1, 9), f"d{i:02d}",
+            tuple(f"d{j:02d}" for j in rng.choice(range(20, 60), 6, replace=False)),
+        )
+        for i in range(20)
+    ]
+    vocab = Vocab(words)
+    params = init_params(len(vocab), 32, 32, rng)
+    if extra_doc:
+        docs["zz"] = Document("zz", ("w0",))
+    return contexts, {
+        "bm25": Bm25Scorer(build_index(docs), Bm25Params()),
+        "dense": DenseScorer(params, vocab, docs),
+    }
+
+
+class TestMixedScorers:
+    @pytest.mark.parametrize("pos_kind,neg_kind", [("bm25", "dense"), ("dense", "bm25")])
+    def test_each_curriculum_follows_its_own_scorer(self, pos_kind, neg_kind):
+        contexts, scorers = _mixed_fixture()
+        a, b = scorers[pos_kind], scorers[neg_kind]
+        mixed = build_ledger(a, b, contexts)
+        assert mixed.positives == build_ledger(a, a, contexts).positives
+        assert mixed.negatives == build_ledger(b, b, contexts).negatives
+
+    @pytest.mark.parametrize("pos_kind,neg_kind", [("bm25", "dense"), ("dense", "bm25")])
+    def test_different_corpora_rejected(self, pos_kind, neg_kind):
+        contexts, scorers = _mixed_fixture()
+        _, other = _mixed_fixture(extra_doc=True)
+        with pytest.raises(ValueError, match="different corpora"):
+            build_ledger(scorers[pos_kind], other[neg_kind], contexts)
 
 
 class TestSampleBatch:

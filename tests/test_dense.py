@@ -94,9 +94,6 @@ class TestDenseScore:
             for j, doc in enumerate(docs):
                 expected = dense_score(params, vocab, ctx, doc.title_tokens)
                 assert corpus[j] == pytest.approx(expected, abs=1e-12)
-                assert scorer.score(ctx, doc.doc_id) == pytest.approx(
-                    expected, abs=1e-12
-                )
 
 
 class TestScoreAll:
@@ -110,7 +107,6 @@ class TestScoreAll:
         corpus = scorer.score_corpus(["a"])
         assert corpus.shape == (1,)
         assert corpus[0] == pytest.approx(expected, abs=1e-12)
-        assert scorer.score(["a"], "d") == pytest.approx(expected, abs=1e-12)
 
     def test_permutation_equivariance(self, rng):
         # Reversing which doc id carries which title reverses the corpus
