@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import __version__, bm25, checkpoint, dense, synth, towers
-from .curriculum import PacingParams, build_ledger, load_ledger, save_ledger
+from .curriculum import PacingParams, build_ledger, check_documents, load_ledger, save_ledger
 from .manifest import RunManifest, digest_paths, write_manifest
 from .metrics import evaluate_run, write_qrels, write_run_file
 from .ranker import rank_slate  # noqa: F401 -- perfbench/spans.py traces it here
@@ -39,7 +39,7 @@ from .towers import Vocab
 from .trainer import (  # evaluate_ranker: perfbench/spans.py traces it here
     MODES, TrainConfig, check_negatives, encode_slates, evaluate_ranker,
     load_ranker, rank_eval_items, save_ranker, steps_per_epoch, sweep, train,
-    train_and_evaluate,
+    train_and_evaluate, training_data,
 )
 
 LOCK_NAME = ".currank.lock"
@@ -216,6 +216,7 @@ def _make_scorer(kind: str, args, documents, contexts, vocab, out_dir):
         return DenseScorer(params, ckpt_vocab, documents)
     if not args.fit:
         raise CliError("dense scorer needs --checkpoint or --fit")
+    check_documents(contexts, documents)  # before the fit reads the positives
     rng = np.random.default_rng([args.seed, 2])
     params = towers.init_params(len(vocab), args.d_emb, args.hidden, rng)
     train_pairs = [
@@ -387,21 +388,23 @@ def cmd_ablate(args) -> int:
     base = _train_config_from(args, len(ledger.positives))
     deltas = [float(x) for x in args.grid_deltas.split(",")]
     etas = [float(x) for x in args.grid_etas.split(",")]
+    data = training_data(vocab, documents, ledger)  # shared by every run
     for config in [replace(base, mode=mode) for mode in MODES] + [
             replace(base, pacing=replace(base.pacing, delta=d, eta=e))
             for d in deltas for e in etas]:
-        check_negatives(config, ledger)  # every run, before the first
+        check_negatives(config, data.columns)  # every run, before the first
     slates = encode_slates(vocab, val_items, documents)
 
     mode_rows = []
     for mode in MODES:
         row = train_and_evaluate(
-            replace(base, mode=mode), ledger, documents, vocab, slates, mode=mode
+            replace(base, mode=mode), ledger, documents, vocab, slates, data,
+            mode=mode,
         )
         mode_rows.append(row)
         print(f"mode {mode:>14s}: MAP={row['MAP']:.4f} MRR={row['MRR']:.4f}")
 
-    grid_rows = sweep(base, ledger, documents, vocab, deltas, etas, slates)
+    grid_rows = sweep(base, ledger, documents, vocab, deltas, etas, slates, data)
     for row in grid_rows:
         print(f"delta={row['delta']:.2f} eta={row['eta']:.2f}: MAP={row['MAP']:.4f}")
 

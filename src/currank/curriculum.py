@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -116,12 +116,59 @@ class DifficultyLedger:
     neg_scorer_digest: str = ""
 
 
-@dataclass
-class TrainingBatch:
-    items: list[tuple[SearchContext, str, tuple[str, ...]]]
+@dataclass(frozen=True)
+class LedgerColumns:
+    """The ledger as row arrays, positives in d_p order: positive i's
+    context row and positive doc row, and its negatives' doc rows by
+    descending d_n at neg_rows[neg_start[i]:neg_start[i] + neg_len[i]]."""
 
-    def __len__(self) -> int:
-        return len(self.items)
+    positives: list[PositiveEntry]
+    context_rows: np.ndarray
+    positive_rows: np.ndarray
+    neg_rows: np.ndarray
+    neg_start: np.ndarray
+    neg_len: np.ndarray
+
+    def halved(self, keep: str) -> LedgerColumns:
+        """Each negative list's hard or easy half, split at its median:
+        an offset view of the same arrays."""
+        half = (self.neg_len + 1) // 2
+        skip = 0 if keep == "hard" else self.neg_len - half
+        return replace(self, neg_start=self.neg_start + skip, neg_len=half)
+
+
+def ledger_columns(
+    ledger: DifficultyLedger, context_row: dict[str, int], doc_row: dict[str, int]
+) -> LedgerColumns:
+    """`ledger` over the context and document rows these maps give."""
+    negs = [ledger.negatives[e.context_id] for e in ledger.positives]
+    neg_len = np.array([len(n) for n in negs], dtype=np.intp)
+    return LedgerColumns(
+        ledger.positives,
+        np.array([context_row[e.context_id] for e in ledger.positives], dtype=np.intp),
+        np.array([doc_row[e.positive_doc_id] for e in ledger.positives], dtype=np.intp),
+        np.array([doc_row[d] for n in negs for d, _ in n], dtype=np.intp),
+        np.cumsum(neg_len) - neg_len, neg_len,
+    )
+
+
+@dataclass(frozen=True)
+class TrainingBatch:
+    """Row indices: each item's context, and its slate, the positive
+    then m negatives."""
+
+    contexts: np.ndarray  # (n,)
+    docs: np.ndarray  # (n, 1 + m)
+
+
+def check_documents(contexts: Sequence[SearchContext], doc_ids) -> None:
+    """Each context's positive and negatives must be in `doc_ids`."""
+    for ctx in contexts:
+        for d in (ctx.positive_doc_id, *ctx.negative_pool):
+            if d not in doc_ids:
+                raise ValueError(
+                    f"context {ctx.context_id}: document {d} is not in the corpus"
+                )
 
 
 def build_ledger(
@@ -143,11 +190,7 @@ def build_ledger(
     for ctx in contexts:
         if not ctx.negative_pool:
             raise ValueError(f"context {ctx.context_id} has an empty negative pool")
-        for d in (ctx.positive_doc_id, *ctx.negative_pool):
-            if d not in doc_pos:
-                raise ValueError(
-                    f"context {ctx.context_id}: document {d} is not in the corpus"
-                )
+    check_documents(contexts, doc_pos)
 
     raw: list[tuple[SearchContext, int, float]] = []
     corpus_max = -math.inf
@@ -184,17 +227,17 @@ def build_ledger(
     )
 
 
-def eligible_positive_count(ledger: DifficultyLedger, fraction: float) -> int:
+def eligible_positive_count(ledger: DifficultyLedger | LedgerColumns, fraction: float) -> int:
     # Ceiling keeps the eligible set non-empty even for tiny fractions.
     return min(len(ledger.positives), math.ceil(fraction * len(ledger.positives)))
 
 
-def eligible_negative_count(n_negatives: int, fraction: float) -> int:
-    return min(n_negatives, math.ceil(fraction * n_negatives))
+def eligible_negative_count(n_negatives: np.ndarray, fraction: float) -> np.ndarray:
+    return np.minimum(n_negatives, np.ceil(fraction * n_negatives)).astype(int)
 
 
 def sample_batch(
-    ledger: DifficultyLedger,
+    columns: LedgerColumns,
     pacing: PacingParams,
     t: int,
     batch_size: int,
@@ -206,6 +249,8 @@ def sample_batch(
     """Draw one curriculum batch at training step t.
 
     f_p/f_n override the pacing functions when given (ablation modes).
+    Positives come from one rng.choice, each item's m negatives from its
+    own, all read in one rng.integers call (see _choose_each).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -213,26 +258,46 @@ def sample_batch(
         f_p = pacing_positive(pacing, t)
     if f_n is None:
         f_n = pacing_negative(pacing, t)
-    n_pos = eligible_positive_count(ledger, f_p)
+    n_pos = eligible_positive_count(columns, f_p)
     if batch_size > n_pos:
         raise ValueError(
             f"batch_size {batch_size} exceeds {n_pos} eligible positives at step {t}"
         )
     chosen = rng.choice(n_pos, size=batch_size, replace=False)
-    items = []
-    for idx in chosen:
-        entry = ledger.positives[int(idx)]
-        neg_list = ledger.negatives[entry.context_id]
-        n_neg = eligible_negative_count(len(neg_list), f_n)
-        if n_neg < m:
-            raise ValueError(
-                f"context {entry.context_id}: eligible negative prefix "
-                f"({n_neg}) smaller than m={m} at step {t}"
-            )
-        picks = rng.choice(n_neg, size=m, replace=False)
-        negs = tuple(neg_list[int(j)][0] for j in picks)
-        items.append((ledger.contexts[entry.context_id], entry.positive_doc_id, negs))
-    return TrainingBatch(items=items)
+    n_neg = eligible_negative_count(columns.neg_len[chosen], f_n)
+    short = np.flatnonzero(n_neg < m)
+    if short.size:
+        raise ValueError(
+            f"context {columns.positives[chosen[short[0]]].context_id}: eligible "
+            f"negative prefix ({n_neg[short[0]]}) smaller than m={m} at step {t}"
+        )
+    picks = _choose_each(rng, n_neg, m)
+    negs = columns.neg_rows[columns.neg_start[chosen][:, None] + picks]
+    return TrainingBatch(
+        contexts=columns.context_rows[chosen],
+        docs=np.column_stack([columns.positive_rows[chosen], negs]),
+    )
+
+
+def _choose_each(rng: np.random.Generator, n: np.ndarray, m: int) -> np.ndarray:
+    """Row i is rng.choice(n[i], m, replace=False), called for i = 0, 1, ...
+    in turn. NumPy's choice runs Floyd's algorithm, draws in [0, n - m + k]
+    that take n - m + k on a repeat, then shuffles with draws in [0, i]
+    for i = m - 1 ... 1. The bounds do not depend on the values drawn, so
+    one rng.integers call over all of them reads the same stream."""
+    if np.any((n > 10_000) & (m > n // 50)):  # choice's tail-shuffle branch
+        return np.array([rng.choice(k, size=m, replace=False) for k in n])
+    floyd = n[:, None] - m + np.arange(m)
+    shuffle = np.broadcast_to(np.arange(m - 1, 0, -1), (len(n), m - 1))
+    draws = rng.integers(0, np.concatenate([floyd, shuffle], axis=1) + 1)
+    picks = draws[:, :m].copy()
+    for k in range(1, m):
+        repeat = (picks[:, :k] == picks[:, k:k + 1]).any(axis=1)
+        picks[repeat, k] = floyd[repeat, k]
+    rows = np.arange(len(n))
+    for i, j in zip(range(m - 1, 0, -1), draws[:, m:].T):
+        picks[rows, i], picks[rows, j] = picks[rows, j], picks[rows, i]
+    return picks
 
 
 # ---------------------------------------------------------------------------

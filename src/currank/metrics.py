@@ -34,30 +34,34 @@ def _gains(ranked_doc_ids: Sequence[str], qrels: Qrels, query_id: str) -> list[i
     return [qrels.get((query_id, d), 0) for d in ranked_doc_ids]
 
 
+def _dcg(gains: Sequence[int], k: int) -> float:
+    return sum((2**g - 1) / math.log2(rank + 1) for rank, g in enumerate(gains[:k], start=1))
+
+
+def _query_metrics(gains: Sequence[int]) -> list[float] | None:
+    """AP, RR and NDCG@k per cutoff of one query's ranked gains, counting
+    gain >= 1 as relevant; None when nothing is relevant."""
+    ranks = [rank for rank, g in enumerate(gains, start=1) if g >= 1]
+    if not ranks:
+        return None
+    ap = sum(hits / rank for hits, rank in enumerate(ranks, start=1)) / len(ranks)
+    ideal = sorted(gains, reverse=True)
+    return [ap, 1.0 / ranks[0], *(_dcg(gains, k) / _dcg(ideal, k) for k in NDCG_CUTOFFS)]
+
+
 def average_precision(
     ranked_doc_ids: Sequence[str], qrels: Qrels, query_id: str
 ) -> float | None:
     """AP over documents with gain >= 1; None when nothing is relevant."""
-    gains = _gains(ranked_doc_ids, qrels, query_id)
-    n_rel = sum(1 for g in gains if g >= 1)
-    if n_rel == 0:
-        return None
-    hits = 0
-    total = 0.0
-    for rank, g in enumerate(gains, start=1):
-        if g >= 1:
-            hits += 1
-            total += hits / rank
-    return total / n_rel
+    terms = _query_metrics(_gains(ranked_doc_ids, qrels, query_id))
+    return terms and terms[0]
 
 
 def reciprocal_rank(
     ranked_doc_ids: Sequence[str], qrels: Qrels, query_id: str
 ) -> float | None:
-    for rank, doc_id in enumerate(ranked_doc_ids, start=1):
-        if qrels.get((query_id, doc_id), 0) >= 1:
-            return 1.0 / rank
-    return None
+    terms = _query_metrics(_gains(ranked_doc_ids, qrels, query_id))
+    return terms and terms[1]
 
 
 def ndcg_at_k(
@@ -66,16 +70,7 @@ def ndcg_at_k(
     gains = _gains(ranked_doc_ids, qrels, query_id)
     if not any(g >= 1 for g in gains):
         return None
-    dcg = sum(
-        (2**g - 1) / math.log2(rank + 1)
-        for rank, g in enumerate(gains[:k], start=1)
-    )
-    ideal = sorted(gains, reverse=True)
-    idcg = sum(
-        (2**g - 1) / math.log2(rank + 1)
-        for rank, g in enumerate(ideal[:k], start=1)
-    )
-    return dcg / idcg
+    return _dcg(gains, k) / _dcg(sorted(gains, reverse=True), k)
 
 
 @dataclass
@@ -85,39 +80,36 @@ class MetricTable:
     skipped_queries: int  # queries with no relevant document
 
 
-def evaluate_run(entries: Sequence[RunEntry], qrels: Qrels) -> MetricTable:
-    """Average MAP/MRR/NDCG@k over queries with at least one relevant doc."""
-    by_query: dict[str, list[RunEntry]] = {}
-    for e in entries:
-        by_query.setdefault(e.query_id, []).append(e)
+def evaluate_run(entries: Sequence, qrels: Qrels | None = None) -> MetricTable:
+    """Average MAP/MRR/NDCG@k over queries with at least one relevant doc.
 
-    judged_queries = {q for q, _ in qrels}
-    unknown = sorted(q for q in by_query if q not in judged_queries)
-    if unknown:
-        raise RunFormatError(f"run references unknown query ids: {unknown[:10]}")
+    `entries` are run entries judged by `qrels` or, without qrels, each
+    query's ranked gains, already in query-id order.
+    """
+    if qrels is not None:
+        by_query: dict[str, list[str]] = {}
+        for e in sorted(entries, key=lambda e: e.rank):
+            by_query.setdefault(e.query_id, []).append(e.doc_id)
+        unknown = sorted(set(by_query) - {q for q, _ in qrels})
+        if unknown:
+            raise RunFormatError(f"run references unknown query ids: {unknown[:10]}")
+        entries = [_gains(by_query[q], qrels, q) for q in sorted(by_query)]
 
     names = ["MAP", "MRR"] + [f"NDCG@{k}" for k in NDCG_CUTOFFS]
-    sums = {name: 0.0 for name in names}
+    sums = [0.0] * len(names)
     evaluated = 0
-    skipped = 0
-    for query_id in sorted(by_query):
-        ranked = [
-            e.doc_id for e in sorted(by_query[query_id], key=lambda e: e.rank)
-        ]
-        ap = average_precision(ranked, qrels, query_id)
-        if ap is None:
-            skipped += 1
-            continue
-        evaluated += 1
-        sums["MAP"] += ap
-        sums["MRR"] += reciprocal_rank(ranked, qrels, query_id)
-        for k in NDCG_CUTOFFS:
-            sums[f"NDCG@{k}"] += ndcg_at_k(ranked, qrels, query_id, k)
+    for gains in entries:
+        terms = _query_metrics(gains)
+        if terms is not None:
+            evaluated += 1
+            sums = [a + b for a, b in zip(sums, terms)]
     metrics = {
-        name: (sums[name] / evaluated if evaluated else 0.0) for name in names
+        name: (total / evaluated if evaluated else 0.0)
+        for name, total in zip(names, sums)
     }
     return MetricTable(
-        metrics=metrics, evaluated_queries=evaluated, skipped_queries=skipped
+        metrics=metrics, evaluated_queries=evaluated,
+        skipped_queries=len(entries) - evaluated,
     )
 
 

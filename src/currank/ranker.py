@@ -70,14 +70,8 @@ class EncodedCorpus:
     doc_row: dict[str, int]
 
     def batch_rows(self, batch: TrainingBatch) -> tuple[TokenRows, TokenRows]:
-        """The batch's context rows, and its document rows slate by slate:
-        each item's positive followed by its m negatives."""
-        items = batch.items
-        if len({len(negs) for _, _, negs in items}) != 1:
-            raise ValueError("need a non-empty batch with m negatives in every item")
-        docs = [self.doc_row[d] for _, pos, negs in items for d in (pos, *negs)]
-        ctxs = [self.context_row[c.context_id] for c, _, _ in items]
-        return self.contexts.take(ctxs), self.docs.take(docs)
+        """The batch's context rows, and its document rows slate by slate."""
+        return self.contexts.take(batch.contexts), self.docs.take(batch.docs.ravel())
 
 
 def encode_corpus(
@@ -105,6 +99,8 @@ def loss_and_grad(
     positive then its m negatives. The softmax subtracts the row max.
     """
     n = len(ctx_rows)
+    if not n or len(doc_rows) % n:
+        raise ValueError("need a non-empty batch with m negatives in every item")
     width = len(doc_rows) // n
     c_enc, c_cache = towers.encode_batch(params.encoder, ctx_rows, "context")
     d_enc, d_cache = towers.encode_batch(params.encoder, doc_rows, "document")
@@ -158,5 +154,6 @@ def order_slate(
     doc_ids: Sequence[str], scores: np.ndarray
 ) -> list[tuple[str, float]]:
     """(doc id, score) pairs by score descending, ties by doc id ascending."""
-    order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))
-    return [(doc_ids[i], float(scores[i])) for i in order]
+    s = scores.tolist()
+    order = sorted(range(len(doc_ids)), key=lambda i: (-s[i], doc_ids[i]))
+    return [(doc_ids[i], s[i]) for i in order]

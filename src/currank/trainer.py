@@ -17,9 +17,11 @@ import numpy as np
 from . import checkpoint, towers
 from .curriculum import (
     DifficultyLedger,
+    LedgerColumns,
     PacingParams,
     eligible_negative_count,
     eligible_positive_count,
+    ledger_columns,
     pacing_negative,
     pacing_positive,
     sample_batch,
@@ -87,20 +89,21 @@ def steps_per_epoch(n_positives: int, batch_size: int) -> int:
     return math.ceil(n_positives / batch_size)
 
 
-def _halved_negatives(
-    ledger: DifficultyLedger, keep: str
-) -> DifficultyLedger:
-    """Restrict each context's negative list to its hard or easy half,
-    split at the median of the descending d_n ordering."""
-    negatives = {}
-    for cid, entries in ledger.negatives.items():
-        n = len(entries)
-        half = (n + 1) // 2
-        negatives[cid] = entries[:half] if keep == "hard" else entries[n - half:]
-    return replace(ledger, negatives=negatives)
+@dataclass(frozen=True)
+class TrainingData:
+    """A ledger's encoded contexts and documents and its columns over them."""
+
+    corpus: EncodedCorpus
+    columns: LedgerColumns
 
 
-def check_negatives(config: TrainConfig, ledger: DifficultyLedger) -> None:
+def training_data(vocab: Vocab, documents: dict[str, Document],
+                  ledger: DifficultyLedger) -> TrainingData:
+    corpus = encode_corpus(vocab, documents, ledger.contexts)
+    return TrainingData(corpus, ledger_columns(ledger, corpus.context_row, corpus.doc_row))
+
+
+def check_negatives(config: TrainConfig, columns: LedgerColumns) -> None:
     """Fail before step 0, not in sample_batch mid-run, if m exceeds a
     context's eligible negatives at the run's last, tightest, f_n."""
     half, _, pin_fn = _MODE_TABLE[config.mode]
@@ -108,12 +111,12 @@ def check_negatives(config: TrainConfig, ledger: DifficultyLedger) -> None:
     if T == 0:
         return
     f_n = 1.0 if pin_fn else pacing_negative(config.pacing, T - 1)
-    negatives = (_halved_negatives(ledger, half) if half else ledger).negatives
-    for entry in ledger.positives:
-        n_neg = eligible_negative_count(len(negatives[entry.context_id]), f_n)
-        if n_neg < config.m:
-            raise ValueError(f"context {entry.context_id}: eligible negative prefix "
-                             f"({n_neg}) smaller than m={config.m} at f_n={f_n:.4g}")
+    n_neg = eligible_negative_count((columns.halved(half) if half else columns).neg_len, f_n)
+    short = np.flatnonzero(n_neg < config.m)
+    if short.size:
+        raise ValueError(f"context {columns.positives[short[0]].context_id}: eligible "
+                         f"negative prefix ({n_neg[short[0]]}) smaller than "
+                         f"m={config.m} at f_n={f_n:.4g}")
 
 
 @dataclass
@@ -145,6 +148,10 @@ def encode_slates(
     return EvalSlates(eval_items, encode_corpus(vocab, documents, contexts))
 
 
+def _query_id(ctx: SearchContext) -> str:
+    return f"{ctx.session_id}:{ctx.position}"
+
+
 def rank_eval_items(
     params: RankerParams, slates: EvalSlates, tag: str = "currank"
 ) -> tuple[list[RunEntry], Qrels]:
@@ -154,7 +161,7 @@ def rank_eval_items(
     entries = []
     qrels: Qrels = {}
     for ctx, candidates, clicked in slates.items:
-        query_id = f"{ctx.session_id}:{ctx.position}"
+        query_id = _query_id(ctx)
         ranked = order_slate(candidates, score(ctx, candidates))
         entries.extend(entries_from_ranking(query_id, ranked, tag))
         for doc_id in candidates:
@@ -165,10 +172,16 @@ def rank_eval_items(
 
 
 def evaluate_ranker(
-    params: RankerParams, slates: EvalSlates, tag: str = "currank"
+    params: RankerParams, slates: EvalSlates, score=None
 ) -> MetricTable:
-    """Rank each held-out candidate slate and score against clicks."""
-    return evaluate_run(*rank_eval_items(params, slates, tag))
+    """evaluate_run(*rank_eval_items(...)) without building the run;
+    `score`, a slates.scorer(params) result, saves a forward pass."""
+    score = score or slates.scorer(params)
+    gains = []
+    for ctx, candidates, clicked in sorted(slates.items, key=lambda s: _query_id(s[0])):
+        ranked = order_slate(candidates, score(ctx, candidates))
+        gains.append([int(d in clicked) for d, _ in ranked])
+    return evaluate_run(gains)
 
 
 def train(
@@ -179,6 +192,7 @@ def train(
     val_items: list | None = None,
     checkpoint_dir: str | Path | None = None,
     resume_from: str | Path | None = None,
+    data: TrainingData | None = None,
 ) -> tuple[RankerParams, TrainLog]:
     """Run pacing.T optimizer steps of curriculum training.
 
@@ -188,9 +202,9 @@ def train(
     pacing = config.pacing
     T = pacing.T
     half, pin_fp, pin_fn = _MODE_TABLE[config.mode]
-    check_negatives(config, ledger)
-    eff_ledger = _halved_negatives(ledger, half) if half else ledger
-    corpus = encode_corpus(vocab, documents, eff_ledger.contexts)
+    data = data or training_data(vocab, documents, ledger)
+    check_negatives(config, data.columns)
+    columns = data.columns.halved(half) if half else data.columns
     slates = encode_slates(vocab, val_items, documents) if val_items else None
 
     rng_init = np.random.default_rng([config.seed, _SEED_INIT])
@@ -213,7 +227,7 @@ def train(
 
     p_arrays = towers.param_arrays(params.encoder)
     v_arrays = towers.param_arrays(velocity)
-    spe = steps_per_epoch(len(eff_ledger.positives), config.batch_size)
+    spe = steps_per_epoch(len(columns.positives), config.batch_size)
     log = TrainLog()
     prev_val_loss = None
 
@@ -221,11 +235,11 @@ def train(
         f_p = 1.0 if pin_fp else pacing_positive(pacing, t)
         f_n = 1.0 if pin_fn else pacing_negative(pacing, t)
         batch = sample_batch(
-            eff_ledger, pacing, t, config.batch_size, config.m, rng_sampler,
+            columns, pacing, t, config.batch_size, config.m, rng_sampler,
             f_p=f_p, f_n=f_n,
         )
         try:
-            report = loss_and_grad(params, *corpus.batch_rows(batch))
+            report = loss_and_grad(params, *data.corpus.batch_rows(batch))
         except Exception as e:
             raise RuntimeError(f"step {t}: {e}") from e
         if config.optimizer == "momentum":
@@ -242,7 +256,7 @@ def train(
                 "t": t,
                 "f_p": f_p,
                 "f_n": f_n,
-                "eligible_positives": eligible_positive_count(eff_ledger, f_p),
+                "eligible_positives": eligible_positive_count(columns, f_p),
                 "eligible_negative_fraction": f_n,
                 "loss": report.loss,
             }
@@ -258,9 +272,10 @@ def train(
                 log.checkpoints[-1], params, vocab, velocity, done, rng_sampler
             )
         if slates and done % spe == 0:
-            table = evaluate_ranker(params, slates)
+            score = slates.scorer(params)
+            table = evaluate_ranker(params, slates, score)
             epoch = done // spe
-            val_loss = _validation_loss(params, slates)
+            val_loss = _validation_loss(params, slates, score)
             record = {"epoch": epoch, "step": done, "val_loss": val_loss}
             record.update(table.metrics)
             if prev_val_loss is not None and val_loss >= prev_val_loss:
@@ -271,10 +286,10 @@ def train(
     return params, log
 
 
-def _validation_loss(params: RankerParams, slates: EvalSlates) -> float:
+def _validation_loss(params: RankerParams, slates: EvalSlates, score=None) -> float:
     """Listwise loss over each held-out slate, once per clicked document
     with the unclicked candidates as negatives; a forward pass only."""
-    score = slates.scorer(params)
+    score = score or slates.scorer(params)
     losses = []
     for ctx, candidates, clicked in slates.items:
         negs = [d for d in candidates if d not in clicked]
@@ -341,16 +356,18 @@ def sweep(
     deltas: list[float],
     etas: list[float],
     slates: EvalSlates,
+    data: TrainingData | None = None,
 ) -> list[dict]:
     """One full training run per (delta, eta) grid point, shared seed.
 
     delta=1.0 / eta=1.0 act as sentinels that disable the respective
     curriculum (the pacing value is pinned at 1 from step 0).
     """
+    data = data or training_data(vocab, documents, ledger)
     return [
         train_and_evaluate(
             replace(base, pacing=replace(base.pacing, delta=delta, eta=eta)),
-            ledger, documents, vocab, slates, delta=delta, eta=eta,
+            ledger, documents, vocab, slates, data, delta=delta, eta=eta,
         )
         for delta in deltas
         for eta in etas
@@ -363,11 +380,12 @@ def train_and_evaluate(
     documents: dict[str, Document],
     vocab: Vocab,
     slates: EvalSlates,
+    data: TrainingData | None = None,
     **row,
 ) -> dict:
     """One training run scored on `slates`: `row` plus the metrics."""
     try:
-        params, _ = train(config, ledger, documents, vocab)
+        params, _ = train(config, ledger, documents, vocab, data=data)
     except Exception as e:
         raise RuntimeError(f"training run {row} failed: {e}") from e
     row.update(evaluate_ranker(params, slates).metrics)

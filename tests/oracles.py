@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to validate the library.
 
 These recompute everything from raw counts and definitions, sharing no
-code with the implementation under test.
+code with the implementation under test. The exceptions are
+loop_sample_batch and two_pass_validation_loss: earlier, slower forms of
+library code, kept to show that the faster forms compute the same bits.
 """
 
 from __future__ import annotations
@@ -9,6 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from currank import towers
+from currank.curriculum import TrainingBatch, pacing_negative, pacing_positive
 
 
 def naive_bm25(docs: dict[str, list[str]], query: list[str], doc_id: str,
@@ -124,3 +129,43 @@ def loop_validation_loss(params, vocab, eval_items, documents) -> float:
             total += -math.log(exp[0] / exp.sum())
             count += 1
     return total / count if count else 0.0
+
+
+def loop_sample_batch(columns, pacing, t, batch_size, m, rng, f_p=None, f_n=None):
+    """curriculum.sample_batch one item at a time: one rng.choice for the
+    positives, then one rng.choice per item for its negatives."""
+    f_p = pacing_positive(pacing, t) if f_p is None else f_p
+    f_n = pacing_negative(pacing, t) if f_n is None else f_n
+    n_pos = len(columns.positives)
+    chosen = rng.choice(min(n_pos, math.ceil(f_p * n_pos)), size=batch_size,
+                        replace=False)
+    slates = []
+    for idx in chosen:
+        start, n = int(columns.neg_start[idx]), int(columns.neg_len[idx])
+        picks = rng.choice(min(n, math.ceil(f_n * n)), size=m, replace=False)
+        slates.append([columns.positive_rows[idx],
+                       *(columns.neg_rows[start + int(j)] for j in picks)])
+    return TrainingBatch(contexts=columns.context_rows[chosen], docs=np.array(slates))
+
+
+def two_pass_validation_loss(params, slates) -> float:
+    """The validation loss from a forward pass of its own, as the trainer
+    computed it before the loss and the metrics shared one: the listwise
+    loss of each slate's sorted clicked documents against its unclicked
+    candidates, averaged over every clicked document."""
+    corpus = slates.corpus
+    c_enc, _ = towers.encode_batch(params.encoder, corpus.contexts, "context")
+    d_enc, _ = towers.encode_batch(params.encoder, corpus.docs, "document")
+    losses = []
+    for ctx, candidates, clicked in slates.items:
+        negs = [d for d in candidates if d not in clicked]
+        if not negs:
+            continue
+        pos = sorted(clicked)
+        c = c_enc[corpus.context_row[ctx.context_id]]
+        s = (d_enc[[corpus.doc_row[d] for d in pos + negs]] @ c) / params.tau
+        slate = np.column_stack(
+            [s[: len(pos)], np.broadcast_to(s[len(pos):], (len(pos), len(negs)))])
+        exp = np.exp(slate - slate.max(axis=1, keepdims=True))
+        losses.extend(-np.log(exp[:, 0] / exp.sum(axis=1)))
+    return float(np.mean(losses)) if losses else 0.0

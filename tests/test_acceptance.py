@@ -26,7 +26,6 @@ from currank.curriculum import (
     DifficultyLedger,
     PacingParams,
     PositiveEntry,
-    TrainingBatch,
     build_ledger,
     difficulty_negative,
     difficulty_positive,
@@ -34,11 +33,10 @@ from currank.curriculum import (
     pacing_negative,
     pacing_positive,
     rank_of_positive,
-    sample_batch,
 )
 from currank.manifest import MANIFEST_NAME
 from currank.metrics import NDCG_CUTOFFS, entries_from_ranking, evaluate_run
-from currank.ranker import RankerParams, encode_corpus, init_ranker, loss_and_grad
+from currank.ranker import RankerParams, init_ranker, loss_and_grad
 from currank.scorers import Bm25Scorer
 from currank.sessions import (
     SEP_TOKEN,
@@ -59,6 +57,7 @@ from currank.trainer import (
     train,
 )
 
+from batches import item_rows, sample_items
 from oracles import (
     central_difference_grad,
     naive_ap,
@@ -185,8 +184,8 @@ def test_criterion_4_sampler_soundness():
             f_p = pacing_positive(pacing, t)
             f_n = pacing_negative(pacing, t)
             n_pos = eligible_positive_count(ledger, f_p)
-            batch = sample_batch(ledger, pacing, t, min(4, n_pos), 1, rng)
-            for ctx, pos_id, negs in batch.items:
+            batch = sample_items(ledger, pacing, t, min(4, n_pos), 1, rng)
+            for ctx, pos_id, negs in batch:
                 assert pos_index[ctx.context_id] < n_pos
                 neg_list = ledger.negatives[ctx.context_id]
                 n_neg = math.ceil(f_n * len(neg_list))
@@ -199,8 +198,8 @@ def test_criterion_4_sampler_soundness():
         counts = np.zeros(n_pos)
         rng2 = np.random.default_rng(14)
         for _ in range(10_000):
-            batch = sample_batch(ledger, pacing, t, 2, 1, rng2)
-            for ctx, _, _ in batch.items:
+            batch = sample_items(ledger, pacing, t, 2, 1, rng2)
+            for ctx, _, _ in batch:
                 counts[pos_index[ctx.context_id]] += 1
         assert scipy_stats.chisquare(counts).pvalue > 0.001
 
@@ -208,7 +207,7 @@ def test_criterion_4_sampler_soundness():
         rng_a = np.random.default_rng(15)
         rng_b = np.random.default_rng(15)
         for t in range(50):
-            batch = sample_batch(ledger, pacing, t, 4, 2, rng_a,
+            batch = sample_items(ledger, pacing, t, 4, 2, rng_a,
                                  f_p=1.0, f_n=1.0)
             chosen = rng_b.choice(len(ledger.positives), size=4, replace=False)
             expected = []
@@ -220,7 +219,7 @@ def test_criterion_4_sampler_soundness():
                     (entry.context_id, entry.positive_doc_id,
                      tuple(neg_list[int(j)][0] for j in picks))
                 )
-            got = [(c.context_id, p, n) for c, p, n in batch.items]
+            got = [(c.context_id, p, n) for c, p, n in batch]
             assert got == expected
         assert time.monotonic() - start < 30.0
 
@@ -259,14 +258,10 @@ def test_criterion_5_gradient_checks():
             vocab, documents, contexts = _random_world(rng)
             params = init_ranker(len(vocab), 3, 3, rng,
                                  tau=float(rng.uniform(0.5, 2.0)))
-            batch = TrainingBatch(items=[
+            rows = item_rows(vocab, documents, [
                 (contexts[0], "d0", ("d1", "d2")),
                 (contexts[1], "d3", ("d4", "d5")),
             ])
-
-            rows = encode_corpus(
-                vocab, documents, {c.context_id: c for c in contexts}
-            ).batch_rows(batch)
 
             def f(flat, params=params, rows=rows):
                 saved = towers.pack(params.encoder)
@@ -370,9 +365,7 @@ def test_criterion_6_oracle_equivalence():
                 negative_pool=tuple(f"d{i}" for i in range(1, m + 1)),
             )
             params = init_ranker(len(vocab), 4, 4, rng)
-            batch = TrainingBatch(items=[(ctx, "d0", ctx.negative_pool)])
-            rows = encode_corpus(
-                vocab, documents, {ctx.context_id: ctx}).batch_rows(batch)
+            rows = item_rows(vocab, documents, [(ctx, "d0", ctx.negative_pool)])
             report = loss_and_grad(params, *rows)
             assert report.loss == math.log(m + 1)
 

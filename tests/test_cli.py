@@ -175,6 +175,7 @@ class TestScore:
         ("positive", ("bm25",)),
         ("negative", ("bm25",)),
         ("negative", ("dense", "--fit", "--fit-epochs", 1)),
+        ("positive", ("dense", "--fit", "--fit-epochs", 1)),
     ])
     def test_unknown_document_exits_two(self, bundle_dir, tmp_path, capsys,
                                         role, scorer):

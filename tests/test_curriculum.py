@@ -7,6 +7,7 @@ from scipy import stats
 from currank.bm25 import Bm25Params, build_index
 from currank.curriculum import (
     DifficultyLedger,
+    LedgerColumns,
     PacingParams,
     PositiveEntry,
     build_ledger,
@@ -22,6 +23,9 @@ from currank.curriculum import (
 from currank.scorers import Bm25Scorer, DenseScorer
 from currank.sessions import Document, SearchContext
 from currank.towers import Vocab, init_params
+
+from batches import sample_items
+from oracles import loop_sample_batch
 
 
 def random_pacing(rng, T=None):
@@ -291,8 +295,8 @@ class TestSampleBatch:
         pacing = PacingParams(T=10)
         seen = set()
         for _ in range(300):
-            batch = sample_batch(ledger, pacing, 0, 2, 2, rng, f_p=1.0, f_n=1.0)
-            for ctx, pos, negs in batch.items:
+            batch = sample_items(ledger, pacing, 0, 2, 2, rng, f_p=1.0, f_n=1.0)
+            for ctx, pos, negs in batch:
                 seen.add(pos)
         assert seen == {f"p{i}" for i in range(10)}
 
@@ -300,8 +304,8 @@ class TestSampleBatch:
         ledger = _toy_ledger(n_pos=100)
         pacing = PacingParams(T=10)
         for _ in range(200):
-            batch = sample_batch(ledger, pacing, 0, 5, 2, rng, f_p=0.1, f_n=1.0)
-            for ctx, pos, _ in batch.items:
+            batch = sample_items(ledger, pacing, 0, 5, 2, rng, f_p=0.1, f_n=1.0)
+            for ctx, pos, _ in batch:
                 assert int(pos[1:]) < 10
 
     def test_uniformity_chi_square(self):
@@ -311,8 +315,8 @@ class TestSampleBatch:
         counts = {f"p{i}": 0 for i in range(5)}
         n_draws = 10_000
         for _ in range(n_draws):
-            batch = sample_batch(ledger, pacing, 0, 1, 2, rng, f_p=0.5, f_n=1.0)
-            counts[batch.items[0][1]] += 1
+            batch = sample_items(ledger, pacing, 0, 1, 2, rng, f_p=0.5, f_n=1.0)
+            counts[batch[0][1]] += 1
         freqs = np.array([counts[f"p{i}"] for i in range(5)])
         assert freqs.sum() == n_draws
         for f in freqs / n_draws:
@@ -325,20 +329,20 @@ class TestSampleBatch:
         with pytest.raises(ValueError, match="s0"):
             # eligible prefix ceil(0.25*4)=1 < m=2; keep drawing until s00 hits
             for _ in range(200):
-                sample_batch(ledger, pacing, 0, 10, 2, rng, f_p=1.0, f_n=0.25)
+                sample_items(ledger, pacing, 0, 10, 2, rng, f_p=1.0, f_n=0.25)
 
     def test_batch_size_exceeding_eligible_rejected(self, rng):
         ledger = _toy_ledger(n_pos=10)
         pacing = PacingParams(T=10)
         with pytest.raises(ValueError, match="batch_size"):
-            sample_batch(ledger, pacing, 0, 6, 2, rng, f_p=0.5, f_n=1.0)
+            sample_items(ledger, pacing, 0, 6, 2, rng, f_p=0.5, f_n=1.0)
 
     def test_negatives_distinct_and_not_positive(self, rng):
         ledger = _toy_ledger()
         pacing = PacingParams(T=10)
         for _ in range(100):
-            batch = sample_batch(ledger, pacing, 0, 3, 3, rng, f_p=1.0, f_n=1.0)
-            for ctx, pos, negs in batch.items:
+            batch = sample_items(ledger, pacing, 0, 3, 3, rng, f_p=1.0, f_n=1.0)
+            for ctx, pos, negs in batch:
                 assert len(set(negs)) == len(negs)
                 assert pos not in negs
 
@@ -354,8 +358,8 @@ class TestSampleBatch:
             max_neg = math.ceil(f_n * 8)
             eligible_ids = {e.context_id for e in ledger.positives[:max_pos]}
             for _ in range(50):
-                batch = sample_batch(ledger, pacing, t, 2, 2, rng)
-                for ctx, pos, negs in batch.items:
+                batch = sample_items(ledger, pacing, t, 2, 2, rng)
+                for ctx, pos, negs in batch:
                     assert ctx.context_id in eligible_ids
                     allowed = {d for d, _ in ledger.negatives[ctx.context_id][:max_neg]}
                     assert set(negs) <= allowed
@@ -387,12 +391,91 @@ class TestSampleBatch:
             rng = np.random.default_rng(seed)
             out = []
             for t in range(5):
-                batch = sample_batch(ledger, pacing, t, 2, 2, rng)
-                out.append([(c.context_id, p, n) for c, p, n in batch.items])
+                batch = sample_items(ledger, pacing, t, 2, 2, rng)
+                out.append([(c.context_id, p, n) for c, p, n in batch])
             return out
 
         assert draws(7) == draws(7)
         assert draws(7) != draws(8)
+
+
+
+def _random_columns(rng, n_pos, pools):
+    """LedgerColumns over rows numbered as drawn, with pool sizes `pools`."""
+    pools = np.asarray(pools)
+    return LedgerColumns(
+        positives=[PositiveEntry(f"c{i}", f"p{i}", float(i)) for i in range(n_pos)],
+        context_rows=rng.permutation(n_pos),
+        positive_rows=rng.integers(0, 100, size=n_pos),
+        neg_rows=rng.integers(100, 10**6, size=int(pools.sum())),
+        neg_start=np.cumsum(pools) - pools,
+        neg_len=pools,
+    )
+
+
+class TestSamplerMatchesPerItemLoop:
+    """sample_batch reads the generator as the per-item rng.choice loop
+    does: same positives, same negatives, same state afterwards."""
+
+    @staticmethod
+    def _assert_same_draws(columns, m, f_n_values, seed, batch_size=8):
+        pacing = PacingParams(T=20)
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for t, f_n in enumerate(f_n_values):
+            f_p = min(1.0, batch_size / len(columns.positives) + t / 10)
+            got = sample_batch(columns, pacing, t, batch_size, m, fast, f_p=f_p, f_n=f_n)
+            want = loop_sample_batch(columns, pacing, t, batch_size, m, slow,
+                                     f_p=f_p, f_n=f_n)
+            assert np.array_equal(got.contexts, want.contexts)
+            assert np.array_equal(got.docs, want.docs)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_random_ledgers(self, m):
+        rng = np.random.default_rng(100 + m)
+        for trial in range(30):
+            n_pos = int(rng.integers(8, 60))
+            # a fifth of the pools hold exactly m negatives
+            pools = np.where(rng.random(n_pos) < 0.2, m, rng.integers(m, 40, n_pos))
+            columns = _random_columns(rng, n_pos, pools)
+            self._assert_same_draws(columns, m, [1.0] * 6, seed=trial)
+            # a shrinking prefix over pools large enough for it
+            pools = rng.integers(math.ceil(m / 0.3), 60, n_pos)
+            columns = _random_columns(rng, n_pos, pools)
+            self._assert_same_draws(columns, m, rng.uniform(0.3, 1.0, 6), seed=trial)
+
+    @pytest.mark.parametrize("keep", ["hard", "easy"])
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_halved_negatives(self, keep, m):
+        rng = np.random.default_rng(7 * m)
+        for trial in range(20):
+            n_pos = int(rng.integers(8, 40))
+            columns = _random_columns(rng, n_pos, rng.integers(2 * m - 1, 30, n_pos))
+            self._assert_same_draws(columns.halved(keep), m, [1.0] * 5, seed=trial)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_pools_larger_than_10000(self, m):
+        rng = np.random.default_rng(m)
+        pools = rng.integers(2 * m, 40, 16)  # m <= ceil(f_n * n) at f_n = 0.5
+        pools[[3, 11]] = 12_000, 30_000
+        self._assert_same_draws(_random_columns(rng, 16, pools), m, [1.0, 0.8, 0.5], seed=m)
+
+    def test_numpy_tail_shuffle_branch(self):
+        # choice shuffles the tail of arange(n) when n > 10,000 and m > n // 50
+        rng = np.random.default_rng(3)
+        pools = np.full(8, 12_000)
+        pools[5] = 250
+        self._assert_same_draws(_random_columns(rng, 8, pools), 250, [1.0, 1.0], seed=3,
+                                batch_size=4)
+
+    def test_halved_view_selects_each_half(self):
+        columns = _random_columns(np.random.default_rng(0), 3, [1, 4, 5])
+        lists = [columns.neg_rows[s:s + n] for s, n in zip(columns.neg_start, columns.neg_len)]
+        for keep, want in (("hard", [l[:(len(l) + 1) // 2] for l in lists]),
+                           ("easy", [l[len(l) // 2:] for l in lists])):
+            half = columns.halved(keep)
+            got = [half.neg_rows[s:s + n] for s, n in zip(half.neg_start, half.neg_len)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestPacingParamsValidation:

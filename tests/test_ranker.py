@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from currank import towers
-from currank.curriculum import TrainingBatch
 from currank.ranker import (
     RankerParams,
     encode_corpus,
@@ -16,6 +15,7 @@ from currank.ranker import (
 from currank.sessions import Document, SearchContext
 from currank.towers import Vocab, init_params
 
+from batches import item_rows
 from oracles import central_difference_grad, max_relative_error
 
 
@@ -28,8 +28,7 @@ def make_context(tokens, position=1):
 
 def batch_rows(vocab, batch, documents):
     """The batch's context and slate token rows, as the trainer builds them."""
-    contexts = {ctx.context_id: ctx for ctx, _, _ in batch.items}
-    return encode_corpus(vocab, documents, contexts).batch_rows(batch)
+    return item_rows(vocab, documents, batch)
 
 
 def zero_ranker(vocab_size, d_emb=4, hidden=3, tau=1.0):
@@ -107,7 +106,7 @@ class TestLossAndGrad:
             )[:m]
             items.append((make_context([f"t{i % 8}", f"t{(i + 3) % 8}"], i + 1),
                           pos, negs))
-        return TrainingBatch(items=items)
+        return items
 
     def test_uniform_scores_loss_is_ln_m_plus_1(self, small_setup):
         vocab, documents, _ = small_setup
@@ -130,7 +129,7 @@ class TestLossAndGrad:
             t.w2[...] = np.eye(2)
         docs = {"pos": Document("pos", ("a",)), "neg": Document("neg", ("b",))}
         ctx = make_context(["a"])
-        batch = TrainingBatch(items=[(ctx, "pos", ("neg", "neg"))])
+        batch = [(ctx, "pos", ("neg", "neg"))]
         report = loss_and_grad(params, *batch_rows(vocab, batch, docs))
         assert np.isfinite(report.loss)
         assert report.loss < 1e-12
@@ -197,8 +196,7 @@ class TestLossAndGrad:
             (make_context(["t1"]), "d1", ("d2",)),
         ]
         with pytest.raises(ValueError):
-            loss_and_grad(params, *batch_rows(vocab, TrainingBatch(items=items),
-                                              documents))
+            loss_and_grad(params, *batch_rows(vocab, items, documents))
 
 
 class TestRankSlate:

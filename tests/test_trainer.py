@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from currank import towers, trainer
 from currank.bm25 import Bm25Params, build_index
-from currank.curriculum import PacingParams, build_ledger, sample_batch
+from currank.curriculum import PacingParams, build_ledger
 from currank.scorers import Bm25Scorer
 from currank.sessions import SEP_TOKEN, build_contexts, build_eval_items
 from currank.synth import SynthSpec, generate_synthetic
 from currank.ranker import rank_slate
 from currank.towers import Vocab
+from currank.metrics import evaluate_run
 from currank.trainer import (
     MODES,
     TrainConfig,
@@ -23,7 +25,8 @@ from currank.trainer import (
     train,
 )
 
-from oracles import loop_validation_loss
+from batches import sample_items
+from oracles import loop_sample_batch, loop_validation_loss, two_pass_validation_loss
 
 
 @pytest.fixture(scope="module")
@@ -105,15 +108,15 @@ class TestTrain:
         rng2 = np.random.default_rng([13, 1])
         replay = []
         for t in range(config.pacing.T):
-            batch = sample_batch(ledger, config.pacing, t, config.batch_size,
+            batch = sample_items(ledger, config.pacing, t, config.batch_size,
                                  config.m, rng2, f_p=1.0, f_n=1.0)
-            replay.append([(c.context_id, p, n) for c, p, n in batch.items])
+            replay.append([(c.context_id, p, n) for c, p, n in batch])
         rng3 = np.random.default_rng([13, 1])
         again = []
         for t in range(config.pacing.T):
-            batch = sample_batch(ledger, config.pacing, t, config.batch_size,
+            batch = sample_items(ledger, config.pacing, t, config.batch_size,
                                  config.m, rng3, f_p=1.0, f_n=1.0)
-            again.append([(c.context_id, p, n) for c, p, n in batch.items])
+            again.append([(c.context_id, p, n) for c, p, n in batch])
         assert replay == again
         assert rng.bit_generator.state == rng2.bit_generator.state
 
@@ -195,6 +198,48 @@ class TestBatchedValidation:
                                                         rel=1e-12, abs=0)
 
 
+
+class TestSameMachineIdentity:
+    """Checkpoints depend on the BLAS, so outputs are compared with the
+    earlier per-item and two-pass code on the same machine."""
+
+    @pytest.mark.parametrize("mode", ["dual", "easy-neg-only", "hard-neg-only"])
+    def test_sampler_trains_as_the_per_item_loop(self, small_world, monkeypatch, mode):
+        _, documents, _, ledger, vocab, val_items = small_world
+        config = config_for(ledger, epochs=2, mode=mode, seed=11)
+        params, log = train(config, ledger, documents, vocab, val_items=val_items)
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "sample_batch", loop_sample_batch)
+            want_params, want_log = train(config, ledger, documents, vocab,
+                                          val_items=val_items)
+        assert towers.pack(params.encoder).tobytes() == \
+            towers.pack(want_params.encoder).tobytes()
+        assert log.steps == want_log.steps
+        assert log.validations == want_log.validations
+
+    def test_validation_records_equal_two_pass_results(self, small_world, monkeypatch):
+        sessions, documents, _, ledger, vocab, _ = small_world
+        # every session's slates, out of query-id order, with one to three clicks
+        items = build_eval_items(sessions, documents)
+        items = [(ctx, cands, frozenset(cands[i % 3: i % 3 + 1 + i % 3]))
+                 for i, (ctx, cands, _) in enumerate(items[1::2] + items[::2])]
+        seen = []
+        evaluate = trainer.evaluate_ranker
+
+        def keep_params(params, slates, score=None):
+            seen.append((copy.deepcopy(params), slates))
+            return evaluate(params, slates, score)
+
+        monkeypatch.setattr(trainer, "evaluate_ranker", keep_params)
+        _, log = train(config_for(ledger, epochs=3), ledger, documents, vocab,
+                       val_items=items)
+        assert len(seen) == len(log.validations) == 3
+        for record, (params, slates) in zip(log.validations, seen):
+            table = evaluate_run(*trainer.rank_eval_items(params, slates))
+            assert {k: record[k] for k in table.metrics} == table.metrics
+            assert record["val_loss"] == two_pass_validation_loss(params, slates)
+
+
 class TestNegativePrefixCheck:
     """m larger than a context's eligible negative prefix fails before
     the first step, naming the context."""
@@ -224,7 +269,8 @@ class TestNegativePrefixCheck:
                 train(config, ledger, documents, vocab)
         # the same m with the full lists and no negative curriculum is fine
         trainer.check_negatives(config_for(ledger, m=(smallest + 1) // 2 + 1,
-                                           mode="none"), ledger)
+                                           mode="none"),
+                                trainer.training_data(vocab, documents, ledger).columns)
 
 
 class TestCheckpointRoundTrip:
