@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .towers import PARAM_NAMES, DualEncoderParams, Tower, Vocab, param_arrays
+from .towers import PARAM_NAMES, DualEncoderParams, Vocab, params_of, split_flat
 
 MAGIC = b"CURRANK1"
 FORMAT_VERSION = 1
@@ -29,17 +30,15 @@ def save_checkpoint(
     extra_arrays: dict[str, np.ndarray] | None = None,
     meta: dict | None = None,
 ) -> None:
-    arrays = dict(zip(PARAM_NAMES, param_arrays(params)))
-    for name, arr in (extra_arrays or {}).items():
-        if name in arrays:
-            raise ValueError(f"reserved array name {name!r}")
-        arrays[name] = arr
-    order = [*PARAM_NAMES, *sorted(set(arrays) - set(PARAM_NAMES))]
+    extras = dict(sorted((extra_arrays or {}).items()))
+    if extras.keys() & set(PARAM_NAMES):
+        raise ValueError(f"reserved array name among {list(extras)}")
+    arrays = {**params.named(), **extras}
     header = {
         "version": FORMAT_VERSION,
         "kind": kind,
         "vocab": vocab.tokens,
-        "arrays": [[name, list(arrays[name].shape)] for name in order],
+        "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()],
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -47,8 +46,8 @@ def save_checkpoint(
         fp.write(MAGIC)
         fp.write(struct.pack("<I", len(blob)))
         fp.write(blob)
-        for name in order:
-            fp.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+        for arr in (params.flat, *extras.values()):
+            fp.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(
@@ -65,13 +64,15 @@ def load_checkpoint(
             raise ValueError(
                 f"{path}: checkpoint kind {header['kind']!r}, expected {expect_kind!r}"
             )
-        arrays: dict[str, np.ndarray] = {}
-        for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = _read_exact(fp, count * 8, path, f"array {name!r}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    emb, *tower_arrays = (arrays.pop(name) for name in PARAM_NAMES)
-    params = DualEncoderParams(emb, Tower(*tower_arrays[:4]), Tower(*tower_arrays[4:]))
+        names, shapes = zip(*header["arrays"])
+        k = len(PARAM_NAMES)
+        if names[:k] != PARAM_NAMES:
+            raise ValueError(f"{path}: parameter arrays {names[:k]} out of order")
+        sizes = [math.prod(shape) for shape in shapes]
+        data = np.frombuffer(_read_exact(fp, sum(sizes) * 8, path, "arrays"), dtype="<f8")
+    n = sum(sizes[:k])  # parameters first, then the extra arrays
+    params = params_of(data[:n].copy(), shapes[:k])
+    arrays = dict(zip(names[k:], split_flat(data[n:].copy(), shapes[k:])))
     vocab = Vocab.__new__(Vocab)
     vocab.tokens = list(header["vocab"])
     vocab.index = {t: i for i, t in enumerate(vocab.tokens)}

@@ -271,15 +271,11 @@ def cmd_score(args) -> int:
 
 
 def _train_config_from(args, n_positives: int) -> TrainConfig:
-    T = args.steps
-    if T is None:
-        T = args.epochs * steps_per_epoch(n_positives, args.batch_size)
-    pacing = PacingParams(
-        delta=args.delta, eta=args.eta, alpha=args.alpha, beta=args.beta,
-        k=args.k, T=T,
-    )
-    return TrainConfig(
-        pacing=pacing,
+    config = TrainConfig(
+        pacing=PacingParams(
+            delta=args.delta, eta=args.eta, alpha=args.alpha, beta=args.beta,
+            k=args.k, T=args.steps or 0,  # set from --epochs below if --steps is unset
+        ),
         batch_size=args.batch_size,
         m=args.m,
         learning_rate=args.lr,
@@ -292,6 +288,10 @@ def _train_config_from(args, n_positives: int) -> TrainConfig:
         hidden=args.hidden,
         tau=args.tau,
     )
+    if args.steps is None:  # TrainConfig has checked the batch size by now
+        T = args.epochs * steps_per_epoch(n_positives, config.batch_size)
+        config = replace(config, pacing=replace(config.pacing, T=T))
+    return config
 
 
 def _load_training_inputs(args):
@@ -538,7 +538,10 @@ def _apply_config_file(parser, argv):
     path = Path(known.config)
     if not path.exists():
         raise CliError(f"config file not found: {path}")
-    data = yaml.safe_load(path.read_text()) or {}
+    try:
+        data = yaml.safe_load(path.read_text()) or {}
+    except yaml.YAMLError as e:
+        raise CliError(f"config file {path} is not valid YAML: {e}")
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must be a mapping")
     defaults = {key.replace("-", "_"): value for key, value in data.items()}

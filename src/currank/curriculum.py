@@ -325,27 +325,27 @@ def save_ledger(ledger: DifficultyLedger, path: str | Path) -> None:
 def load_ledger(
     path: str | Path, contexts: Sequence[SearchContext]
 ) -> DifficultyLedger:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("version") != LEDGER_FORMAT_VERSION:
-        raise ValueError(f"unsupported ledger version {payload.get('version')!r}")
-    by_id = {c.context_id: c for c in contexts}
-    positives = [
-        PositiveEntry(cid, doc, float(dp)) for cid, doc, dp in payload["positives"]
-    ]
-    negatives = {
-        cid: [(d, float(s)) for d, s in entries]
-        for cid, entries in payload["negatives"].items()
-    }
-    missing = [e.context_id for e in positives if e.context_id not in by_id]
+    try:
+        payload = json.loads(Path(path).read_text())
+        if payload["version"] != LEDGER_FORMAT_VERSION:
+            raise ValueError(f"unsupported version {payload['version']!r}")
+        ledger = DifficultyLedger(
+            positives=[PositiveEntry(cid, doc, float(dp))
+                       for cid, doc, dp in payload["positives"]],
+            negatives={cid: [(d, float(s)) for d, s in entries]
+                       for cid, entries in payload["negatives"].items()},
+            contexts={c.context_id: c for c in contexts},
+            pos_scorer_digest=payload["pos_scorer_digest"],
+            neg_scorer_digest=payload["neg_scorer_digest"],
+        )
+    except KeyError as e:
+        raise ValueError(f"{path}: malformed ledger: no {e} entry") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: malformed ledger: {e}") from e
+    missing = [e.context_id for e in ledger.positives if e.context_id not in ledger.contexts]
     if missing:
         raise ValueError(f"ledger references unknown contexts: {missing[:5]}")
-    uncovered = [e.context_id for e in positives if e.context_id not in negatives]
+    uncovered = [e.context_id for e in ledger.positives if e.context_id not in ledger.negatives]
     if uncovered:
         raise ValueError(f"ledger has no negatives for contexts: {uncovered[:5]}")
-    return DifficultyLedger(
-        positives=positives,
-        negatives=negatives,
-        contexts=by_id,
-        pos_scorer_digest=payload["pos_scorer_digest"],
-        neg_scorer_digest=payload["neg_scorer_digest"],
-    )
+    return ledger

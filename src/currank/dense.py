@@ -52,7 +52,7 @@ def in_batch_loss_and_grad(
     dscores = probs.copy()
     dscores[np.arange(n), np.arange(n)] -= 1.0
     dscores /= n
-    grads = towers.zero_grads(params)
+    grads = params.like(np.zeros_like(params.flat))
     towers.backward_batch(params, c_cache, dscores @ d_enc, grads)
     towers.backward_batch(params, d_cache, dscores.T @ c_enc, grads)
     return loss, grads
@@ -79,7 +79,6 @@ def train_in_batch(
     ctx_rows = towers.token_rows(vocab.encode(c) for c, _ in pairs)
     doc_rows = towers.token_rows(vocab.encode(d) for _, d in pairs)
     rng = np.random.default_rng(seed)
-    arrays = towers.param_arrays(params)
     epoch_losses = []
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
@@ -91,8 +90,7 @@ def train_in_batch(
             loss, grads = in_batch_loss_and_grad(
                 params, ctx_rows.take(batch), doc_rows.take(batch)
             )
-            for p, g in zip(arrays, towers.param_arrays(grads)):
-                p -= learning_rate * g
+            params.flat[...] -= learning_rate * grads.flat
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
     return epoch_losses

@@ -122,7 +122,7 @@ def loss_and_grad(
     dscores /= n
     ddots = dscores / params.tau
     grad_tau = float(-(dscores * dots).sum() / params.tau**2)
-    grads = towers.zero_grads(params.encoder)
+    grads = params.encoder.like(np.zeros_like(params.encoder.flat))
     gc = np.einsum("nw,nwd->nd", ddots, d_enc3)
     gd = (ddots[:, :, None] * c_enc[:, None, :]).reshape(n * width, -1)
     towers.backward_batch(params.encoder, c_cache, gc, grads)

@@ -66,8 +66,7 @@ class DenseScorer:
 
     def digest(self) -> str:
         h = hashlib.sha256(b"dense:")
-        for arr in towers.param_arrays(self.params):
-            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(self.params.flat, dtype="<f8").tobytes())
         for tok in self.vocab.tokens:
             h.update(tok.encode())
             h.update(b"\x00")

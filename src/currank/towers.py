@@ -9,6 +9,12 @@ contexts and one for documents:
 Gradients are implemented by hand so they can be validated against
 central finite differences.
 
+All parameters live in one float64 vector, DualEncoderParams.flat, with
+the embedding table and each tower's weights as reshaped views of it.
+Gradients and momentum use the same layout, so an optimizer step, a
+checkpoint's parameter block and a digest each touch one vector. The
+dataclasses are frozen: updates write into the views (`w[...] += g`).
+
 Batches are TokenRows: ids padded with -1, the index of a zero row
 appended to emb. Summation order matches per-sequence pooling bit for
 bit: the pool adds token positions in sequence, as emb[ids].mean(axis=0)
@@ -19,8 +25,9 @@ averaging matmul would change the order, so neither is used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,7 +79,7 @@ def token_rows(sequences: Iterable[Sequence[int]]) -> TokenRows:
     return TokenRows(ids, lengths)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tower:
     w1: np.ndarray  # (hidden, d_emb)
     b1: np.ndarray  # (hidden,)
@@ -80,8 +87,26 @@ class Tower:
     b2: np.ndarray  # (d_emb,)
 
 
-@dataclass
+# Checkpoint array names, in the order of their blocks in the flat vector.
+PARAM_NAMES = (
+    "emb",
+    "ctx.w1", "ctx.b1", "ctx.w2", "ctx.b2",
+    "doc.w1", "doc.b1", "doc.w2", "doc.b2",
+)
+
+
+def param_shapes(vocab_size: int, d_emb: int, hidden: int) -> list[tuple[int, ...]]:
+    """The shapes of the PARAM_NAMES arrays."""
+    tower = [(hidden, d_emb), (hidden,), (d_emb, hidden), (d_emb,)]
+    return [(vocab_size, d_emb), *tower, *tower]
+
+
+@dataclass(frozen=True)
 class DualEncoderParams:
+    """`emb` and the towers are reshaped views of `flat`, the arrays in
+    PARAM_NAMES order (see the module docstring). Built by params_of."""
+
+    flat: np.ndarray
     emb: np.ndarray  # (vocab, d_emb), shared by both towers
     ctx_tower: Tower
     doc_tower: Tower
@@ -94,6 +119,19 @@ class DualEncoderParams:
     def hidden(self) -> int:
         return self.ctx_tower.w1.shape[0]
 
+    @property
+    def shapes(self) -> list[tuple[int, ...]]:
+        return param_shapes(len(self.emb), self.d_emb, self.hidden)
+
+    def like(self, flat: np.ndarray) -> "DualEncoderParams":
+        """Parameters shaped like these, backed by `flat`."""
+        return params_of(flat, self.shapes)
+
+    def named(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """Each array as a view of `flat`, keyed by prefix + its PARAM_NAMES name."""
+        names = (prefix + name for name in PARAM_NAMES)
+        return dict(zip(names, split_flat(self.flat, self.shapes)))
+
     def tower(self, which: str) -> Tower:
         if which == "context":
             return self.ctx_tower
@@ -102,33 +140,28 @@ class DualEncoderParams:
         raise ValueError(f"unknown tower {which!r}")
 
 
+def split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """`flat` as consecutive arrays of `shapes`, each a view of it."""
+    bounds = [0, *accumulate(map(math.prod, shapes))]
+    return [flat[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
+
+
+def params_of(flat: np.ndarray, shapes) -> DualEncoderParams:
+    """Parameters viewing `flat` as consecutive arrays of `shapes`, the
+    PARAM_NAMES arrays' shapes in order."""
+    emb, *tower = split_flat(flat, shapes)
+    return DualEncoderParams(flat, emb, Tower(*tower[:4]), Tower(*tower[4:]))
+
+
 def init_params(
     vocab_size: int, d_emb: int, hidden: int, rng: np.random.Generator
 ) -> DualEncoderParams:
-    def tower() -> Tower:
-        return Tower(
-            w1=rng.normal(0.0, 0.2, size=(hidden, d_emb)),
-            b1=np.zeros(hidden),
-            w2=rng.normal(0.0, 0.2, size=(d_emb, hidden)),
-            b2=np.zeros(d_emb),
-        )
-
-    emb = rng.normal(0.0, 0.2, size=(vocab_size, d_emb))
-    return DualEncoderParams(emb=emb, ctx_tower=tower(), doc_tower=tower())
-
-
-def zero_grads(params: DualEncoderParams) -> DualEncoderParams:
-    def zt(t: Tower) -> Tower:
-        return Tower(
-            np.zeros_like(t.w1), np.zeros_like(t.b1),
-            np.zeros_like(t.w2), np.zeros_like(t.b2),
-        )
-
-    return DualEncoderParams(
-        emb=np.zeros_like(params.emb),
-        ctx_tower=zt(params.ctx_tower),
-        doc_tower=zt(params.doc_tower),
-    )
+    shapes = param_shapes(vocab_size, d_emb, hidden)
+    params = params_of(np.zeros(sum(map(math.prod, shapes))), shapes)
+    c, d = params.ctx_tower, params.doc_tower
+    for weights in (params.emb, c.w1, c.w2, d.w1, d.w2):  # drawn in this order
+        weights[...] = rng.normal(0.0, 0.2, size=weights.shape)
+    return params
 
 
 def encode(
@@ -188,50 +221,15 @@ def backward_batch(
     """
     t = params.tower(cache.tower)
     gt = grads.tower(cache.tower)
-    gt.w2 += grad_out.T @ cache.hidden
-    gt.b2 += grad_out.sum(axis=0)
+    gt.w2[...] += grad_out.T @ cache.hidden
+    gt.b2[...] += grad_out.sum(axis=0)
     ghidden = grad_out @ t.w2
     gz = ghidden * (1.0 - cache.hidden**2)
-    gt.w1 += gz.T @ cache.pooled
-    gt.b1 += gz.sum(axis=0)
+    gt.w1[...] += gz.T @ cache.pooled
+    gt.b1[...] += gz.sum(axis=0)
     gpooled = gz @ t.w1
     rows = cache.rows
     share = gpooled / rows.lengths[:, None]
     np.add.at(grads.emb, rows.ids[rows.ids >= 0],
               np.repeat(share, rows.lengths, axis=0))
 
-
-# ---------------------------------------------------------------------------
-# Flat-vector views used by finite-difference checks and SGD updates.
-
-
-# Checkpoint array names of the param_arrays entries, in the same order.
-PARAM_NAMES = (
-    "emb",
-    "ctx.w1", "ctx.b1", "ctx.w2", "ctx.b2",
-    "doc.w1", "doc.b1", "doc.w2", "doc.b2",
-)
-
-
-def param_arrays(params: DualEncoderParams) -> list[np.ndarray]:
-    return [
-        params.emb,
-        params.ctx_tower.w1, params.ctx_tower.b1,
-        params.ctx_tower.w2, params.ctx_tower.b2,
-        params.doc_tower.w1, params.doc_tower.b1,
-        params.doc_tower.w2, params.doc_tower.b2,
-    ]
-
-
-def pack(params: DualEncoderParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in param_arrays(params)])
-
-
-def unpack_into(vec: np.ndarray, params: DualEncoderParams) -> None:
-    offset = 0
-    for a in param_arrays(params):
-        n = a.size
-        a[...] = vec[offset : offset + n].reshape(a.shape)
-        offset += n
-    if offset != vec.size:
-        raise ValueError("parameter vector size mismatch")

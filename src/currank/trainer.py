@@ -68,6 +68,8 @@ class TrainConfig:
     tau: float = 1.0
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.m < 1:
@@ -211,7 +213,7 @@ def train(
     rng_sampler = np.random.default_rng([config.seed, _SEED_SAMPLER])
     params = init_ranker(len(vocab), config.d_emb, config.hidden, rng_init,
                          tau=config.tau)
-    velocity = towers.zero_grads(params.encoder)
+    velocity = np.zeros_like(params.encoder.flat)
     start_step = 0
 
     if resume_from is not None:
@@ -220,13 +222,15 @@ def train(
         )
         if vocab_loaded.tokens != vocab.tokens:
             raise ValueError("checkpoint vocabulary does not match corpus")
-        params = RankerParams(encoder=enc, tau=float(meta["tau"]))
-        velocity = _velocity_from_arrays(params, extra)
+        saved = {"d_emb": enc.d_emb, "hidden": enc.hidden, "tau": float(meta["tau"])}
+        run = {k: getattr(config, k) for k in saved}
+        if saved != run:
+            raise ValueError(f"{resume_from}: checkpoint has {saved}, the run {run}")
+        params = RankerParams(encoder=enc, tau=config.tau)
+        velocity = np.concatenate([extra[f"vel.{name}"].ravel() for name in PARAM_NAMES])
         start_step = int(meta["step"])
         rng_sampler.bit_generator.state = _rng_state_from_meta(meta["sampler_state"])
 
-    p_arrays = towers.param_arrays(params.encoder)
-    v_arrays = towers.param_arrays(velocity)
     spe = steps_per_epoch(len(columns.positives), config.batch_size)
     log = TrainLog()
     prev_val_loss = None
@@ -243,14 +247,11 @@ def train(
         except Exception as e:
             raise RuntimeError(f"step {t}: {e}") from e
         if config.optimizer == "momentum":
-            for v, g in zip(v_arrays, towers.param_arrays(report.grads)):
-                v *= config.momentum
-                v += g
-            for p, v in zip(p_arrays, v_arrays):
-                p -= config.learning_rate * v
+            velocity *= config.momentum
+            velocity += report.grads.flat
+            params.encoder.flat[...] -= config.learning_rate * velocity
         else:
-            for p, g in zip(p_arrays, towers.param_arrays(report.grads)):
-                p -= config.learning_rate * g
+            params.encoder.flat[...] -= config.learning_rate * report.grads.flat
         log.steps.append(
             {
                 "t": t,
@@ -306,10 +307,7 @@ def _validation_loss(params: RankerParams, slates: EvalSlates, score=None) -> fl
 
 
 def _save_train_checkpoint(path, params, vocab, velocity, step, rng_sampler):
-    extra = {
-        f"vel.{name}": arr
-        for name, arr in zip(PARAM_NAMES, towers.param_arrays(velocity))
-    }
+    extra = params.encoder.like(velocity).named("vel.")
     # The 128-bit PCG64 state words go into JSON as strings.
     state = rng_sampler.bit_generator.state
     meta = {
@@ -322,15 +320,6 @@ def _save_train_checkpoint(path, params, vocab, velocity, step, rng_sampler):
     checkpoint.save_checkpoint(
         path, "ranker", params.encoder, vocab, extra_arrays=extra, meta=meta
     )
-
-
-def _velocity_from_arrays(params: RankerParams, extra: dict) -> object:
-    velocity = towers.zero_grads(params.encoder)
-    for name, arr in zip(PARAM_NAMES, towers.param_arrays(velocity)):
-        key = f"vel.{name}"
-        if key in extra:
-            arr[...] = extra[key]
-    return velocity
 
 
 def _rng_state_from_meta(meta_state: dict) -> dict:

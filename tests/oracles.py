@@ -2,18 +2,25 @@
 
 These recompute everything from raw counts and definitions, sharing no
 code with the implementation under test. The exceptions are
-loop_sample_batch and two_pass_validation_loss: earlier, slower forms of
-library code, kept to show that the faster forms compute the same bits.
+loop_sample_batch, two_pass_validation_loss and the per-array parameter
+code (loop_init_params, per_array_checkpoint_bytes, per_array_dense_digest):
+earlier forms of library code, kept to show that the current forms compute
+the same bits.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 
 from currank import towers
+from currank.checkpoint import FORMAT_VERSION, MAGIC
 from currank.curriculum import TrainingBatch, pacing_negative, pacing_positive
+from currank.towers import PARAM_NAMES
 
 
 def naive_bm25(docs: dict[str, list[str]], query: list[str], doc_id: str,
@@ -169,3 +176,51 @@ def two_pass_validation_loss(params, slates) -> float:
         exp = np.exp(slate - slate.max(axis=1, keepdims=True))
         losses.extend(-np.log(exp[:, 0] / exp.sum(axis=1)))
     return float(np.mean(losses)) if losses else 0.0
+
+
+def param_list(params) -> list[np.ndarray]:
+    """A DualEncoderParams' arrays in PARAM_NAMES order, read field by field."""
+    c, d = params.ctx_tower, params.doc_tower
+    return [params.emb, c.w1, c.b1, c.w2, c.b2, d.w1, d.b1, d.w2, d.b2]
+
+
+def loop_init_params(vocab_size, d_emb, hidden, rng) -> list[np.ndarray]:
+    """towers.init_params as separate arrays in PARAM_NAMES order, drawn as
+    the per-array initialiser drew them: emb, then w1 and w2 of the
+    context tower, then of the document tower; biases zero."""
+    emb = rng.normal(0.0, 0.2, size=(vocab_size, d_emb))
+    arrays = [emb]
+    for _ in range(2):
+        w1 = rng.normal(0.0, 0.2, size=(hidden, d_emb))
+        w2 = rng.normal(0.0, 0.2, size=(d_emb, hidden))
+        arrays += [w1, np.zeros(hidden), w2, np.zeros(d_emb)]
+    return arrays
+
+
+def per_array_checkpoint_bytes(kind, arrays, vocab, extra_arrays=None, meta=None) -> bytes:
+    """A checkpoint file as checkpoint.save_checkpoint wrote it one array at
+    a time: `arrays` are the PARAM_NAMES arrays, then the extras by name."""
+    named = dict(zip(PARAM_NAMES, arrays))
+    named.update(extra_arrays or {})
+    order = [*PARAM_NAMES, *sorted(set(named) - set(PARAM_NAMES))]
+    header = {
+        "version": FORMAT_VERSION,
+        "kind": kind,
+        "vocab": vocab.tokens,
+        "arrays": [[name, list(named[name].shape)] for name in order],
+        "meta": meta or {},
+    }
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return b"".join([MAGIC, struct.pack("<I", len(blob)), blob, *(
+        np.ascontiguousarray(named[name], dtype="<f8").tobytes() for name in order)])
+
+
+def per_array_dense_digest(arrays, vocab) -> str:
+    """scorers.DenseScorer.digest hashing the PARAM_NAMES arrays one by one."""
+    h = hashlib.sha256(b"dense:")
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    for tok in vocab.tokens:
+        h.update(tok.encode())
+        h.update(b"\x00")
+    return h.hexdigest()

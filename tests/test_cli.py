@@ -259,6 +259,54 @@ class TestTrain:
         assert f"no negatives for contexts: ['{context_id}']" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("key", ["version", "pos_scorer_digest",
+                                     "neg_scorer_digest", "positives", "negatives"])
+    def test_ledger_without_a_key_exits_two(self, bundle_dir, ledger_dir, tmp_path,
+                                            capsys, key):
+        payload = json.loads((ledger_dir / "ledger.json").read_text())
+        del payload[key]
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps(payload))
+        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger,
+                       "--out", tmp_path / "o", "--steps", 10, "--batch-size", 8) == 2
+        assert f"error: {ledger}: malformed ledger: no '{key}' entry" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"version": 1, "positives": 5}',
+                                      "not json"],
+                             ids=["list", "integer-positives", "invalid-json"])
+    def test_ledger_of_wrong_types_exits_two(self, bundle_dir, tmp_path, capsys, text):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(text)
+        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger,
+                       "--out", tmp_path / "o", "--steps", 10, "--batch-size", 8) == 2
+        assert f"error: {ledger}: malformed ledger" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_batch_size_below_one_exits_two(self, bundle_dir, ledger_dir, tmp_path,
+                                            capsys, command):
+        out = tmp_path / "o"
+        assert run_cli(command, "--bundle", bundle_dir, "--ledger",
+                       ledger_dir / "ledger.json", "--out", out,
+                       "--batch-size", 0) == 2
+        assert "error: batch_size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [("--d-emb", 16), ("--hidden", 8), ("--tau", 2.0)],
+                             ids=["d-emb", "hidden", "tau"])
+    def test_resume_refuses_another_configuration(self, bundle_dir, ledger_dir,
+                                                  tmp_path, capsys, flag):
+        common = ("train", "--bundle", bundle_dir, "--ledger",
+                  ledger_dir / "ledger.json", "--steps", 10, "--batch-size", 8)
+        assert run_cli(*common, "--checkpoint-interval", 5, "--out", tmp_path / "full") == 0
+        ckpt = tmp_path / "full" / "ckpt_00000005.bin"
+        out = tmp_path / "resumed"
+        assert run_cli(*common, *flag, "--resume", ckpt, "--out", out) == 2
+        assert f"error: {ckpt}: checkpoint has {{'d_emb': 32, 'hidden': 32, " \
+            "'tau': 1.0}, the run" in capsys.readouterr().err
+        assert not any(out.iterdir())
+        assert run_cli(*common, "--resume", ckpt, "--out", out) == 0
+
 
 class TestEval:
     def test_outputs_and_metrics(self, bundle_dir, train_dir, tmp_path, capsys):
@@ -373,6 +421,15 @@ class TestConfigFile:
                        "--bundle", bundle_dir, "--ledger", tmp_path / "l",
                        "--out", tmp_path / "o") == 2
         assert "config file not found" in capsys.readouterr().err
+
+    def test_malformed_yaml_exits_two(self, bundle_dir, tmp_path, capsys):
+        config = tmp_path / "conf.yaml"
+        config.write_text("a: [1, 2\n")
+        assert run_cli("train", "--config", config, "--bundle", bundle_dir,
+                       "--ledger", tmp_path / "l", "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"error: config file {config} is not valid YAML" in err
+        assert "internal error" not in err
 
 
 class TestSplit:

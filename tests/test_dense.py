@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from currank import towers
+from currank.checkpoint import load_checkpoint, save_checkpoint
 from currank.dense import dense_score, in_batch_loss_and_grad, train_in_batch
 from currank.scorers import DenseScorer
 from currank.sessions import Document
 from currank.towers import DualEncoderParams, Tower, Vocab, encode, init_params
 
-from oracles import central_difference_grad, max_relative_error
+from oracles import (
+    central_difference_grad, max_relative_error, param_list,
+    per_array_checkpoint_bytes, per_array_dense_digest,
+)
 
 
 def zero_params(vocab_size, d_emb, hidden):
     rng = np.random.default_rng(0)
     params = init_params(vocab_size, d_emb, hidden, rng)
-    for arr in towers.param_arrays(params):
-        arr[...] = 0.0
+    params.flat[...] = 0.0
     return params
 
 
@@ -77,7 +80,8 @@ class TestDenseScore:
     def test_identical_towers_give_squared_norm(self, rng):
         vocab = Vocab(["a", "b"])
         params = init_params(len(vocab), 4, 3, rng)
-        params.doc_tower = params.ctx_tower
+        ct, dt = params.ctx_tower, params.doc_tower
+        dt.w1[...], dt.b1[...], dt.w2[...], dt.b2[...] = ct.w1, ct.b1, ct.w2, ct.b2
         s = dense_score(params, vocab, ["a", "b"], ["a", "b"])
         c = encode(params, vocab.encode(["a", "b"]), "context")
         assert s == pytest.approx(float(c @ c), abs=1e-12)
@@ -144,6 +148,22 @@ class TestScoreAll:
         for i in range(4):
             assert np.array_equal(a.score_corpus([f"t{i}"]), b.score_corpus([f"t{i}"]))
 
+    def test_digest_and_checkpoint_equal_the_per_array_code(self, rng, tmp_path):
+        vocab = Vocab([f"t{i}" for i in range(8)])
+        params = init_params(len(vocab), 4, 3, rng)
+        pairs = [((f"t{i}",), (f"t{(i + 2) % 8}",)) for i in range(8)]
+        train_in_batch(params, vocab, pairs, batch_size=4, epochs=2,
+                       learning_rate=0.3, seed=1)
+        docs = doc_table(Document(f"d{j}", (f"t{j}",)) for j in range(5))
+        assert DenseScorer(params, vocab, docs).digest() == \
+            per_array_dense_digest(param_list(params), vocab)
+        path = tmp_path / "dense_scorer.bin"
+        save_checkpoint(path, "dense-scorer", params, vocab)
+        assert path.read_bytes() == \
+            per_array_checkpoint_bytes("dense-scorer", param_list(params), vocab)
+        loaded, _, extra, _ = load_checkpoint(path, expect_kind="dense-scorer")
+        assert loaded.flat.tobytes() == params.flat.tobytes() and extra == {}
+
 
 class TestInBatchTraining:
     def test_equal_scores_give_ln2(self):
@@ -164,12 +184,12 @@ class TestInBatchTraining:
 
         def f(vec):
             probe = init_params(len(vocab), 3, 3, np.random.default_rng(0))
-            towers.unpack_into(vec, probe)
+            probe.flat[...] = vec
             loss, _ = in_batch_loss_and_grad(probe, ctx_ids, doc_ids)
             return loss
 
-        numeric = central_difference_grad(f, towers.pack(params))
-        assert max_relative_error(towers.pack(grads), numeric) < 1e-4
+        numeric = central_difference_grad(f, params.flat)
+        assert max_relative_error(grads.flat, numeric) < 1e-4
 
     def test_batch_below_two_rejected(self, rng):
         vocab = Vocab(["a"])
@@ -202,6 +222,6 @@ class TestInBatchTraining:
             params = init_params(len(vocab), 4, 4, np.random.default_rng(9))
             train_in_batch(params, vocab, pairs, batch_size=3, epochs=3,
                            learning_rate=0.2, seed=11)
-            return towers.pack(params)
+            return params.flat
 
         assert np.array_equal(run(), run())

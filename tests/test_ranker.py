@@ -33,8 +33,7 @@ def batch_rows(vocab, batch, documents):
 
 def zero_ranker(vocab_size, d_emb=4, hidden=3, tau=1.0):
     params = init_ranker(vocab_size, d_emb, hidden, np.random.default_rng(0), tau=tau)
-    for arr in towers.param_arrays(params.encoder):
-        arr[...] = 0.0
+    params.encoder.flat[...] = 0.0
     return params
 
 
@@ -160,11 +159,11 @@ class TestLossAndGrad:
 
         def f(vec):
             probe = init_ranker(len(vocab), 4, 4, np.random.default_rng(0), tau=1.3)
-            towers.unpack_into(vec, probe.encoder)
+            probe.encoder.flat[...] = vec
             return loss_and_grad(probe, *batch_rows(vocab, batch, documents)).loss
 
-        numeric = central_difference_grad(f, towers.pack(params.encoder))
-        assert max_relative_error(towers.pack(report.grads), numeric) < 1e-4
+        numeric = central_difference_grad(f, params.encoder.flat)
+        assert max_relative_error(report.grads.flat, numeric) < 1e-4
 
     def test_tau_gradient_matches_finite_differences(self, small_setup):
         vocab, documents, _ = small_setup

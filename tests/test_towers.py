@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from currank import towers
-from currank.towers import Vocab, init_params, token_rows, zero_grads
+from currank.towers import Vocab, init_params, token_rows
 
-from oracles import loop_pool, loop_scatter
+from oracles import loop_init_params, loop_pool, loop_scatter, param_list
 
 # Empty sequences, repeats and the unknown id 1 included.
 SEQUENCES = [[2, 3, 2], [], [1], [4, 1, 1, 5, 6, 2], [7], [], [0, 0]]
@@ -75,7 +77,7 @@ class TestBackwardBatch:
         for sequences in (SEQUENCES, random_sequences(rng)):
             _, cache = towers.encode_batch(params, token_rows(sequences), tower)
             grad_out = rng.normal(size=(len(sequences), 32))
-            grads = zero_grads(params)
+            grads = params.like(np.zeros_like(params.flat))
             towers.backward_batch(params, cache, grad_out, grads)
 
             t = params.tower(tower)
@@ -83,3 +85,38 @@ class TestBackwardBatch:
             want = np.zeros_like(params.emb)
             loop_scatter(want, sequences, gz @ t.w1)
             assert np.array_equal(grads.emb, want)
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("dims", [(60, 32, 32), (7, 3, 5), (2, 1, 1)])
+    def test_init_params_draws_as_the_per_array_code(self, dims):
+        params = init_params(*dims, np.random.default_rng(8))
+        want = loop_init_params(*dims, np.random.default_rng(8))
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert params.flat.tobytes() == np.concatenate([a.ravel() for a in want]).tobytes()
+        for got, arr in zip(param_list(params), want):
+            assert got.shape == arr.shape and np.array_equal(got, arr)
+
+    def test_flat_aliases_every_view(self):
+        params = init_params(10, 4, 3, np.random.default_rng(2))
+        grads = params.like(np.zeros_like(params.flat))
+        for p in (params, grads):
+            views = param_list(p)
+            assert all(np.shares_memory(v, p.flat) for v in views)
+            assert sum(v.size for v in views) == p.flat.size
+            p.emb[3, 1] = 11.0
+            p.ctx_tower.w2[0, 2] = 12.0
+            p.doc_tower.b1[...] = 13.0
+            assert p.flat[3 * 4 + 1] == 11.0
+            assert np.count_nonzero(p.flat == 12.0) == 1
+            assert np.count_nonzero(p.flat == 13.0) == 3
+            p.flat[...] = 0.0
+            assert not any(v.any() for v in views)
+        assert not np.shares_memory(params.flat, grads.flat)
+
+    def test_views_cannot_be_rebound(self):
+        params = init_params(10, 4, 3, np.random.default_rng(2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.emb = np.zeros((10, 4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.doc_tower.w1 = np.zeros((3, 4))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from currank import towers, trainer
+from currank import checkpoint, towers, trainer
 from currank.bm25 import Bm25Params, build_index
 from currank.curriculum import PacingParams, build_ledger
 from currank.scorers import Bm25Scorer
@@ -26,7 +26,10 @@ from currank.trainer import (
 )
 
 from batches import sample_items
-from oracles import loop_sample_batch, loop_validation_loss, two_pass_validation_loss
+from oracles import (
+    loop_sample_batch, loop_validation_loss, param_list, per_array_checkpoint_bytes,
+    two_pass_validation_loss,
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +70,7 @@ class TestTrain:
         params, log = train(config, ledger, documents, vocab)
         fresh, _ = train(config, ledger, documents, vocab)
         assert log.steps == []
-        assert np.array_equal(towers.pack(params.encoder), towers.pack(fresh.encoder))
+        assert np.array_equal(params.encoder.flat, fresh.encoder.flat)
 
     def test_logged_pacing_matches_recomputation(self, small_world):
         _, documents, _, ledger, vocab, _ = small_world
@@ -125,7 +128,7 @@ class TestTrain:
         config = config_for(ledger, epochs=1, seed=3)
         a, _ = train(config, ledger, documents, vocab)
         b, _ = train(config, ledger, documents, vocab)
-        assert np.array_equal(towers.pack(a.encoder), towers.pack(b.encoder))
+        assert np.array_equal(a.encoder.flat, b.encoder.flat)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_all_modes_run(self, small_world, mode):
@@ -147,7 +150,7 @@ class TestTrain:
             resume_from=tmp_path / "full" / "ckpt_00000007.bin",
         )
         assert np.array_equal(
-            towers.pack(full.encoder), towers.pack(resumed.encoder)
+            full.encoder.flat, resumed.encoder.flat
         )
 
     def test_validation_metrics_logged_per_epoch(self, small_world):
@@ -212,8 +215,8 @@ class TestSameMachineIdentity:
             patch.setattr(trainer, "sample_batch", loop_sample_batch)
             want_params, want_log = train(config, ledger, documents, vocab,
                                           val_items=val_items)
-        assert towers.pack(params.encoder).tobytes() == \
-            towers.pack(want_params.encoder).tobytes()
+        assert params.encoder.flat.tobytes() == \
+            want_params.encoder.flat.tobytes()
         assert log.steps == want_log.steps
         assert log.validations == want_log.validations
 
@@ -282,10 +285,27 @@ class TestCheckpointRoundTrip:
         save_ranker(path, params, vocab)
         loaded, loaded_vocab = load_ranker(path)
         assert np.array_equal(
-            towers.pack(params.encoder), towers.pack(loaded.encoder)
+            params.encoder.flat, loaded.encoder.flat
         )
         assert loaded.tau == params.tau
         assert loaded_vocab.tokens == vocab.tokens
+
+    def test_training_checkpoint_equals_the_per_array_code(self, small_world, tmp_path):
+        _, documents, _, ledger, vocab, _ = small_world
+        params, _ = train(config_for(ledger, epochs=1), ledger, documents, vocab)
+        velocity = np.random.default_rng(4).normal(size=params.encoder.flat.size)
+        rng = np.random.default_rng(9)
+        path = tmp_path / "ckpt.bin"
+        trainer._save_train_checkpoint(path, params, vocab, velocity, 17, rng)
+        _, _, extra, meta = checkpoint.load_checkpoint(path, expect_kind="ranker")
+        arrays = param_list(params.encoder)
+        parts = np.split(velocity, np.cumsum([a.size for a in arrays])[:-1])
+        vel = {f"vel.{name}": part.reshape(a.shape)
+               for name, a, part in zip(towers.PARAM_NAMES, arrays, parts)}
+        assert path.read_bytes() == per_array_checkpoint_bytes(
+            "ranker", param_list(params.encoder), vocab, vel, meta)
+        assert extra.keys() == vel.keys()
+        assert all(extra[name].tobytes() == arr.tobytes() for name, arr in vel.items())
 
     @pytest.mark.parametrize("keep", [10, 100, -8])
     def test_truncated_file_rejected(self, small_world, tmp_path, keep):
