@@ -26,7 +26,7 @@ import yaml
 from . import __version__, bm25, checkpoint, dense, synth, towers
 from .curriculum import PacingParams, build_ledger, check_documents, load_ledger, save_ledger
 from .manifest import RunManifest, digest_paths, write_manifest
-from .metrics import evaluate_run, write_qrels, write_run_file
+from .metrics import evaluate_run, query_gains, write_qrels, write_run_file
 from .ranker import rank_slate  # noqa: F401 -- perfbench/spans.py traces it here
 from .scorers import Bm25Scorer, DenseScorer
 from .sessions import (
@@ -38,7 +38,7 @@ from .sessions import (
 from .towers import Vocab
 from .trainer import (  # evaluate_ranker: perfbench/spans.py traces it here
     MODES, TrainConfig, check_negatives, encode_slates, evaluate_ranker,
-    load_ranker, rank_eval_items, save_ranker, steps_per_epoch, sweep, train,
+    load_ranker, rank_slates, save_ranker, steps_per_epoch, sweep, train,
     train_and_evaluate, training_data,
 )
 
@@ -295,8 +295,9 @@ def _train_config_from(args, n_positives: int) -> TrainConfig:
 
 
 def _load_training_inputs(args):
-    """Bundle, training-split ledger, vocabulary and validation slates,
-    plus the input paths a training manifest digests."""
+    """The training-split ledger, its encoded training data, the encoded
+    validation slates (None if the split has none), and the input paths
+    a training manifest digests."""
     bundle_dir = Path(args.bundle)
     sessions, documents, contexts = load_bundle(bundle_dir)
     ledger_path = Path(args.ledger)
@@ -305,22 +306,23 @@ def _load_training_inputs(args):
     ledger = load_ledger(ledger_path, in_split(contexts, "train"))
     vocab = build_vocab(documents, contexts)
     val_items = build_eval_items(in_split(sessions, "val"), documents)
-    return ledger, documents, vocab, val_items, bundle_paths(bundle_dir) + [ledger_path]
+    data = training_data(vocab, documents, ledger)
+    slates = encode_slates(vocab, val_items, documents) if val_items else None
+    return ledger, data, slates, bundle_paths(bundle_dir) + [ledger_path]
 
 
 def cmd_train(args) -> int:
-    ledger, documents, vocab, val_items, inputs = _load_training_inputs(args)
+    ledger, data, slates, inputs = _load_training_inputs(args)
     config = _train_config_from(args, len(ledger.positives))
     out_dir = Path(args.out)
     with output_lock(out_dir):
         params, log = train(
-            config, ledger, documents, vocab,
-            val_items=val_items or None,
+            config, data, slates,
             checkpoint_dir=out_dir if config.checkpoint_interval else None,
             resume_from=args.resume,
         )
         ckpt_path = out_dir / "checkpoint.bin"
-        save_ranker(ckpt_path, params, vocab)
+        save_ranker(ckpt_path, params, data.vocab)
         log_path = out_dir / "trainlog.jsonl"
         with open(log_path, "w") as fp:
             for rec in log.steps:
@@ -349,16 +351,15 @@ def cmd_eval(args) -> int:
     items = build_eval_items(in_split(sessions, args.split), documents)
     if not items:
         raise CliError(f"no evaluable interactions in split {args.split!r}")
-    entries, qrels = rank_eval_items(
-        params, encode_slates(vocab, items, documents), args.tag
-    )
-    table = evaluate_run(entries, qrels)
+    slates = encode_slates(vocab, items, documents)
+    ranked = list(rank_slates(slates, slates.scorer(params)))
+    table = evaluate_run(query_gains(ranked))
     out_dir = Path(args.out)
     with output_lock(out_dir):
         with open(out_dir / "run.txt", "w") as fp:
-            write_run_file(entries, fp)
+            write_run_file(ranked, args.tag, fp)
         with open(out_dir / "qrels.txt", "w") as fp:
-            write_qrels(qrels, fp)
+            write_qrels(ranked, fp)
         metrics_payload = {
             "metrics": table.metrics,
             "evaluated_queries": table.evaluated_queries,
@@ -382,29 +383,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    ledger, documents, vocab, val_items, inputs = _load_training_inputs(args)
-    if not val_items:
+    ledger, data, slates, inputs = _load_training_inputs(args)  # shared by every run
+    if slates is None:
         raise CliError("ablation needs a non-empty validation split")
     base = _train_config_from(args, len(ledger.positives))
     deltas = [float(x) for x in args.grid_deltas.split(",")]
     etas = [float(x) for x in args.grid_etas.split(",")]
-    data = training_data(vocab, documents, ledger)  # shared by every run
     for config in [replace(base, mode=mode) for mode in MODES] + [
             replace(base, pacing=replace(base.pacing, delta=d, eta=e))
             for d in deltas for e in etas]:
         check_negatives(config, data.columns)  # every run, before the first
-    slates = encode_slates(vocab, val_items, documents)
 
     mode_rows = []
     for mode in MODES:
-        row = train_and_evaluate(
-            replace(base, mode=mode), ledger, documents, vocab, slates, data,
-            mode=mode,
-        )
+        row = train_and_evaluate(replace(base, mode=mode), data, slates, mode=mode)
         mode_rows.append(row)
         print(f"mode {mode:>14s}: MAP={row['MAP']:.4f} MRR={row['MRR']:.4f}")
 
-    grid_rows = sweep(base, ledger, documents, vocab, deltas, etas, slates, data)
+    grid_rows = sweep(base, data, deltas, etas, slates)
     for row in grid_rows:
         print(f"delta={row['delta']:.2f} eta={row['eta']:.2f}: MAP={row['MAP']:.4f}")
 

@@ -238,26 +238,22 @@ def eligible_negative_count(n_negatives: np.ndarray, fraction: float) -> np.ndar
 
 def sample_batch(
     columns: LedgerColumns,
-    pacing: PacingParams,
     t: int,
     batch_size: int,
     m: int,
     rng: np.random.Generator,
-    f_p: float | None = None,
-    f_n: float | None = None,
+    f_p: float,
+    f_n: float,
 ) -> TrainingBatch:
-    """Draw one curriculum batch at training step t.
+    """Draw one curriculum batch at training step t, from the easiest
+    fraction f_p of the positives and, for each, the hardest fraction f_n
+    of its negatives.
 
-    f_p/f_n override the pacing functions when given (ablation modes).
     Positives come from one rng.choice, each item's m negatives from its
     own, all read in one rng.integers call (see _choose_each).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if f_p is None:
-        f_p = pacing_positive(pacing, t)
-    if f_n is None:
-        f_n = pacing_negative(pacing, t)
     n_pos = eligible_positive_count(columns, f_p)
     if batch_size > n_pos:
         raise ValueError(

@@ -16,34 +16,21 @@ from . import towers
 from .towers import DualEncoderParams, TokenRows, Vocab
 
 
-def dense_score(
-    params: DualEncoderParams,
-    vocab: Vocab,
-    context_tokens: Sequence[str],
-    doc_tokens: Sequence[str],
-) -> float:
-    c = towers.encode(params, vocab.encode(context_tokens), "context")
-    d = towers.encode(params, vocab.encode(doc_tokens), "document")
-    return float(c @ d)
-
-
 def in_batch_loss_and_grad(
-    params: DualEncoderParams,
-    ctx_token_ids: TokenRows | Sequence[Sequence[int]],
-    doc_token_ids: TokenRows | Sequence[Sequence[int]],
+    params: DualEncoderParams, ctx_rows: TokenRows, doc_rows: TokenRows
 ) -> tuple[float, DualEncoderParams]:
     """Mean in-batch softmax cross-entropy and its exact gradient.
 
     Row i of the score matrix holds context i against every document in
     the batch; the diagonal entry is the positive.
     """
-    n = len(ctx_token_ids)
-    if n != len(doc_token_ids):
+    n = len(ctx_rows)
+    if n != len(doc_rows):
         raise ValueError("context/document batch size mismatch")
     if n < 2:
         raise ValueError("in-batch negatives need a batch of at least 2")
-    c_enc, c_cache = towers.encode_batch(params, ctx_token_ids, "context")
-    d_enc, d_cache = towers.encode_batch(params, doc_token_ids, "document")
+    c_enc, c_cache = towers.encode_batch(params, ctx_rows, "context")
+    d_enc, d_cache = towers.encode_batch(params, doc_rows, "document")
     scores = c_enc @ d_enc.T
     shifted = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(shifted)

@@ -48,17 +48,6 @@ def init_ranker(
     )
 
 
-def rank_score(
-    params: RankerParams,
-    vocab: Vocab,
-    context_tokens: Sequence[str],
-    doc_tokens: Sequence[str],
-) -> float:
-    c = towers.encode(params.encoder, vocab.encode(context_tokens), "context")
-    d = towers.encode(params.encoder, vocab.encode(doc_tokens), "document")
-    return float(c @ d) / params.tau
-
-
 @dataclass
 class EncodedCorpus:
     """Context and document token rows, encoded once and looked up by
@@ -145,8 +134,8 @@ def rank_slate(
     c = towers.encode(
         params.encoder, vocab.encode(context.context_tokens), "context"
     )
-    doc_ids = [vocab.encode(documents[d].title_tokens) for d in candidate_doc_ids]
-    d_enc, _ = towers.encode_batch(params.encoder, doc_ids, "document")
+    doc_rows = token_rows(vocab.encode(documents[d].title_tokens) for d in candidate_doc_ids)
+    d_enc, _ = towers.encode_batch(params.encoder, doc_rows, "document")
     return order_slate(candidate_doc_ids, (d_enc @ c) / params.tau)
 
 

@@ -53,10 +53,10 @@ class DenseScorer:
         self.params = params
         self.vocab = vocab
         self.doc_ids = sorted(documents)
-        doc_token_ids = [
+        doc_rows = towers.token_rows(
             vocab.encode(documents[d].title_tokens) for d in self.doc_ids
-        ]
-        self._doc_enc, _ = towers.encode_batch(params, doc_token_ids, "document")
+        )
+        self._doc_enc, _ = towers.encode_batch(params, doc_rows, "document")
 
     def score_corpus(self, context_tokens: Sequence[str]) -> np.ndarray:
         c = towers.encode(

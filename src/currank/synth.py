@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import IO
 
-from .sessions import Document, Interaction, Session, _dumps, _records
+from .sessions import Document, Interaction, Session, _dumps
 
 MIN_TERMS_PER_TOPIC = 4
 _QUERY_TERMS = 2
@@ -113,10 +113,6 @@ def generate_synthetic(
 def write_labels(labels: dict[str, int], fp: IO[str]) -> None:
     for session_id in sorted(labels):
         fp.write(_dumps({"session_id": session_id, "topic_id": labels[session_id]}) + "\n")
-
-
-def read_labels(fp) -> dict[str, int]:
-    return {rec["session_id"]: rec["topic_id"] for rec in _records(fp)}
 
 
 def write_session_log(sessions: list[Session], documents: dict[str, Document], fp: IO[str]) -> None:

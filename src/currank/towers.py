@@ -188,14 +188,11 @@ class ForwardCache:
 
 
 def encode_batch(
-    params: DualEncoderParams,
-    sequences: TokenRows | Sequence[Sequence[int]],
-    tower: str,
+    params: DualEncoderParams, rows: TokenRows, tower: str
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Encode many sequences (token rows or id lists); returns (n, d_emb)
-    outputs plus a cache for the backward pass."""
+    """Encode many token rows; returns (n, d_emb) outputs plus a cache for
+    the backward pass."""
     global ENCODE_CALLS
-    rows = sequences if isinstance(sequences, TokenRows) else token_rows(sequences)
     ENCODE_CALLS += len(rows)
     t = params.tower(tower)
     table = np.vstack([params.emb, np.zeros(params.d_emb)])  # row -1 is the pad

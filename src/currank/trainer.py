@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .curriculum import (
     pacing_positive,
     sample_batch,
 )
-from .metrics import MetricTable, Qrels, RunEntry, entries_from_ranking, evaluate_run
+from .metrics import MetricTable, RankedSlate, evaluate_run, query_gains
 from .ranker import (  # noqa: F401 -- perfbench/spans.py traces rank_slate here
     EncodedCorpus, RankerParams, encode_corpus, init_ranker, loss_and_grad,
     order_slate, rank_slate,
@@ -68,8 +69,11 @@ class TrainConfig:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "d_emb", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.m < 1:
@@ -93,8 +97,10 @@ def steps_per_epoch(n_positives: int, batch_size: int) -> int:
 
 @dataclass(frozen=True)
 class TrainingData:
-    """A ledger's encoded contexts and documents and its columns over them."""
+    """A ledger's contexts and documents encoded under `vocab`, and its
+    columns over them."""
 
+    vocab: Vocab
     corpus: EncodedCorpus
     columns: LedgerColumns
 
@@ -102,7 +108,8 @@ class TrainingData:
 def training_data(vocab: Vocab, documents: dict[str, Document],
                   ledger: DifficultyLedger) -> TrainingData:
     corpus = encode_corpus(vocab, documents, ledger.contexts)
-    return TrainingData(corpus, ledger_columns(ledger, corpus.context_row, corpus.doc_row))
+    return TrainingData(
+        vocab, corpus, ledger_columns(ledger, corpus.context_row, corpus.doc_row))
 
 
 def check_negatives(config: TrainConfig, columns: LedgerColumns) -> None:
@@ -154,49 +161,31 @@ def _query_id(ctx: SearchContext) -> str:
     return f"{ctx.session_id}:{ctx.position}"
 
 
-def rank_eval_items(
-    params: RankerParams, slates: EvalSlates, tag: str = "currank"
-) -> tuple[list[RunEntry], Qrels]:
-    """Rank each held-out candidate slate; returns the run entries and
-    qrels judging every candidate (1 if clicked, else 0)."""
-    score = slates.scorer(params)
-    entries = []
-    qrels: Qrels = {}
-    for ctx, candidates, clicked in slates.items:
-        query_id = _query_id(ctx)
-        ranked = order_slate(candidates, score(ctx, candidates))
-        entries.extend(entries_from_ranking(query_id, ranked, tag))
-        for doc_id in candidates:
-            qrels.setdefault((query_id, doc_id), 0)
-        for doc_id in clicked:
-            qrels[(query_id, doc_id)] = 1
-    return entries, qrels
+def rank_slates(slates: EvalSlates, score) -> Iterator[RankedSlate]:
+    """Each held-out slate, in slate order, as its query id, its candidates
+    ranked by order_slate under `score` (a slates.scorer result) and its
+    clicked set. Lazily, so that validation keeps only the gains."""
+    return ((_query_id(ctx), order_slate(candidates, score(ctx, candidates)), clicked)
+            for ctx, candidates, clicked in slates.items)
 
 
 def evaluate_ranker(
     params: RankerParams, slates: EvalSlates, score=None
 ) -> MetricTable:
-    """evaluate_run(*rank_eval_items(...)) without building the run;
-    `score`, a slates.scorer(params) result, saves a forward pass."""
-    score = score or slates.scorer(params)
-    gains = []
-    for ctx, candidates, clicked in sorted(slates.items, key=lambda s: _query_id(s[0])):
-        ranked = order_slate(candidates, score(ctx, candidates))
-        gains.append([int(d in clicked) for d, _ in ranked])
-    return evaluate_run(gains)
+    """The metrics of `slates` ranked by `params`; `score`, a
+    slates.scorer(params) result, saves a forward pass."""
+    return evaluate_run(query_gains(rank_slates(slates, score or slates.scorer(params))))
 
 
 def train(
     config: TrainConfig,
-    ledger: DifficultyLedger,
-    documents: dict[str, Document],
-    vocab: Vocab,
-    val_items: list | None = None,
+    data: TrainingData,
+    slates: EvalSlates | None = None,
     checkpoint_dir: str | Path | None = None,
     resume_from: str | Path | None = None,
-    data: TrainingData | None = None,
 ) -> tuple[RankerParams, TrainLog]:
-    """Run pacing.T optimizer steps of curriculum training.
+    """Run pacing.T optimizer steps of curriculum training, validating on
+    `slates`, when given, after every epoch.
 
     Deterministic under a fixed config seed; an interrupted run resumed
     from a periodic checkpoint continues bit-identically.
@@ -204,10 +193,9 @@ def train(
     pacing = config.pacing
     T = pacing.T
     half, pin_fp, pin_fn = _MODE_TABLE[config.mode]
-    data = data or training_data(vocab, documents, ledger)
+    vocab = data.vocab
     check_negatives(config, data.columns)
     columns = data.columns.halved(half) if half else data.columns
-    slates = encode_slates(vocab, val_items, documents) if val_items else None
 
     rng_init = np.random.default_rng([config.seed, _SEED_INIT])
     rng_sampler = np.random.default_rng([config.seed, _SEED_SAMPLER])
@@ -220,6 +208,12 @@ def train(
         enc, vocab_loaded, extra, meta = checkpoint.load_checkpoint(
             resume_from, expect_kind="ranker"
         )
+        if "sampler_state" not in meta:
+            raise ValueError(f"{resume_from}: not a periodic training checkpoint; "
+                             "only ckpt_*.bin files can be resumed")
+        if meta["step"] > T:
+            raise ValueError(f"{resume_from}: checkpoint is at step {meta['step']}, "
+                             f"past the run's T={T}")
         if vocab_loaded.tokens != vocab.tokens:
             raise ValueError("checkpoint vocabulary does not match corpus")
         saved = {"d_emb": enc.d_emb, "hidden": enc.hidden, "tau": float(meta["tau"])}
@@ -238,10 +232,7 @@ def train(
     for t in range(start_step, T):
         f_p = 1.0 if pin_fp else pacing_positive(pacing, t)
         f_n = 1.0 if pin_fn else pacing_negative(pacing, t)
-        batch = sample_batch(
-            columns, pacing, t, config.batch_size, config.m, rng_sampler,
-            f_p=f_p, f_n=f_n,
-        )
+        batch = sample_batch(columns, t, config.batch_size, config.m, rng_sampler, f_p, f_n)
         try:
             report = loss_and_grad(params, *data.corpus.batch_rows(batch))
         except Exception as e:
@@ -339,24 +330,20 @@ def load_ranker(path: str | Path) -> tuple[RankerParams, Vocab]:
 
 def sweep(
     base: TrainConfig,
-    ledger: DifficultyLedger,
-    documents: dict[str, Document],
-    vocab: Vocab,
+    data: TrainingData,
     deltas: list[float],
     etas: list[float],
     slates: EvalSlates,
-    data: TrainingData | None = None,
 ) -> list[dict]:
     """One full training run per (delta, eta) grid point, shared seed.
 
     delta=1.0 / eta=1.0 act as sentinels that disable the respective
     curriculum (the pacing value is pinned at 1 from step 0).
     """
-    data = data or training_data(vocab, documents, ledger)
     return [
         train_and_evaluate(
             replace(base, pacing=replace(base.pacing, delta=delta, eta=eta)),
-            ledger, documents, vocab, slates, data, delta=delta, eta=eta,
+            data, slates, delta=delta, eta=eta,
         )
         for delta in deltas
         for eta in etas
@@ -364,17 +351,11 @@ def sweep(
 
 
 def train_and_evaluate(
-    config: TrainConfig,
-    ledger: DifficultyLedger,
-    documents: dict[str, Document],
-    vocab: Vocab,
-    slates: EvalSlates,
-    data: TrainingData | None = None,
-    **row,
+    config: TrainConfig, data: TrainingData, slates: EvalSlates, **row
 ) -> dict:
     """One training run scored on `slates`: `row` plus the metrics."""
     try:
-        params, _ = train(config, ledger, documents, vocab, data=data)
+        params, _ = train(config, data)
     except Exception as e:
         raise RuntimeError(f"training run {row} failed: {e}") from e
     row.update(evaluate_ranker(params, slates).metrics)

@@ -3,7 +3,7 @@ ids), in place of the row indices the trainer feeds the ranker."""
 
 from __future__ import annotations
 
-from currank.curriculum import ledger_columns, sample_batch
+from currank.curriculum import ledger_columns, pacing_negative, pacing_positive, sample_batch
 from currank.ranker import encode_corpus
 
 
@@ -18,10 +18,13 @@ def ledger_view(ledger):
     return columns, contexts, docs
 
 
-def sample_items(ledger, *args, **kwargs):
-    """curriculum.sample_batch on `ledger`'s columns, as items."""
+def sample_items(ledger, pacing, t, batch_size, m, rng, f_p=None, f_n=None):
+    """curriculum.sample_batch on `ledger`'s columns, as items; f_p and
+    f_n default to the pacing functions' values at step t."""
     columns, contexts, docs = ledger_view(ledger)
-    batch = sample_batch(columns, *args, **kwargs)
+    f_p = pacing_positive(pacing, t) if f_p is None else f_p
+    f_n = pacing_negative(pacing, t) if f_n is None else f_n
+    batch = sample_batch(columns, t, batch_size, m, rng, f_p, f_n)
     return [(ledger.contexts[contexts[c]], docs[slate[0]],
              tuple(docs[d] for d in slate[1:]))
             for c, slate in zip(batch.contexts, batch.docs)]

@@ -2,10 +2,11 @@
 
 These recompute everything from raw counts and definitions, sharing no
 code with the implementation under test. The exceptions are
-loop_sample_batch, two_pass_validation_loss and the per-array parameter
-code (loop_init_params, per_array_checkpoint_bytes, per_array_dense_digest):
-earlier forms of library code, kept to show that the current forms compute
-the same bits.
+loop_sample_batch, two_pass_validation_loss, entries_eval, the per-array
+parameter code (loop_init_params, per_array_checkpoint_bytes,
+per_array_dense_digest) and the one-pair scorers (rank_score,
+dense_score): earlier forms of library code, kept to show that the
+current forms compute the same bits.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 
 from currank import towers
 from currank.checkpoint import FORMAT_VERSION, MAGIC
-from currank.curriculum import TrainingBatch, pacing_negative, pacing_positive
+from currank.curriculum import TrainingBatch
+from currank.metrics import evaluate_run
+from currank.ranker import order_slate
 from currank.towers import PARAM_NAMES
 
 
@@ -138,11 +141,9 @@ def loop_validation_loss(params, vocab, eval_items, documents) -> float:
     return total / count if count else 0.0
 
 
-def loop_sample_batch(columns, pacing, t, batch_size, m, rng, f_p=None, f_n=None):
+def loop_sample_batch(columns, t, batch_size, m, rng, f_p, f_n):
     """curriculum.sample_batch one item at a time: one rng.choice for the
     positives, then one rng.choice per item for its negatives."""
-    f_p = pacing_positive(pacing, t) if f_p is None else f_p
-    f_n = pacing_negative(pacing, t) if f_n is None else f_n
     n_pos = len(columns.positives)
     chosen = rng.choice(min(n_pos, math.ceil(f_p * n_pos)), size=batch_size,
                         replace=False)
@@ -176,6 +177,48 @@ def two_pass_validation_loss(params, slates) -> float:
         exp = np.exp(slate - slate.max(axis=1, keepdims=True))
         losses.extend(-np.log(exp[:, 0] / exp.sum(axis=1)))
     return float(np.mean(losses)) if losses else 0.0
+
+
+def entries_eval(params, slates, tag: str = "currank"):
+    """`eval`'s former path from run entries and qrels: the (query id, doc
+    id, rank, score) entries slate by slate, the qrels judging every
+    candidate (1 if clicked, else 0), metrics from the entries grouped by
+    query in rank order with gains looked up in the qrels, queries in id
+    order, and the run and qrels files as their writers wrote them.
+    Returns (run text, qrels text, MetricTable)."""
+    score = slates.scorer(params)
+    entries = []
+    qrels = {}
+    for ctx, candidates, clicked in slates.items:
+        query_id = f"{ctx.session_id}:{ctx.position}"
+        ranked = order_slate(candidates, score(ctx, candidates))
+        entries += [(query_id, d, rank, s) for rank, (d, s) in enumerate(ranked, start=1)]
+        for doc_id in candidates:
+            qrels.setdefault((query_id, doc_id), 0)
+        for doc_id in clicked:
+            qrels[(query_id, doc_id)] = 1
+    by_query: dict[str, list[str]] = {}
+    for query_id, doc_id, _, _ in sorted(entries, key=lambda e: e[2]):
+        by_query.setdefault(query_id, []).append(doc_id)
+    table = evaluate_run([[qrels.get((q, d), 0) for d in by_query[q]]
+                          for q in sorted(by_query)])
+    run = "".join(f"{q} Q0 {d} {rank} {s:.6g} {tag}\n" for q, d, rank, s in entries)
+    judged = "".join(f"{q} 0 {d} {g}\n" for (q, d), g in sorted(qrels.items()))
+    return run, judged, table
+
+
+def rank_score(params, vocab, context_tokens, doc_tokens) -> float:
+    """The ranker's score of one (context, document) pair, one encode each."""
+    c = towers.encode(params.encoder, vocab.encode(context_tokens), "context")
+    d = towers.encode(params.encoder, vocab.encode(doc_tokens), "document")
+    return float(c @ d) / params.tau
+
+
+def dense_score(params, vocab, context_tokens, doc_tokens) -> float:
+    """The dense scorer's score of one (context, document) pair."""
+    c = towers.encode(params, vocab.encode(context_tokens), "context")
+    d = towers.encode(params, vocab.encode(doc_tokens), "document")
+    return float(c @ d)
 
 
 def param_list(params) -> list[np.ndarray]:

@@ -35,7 +35,7 @@ from currank.curriculum import (
     rank_of_positive,
 )
 from currank.manifest import MANIFEST_NAME
-from currank.metrics import NDCG_CUTOFFS, entries_from_ranking, evaluate_run
+from currank.metrics import NDCG_CUTOFFS, evaluate_run
 from currank.ranker import RankerParams, init_ranker, loss_and_grad
 from currank.scorers import Bm25Scorer
 from currank.sessions import (
@@ -46,7 +46,7 @@ from currank.sessions import (
     build_eval_items,
 )
 from currank.synth import SynthSpec, generate_synthetic, write_session_log
-from currank.towers import Vocab
+from currank.towers import Vocab, token_rows
 from currank.trainer import (
     MODES,
     TrainConfig,
@@ -55,6 +55,7 @@ from currank.trainer import (
     steps_per_epoch,
     sweep,
     train,
+    training_data,
 )
 
 from batches import item_rows, sample_items
@@ -289,8 +290,8 @@ def test_criterion_5_gradient_checks():
             # dense in-batch loss: distinct token ids per row keep the
             # loss surface non-degenerate (identical rows flatten it)
             enc = towers.init_params(len(vocab), 3, 3, rng)
-            ctx_ids = [[2, 3], [4, 5], [6]]
-            doc_ids = [[7], [8, 9], [10]]
+            ctx_ids = token_rows([[2, 3], [4, 5], [6]])
+            doc_ids = token_rows([[7], [8, 9], [10]])
 
             def h(flat, enc=enc):
                 saved = enc.flat.copy()
@@ -338,11 +339,8 @@ def test_criterion_6_oracle_equivalence():
             gains = {d: int(rng.integers(0, 3)) for d in docs}
             if not any(g >= 1 for g in gains.values()):
                 gains[docs[0]] = 1
-            qrels = {("q", d): g for d, g in gains.items()}
             relevant = {d for d, g in gains.items() if g >= 1}
-            entries = entries_from_ranking(
-                "q", [(d, float(-r)) for r, d in enumerate(ranked)], "t")
-            table = evaluate_run(entries, qrels)
+            table = evaluate_run([[gains[d] for d in ranked]])
             assert table.metrics["MAP"] == pytest.approx(
                 naive_ap(ranked, relevant), abs=1e-12)
             assert table.metrics["MRR"] == pytest.approx(
@@ -407,6 +405,7 @@ def desk_experiment():
     val_items = build_eval_items(
         [s for s in sessions if split_of(s.session_id) == "val"], documents)
 
+    data = training_data(vocab, documents, ledger)
     slates = encode_slates(vocab, val_items, documents)
     T = 8 * steps_per_epoch(len(ledger.positives), 32)
     base = TrainConfig(pacing=PacingParams(T=T))
@@ -415,13 +414,12 @@ def desk_experiment():
     def fit_and_score(mode, seed):
         config = replace(base, mode=mode, seed=seed)
         start = time.monotonic()
-        params, _ = train(config, ledger, documents, vocab)
+        params, _ = train(config, data)
         elapsed = time.monotonic() - start
         table = evaluate_ranker(params, slates)
         return table.metrics["MAP"], elapsed
 
-    untrained, _ = train(replace(base, pacing=replace(base.pacing, T=0)),
-                         ledger, documents, vocab)
+    untrained, _ = train(replace(base, pacing=replace(base.pacing, T=0)), data)
     untrained_map = evaluate_ranker(untrained, slates).metrics["MAP"]
 
     mode_results = {}  # mode -> (per-seed MAPs, max wall time)
@@ -430,8 +428,7 @@ def desk_experiment():
         maps, times = zip(*(fit_and_score(mode, s) for s in run_seeds))
         mode_results[mode] = (list(maps), max(times))
 
-    grid = sweep(base, ledger, documents, vocab,
-                 [0.1, 0.3, 0.5], [0.5, 0.7, 0.9], slates)
+    grid = sweep(base, data, [0.1, 0.3, 0.5], [0.5, 0.7, 0.9], slates)
     return {
         "untrained_map": untrained_map,
         "mode_results": mode_results,

@@ -5,10 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from currank.cli import LOCK_NAME, main, split_of
+from currank.cli import LOCK_NAME, build_vocab, in_split, load_bundle, main, split_of
 from currank.manifest import MANIFEST_NAME
+from currank.ranker import init_ranker
+from currank.sessions import build_eval_items
+from currank.trainer import encode_slates, load_ranker, save_ranker
+
+from oracles import entries_eval
 
 
 def run_cli(*argv):
@@ -282,14 +288,24 @@ class TestTrain:
                        "--out", tmp_path / "o", "--steps", 10, "--batch-size", 8) == 2
         assert f"error: {ledger}: malformed ledger" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("command, flag, value, message", [
+        pytest.param(command, flag, value, message,
+                     id=command if flag == "--batch-size" else f"{command}{flag}")
+        for command in ("train", "ablate")
+        for flag, value, message in [
+            ("--batch-size", 0, "batch_size must be >= 1"),
+            ("--checkpoint-interval", -1, "checkpoint_interval must be >= 0"),
+            ("--d-emb", 0, "d_emb must be >= 1"),
+            ("--hidden", -2, "hidden must be >= 1"),
+        ]
+    ])
     def test_batch_size_below_one_exits_two(self, bundle_dir, ledger_dir, tmp_path,
-                                            capsys, command):
+                                            capsys, command, flag, value, message):
+        """And every other out-of-range TrainConfig value."""
         out = tmp_path / "o"
         assert run_cli(command, "--bundle", bundle_dir, "--ledger",
-                       ledger_dir / "ledger.json", "--out", out,
-                       "--batch-size", 0) == 2
-        assert "error: batch_size must be >= 1" in capsys.readouterr().err
+                       ledger_dir / "ledger.json", "--out", out, flag, value) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [("--d-emb", 16), ("--hidden", 8), ("--tau", 2.0)],
@@ -306,6 +322,23 @@ class TestTrain:
             "'tau': 1.0}, the run" in capsys.readouterr().err
         assert not any(out.iterdir())
         assert run_cli(*common, "--resume", ckpt, "--out", out) == 0
+
+    @pytest.mark.parametrize("name, steps, message", [
+        ("checkpoint.bin", 10, "not a periodic training checkpoint; only ckpt_*.bin "
+                               "files can be resumed"),
+        ("ckpt_00000010.bin", 5, "checkpoint is at step 10, past the run's T=5"),
+    ], ids=["final", "past-last-step"])
+    def test_resume_refuses_a_checkpoint_it_cannot_continue(
+            self, bundle_dir, ledger_dir, tmp_path, capsys, name, steps, message):
+        common = ("train", "--bundle", bundle_dir, "--ledger",
+                  ledger_dir / "ledger.json", "--batch-size", 8)
+        assert run_cli(*common, "--steps", 10, "--checkpoint-interval", 10,
+                       "--out", tmp_path / "full") == 0
+        ckpt = tmp_path / "full" / name
+        out = tmp_path / "resumed"
+        assert run_cli(*common, "--steps", steps, "--resume", ckpt, "--out", out) == 2
+        assert f"error: {ckpt}: {message}" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestEval:
@@ -326,6 +359,55 @@ class TestEval:
         assert run_cli("eval", "--bundle", bundle_dir,
                        "--checkpoint", tmp_path / "nope.bin",
                        "--out", tmp_path / "o") == 2
+
+    def test_files_equal_the_entries_and_qrels_path(self, tmp_path):
+        """Three test-split sessions of 12 queries, so "s:10" sorts before
+        "s:2"; one slate has every candidate clicked, one none, and two
+        documents share a title, so their scores tie."""
+        rng = np.random.default_rng(3)
+        titles = {f"d{j:02d}": " ".join(rng.choice(["w0", "w1", "w2", "w3", "w4"], 2))
+                  for j in range(16)}
+        titles["d15"] = titles["d14"]
+        session_ids = [sid for sid in (f"u{i}" for i in range(100))
+                       if split_of(sid) == "test"][:3]
+        lines = []
+        for sid in session_ids:
+            for position in range(1, 13):
+                docs = rng.choice(sorted(titles), 6, replace=False).tolist()
+                if position == 4:
+                    docs = ["d14", "d15", *rng.choice(sorted(titles)[:14], 4, replace=False)]
+                n_clicks = {(session_ids[0], 7): 6, (session_ids[1], 5): 0}.get(
+                    (sid, position), int(rng.integers(1, 4)))
+                lines.append(json.dumps({
+                    "session_id": sid, "query_position": position,
+                    "query_text": f"w{position % 5} w{(position + 2) % 5}",
+                    "candidates": [{"doc_id": d, "title": titles[d], "rank": r,
+                                    "clicked": r <= n_clicks}
+                                   for r, d in enumerate(docs, start=1)]}))
+        (tmp_path / "log.jsonl").write_text("\n".join(lines) + "\n")
+        bundle = tmp_path / "bundle"
+        assert run_cli("ingest", "--log", tmp_path / "log.jsonl", "--out", bundle) == 0
+        sessions, documents, contexts = load_bundle(bundle)
+        vocab = build_vocab(documents, contexts)
+        ckpt = tmp_path / "ranker.bin"
+        save_ranker(ckpt, init_ranker(len(vocab), 8, 8, rng), vocab)
+        out = tmp_path / "eval"
+        assert run_cli("eval", "--bundle", bundle, "--checkpoint", ckpt, "--out", out) == 0
+
+        params, vocab = load_ranker(ckpt)
+        items = build_eval_items(in_split(sessions, "test"), documents)
+        run, qrels, table = entries_eval(params, encode_slates(vocab, items, documents))
+        payload = {"metrics": table.metrics, "evaluated_queries": table.evaluated_queries,
+                   "skipped_queries": table.skipped_queries}
+        assert (out / "run.txt").read_text() == run
+        assert (out / "qrels.txt").read_text() == qrels
+        assert (out / "metrics.json").read_text() == \
+            json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        sid = session_ids[0]
+        assert qrels.index(f"{sid}:10 ") < qrels.index(f"{sid}:2 ")
+        assert [line[-1] for line in qrels.splitlines()
+                if line.startswith(f"{sid}:7 ")] == ["1"] * 6
+        assert table.evaluated_queries == 35
 
 
 class TestAblate:

@@ -419,13 +419,11 @@ class TestSamplerMatchesPerItemLoop:
 
     @staticmethod
     def _assert_same_draws(columns, m, f_n_values, seed, batch_size=8):
-        pacing = PacingParams(T=20)
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for t, f_n in enumerate(f_n_values):
             f_p = min(1.0, batch_size / len(columns.positives) + t / 10)
-            got = sample_batch(columns, pacing, t, batch_size, m, fast, f_p=f_p, f_n=f_n)
-            want = loop_sample_batch(columns, pacing, t, batch_size, m, slow,
-                                     f_p=f_p, f_n=f_n)
+            got = sample_batch(columns, t, batch_size, m, fast, f_p, f_n)
+            want = loop_sample_batch(columns, t, batch_size, m, slow, f_p, f_n)
             assert np.array_equal(got.contexts, want.contexts)
             assert np.array_equal(got.docs, want.docs)
             assert fast.bit_generator.state == slow.bit_generator.state

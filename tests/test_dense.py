@@ -5,13 +5,13 @@ import pytest
 
 from currank import towers
 from currank.checkpoint import load_checkpoint, save_checkpoint
-from currank.dense import dense_score, in_batch_loss_and_grad, train_in_batch
+from currank.dense import in_batch_loss_and_grad, train_in_batch
 from currank.scorers import DenseScorer
 from currank.sessions import Document
-from currank.towers import DualEncoderParams, Tower, Vocab, encode, init_params
+from currank.towers import DualEncoderParams, Tower, Vocab, encode, init_params, token_rows
 
 from oracles import (
-    central_difference_grad, max_relative_error, param_list,
+    central_difference_grad, dense_score, max_relative_error, param_list,
     per_array_checkpoint_bytes, per_array_dense_digest,
 )
 
@@ -170,16 +170,16 @@ class TestInBatchTraining:
         vocab = Vocab(["a", "b"])
         params = zero_params(len(vocab), 4, 3)
         loss, _ = in_batch_loss_and_grad(
-            params, [vocab.encode(["a"]), vocab.encode(["b"])],
-            [vocab.encode(["b"]), vocab.encode(["a"])],
+            params, token_rows([vocab.encode(["a"]), vocab.encode(["b"])]),
+            token_rows([vocab.encode(["b"]), vocab.encode(["a"])]),
         )
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
         vocab = Vocab([f"t{i}" for i in range(6)])
         params = init_params(len(vocab), 3, 3, rng)
-        ctx_ids = [vocab.encode([f"t{i}", f"t{(i+2) % 6}"]) for i in range(5)]
-        doc_ids = [vocab.encode([f"t{(i+1) % 6}"]) for i in range(5)]
+        ctx_ids = token_rows(vocab.encode([f"t{i}", f"t{(i+2) % 6}"]) for i in range(5))
+        doc_ids = token_rows(vocab.encode([f"t{(i+1) % 6}"]) for i in range(5))
         _, grads = in_batch_loss_and_grad(params, ctx_ids, doc_ids)
 
         def f(vec):
@@ -206,9 +206,9 @@ class TestInBatchTraining:
                                 epochs=60, learning_rate=0.5, seed=3)
         assert losses[-1] < losses[0]
         ctx_enc, _ = towers.encode_batch(
-            params, [vocab.encode(c) for c, _ in pairs], "context")
+            params, token_rows(vocab.encode(c) for c, _ in pairs), "context")
         doc_enc, _ = towers.encode_batch(
-            params, [vocab.encode(d) for _, d in pairs], "document")
+            params, token_rows(vocab.encode(d) for _, d in pairs), "document")
         scores = ctx_enc @ doc_enc.T
         diag = np.mean(np.diag(scores))
         off = (scores.sum() - np.trace(scores)) / (scores.size - len(pairs))

@@ -1,19 +1,11 @@
 import io
 
-import numpy as np
 import pytest
 
 from currank.metrics import (
     NDCG_CUTOFFS,
-    RunEntry,
-    RunFormatError,
-    average_precision,
-    entries_from_ranking,
     evaluate_run,
-    ndcg_at_k,
-    read_qrels,
-    read_run_file,
-    reciprocal_rank,
+    query_gains,
     write_qrels,
     write_run_file,
 )
@@ -21,53 +13,48 @@ from currank.metrics import (
 from oracles import naive_ap, naive_ndcg, naive_rr
 
 
-def qrels_for(query_id, gains):
-    return {(query_id, d): g for d, g in gains.items()}
+def query_metric(name, ranked, gains):
+    """One query's `name` metric from evaluate_run; None when no document
+    in `ranked` has gain >= 1."""
+    table = evaluate_run([[gains.get(d, 0) for d in ranked]])
+    return table.metrics[name] if table.evaluated_queries else None
 
 
 class TestAveragePrecision:
     def test_single_relevant_at_one(self):
-        q = qrels_for("q", {"a": 1})
-        assert average_precision(["a", "b", "c"], q, "q") == 1.0
+        assert query_metric("MAP", ["a", "b", "c"], {"a": 1}) == 1.0
 
     def test_single_relevant_at_four(self):
-        q = qrels_for("q", {"d": 1})
-        assert average_precision(["a", "b", "c", "d"], q, "q") == 0.25
+        assert query_metric("MAP", ["a", "b", "c", "d"], {"d": 1}) == 0.25
 
     def test_two_relevant_hand_value(self):
-        q = qrels_for("q", {"a": 1, "c": 1})
-        got = average_precision(["a", "b", "c", "d", "e"], q, "q")
+        got = query_metric("MAP", ["a", "b", "c", "d", "e"], {"a": 1, "c": 1})
         assert got == pytest.approx((1.0 + 2 / 3) / 2, abs=1e-12)
 
     def test_no_relevant_returns_none(self):
-        assert average_precision(["a"], {}, "q") is None
+        assert query_metric("MAP", ["a"], {}) is None
 
 
 class TestReciprocalRank:
     def test_first(self):
-        assert reciprocal_rank(["a", "b"], qrels_for("q", {"a": 1}), "q") == 1.0
+        assert query_metric("MRR", ["a", "b"], {"a": 1}) == 1.0
 
     def test_third(self):
-        q = qrels_for("q", {"c": 1})
-        assert reciprocal_rank(["a", "b", "c"], q, "q") == pytest.approx(1 / 3)
+        assert query_metric("MRR", ["a", "b", "c"], {"c": 1}) == pytest.approx(1 / 3)
 
     def test_first_hit_only(self):
-        q = qrels_for("q", {"b": 1, "c": 1})
-        assert reciprocal_rank(["a", "b", "c"], q, "q") == 0.5
+        assert query_metric("MRR", ["a", "b", "c"], {"b": 1, "c": 1}) == 0.5
 
 
 class TestNdcg:
     def test_ideal_top_one(self):
-        q = qrels_for("q", {"a": 1})
-        assert ndcg_at_k(["a", "b"], q, "q", 1) == 1.0
+        assert query_metric("NDCG@1", ["a", "b"], {"a": 1}) == 1.0
 
     def test_relevant_below_cutoff(self):
-        q = qrels_for("q", {"b": 1})
-        assert ndcg_at_k(["a", "b"], q, "q", 1) == 0.0
+        assert query_metric("NDCG@1", ["a", "b"], {"b": 1}) == 0.0
 
     def test_graded_hand_value_vs_bruteforce(self):
-        q = qrels_for("q", {"a": 1, "b": 2})
-        got = ndcg_at_k(["a", "b", "c"], q, "q", 3)
+        got = query_metric("NDCG@3", ["a", "b", "c"], {"a": 1, "b": 2})
         assert got == pytest.approx(
             naive_ndcg(["a", "b", "c"], {"a": 1, "b": 2, "c": 0}, 3), abs=1e-12
         )
@@ -87,35 +74,18 @@ class TestNdcg:
 
 
 class TestEvaluateRun:
-    def _entries(self, query_id, ranked):
-        return entries_from_ranking(
-            query_id, [(d, float(-r)) for r, d in enumerate(ranked)], "t"
-        )
-
     def test_perfect_run(self):
-        entries = self._entries("q1", ["a", "b"]) + self._entries("q2", ["c", "d"])
-        qrels = {("q1", "a"): 1, ("q1", "b"): 0, ("q2", "c"): 1, ("q2", "d"): 0}
-        table = evaluate_run(entries, qrels)
+        table = evaluate_run([[1, 0], [1, 0]])
         for value in table.metrics.values():
             assert value == 1.0
         assert table.evaluated_queries == 2
 
     def test_reversed_run_mrr(self):
-        ranked = [f"d{i}" for i in range(50)]
-        qrels = {("q", d): 0 for d in ranked}
-        qrels[("q", "d49")] = 1
-        table = evaluate_run(self._entries("q", ranked), qrels)
+        table = evaluate_run([[0] * 49 + [1]])
         assert table.metrics["MRR"] == pytest.approx(1 / 50)
 
-    def test_unknown_query_rejected(self):
-        entries = self._entries("mystery", ["a"])
-        with pytest.raises(RunFormatError, match="mystery"):
-            evaluate_run(entries, {("known", "a"): 1})
-
     def test_queries_without_relevant_are_counted_not_averaged(self):
-        entries = self._entries("q1", ["a", "b"]) + self._entries("q2", ["c"])
-        qrels = {("q1", "a"): 1, ("q1", "b"): 0, ("q2", "c"): 0}
-        table = evaluate_run(entries, qrels)
+        table = evaluate_run([[1, 0], [0]])
         assert table.evaluated_queries == 1
         assert table.skipped_queries == 1
         assert table.metrics["MAP"] == 1.0
@@ -126,11 +96,10 @@ class TestEvaluateRun:
             docs = [f"d{i}" for i in range(n)]
             ranked = list(rng.permutation(docs))
             gains = {d: int(rng.integers(0, 3)) for d in docs}
-            qrels = {("q", d): g for d, g in gains.items()}
             relevant = {d for d, g in gains.items() if g >= 1}
             if not relevant:
                 continue
-            table = evaluate_run(self._entries("q", ranked), qrels)
+            table = evaluate_run([[gains[d] for d in ranked]])
             assert table.metrics["MAP"] == pytest.approx(
                 naive_ap(ranked, relevant), abs=1e-12
             )
@@ -145,66 +114,68 @@ class TestEvaluateRun:
     def test_argsort_invariance(self, rng):
         docs = [f"d{i}" for i in range(8)]
         ranked = list(rng.permutation(docs))
-        qrels = {("q", d): int(rng.integers(0, 2)) for d in docs}
-        qrels[("q", ranked[3])] = 1
-        base = evaluate_run(self._entries("q", ranked), qrels)
-        scaled_entries = [
-            RunEntry(e.query_id, e.doc_id, e.rank, e.score * 100.0, e.tag)
-            for e in self._entries("q", ranked)
+        clicked = frozenset(d for d in docs if rng.integers(0, 2)) | {ranked[3]}
+        base = [("q", [(d, float(-r)) for r, d in enumerate(ranked)], clicked)]
+        scaled = [("q", [(d, s * 100.0) for d, s in base[0][1]], clicked)]
+        assert evaluate_run(query_gains(base)).metrics == \
+            evaluate_run(query_gains(scaled)).metrics
+
+
+class TestQueryGains:
+    def test_clicked_gain_one_in_query_id_order(self):
+        slates = [
+            ("s:2", [("b", 0.5), ("a", 0.1)], frozenset({"a"})),
+            ("s:10", [("c", 0.9), ("d", 0.2)], frozenset({"c", "d"})),
+            ("s:1", [("e", 0.0)], frozenset()),
         ]
-        scaled = evaluate_run(scaled_entries, qrels)
-        assert base.metrics == scaled.metrics
+        assert query_gains(slates) == [[0], [1, 1], [0, 1]]
 
 
 class TestRunFileIO:
     def test_single_entry_format(self):
         buf = io.StringIO()
-        write_run_file([RunEntry("q1", "d1", 1, 0.5, "tag")], buf)
-        line = buf.getvalue().strip()
-        assert line.split() == ["q1", "Q0", "d1", "1", "0.5", "tag"]
+        write_run_file([("q1", [("d1", 0.5)], frozenset())], "tag", buf)
+        assert buf.getvalue() == "q1 Q0 d1 1 0.5 tag\n"
 
-    def test_round_trip(self):
-        entries = [
-            RunEntry("q1", "d1", 1, 1.25, "t"),
-            RunEntry("q1", "d2", 2, -0.333333, "t"),
-            RunEntry("q2", "d3", 1, 0.0, "t"),
+    def test_exact_text(self):
+        slates = [
+            ("q1", [("d1", 1.25), ("d2", -0.3333333)], frozenset({"d2"})),
+            ("q2", [("d3", 0.0), ("d4", 1234567.0)], frozenset()),
         ]
         buf = io.StringIO()
-        write_run_file(entries, buf)
-        back = read_run_file(io.StringIO(buf.getvalue()))
-        assert [(e.query_id, e.doc_id, e.rank) for e in back] == [
-            (e.query_id, e.doc_id, e.rank) for e in entries
+        write_run_file(slates, "t", buf)
+        assert buf.getvalue() == (
+            "q1 Q0 d1 1 1.25 t\n"
+            "q1 Q0 d2 2 -0.333333 t\n"
+            "q2 Q0 d3 1 0 t\n"
+            "q2 Q0 d4 2 1.23457e+06 t\n"
+        )
+
+    def test_golden_fixture(self):
+        slates = [
+            ("q1", [("docA", 2.5), ("docB", 1.5)], frozenset({"docA"})),
+            ("q2", [("docC", 0.913)], frozenset()),
         ]
-        for a, b in zip(entries, back):
-            assert b.score == pytest.approx(a.score, rel=1e-5)
-
-    def test_malformed_line_reports_number(self):
-        with pytest.raises(RunFormatError, match="line 2"):
-            read_run_file(["q1 Q0 d1 1 0.5 t", "q1 d1 oops"])
-
-    def test_golden_fixture(self, tmp_path):
-        fixture = tmp_path / "golden.run"
-        fixture.write_text(
+        buf = io.StringIO()
+        write_run_file(slates, "sys", buf)
+        assert buf.getvalue() == (
             "q1 Q0 docA 1 2.5 sys\n"
             "q1 Q0 docB 2 1.5 sys\n"
             "q2 Q0 docC 1 0.913 sys\n"
         )
-        with open(fixture) as fp:
-            entries = read_run_file(fp)
-        assert entries == [
-            RunEntry("q1", "docA", 1, 2.5, "sys"),
-            RunEntry("q1", "docB", 2, 1.5, "sys"),
-            RunEntry("q2", "docC", 1, 0.913, "sys"),
-        ]
 
 
 class TestQrelsIO:
-    def test_round_trip(self):
-        qrels = {("q1", "d1"): 1, ("q1", "d2"): 0, ("q2", "d3"): 4}
+    def test_exact_text(self):
+        slates = [
+            ("s:2", [("d2", 0.5), ("d1", 0.1)], frozenset({"d1"})),
+            ("s:10", [("d4", 0.9), ("d3", 0.2)], frozenset({"d3", "d4"})),
+        ]
         buf = io.StringIO()
-        write_qrels(qrels, buf)
-        assert read_qrels(io.StringIO(buf.getvalue())) == qrels
-
-    def test_negative_gain_rejected(self):
-        with pytest.raises(RunFormatError):
-            read_qrels(["q1 0 d1 -2"])
+        write_qrels(slates, buf)
+        assert buf.getvalue() == (
+            "s:10 0 d3 1\n"
+            "s:10 0 d4 1\n"
+            "s:2 0 d1 1\n"
+            "s:2 0 d2 0\n"
+        )

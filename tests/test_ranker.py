@@ -9,14 +9,13 @@ from currank.ranker import (
     encode_corpus,
     init_ranker,
     loss_and_grad,
-    rank_score,
     rank_slate,
 )
 from currank.sessions import Document, SearchContext
 from currank.towers import Vocab, init_params
 
 from batches import item_rows
-from oracles import central_difference_grad, max_relative_error
+from oracles import central_difference_grad, max_relative_error, rank_score
 
 
 def make_context(tokens, position=1):

@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 
@@ -6,7 +7,6 @@ from currank.sessions import build_contexts
 from currank.synth import (
     SynthSpec,
     generate_synthetic,
-    read_labels,
     write_labels,
     write_session_log,
 )
@@ -88,7 +88,8 @@ class TestGenerateSynthetic:
         _, _, labels = generate_synthetic(SynthSpec(n_sessions=12, seed=4))
         buf = io.StringIO()
         write_labels(labels, buf)
-        assert read_labels(io.StringIO(buf.getvalue())) == labels
+        records = map(json.loads, buf.getvalue().splitlines())
+        assert {r["session_id"]: r["topic_id"] for r in records} == labels
 
 
 class TestLogExport:

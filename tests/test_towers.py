@@ -58,7 +58,8 @@ class TestEncodeBatch:
         params = init_params(60, 8, 8, rng)
         sequences = random_sequences(rng, n=50)
         pick = [7, 3, 3, 40, 0]
-        from_lists, _ = towers.encode_batch(params, [sequences[i] for i in pick], "context")
+        from_lists, _ = towers.encode_batch(
+            params, token_rows([sequences[i] for i in pick]), "context")
         taken, _ = towers.encode_batch(params, token_rows(sequences).take(pick), "context")
         assert np.array_equal(from_lists, taken)
 

@@ -12,7 +12,6 @@ from currank.sessions import SEP_TOKEN, build_contexts, build_eval_items
 from currank.synth import SynthSpec, generate_synthetic
 from currank.ranker import rank_slate
 from currank.towers import Vocab
-from currank.metrics import evaluate_run
 from currank.trainer import (
     MODES,
     TrainConfig,
@@ -23,12 +22,13 @@ from currank.trainer import (
     steps_per_epoch,
     sweep,
     train,
+    training_data,
 )
 
 from batches import sample_items
 from oracles import (
-    loop_sample_batch, loop_validation_loss, param_list, per_array_checkpoint_bytes,
-    two_pass_validation_loss,
+    entries_eval, loop_sample_batch, loop_validation_loss, param_list,
+    per_array_checkpoint_bytes, two_pass_validation_loss,
 )
 
 
@@ -52,6 +52,18 @@ def small_world():
     return sessions, documents, contexts, ledger, vocab, val_items
 
 
+@pytest.fixture(scope="module")
+def data(small_world):
+    _, documents, _, ledger, vocab, _ = small_world
+    return training_data(vocab, documents, ledger)
+
+
+@pytest.fixture(scope="module")
+def slates(small_world):
+    _, documents, _, _, vocab, val_items = small_world
+    return encode_slates(vocab, val_items, documents)
+
+
 def config_for(ledger, batch_size=8, epochs=2, mode="dual", m=2, seed=0, **kw):
     T = kw.pop("T", None)
     if T is None:
@@ -64,38 +76,38 @@ def config_for(ledger, batch_size=8, epochs=2, mode="dual", m=2, seed=0, **kw):
 
 
 class TestTrain:
-    def test_zero_steps_is_noop(self, small_world):
-        _, documents, _, ledger, vocab, _ = small_world
+    def test_zero_steps_is_noop(self, small_world, data):
+        ledger = small_world[3]
         config = config_for(ledger, T=0)
-        params, log = train(config, ledger, documents, vocab)
-        fresh, _ = train(config, ledger, documents, vocab)
+        params, log = train(config, data)
+        fresh, _ = train(config, data)
         assert log.steps == []
         assert np.array_equal(params.encoder.flat, fresh.encoder.flat)
 
-    def test_logged_pacing_matches_recomputation(self, small_world):
-        _, documents, _, ledger, vocab, _ = small_world
+    def test_logged_pacing_matches_recomputation(self, small_world, data):
+        ledger = small_world[3]
         config = config_for(ledger, epochs=2)
         from currank.curriculum import pacing_negative, pacing_positive
 
-        _, log = train(config, ledger, documents, vocab)
+        _, log = train(config, data)
         assert [r["t"] for r in log.steps] == list(range(config.pacing.T))
         for rec in log.steps:
             assert rec["f_p"] == pacing_positive(config.pacing, rec["t"])
             assert rec["f_n"] == pacing_negative(config.pacing, rec["t"])
 
-    def test_eligible_telemetry_monotone(self, small_world):
-        _, documents, _, ledger, vocab, _ = small_world
+    def test_eligible_telemetry_monotone(self, small_world, data):
+        ledger = small_world[3]
         config = config_for(ledger, epochs=2)
-        _, log = train(config, ledger, documents, vocab)
+        _, log = train(config, data)
         pos = [r["eligible_positives"] for r in log.steps]
         neg = [r["eligible_negative_fraction"] for r in log.steps]
         assert all(a <= b for a, b in zip(pos, pos[1:]))
         assert all(a >= b for a, b in zip(neg, neg[1:]))
 
-    def test_mode_none_matches_uniform_sampler(self, small_world):
-        _, documents, _, ledger, vocab, _ = small_world
+    def test_mode_none_matches_uniform_sampler(self, small_world, data):
+        ledger = small_world[3]
         config = config_for(ledger, mode="none", epochs=1, seed=13)
-        _, log = train(config, ledger, documents, vocab)
+        _, log = train(config, data)
 
         # plain uniform sampler drawing from the same labeled substream
         rng = np.random.default_rng([13, 1])
@@ -123,29 +135,28 @@ class TestTrain:
         assert replay == again
         assert rng.bit_generator.state == rng2.bit_generator.state
 
-    def test_deterministic_under_seed(self, small_world):
-        _, documents, _, ledger, vocab, _ = small_world
+    def test_deterministic_under_seed(self, small_world, data):
+        ledger = small_world[3]
         config = config_for(ledger, epochs=1, seed=3)
-        a, _ = train(config, ledger, documents, vocab)
-        b, _ = train(config, ledger, documents, vocab)
+        a, _ = train(config, data)
+        b, _ = train(config, data)
         assert np.array_equal(a.encoder.flat, b.encoder.flat)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_all_modes_run(self, small_world, mode):
-        _, documents, _, ledger, vocab, _ = small_world
+    def test_all_modes_run(self, small_world, data, mode):
+        ledger = small_world[3]
         config = config_for(ledger, epochs=1, mode=mode)
-        params, log = train(config, ledger, documents, vocab)
+        params, log = train(config, data)
         assert len(log.steps) == config.pacing.T
 
-    def test_checkpoint_resume_bit_identical(self, small_world, tmp_path):
-        _, documents, _, ledger, vocab, _ = small_world
+    def test_checkpoint_resume_bit_identical(self, small_world, data, tmp_path):
+        ledger = small_world[3]
         config = config_for(ledger, epochs=2, seed=5, checkpoint_interval=7)
-        full, _ = train(config, ledger, documents, vocab,
-                        checkpoint_dir=tmp_path / "full")
+        full, _ = train(config, data, checkpoint_dir=tmp_path / "full")
         (tmp_path / "full").mkdir(exist_ok=True)
         # restart from the checkpoint written at step 7
         resumed, _ = train(
-            config, ledger, documents, vocab,
+            config, data,
             checkpoint_dir=tmp_path / "resumed",
             resume_from=tmp_path / "full" / "ckpt_00000007.bin",
         )
@@ -153,53 +164,49 @@ class TestTrain:
             full.encoder.flat, resumed.encoder.flat
         )
 
-    def test_validation_metrics_logged_per_epoch(self, small_world):
-        _, documents, _, ledger, vocab, val_items = small_world
+    def test_validation_metrics_logged_per_epoch(self, small_world, data, slates):
+        ledger = small_world[3]
         config = config_for(ledger, epochs=2)
-        _, log = train(config, ledger, documents, vocab, val_items=val_items)
+        _, log = train(config, data, slates)
         assert len(log.validations) == 2
         assert all("MAP" in rec for rec in log.validations)
 
-    def test_training_beats_untrained_on_separable_data(self, small_world):
-        _, documents, _, ledger, vocab, val_items = small_world
+    def test_training_beats_untrained_on_separable_data(self, small_world, data, slates):
+        ledger = small_world[3]
         config = config_for(ledger, epochs=10, learning_rate=0.1)
-        trained, _ = train(config, ledger, documents, vocab)
-        untrained, _ = train(config_for(ledger, T=0), ledger, documents, vocab)
-        slates = encode_slates(vocab, val_items, documents)
+        trained, _ = train(config, data)
+        untrained, _ = train(config_for(ledger, T=0), data)
         map_trained = evaluate_ranker(trained, slates).metrics["MAP"]
         map_untrained = evaluate_ranker(untrained, slates).metrics["MAP"]
         assert map_trained > map_untrained
 
 
 class TestBatchedValidation:
-    def test_loss_matches_per_item_reference(self, small_world):
+    def test_loss_matches_per_item_reference(self, small_world, data):
         _, documents, _, ledger, vocab, val_items = small_world
         # one to three clicks per slate, and one slate with no unclicked candidate
         items = [(ctx, cands, frozenset(cands[: 1 + i % 3]))
                  for i, (ctx, cands, _) in enumerate(val_items)]
         items[0] = (items[0][0], items[0][1], frozenset(items[0][1]))
-        params, log = train(config_for(ledger, epochs=2), ledger, documents, vocab,
-                            val_items=items)
+        params, log = train(config_for(ledger, epochs=2), data,
+                            encode_slates(vocab, items, documents))
         want = loop_validation_loss(params, vocab, items, documents)
         assert want > 0
         assert log.validations[-1]["val_loss"] == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_ranking_matches_rank_slate(self, small_world):
+    def test_ranking_matches_rank_slate(self, small_world, data, slates):
         _, documents, _, ledger, vocab, val_items = small_world
-        params, _ = train(config_for(ledger, epochs=1), ledger, documents, vocab)
-        entries, _ = trainer.rank_eval_items(
-            params, encode_slates(vocab, val_items, documents))
-        by_query = {}
-        for e in entries:
-            by_query.setdefault(e.query_id, []).append((e.doc_id, e.score))
-        assert len(by_query) == len(val_items)
-        for ctx, candidates, _ in val_items:
-            got = by_query[f"{ctx.session_id}:{ctx.position}"]
+        params, _ = train(config_for(ledger, epochs=1), data)
+        ranked = list(trainer.rank_slates(slates, slates.scorer(params)))
+        assert len(ranked) == len(val_items)
+        for (ctx, candidates, clicked), (query_id, got, ranked_clicked) in zip(
+                val_items, ranked):
+            assert query_id == f"{ctx.session_id}:{ctx.position}"
+            assert ranked_clicked == clicked
             want = rank_slate(params, vocab, ctx, list(candidates), documents)
             assert [d for d, _ in got] == [d for d, _ in want]
             assert [s for _, s in got] == pytest.approx([s for _, s in want],
                                                         rel=1e-12, abs=0)
-
 
 
 class TestSameMachineIdentity:
@@ -207,20 +214,19 @@ class TestSameMachineIdentity:
     earlier per-item and two-pass code on the same machine."""
 
     @pytest.mark.parametrize("mode", ["dual", "easy-neg-only", "hard-neg-only"])
-    def test_sampler_trains_as_the_per_item_loop(self, small_world, monkeypatch, mode):
-        _, documents, _, ledger, vocab, val_items = small_world
-        config = config_for(ledger, epochs=2, mode=mode, seed=11)
-        params, log = train(config, ledger, documents, vocab, val_items=val_items)
+    def test_sampler_trains_as_the_per_item_loop(self, small_world, data, slates,
+                                                 monkeypatch, mode):
+        config = config_for(small_world[3], epochs=2, mode=mode, seed=11)
+        params, log = train(config, data, slates)
         with monkeypatch.context() as patch:
             patch.setattr(trainer, "sample_batch", loop_sample_batch)
-            want_params, want_log = train(config, ledger, documents, vocab,
-                                          val_items=val_items)
+            want_params, want_log = train(config, data, slates)
         assert params.encoder.flat.tobytes() == \
             want_params.encoder.flat.tobytes()
         assert log.steps == want_log.steps
         assert log.validations == want_log.validations
 
-    def test_validation_records_equal_two_pass_results(self, small_world, monkeypatch):
+    def test_validation_records_equal_two_pass_results(self, small_world, data, monkeypatch):
         sessions, documents, _, ledger, vocab, _ = small_world
         # every session's slates, out of query-id order, with one to three clicks
         items = build_eval_items(sessions, documents)
@@ -234,11 +240,11 @@ class TestSameMachineIdentity:
             return evaluate(params, slates, score)
 
         monkeypatch.setattr(trainer, "evaluate_ranker", keep_params)
-        _, log = train(config_for(ledger, epochs=3), ledger, documents, vocab,
-                       val_items=items)
+        _, log = train(config_for(ledger, epochs=3), data,
+                       encode_slates(vocab, items, documents))
         assert len(seen) == len(log.validations) == 3
         for record, (params, slates) in zip(log.validations, seen):
-            table = evaluate_run(*trainer.rank_eval_items(params, slates))
+            table = entries_eval(params, slates)[2]
             assert {k: record[k] for k in table.metrics} == table.metrics
             assert record["val_loss"] == two_pass_validation_loss(params, slates)
 
@@ -254,33 +260,33 @@ class TestNegativePrefixCheck:
 
         monkeypatch.setattr(trainer, "sample_batch", fail)
 
-    def test_tightest_eta_checked_before_step_0(self, small_world, monkeypatch):
-        _, documents, _, ledger, vocab, _ = small_world
+    def test_tightest_eta_checked_before_step_0(self, small_world, data, monkeypatch):
+        ledger = small_world[3]
         smallest = min(len(n) for n in ledger.negatives.values())
         config = config_for(ledger, m=smallest, pacing_kw={"eta": 0.05})
         self._no_sampling(monkeypatch)
         with pytest.raises(ValueError, match=r"context \S+: eligible negative prefix"):
-            train(config, ledger, documents, vocab)
+            train(config, data)
 
-    def test_halved_modes_use_halved_lists(self, small_world, monkeypatch):
-        _, documents, _, ledger, vocab, _ = small_world
+    def test_halved_modes_use_halved_lists(self, small_world, data, monkeypatch):
+        ledger = small_world[3]
         smallest = min(len(n) for n in ledger.negatives.values())
         self._no_sampling(monkeypatch)
         for mode in ("easy-neg-only", "hard-neg-only"):
             config = config_for(ledger, m=(smallest + 1) // 2 + 1, mode=mode)
             with pytest.raises(ValueError, match="eligible negative prefix"):
-                train(config, ledger, documents, vocab)
+                train(config, data)
         # the same m with the full lists and no negative curriculum is fine
         trainer.check_negatives(config_for(ledger, m=(smallest + 1) // 2 + 1,
                                            mode="none"),
-                                trainer.training_data(vocab, documents, ledger).columns)
+                                data.columns)
 
 
 class TestCheckpointRoundTrip:
-    def test_save_load(self, small_world, tmp_path):
-        _, documents, _, ledger, vocab, _ = small_world
+    def test_save_load(self, small_world, data, tmp_path):
+        _, _, _, ledger, vocab, _ = small_world
         config = config_for(ledger, epochs=1)
-        params, _ = train(config, ledger, documents, vocab)
+        params, _ = train(config, data)
         path = tmp_path / "ranker.bin"
         save_ranker(path, params, vocab)
         loaded, loaded_vocab = load_ranker(path)
@@ -290,9 +296,9 @@ class TestCheckpointRoundTrip:
         assert loaded.tau == params.tau
         assert loaded_vocab.tokens == vocab.tokens
 
-    def test_training_checkpoint_equals_the_per_array_code(self, small_world, tmp_path):
-        _, documents, _, ledger, vocab, _ = small_world
-        params, _ = train(config_for(ledger, epochs=1), ledger, documents, vocab)
+    def test_training_checkpoint_equals_the_per_array_code(self, small_world, data, tmp_path):
+        _, _, _, ledger, vocab, _ = small_world
+        params, _ = train(config_for(ledger, epochs=1), data)
         velocity = np.random.default_rng(4).normal(size=params.encoder.flat.size)
         rng = np.random.default_rng(9)
         path = tmp_path / "ckpt.bin"
@@ -308,45 +314,38 @@ class TestCheckpointRoundTrip:
         assert all(extra[name].tobytes() == arr.tobytes() for name, arr in vel.items())
 
     @pytest.mark.parametrize("keep", [10, 100, -8])
-    def test_truncated_file_rejected(self, small_world, tmp_path, keep):
-        _, documents, _, ledger, vocab, _ = small_world
-        params, _ = train(config_for(ledger, T=0), ledger, documents, vocab)
+    def test_truncated_file_rejected(self, small_world, data, tmp_path, keep):
+        _, _, _, ledger, vocab, _ = small_world
+        params, _ = train(config_for(ledger, T=0), data)
         path = tmp_path / "ranker.bin"
         save_ranker(path, params, vocab)
-        data = path.read_bytes()
-        path.write_bytes(data[:keep])  # cut in the header length, header, last array
+        blob = path.read_bytes()
+        path.write_bytes(blob[:keep])  # cut in the header length, header, last array
         with pytest.raises(ValueError, match="truncated checkpoint"):
             load_ranker(path)
 
 
 class TestSweep:
-    def test_single_cell_equals_train(self, small_world):
-        _, documents, _, ledger, vocab, val_items = small_world
-        base = config_for(ledger, epochs=1)
-        slates = encode_slates(vocab, val_items, documents)
-        rows = sweep(base, ledger, documents, vocab, [0.3], [0.7], slates)
+    def test_single_cell_equals_train(self, small_world, data, slates):
+        base = config_for(small_world[3], epochs=1)
+        rows = sweep(base, data, [0.3], [0.7], slates)
         assert len(rows) == 1
         from dataclasses import replace
 
         config = replace(base, pacing=replace(base.pacing, delta=0.3, eta=0.7))
-        params, _ = train(config, ledger, documents, vocab)
+        params, _ = train(config, data)
         table = evaluate_ranker(params, slates)
         assert rows[0]["MAP"] == pytest.approx(table.metrics["MAP"], abs=1e-12)
 
-    def test_reproducible(self, small_world):
-        _, documents, _, ledger, vocab, val_items = small_world
-        base = config_for(ledger, epochs=1)
-        slates = encode_slates(vocab, val_items, documents)
-        a = sweep(base, ledger, documents, vocab, [0.2, 0.5], [0.7], slates)
-        b = sweep(base, ledger, documents, vocab, [0.2, 0.5], [0.7], slates)
+    def test_reproducible(self, small_world, data, slates):
+        base = config_for(small_world[3], epochs=1)
+        a = sweep(base, data, [0.2, 0.5], [0.7], slates)
+        b = sweep(base, data, [0.2, 0.5], [0.7], slates)
         assert a == b
 
-    def test_grid_shape(self, small_world):
-        _, documents, _, ledger, vocab, val_items = small_world
-        base = config_for(ledger, epochs=1)
-        rows = sweep(base, ledger, documents, vocab,
-                     [0.2, 0.5, 1.0], [0.5, 0.8, 1.0],
-                     encode_slates(vocab, val_items, documents))
+    def test_grid_shape(self, small_world, data, slates):
+        base = config_for(small_world[3], epochs=1)
+        rows = sweep(base, data, [0.2, 0.5, 1.0], [0.5, 0.8, 1.0], slates)
         assert len(rows) == 9
         assert {(r["delta"], r["eta"]) for r in rows} == {
             (d, e) for d in (0.2, 0.5, 1.0) for e in (0.5, 0.8, 1.0)
