@@ -35,9 +35,9 @@ from .sessions import (
     read_contexts, read_documents, read_sessions,
     write_contexts, write_documents, write_sessions,
 )
-from .towers import Vocab
+from .towers import Vocab, encode_corpus
 from .trainer import (  # evaluate_ranker: perfbench/spans.py traces it here
-    MODES, TrainConfig, check_negatives, encode_slates, evaluate_ranker,
+    MODES, TrainConfig, check_prefixes, encode_slates, evaluate_ranker,
     load_ranker, rank_slates, save_ranker, steps_per_epoch, sweep, train,
     train_and_evaluate, training_data,
 )
@@ -203,34 +203,35 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _make_scorer(kind: str, args, documents, contexts, vocab, out_dir):
+def _make_scorer(kind: str, args, documents, train_contexts, vocab, out_dir):
     if kind == "bm25":
         index = bm25.build_index(documents)
         return Bm25Scorer(index, bm25.Bm25Params(k1=args.k1, b=args.b))
     if kind != "dense":
         raise CliError(f"unknown scorer kind {kind!r}")
+    contexts_by_id = {c.context_id: c for c in train_contexts}
     if args.checkpoint:
         params, ckpt_vocab, _, _ = checkpoint.load_checkpoint(
             args.checkpoint, expect_kind="dense-scorer"
         )
-        return DenseScorer(params, ckpt_vocab, documents)
+        return DenseScorer(params, ckpt_vocab,
+                           encode_corpus(ckpt_vocab, documents, contexts_by_id))
     if not args.fit:
         raise CliError("dense scorer needs --checkpoint or --fit")
-    check_documents(contexts, documents)  # before the fit reads the positives
+    check_documents(train_contexts, documents)  # before the fit reads the positives
+    corpus = encode_corpus(vocab, documents, contexts_by_id)
     rng = np.random.default_rng([args.seed, 2])
     params = towers.init_params(len(vocab), args.d_emb, args.hidden, rng)
-    train_pairs = [
-        (c.context_tokens, documents[c.positive_doc_id].title_tokens)
-        for c in contexts
-    ]
-    dense.train_in_batch(
-        params, vocab, train_pairs,
+    positive_rows = [corpus.doc_row[c.positive_doc_id] for c in contexts_by_id.values()]
+    losses = dense.train_in_batch(
+        params, corpus.contexts, corpus.docs.take(positive_rows),
         batch_size=args.fit_batch_size, epochs=args.fit_epochs,
         learning_rate=args.fit_lr, seed=args.seed,
     )
-    ckpt = out_dir / "dense_scorer.bin"
-    checkpoint.save_checkpoint(ckpt, "dense-scorer", params, vocab)
-    return DenseScorer(params, vocab, documents)
+    checkpoint.save_checkpoint(out_dir / "dense_scorer.bin", "dense-scorer", params, vocab,
+                               meta={"fit_losses": losses})
+    print("dense fit losses: " + " ".join(f"{loss:.6f}" for loss in losses))
+    return DenseScorer(params, vocab, corpus)
 
 
 def cmd_score(args) -> int:
@@ -244,10 +245,10 @@ def cmd_score(args) -> int:
     pos_kind = args.pos_scorer or args.scorer
     neg_kind = args.neg_scorer or args.scorer
     with output_lock(out_dir):
-        pos_scorer = _make_scorer(pos_kind, args, documents, contexts, vocab, out_dir)
+        pos_scorer = _make_scorer(pos_kind, args, documents, train_contexts, vocab, out_dir)
         neg_scorer = (
             pos_scorer if neg_kind == pos_kind
-            else _make_scorer(neg_kind, args, documents, contexts, vocab, out_dir)
+            else _make_scorer(neg_kind, args, documents, train_contexts, vocab, out_dir)
         )
         ledger = build_ledger(pos_scorer, neg_scorer, train_contexts)
         outputs = [out_dir / "ledger.json"]
@@ -392,7 +393,7 @@ def cmd_ablate(args) -> int:
     for config in [replace(base, mode=mode) for mode in MODES] + [
             replace(base, pacing=replace(base.pacing, delta=d, eta=e))
             for d in deltas for e in etas]:
-        check_negatives(config, data.columns)  # every run, before the first
+        check_prefixes(config, data.columns)  # every run, before the first
 
     mode_rows = []
     for mode in MODES:

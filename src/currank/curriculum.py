@@ -196,11 +196,8 @@ def build_ledger(
     corpus_max = -math.inf
     negatives: dict[str, list[tuple[str, float]]] = {}
     for ctx in contexts:
-        scores = pos_scorer.score_corpus(ctx.context_tokens)
-        neg_scores = (
-            scores if neg_scorer is pos_scorer
-            else neg_scorer.score_corpus(ctx.context_tokens)
-        )
+        scores = pos_scorer.score_corpus(ctx)
+        neg_scores = scores if neg_scorer is pos_scorer else neg_scorer.score_corpus(ctx)
         pos = doc_pos[ctx.positive_doc_id]
         s = float(scores[pos])
         raw.append((ctx, rank_of_positive(scores, pos), s))

@@ -8,12 +8,10 @@ positive and every other document in the batch is a negative.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from . import towers
-from .towers import DualEncoderParams, TokenRows, Vocab
+from .towers import DualEncoderParams, TokenRows
 
 
 def in_batch_loss_and_grad(
@@ -47,28 +45,26 @@ def in_batch_loss_and_grad(
 
 def train_in_batch(
     params: DualEncoderParams,
-    vocab: Vocab,
-    pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
+    ctx_rows: TokenRows,
+    doc_rows: TokenRows,
     batch_size: int,
     epochs: int,
     learning_rate: float,
     seed: int,
 ) -> list[float]:
-    """SGD fine-tuning on (context tokens, positive doc tokens) pairs.
+    """SGD fine-tuning on positive pairs: context row i with document row i.
 
     Updates `params` in place and returns the mean loss per epoch.
     Deterministic under a fixed seed.
     """
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2 for in-batch negatives")
-    if len(pairs) < 2:
+    if len(ctx_rows) < 2:
         raise ValueError("need at least 2 positive pairs")
-    ctx_rows = towers.token_rows(vocab.encode(c) for c, _ in pairs)
-    doc_rows = towers.token_rows(vocab.encode(d) for _, d in pairs)
     rng = np.random.default_rng(seed)
     epoch_losses = []
     for _ in range(epochs):
-        order = rng.permutation(len(pairs))
+        order = rng.permutation(len(ctx_rows))
         losses = []
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]

@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from . import towers
-from .curriculum import TrainingBatch
 from .sessions import Document, SearchContext
 from .towers import DualEncoderParams, TokenRows, Vocab, token_rows
 
@@ -45,37 +44,6 @@ def init_ranker(
 ) -> RankerParams:
     return RankerParams(
         encoder=towers.init_params(vocab_size, d_emb, hidden, rng), tau=tau
-    )
-
-
-@dataclass
-class EncodedCorpus:
-    """Context and document token rows, encoded once and looked up by
-    context id and doc id."""
-
-    contexts: TokenRows
-    context_row: dict[str, int]
-    docs: TokenRows
-    doc_row: dict[str, int]
-
-    def batch_rows(self, batch: TrainingBatch) -> tuple[TokenRows, TokenRows]:
-        """The batch's context rows, and its document rows slate by slate."""
-        return self.contexts.take(batch.contexts), self.docs.take(batch.docs.ravel())
-
-
-def encode_corpus(
-    vocab: Vocab, documents: dict[str, Document], contexts: dict[str, SearchContext]
-) -> EncodedCorpus:
-    """Encode `contexts`, keyed by context id, and `documents`; documents
-    with identical titles share a row, so they always score alike."""
-    titles: dict[tuple[str, ...], int] = {}
-    doc_row = {d: titles.setdefault(doc.title_tokens, len(titles))
-               for d, doc in documents.items()}
-    return EncodedCorpus(
-        contexts=token_rows(vocab.encode(c.context_tokens) for c in contexts.values()),
-        context_row={cid: i for i, cid in enumerate(contexts)},
-        docs=token_rows(vocab.encode(t) for t in titles),
-        doc_row=doc_row,
     )
 
 

@@ -1,28 +1,28 @@
 """Frozen relevance scorers that feed the difficulty functions.
 
 Every scorer has one surface: `doc_ids` is the corpus order (the
-sorted doc ids), `score_corpus` scores a context against every document
-in that order, and `digest` identifies the frozen scorer. The ledger
-reads a context's positive (whose rank needs the whole corpus) and its
-negatives out of one such array.
+sorted doc ids), `score_corpus` scores a SearchContext against every
+document in that order, and `digest` identifies the frozen scorer. The
+ledger reads a context's positive (whose rank needs the whole corpus)
+and its negatives out of one such array.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
 from . import bm25, towers
-from .sessions import Document
-from .towers import DualEncoderParams, Vocab
+from .sessions import SearchContext
+from .towers import DualEncoderParams, EncodedCorpus, Vocab
 
 
 class ScoreSource(Protocol):
     doc_ids: list[str]
 
-    def score_corpus(self, context_tokens: Sequence[str]) -> np.ndarray: ...
+    def score_corpus(self, ctx: SearchContext) -> np.ndarray: ...
 
     def digest(self) -> str: ...
 
@@ -33,8 +33,8 @@ class Bm25Scorer:
         self.params = params
         self.doc_ids = index.doc_ids
 
-    def score_corpus(self, context_tokens: Sequence[str]) -> np.ndarray:
-        return bm25.score_all(self.index, self.params, context_tokens)
+    def score_corpus(self, ctx: SearchContext) -> np.ndarray:
+        return bm25.score_all(self.index, self.params, ctx.context_tokens)
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -44,25 +44,20 @@ class Bm25Scorer:
 
 
 class DenseScorer:
-    def __init__(
-        self,
-        params: DualEncoderParams,
-        vocab: Vocab,
-        documents: dict[str, Document],
-    ):
+    """Scores the contexts and documents of `corpus`, which `vocab` encoded,
+    from one forward pass per tower."""
+
+    def __init__(self, params: DualEncoderParams, vocab: Vocab, corpus: EncodedCorpus):
         self.params = params
         self.vocab = vocab
-        self.doc_ids = sorted(documents)
-        doc_rows = towers.token_rows(
-            vocab.encode(documents[d].title_tokens) for d in self.doc_ids
-        )
-        self._doc_enc, _ = towers.encode_batch(params, doc_rows, "document")
+        self.doc_ids = sorted(corpus.doc_row)
+        self._context_row = corpus.context_row
+        self._ctx_enc, _ = towers.encode_batch(params, corpus.contexts, "context")
+        doc_enc, _ = towers.encode_batch(params, corpus.docs, "document")
+        self._doc_enc = doc_enc[[corpus.doc_row[d] for d in self.doc_ids]]
 
-    def score_corpus(self, context_tokens: Sequence[str]) -> np.ndarray:
-        c = towers.encode(
-            self.params, self.vocab.encode(context_tokens), "context"
-        )
-        return self._doc_enc @ c
+    def score_corpus(self, ctx: SearchContext) -> np.ndarray:
+        return self._doc_enc @ self._ctx_enc[self._context_row[ctx.context_id]]
 
     def digest(self) -> str:
         h = hashlib.sha256(b"dense:")

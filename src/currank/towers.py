@@ -7,7 +7,9 @@ contexts and one for documents:
     encode(tokens) = W2 @ tanh(W1 @ mean(emb[tokens]) + b1) + b2
 
 Gradients are implemented by hand so they can be validated against
-central finite differences.
+central finite differences. encode_corpus turns contexts and titles into
+TokenRows once per command, for the ranker's training data, its held-out
+slates and the dense scorer alike.
 
 All parameters live in one float64 vector, DualEncoderParams.flat, with
 the embedding table and each tower's weights as reshaped views of it.
@@ -28,9 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+from .sessions import Document, SearchContext
+
+if TYPE_CHECKING:
+    from .curriculum import TrainingBatch
 
 PAD_TOKEN = "<pad>"  # reserved embedding used for empty token lists
 UNK_TOKEN = "<unk>"
@@ -77,6 +84,37 @@ def token_rows(sequences: Iterable[Sequence[int]]) -> TokenRows:
     ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
         chain.from_iterable(sequences), np.int32, lengths.sum())
     return TokenRows(ids, lengths)
+
+
+@dataclass
+class EncodedCorpus:
+    """Context and document token rows, encoded once and looked up by
+    context id and doc id."""
+
+    contexts: TokenRows
+    context_row: dict[str, int]
+    docs: TokenRows
+    doc_row: dict[str, int]
+
+    def batch_rows(self, batch: TrainingBatch) -> tuple[TokenRows, TokenRows]:
+        """The batch's context rows, and its document rows slate by slate."""
+        return self.contexts.take(batch.contexts), self.docs.take(batch.docs.ravel())
+
+
+def encode_corpus(
+    vocab: Vocab, documents: dict[str, Document], contexts: dict[str, SearchContext]
+) -> EncodedCorpus:
+    """Encode `contexts`, keyed by context id, and `documents`; documents
+    with identical titles share a row, so they always score alike."""
+    titles: dict[tuple[str, ...], int] = {}
+    doc_row = {d: titles.setdefault(doc.title_tokens, len(titles))
+               for d, doc in documents.items()}
+    return EncodedCorpus(
+        contexts=token_rows(vocab.encode(c.context_tokens) for c in contexts.values()),
+        context_row={cid: i for i, cid in enumerate(contexts)},
+        docs=token_rows(vocab.encode(t) for t in titles),
+        doc_row=doc_row,
+    )
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,10 @@ from .curriculum import (
 )
 from .metrics import MetricTable, RankedSlate, evaluate_run, query_gains
 from .ranker import (  # noqa: F401 -- perfbench/spans.py traces rank_slate here
-    EncodedCorpus, RankerParams, encode_corpus, init_ranker, loss_and_grad,
-    order_slate, rank_slate,
+    RankerParams, init_ranker, loss_and_grad, order_slate, rank_slate,
 )
 from .sessions import Document, SearchContext
-from .towers import PARAM_NAMES, Vocab
+from .towers import PARAM_NAMES, EncodedCorpus, Vocab, encode_corpus
 
 # mode -> (negative half kept or None for all, pin f_p to 1, pin f_n to 1)
 _MODE_TABLE = {
@@ -112,13 +111,18 @@ def training_data(vocab: Vocab, documents: dict[str, Document],
         vocab, corpus, ledger_columns(ledger, corpus.context_row, corpus.doc_row))
 
 
-def check_negatives(config: TrainConfig, columns: LedgerColumns) -> None:
-    """Fail before step 0, not in sample_batch mid-run, if m exceeds a
-    context's eligible negatives at the run's last, tightest, f_n."""
-    half, _, pin_fn = _MODE_TABLE[config.mode]
+def check_prefixes(config: TrainConfig, columns: LedgerColumns) -> None:
+    """Fail before step 0, not in sample_batch mid-run, if the batch size
+    exceeds the eligible positives at step 0, the smallest prefix, or m
+    exceeds a context's eligible negatives at the run's last, tightest, f_n."""
+    half, pin_fp, pin_fn = _MODE_TABLE[config.mode]
     T = config.pacing.T
     if T == 0:
         return
+    n_pos = eligible_positive_count(columns, 1.0 if pin_fp else pacing_positive(config.pacing, 0))
+    if config.batch_size > n_pos:
+        raise ValueError(f"delta={config.pacing.delta:g}: batch_size {config.batch_size} "
+                         f"exceeds the {n_pos} eligible positives at step 0")
     f_n = 1.0 if pin_fn else pacing_negative(config.pacing, T - 1)
     n_neg = eligible_negative_count((columns.halved(half) if half else columns).neg_len, f_n)
     short = np.flatnonzero(n_neg < config.m)
@@ -194,7 +198,7 @@ def train(
     T = pacing.T
     half, pin_fp, pin_fn = _MODE_TABLE[config.mode]
     vocab = data.vocab
-    check_negatives(config, data.columns)
+    check_prefixes(config, data.columns)
     columns = data.columns.halved(half) if half else data.columns
 
     rng_init = np.random.default_rng([config.seed, _SEED_INIT])

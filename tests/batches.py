@@ -4,7 +4,7 @@ ids), in place of the row indices the trainer feeds the ranker."""
 from __future__ import annotations
 
 from currank.curriculum import ledger_columns, pacing_negative, pacing_positive, sample_batch
-from currank.ranker import encode_corpus
+from currank.towers import encode_corpus
 
 
 def ledger_view(ledger):

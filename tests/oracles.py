@@ -4,9 +4,9 @@ These recompute everything from raw counts and definitions, sharing no
 code with the implementation under test. The exceptions are
 loop_sample_batch, two_pass_validation_loss, entries_eval, the per-array
 parameter code (loop_init_params, per_array_checkpoint_bytes,
-per_array_dense_digest) and the one-pair scorers (rank_score,
-dense_score): earlier forms of library code, kept to show that the
-current forms compute the same bits.
+per_array_dense_digest), the one-pair scorers (rank_score, dense_score),
+PerContextDenseScorer and pair_train_in_batch: earlier forms of library
+code, kept to show that the current forms compute the same bits.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import struct
 import numpy as np
 
 from currank import towers
+from currank.dense import in_batch_loss_and_grad
 from currank.checkpoint import FORMAT_VERSION, MAGIC
 from currank.curriculum import TrainingBatch
 from currank.metrics import evaluate_run
@@ -267,3 +268,46 @@ def per_array_dense_digest(arrays, vocab) -> str:
         h.update(tok.encode())
         h.update(b"\x00")
     return h.hexdigest()
+
+
+class PerContextDenseScorer:
+    """scorers.DenseScorer as it scored before the ledger's contexts were
+    encoded in one batch: the documents in doc-id order through one
+    encode_batch, each context on its own through towers.encode."""
+
+    def __init__(self, params, vocab, documents):
+        self.params = params
+        self.vocab = vocab
+        self.doc_ids = sorted(documents)
+        doc_rows = towers.token_rows(
+            vocab.encode(documents[d].title_tokens) for d in self.doc_ids)
+        self._doc_enc, _ = towers.encode_batch(params, doc_rows, "document")
+
+    def score_corpus(self, ctx) -> np.ndarray:
+        c = towers.encode(self.params, self.vocab.encode(ctx.context_tokens), "context")
+        return self._doc_enc @ c
+
+    def digest(self) -> str:
+        return per_array_dense_digest([self.params.flat], self.vocab)
+
+
+def pair_train_in_batch(params, vocab, pairs, batch_size, epochs, learning_rate, seed):
+    """dense.train_in_batch as it took (context tokens, positive title
+    tokens) pairs and encoded a title per pair."""
+    ctx_rows = towers.token_rows(vocab.encode(c) for c, _ in pairs)
+    doc_rows = towers.token_rows(vocab.encode(d) for _, d in pairs)
+    rng = np.random.default_rng(seed)
+    epoch_losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(pairs))
+        losses = []
+        for start in range(0, len(order), batch_size):
+            batch = order[start : start + batch_size]
+            if len(batch) < 2:
+                continue
+            loss, grads = in_batch_loss_and_grad(
+                params, ctx_rows.take(batch), doc_rows.take(batch))
+            params.flat[...] -= learning_rate * grads.flat
+            losses.append(loss)
+        epoch_losses.append(float(np.mean(losses)))
+    return epoch_losses

@@ -8,10 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from currank import cli
+from currank.checkpoint import load_checkpoint
 from currank.cli import LOCK_NAME, build_vocab, in_split, load_bundle, main, split_of
 from currank.manifest import MANIFEST_NAME
 from currank.ranker import init_ranker
 from currank.sessions import build_eval_items
+from currank.towers import token_rows
 from currank.trainer import encode_slates, load_ranker, save_ranker
 
 from oracles import entries_eval
@@ -208,6 +211,66 @@ class TestScore:
                        "--fit", "--fit-epochs", 1, "--out", out) == 0
         assert (out / "dense_scorer.bin").exists()
         assert (out / "ledger.json").exists()
+
+    @pytest.mark.parametrize("source", ["fit", "checkpoint"])
+    def test_dense_scorer_reads_only_training_contexts(self, bundle_dir, tmp_path,
+                                                       monkeypatch, source):
+        fitted = tmp_path / "fitted"
+        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
+                       "--fit", "--fit-epochs", 1, "--out", fitted) == 0
+        encoded, fit_rows = [], []
+        encode_corpus, train_in_batch = cli.encode_corpus, cli.dense.train_in_batch
+
+        def spy_encode(vocab, documents, contexts):
+            encoded.append(list(contexts.values()))
+            return encode_corpus(vocab, documents, contexts)
+
+        def spy_fit(params, ctx_rows, doc_rows, **kwargs):
+            fit_rows.append((ctx_rows, doc_rows))
+            return train_in_batch(params, ctx_rows, doc_rows, **kwargs)
+
+        monkeypatch.setattr(cli, "encode_corpus", spy_encode)
+        monkeypatch.setattr(cli.dense, "train_in_batch", spy_fit)
+        flags = (("--fit", "--fit-epochs", 1) if source == "fit"
+                 else ("--checkpoint", fitted / "dense_scorer.bin"))
+        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense", *flags,
+                       "--out", tmp_path / "o") == 0
+        _, documents, contexts = load_bundle(bundle_dir)
+        train = in_split(contexts, "train")
+        assert len(train) < len(contexts)
+        assert encoded == [train]
+        if source == "checkpoint":
+            assert fit_rows == []
+            return
+        # the fit pairs each training context with its positive's title
+        vocab = build_vocab(documents, contexts)
+        (ctx_rows, doc_rows), = fit_rows
+        for got, sequences in [
+            (ctx_rows, [c.context_tokens for c in train]),
+            (doc_rows, [documents[c.positive_doc_id].title_tokens for c in train]),
+        ]:
+            want = token_rows(vocab.encode(tokens) for tokens in sequences)
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.lengths, want.lengths)
+
+    def test_fit_losses_are_kept_in_the_checkpoint(self, bundle_dir, tmp_path,
+                                                   monkeypatch, capsys):
+        returned = []
+        train_in_batch = cli.dense.train_in_batch
+
+        def spy_fit(*args, **kwargs):
+            returned.append(train_in_batch(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(cli.dense, "train_in_batch", spy_fit)
+        out = tmp_path / "dense"
+        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
+                       "--fit", "--fit-epochs", 3, "--out", out) == 0
+        _, _, _, meta = load_checkpoint(out / "dense_scorer.bin", expect_kind="dense-scorer")
+        assert len(returned) == 1 and len(returned[0]) == 3
+        assert meta["fit_losses"] == returned[0]
+        printed = " ".join(f"{loss:.6f}" for loss in returned[0])
+        assert f"dense fit losses: {printed}\n" in capsys.readouterr().out
 
 
 class TestTrain:
@@ -425,6 +488,22 @@ class TestAblate:
         ]
         assert len(payload["grid"]) == 2
         assert all("MAP" in r for r in payload["modes"] + payload["grid"])
+
+    def test_small_grid_delta_fails_before_the_first_run(self, tmp_path, capsys):
+        # 129 training positives: delta 0.1 admits 13 at step 0, fewer than
+        # the default batch of 32, while the modes' delta 0.3 admits 39.
+        assert run_cli("synth", "--sessions", 60, "--seed", 7, "--out", tmp_path / "b") == 0
+        assert run_cli("score", "--bundle", tmp_path / "b", "--out", tmp_path / "l") == 0
+        capsys.readouterr()
+        out = tmp_path / "ablate"
+        assert run_cli("ablate", "--bundle", tmp_path / "b",
+                       "--ledger", tmp_path / "l" / "ledger.json",
+                       "--steps", 5, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no run started
+        assert "error: delta=0.1: batch_size 32 exceeds the 13 eligible positives " \
+            "at step 0" in captured.err
+        assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.fixture(scope="module")

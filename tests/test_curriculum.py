@@ -22,7 +22,7 @@ from currank.curriculum import (
 )
 from currank.scorers import Bm25Scorer, DenseScorer
 from currank.sessions import Document, SearchContext
-from currank.towers import Vocab, init_params
+from currank.towers import Vocab, encode_corpus, init_params
 
 from batches import sample_items
 from oracles import loop_sample_batch
@@ -150,7 +150,8 @@ class TestDifficultyNegative:
             "other": Document("other", ("misc", "misc2")),
         }
         index = build_index(docs)
-        scores = Bm25Scorer(index, Bm25Params()).score_corpus(("chanel",))
+        query = SearchContext("s0", 1, ("chanel",), "hit", ("miss",))
+        scores = Bm25Scorer(index, Bm25Params()).score_corpus(query)
         d_hit = difficulty_negative(scores[index.doc_ids.index("hit")])
         d_miss = difficulty_negative(scores[index.doc_ids.index("miss")])
         assert d_hit > d_miss
@@ -217,9 +218,9 @@ class TestBuildLedger:
         # hand check: under C=(clay aiken), p0 matches both terms and must
         # rank 1; under C=(chanel,), p1 is the only match and ranks 1; the
         # tie at rank 1 is broken by the normalized score term.
-        clay = dict(zip(scorer.doc_ids, scorer.score_corpus(("clay", "aiken"))))
+        clay = dict(zip(scorer.doc_ids, scorer.score_corpus(contexts[0])))  # (clay aiken)
         s0 = clay["p0"]
-        s1 = dict(zip(scorer.doc_ids, scorer.score_corpus(("chanel",))))["p1"]
+        s1 = dict(zip(scorer.doc_ids, scorer.score_corpus(contexts[1])))["p1"]  # (chanel,)
         first = ledger.positives[0]
         expected_first = "s0:1:p0" if s0 >= s1 else "s1:1:p1"
         assert first.context_id == expected_first
@@ -268,7 +269,8 @@ def _mixed_fixture(extra_doc=False):
         docs["zz"] = Document("zz", ("w0",))
     return contexts, {
         "bm25": Bm25Scorer(build_index(docs), Bm25Params()),
-        "dense": DenseScorer(params, vocab, docs),
+        "dense": DenseScorer(params, vocab, encode_corpus(
+            vocab, docs, {c.context_id: c for c in contexts})),
     }
 
 

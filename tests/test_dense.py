@@ -5,14 +5,15 @@ import pytest
 
 from currank import towers
 from currank.checkpoint import load_checkpoint, save_checkpoint
+from currank.curriculum import build_ledger
 from currank.dense import in_batch_loss_and_grad, train_in_batch
 from currank.scorers import DenseScorer
-from currank.sessions import Document
-from currank.towers import DualEncoderParams, Tower, Vocab, encode, init_params, token_rows
+from currank.sessions import Document, SearchContext
+from currank.towers import Vocab, encode, encode_corpus, init_params, token_rows
 
 from oracles import (
-    central_difference_grad, dense_score, max_relative_error, param_list,
-    per_array_checkpoint_bytes, per_array_dense_digest,
+    PerContextDenseScorer, central_difference_grad, dense_score, max_relative_error,
+    pair_train_in_batch, param_list, per_array_checkpoint_bytes, per_array_dense_digest,
 )
 
 
@@ -25,6 +26,22 @@ def zero_params(vocab_size, d_emb, hidden):
 
 def doc_table(docs):
     return {d.doc_id: d for d in docs}
+
+
+def contexts_of(token_lists, positive="d0"):
+    return [SearchContext(f"s{i}", 1, tuple(tokens), positive, ())
+            for i, tokens in enumerate(token_lists)]
+
+
+def dense_scorer(params, vocab, documents, contexts):
+    by_id = {c.context_id: c for c in contexts}
+    return DenseScorer(params, vocab, encode_corpus(vocab, documents, by_id))
+
+
+def pair_rows(vocab, pairs):
+    """(context tokens, document tokens) pairs as the two row sets."""
+    return (token_rows(vocab.encode(c) for c, _ in pairs),
+            token_rows(vocab.encode(d) for _, d in pairs))
 
 
 class TestEncode:
@@ -90,13 +107,13 @@ class TestDenseScore:
     def test_matrix_matches_bruteforce(self, rng):
         vocab = Vocab([f"t{i}" for i in range(10)])
         params = init_params(len(vocab), 4, 3, rng)
-        contexts = [(f"t{i}", f"t{(i+1) % 10}") for i in range(3)]
+        contexts = contexts_of((f"t{i}", f"t{(i+1) % 10}") for i in range(3))
         docs = [Document(f"d{j}", (f"t{j % 10}",)) for j in range(4)]
-        scorer = DenseScorer(params, vocab, doc_table(docs))
+        scorer = dense_scorer(params, vocab, doc_table(docs), contexts)
         for ctx in contexts:
             corpus = scorer.score_corpus(ctx)
             for j, doc in enumerate(docs):
-                expected = dense_score(params, vocab, ctx, doc.title_tokens)
+                expected = dense_score(params, vocab, ctx.context_tokens, doc.title_tokens)
                 assert corpus[j] == pytest.approx(expected, abs=1e-12)
 
 
@@ -106,9 +123,10 @@ class TestScoreAll:
     def test_one_by_one_reduces_to_dense_score(self, rng):
         vocab = Vocab(["a", "b"])
         params = init_params(len(vocab), 4, 3, rng)
-        scorer = DenseScorer(params, vocab, {"d": Document("d", ("b",))})
+        ctx = contexts_of([["a"]])[0]
+        scorer = dense_scorer(params, vocab, {"d": Document("d", ("b",))}, [ctx])
         expected = dense_score(params, vocab, ["a"], ["b"])
-        corpus = scorer.score_corpus(["a"])
+        corpus = scorer.score_corpus(ctx)
         assert corpus.shape == (1,)
         assert corpus[0] == pytest.approx(expected, abs=1e-12)
 
@@ -119,43 +137,46 @@ class TestScoreAll:
         params = init_params(len(vocab), 4, 3, rng)
         ids = [f"d{j}" for j in range(5)]
         titles = [(f"t{j}",) for j in range(5)]
-        base = DenseScorer(params, vocab, doc_table(map(Document, ids, titles)))
-        perm = DenseScorer(params, vocab, doc_table(map(Document, ids, titles[::-1])))
-        for i in range(4):
+        contexts = contexts_of([f"t{i}"] for i in range(4))
+        base = dense_scorer(params, vocab, doc_table(map(Document, ids, titles)), contexts)
+        perm = dense_scorer(params, vocab, doc_table(map(Document, ids, titles[::-1])),
+                            contexts)
+        for ctx in contexts:
             assert np.allclose(
-                base.score_corpus([f"t{i}"])[::-1], perm.score_corpus([f"t{i}"]),
-                atol=0,
+                base.score_corpus(ctx)[::-1], perm.score_corpus(ctx), atol=0,
             )
 
     def test_encode_call_budget(self, rng):
         vocab = Vocab([f"t{i}" for i in range(8)])
         params = init_params(len(vocab), 4, 3, rng)
-        contexts = [(f"t{i}",) for i in range(10)]
+        contexts = contexts_of((f"t{i}",) for i in range(10))
         docs = [Document(f"d{j}", (f"t{j % 8}",)) for j in range(20)]
         before = towers.ENCODE_CALLS
-        scorer = DenseScorer(params, vocab, doc_table(docs))
+        scorer = dense_scorer(params, vocab, doc_table(docs), contexts)
         for ctx in contexts:
             scorer.score_corpus(ctx)
-        assert towers.ENCODE_CALLS - before == len(contexts) + len(docs)
+        distinct_titles = len({d.title_tokens for d in docs})
+        assert towers.ENCODE_CALLS - before == len(contexts) + distinct_titles
 
     def test_determinism(self, rng):
         vocab = Vocab([f"t{i}" for i in range(8)])
         params = init_params(len(vocab), 4, 3, rng)
         docs = doc_table(Document(f"d{j}", (f"t{j}",)) for j in range(5))
-        a = DenseScorer(params, vocab, docs)
-        b = DenseScorer(params, vocab, docs)
+        contexts = contexts_of([f"t{i}"] for i in range(4))
+        a = dense_scorer(params, vocab, docs, contexts)
+        b = dense_scorer(params, vocab, docs, contexts)
         assert a.digest() == b.digest()
-        for i in range(4):
-            assert np.array_equal(a.score_corpus([f"t{i}"]), b.score_corpus([f"t{i}"]))
+        for ctx in contexts:
+            assert np.array_equal(a.score_corpus(ctx), b.score_corpus(ctx))
 
     def test_digest_and_checkpoint_equal_the_per_array_code(self, rng, tmp_path):
         vocab = Vocab([f"t{i}" for i in range(8)])
         params = init_params(len(vocab), 4, 3, rng)
         pairs = [((f"t{i}",), (f"t{(i + 2) % 8}",)) for i in range(8)]
-        train_in_batch(params, vocab, pairs, batch_size=4, epochs=2,
+        train_in_batch(params, *pair_rows(vocab, pairs), batch_size=4, epochs=2,
                        learning_rate=0.3, seed=1)
         docs = doc_table(Document(f"d{j}", (f"t{j}",)) for j in range(5))
-        assert DenseScorer(params, vocab, docs).digest() == \
+        assert dense_scorer(params, vocab, docs, []).digest() == \
             per_array_dense_digest(param_list(params), vocab)
         path = tmp_path / "dense_scorer.bin"
         save_checkpoint(path, "dense-scorer", params, vocab)
@@ -195,14 +216,14 @@ class TestInBatchTraining:
         vocab = Vocab(["a"])
         params = init_params(len(vocab), 3, 3, rng)
         with pytest.raises(ValueError):
-            train_in_batch(params, vocab, [(("a",), ("a",))] * 4,
+            train_in_batch(params, *pair_rows(vocab, [(("a",), ("a",))] * 4),
                            batch_size=1, epochs=1, learning_rate=0.1, seed=0)
 
     def test_training_separates_diagonal(self, rng):
         vocab = Vocab([f"t{i}" for i in range(8)])
         params = init_params(len(vocab), 8, 8, rng)
         pairs = [((f"t{i}",), (f"t{(i + 4) % 8}",)) for i in range(8)]
-        losses = train_in_batch(params, vocab, pairs, batch_size=4,
+        losses = train_in_batch(params, *pair_rows(vocab, pairs), batch_size=4,
                                 epochs=60, learning_rate=0.5, seed=3)
         assert losses[-1] < losses[0]
         ctx_enc, _ = towers.encode_batch(
@@ -220,8 +241,92 @@ class TestInBatchTraining:
 
         def run():
             params = init_params(len(vocab), 4, 4, np.random.default_rng(9))
-            train_in_batch(params, vocab, pairs, batch_size=3, epochs=3,
+            train_in_batch(params, *pair_rows(vocab, pairs), batch_size=3, epochs=3,
                            learning_rate=0.2, seed=11)
             return params.flat
 
         assert np.array_equal(run(), run())
+
+
+def _ledger_world(seed=5):
+    """60 documents, the last two with one title, and 40 contexts (one of
+    them empty, one with unknown tokens) whose positives are d00..d39 and
+    whose pools hold six of d40..d59."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(30)]
+
+    def tokens(lo, hi):
+        return tuple(str(w) for w in rng.choice(words, size=int(rng.integers(lo, hi))))
+
+    docs = {f"d{j:02d}": Document(f"d{j:02d}", tokens(2, 6)) for j in range(60)}
+    docs["d59"] = Document("d59", docs["d58"].title_tokens)
+    contexts = [
+        SearchContext(f"s{i:02d}", 1, tokens(1, 9), f"d{i:02d}",
+                      tuple(f"d{j}" for j in rng.choice(range(40, 60), 6, replace=False)))
+        for i in range(40)
+    ]
+    contexts[0] = SearchContext("s00", 1, (), "d00", contexts[0].negative_pool)
+    contexts[1] = SearchContext("s01", 1, ("w1", "unseen"), "d01", contexts[1].negative_pool)
+    vocab = Vocab(words)
+    params = init_params(len(vocab), 16, 16, rng)
+    by_id = {c.context_id: c for c in contexts}
+    corpus = encode_corpus(vocab, docs, by_id)
+    train_in_batch(params, corpus.contexts,
+                   corpus.docs.take([corpus.doc_row[c.positive_doc_id] for c in contexts]),
+                   batch_size=8, epochs=3, learning_rate=0.3, seed=seed)
+    return params, vocab, docs, contexts, corpus
+
+
+class TestBatchedScorerMatchesPerContextOracle:
+    """DenseScorer scores every context from one forward pass per tower;
+    oracles.PerContextDenseScorer encodes each context on its own."""
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_rows_within_1e_12(self, seed):
+        params, vocab, docs, contexts, corpus = _ledger_world(seed)
+        batched = DenseScorer(params, vocab, corpus)
+        oracle = PerContextDenseScorer(params, vocab, docs)
+        assert batched.doc_ids == oracle.doc_ids
+        assert batched.digest() == oracle.digest()
+        for ctx in contexts:
+            assert np.max(np.abs(batched.score_corpus(ctx) - oracle.score_corpus(ctx))) < 1e-12
+
+    # d58 and d59 share a title: the batched scorer scores them from one
+    # row, so they tie exactly and fall back to doc-id order; the oracle
+    # may give them scores a last bit apart. They are the only near-tie.
+    NEAR_TIES = {"d59": "d58"}
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_dense_ledger_order_equals_the_oracle(self, seed):
+        params, vocab, docs, contexts, corpus = _ledger_world(seed)
+        batched = DenseScorer(params, vocab, corpus)
+        oracle = PerContextDenseScorer(params, vocab, docs)
+        got = build_ledger(batched, batched, contexts)
+        want = build_ledger(oracle, oracle, contexts)
+        assert [e.context_id for e in got.positives] == [e.context_id for e in want.positives]
+        assert max(abs(a.d_p - b.d_p) for a, b in zip(got.positives, want.positives)) < 1e-12
+        assert got.pos_scorer_digest == want.pos_scorer_digest
+
+        def tie_key(negatives):
+            return [self.NEAR_TIES.get(d, d) for d, _ in negatives]
+
+        for cid, negatives in want.negatives.items():
+            assert tie_key(got.negatives[cid]) == tie_key(negatives)
+            assert max(abs(a[1] - b[1]) for a, b in zip(got.negatives[cid], negatives)) < 1e-12
+        twins = [n for n in got.negatives.values() if {"d58", "d59"} <= {d for d, _ in n}]
+        assert twins  # the tie is exercised
+        for negatives in twins:
+            scores = dict(negatives)
+            assert scores["d58"] == scores["d59"]
+
+    def test_fit_on_rows_is_byte_equal_to_token_pairs(self):
+        _, vocab, docs, contexts, corpus = _ledger_world()
+        pairs = [(c.context_tokens, docs[c.positive_doc_id].title_tokens) for c in contexts]
+        positive_rows = [corpus.doc_row[c.positive_doc_id] for c in contexts]
+        a = init_params(len(vocab), 16, 16, np.random.default_rng(3))
+        b = init_params(len(vocab), 16, 16, np.random.default_rng(3))
+        losses = train_in_batch(a, corpus.contexts, corpus.docs.take(positive_rows),
+                                batch_size=13, epochs=3, learning_rate=0.2, seed=4)
+        assert losses == pair_train_in_batch(b, vocab, pairs, batch_size=13, epochs=3,
+                                             learning_rate=0.2, seed=4)
+        assert a.flat.tobytes() == b.flat.tobytes()

@@ -6,13 +6,12 @@ import pytest
 from currank import towers
 from currank.ranker import (
     RankerParams,
-    encode_corpus,
     init_ranker,
     loss_and_grad,
     rank_slate,
 )
 from currank.sessions import Document, SearchContext
-from currank.towers import Vocab, init_params
+from currank.towers import Vocab, encode_corpus, init_params
 
 from batches import item_rows
 from oracles import central_difference_grad, max_relative_error, rank_score

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,9 +278,27 @@ class TestNegativePrefixCheck:
             with pytest.raises(ValueError, match="eligible negative prefix"):
                 train(config, data)
         # the same m with the full lists and no negative curriculum is fine
-        trainer.check_negatives(config_for(ledger, m=(smallest + 1) // 2 + 1,
-                                           mode="none"),
-                                data.columns)
+        trainer.check_prefixes(config_for(ledger, m=(smallest + 1) // 2 + 1,
+                                          mode="none"),
+                               data.columns)
+
+
+class TestPositivePrefixCheck:
+    """A batch larger than the eligible positives at step 0, the smallest
+    positive prefix, fails before the first step, naming delta."""
+
+    def test_batch_above_the_first_positive_prefix(self, small_world, data, monkeypatch):
+        ledger = small_world[3]
+        n = len(ledger.positives)
+        first = math.ceil(0.1 * n)  # eligible positives at step 0 under delta=0.1
+        TestNegativePrefixCheck._no_sampling(monkeypatch)
+        config = config_for(ledger, batch_size=first + 1, pacing_kw={"delta": 0.1})
+        with pytest.raises(ValueError, match=rf"delta=0.1: batch_size {first + 1} exceeds "
+                                             rf"the {first} eligible positives at step 0"):
+            train(config, data)
+        # pinned positives (no positive curriculum) and a batch that fits pass
+        trainer.check_prefixes(replace(config, mode="neg-only"), data.columns)
+        trainer.check_prefixes(replace(config, batch_size=first), data.columns)
 
 
 class TestCheckpointRoundTrip:
