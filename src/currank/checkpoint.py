@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -94,3 +95,19 @@ def file_digest(path: str | Path) -> str:
         for chunk in iter(lambda: fp.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write `text` to `path` through a temporary file in the same directory
+    and `os.replace`, so that a reader or a failed write finds the old file
+    or the new one, never part of one. The temporary file is removed when
+    the write fails; it is not fsynced, so this guards against a crashing
+    process, not against a power cut."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

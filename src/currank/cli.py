@@ -7,12 +7,15 @@ directory. Flags override values from an optional YAML --config file,
 which overrides built-in defaults.
 
 Exit codes: 0 success, 1 internal failure, 2 usage or input error.
+
+Each command runs with the cyclic garbage collector off (see `main`).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -59,12 +62,25 @@ def output_lock(out_dir: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise CliError(f"output directory {out_dir} is locked by another command")
+        raise CliError(
+            f"output directory {out_dir} is locked by another command "
+            f"(pid {_lock_owner(lock)}); if no such command is running, "
+            f"remove {lock}"
+        )
     try:
-        os.close(fd)
+        with os.fdopen(fd, "w") as fp:
+            fp.write(f"{os.getpid()}\n")
         yield
     finally:
         lock.unlink(missing_ok=True)
+
+
+def _lock_owner(lock: Path) -> str:
+    """The pid recorded in a lock file, or "unknown"."""
+    try:
+        return lock.read_text().strip() or "unknown"
+    except OSError:
+        return "unknown"
 
 
 def split_of(session_id: str) -> str:
@@ -82,19 +98,24 @@ def bundle_paths(bundle_dir: Path) -> list[Path]:
     return [bundle_dir / name for name in BUNDLE_FILES]
 
 
-def load_bundle(bundle_dir: Path):
+def load_bundle(bundle_dir: Path, sessions: bool = True, contexts: bool = True):
+    """(sessions, documents, contexts) of a bundle, with None for the
+    sessions or contexts a command does not ask for. Every bundle file
+    must exist either way: the command's manifest digests all three."""
     paths = bundle_paths(bundle_dir)
     for path in paths:
         if not path.exists():
             raise CliError(f"bundle file not found: {path}")
     docs_path, sessions_path, contexts_path = paths
-    with open(docs_path) as fp:
-        documents = read_documents(fp)
-    with open(sessions_path) as fp:
-        sessions = read_sessions(fp)
-    with open(contexts_path) as fp:
-        contexts = read_contexts(fp)
-    return sessions, documents, contexts
+
+    def read(path, reader):
+        with open(path) as fp:
+            return reader(fp)
+
+    documents = read(docs_path, read_documents)
+    return (read(sessions_path, read_sessions) if sessions else None,
+            documents,
+            read(contexts_path, read_contexts) if contexts else None)
 
 
 def build_vocab(documents, contexts) -> Vocab:
@@ -235,8 +256,13 @@ def _make_scorer(kind: str, args, documents, train_contexts, vocab, out_dir):
 
 
 def cmd_score(args) -> int:
+    if args.fit and args.checkpoint:
+        raise CliError("--fit and --checkpoint exclude each other: --fit trains "
+                       "a new dense scorer, --checkpoint loads a trained one")
+    if args.checkpoint and not Path(args.checkpoint).exists():
+        raise CliError(f"checkpoint not found: {args.checkpoint}")
     bundle_dir = Path(args.bundle)
-    sessions, documents, contexts = load_bundle(bundle_dir)
+    _, documents, contexts = load_bundle(bundle_dir, sessions=False)
     train_contexts = in_split(contexts, "train")
     if not train_contexts:
         raise CliError("no training-split contexts in bundle")
@@ -255,14 +281,17 @@ def cmd_score(args) -> int:
         save_ledger(ledger, outputs[0])
         if "dense" in (pos_kind, neg_kind) and not args.checkpoint:
             outputs.insert(0, out_dir / "dense_scorer.bin")
+        config = {
+            "bundle": str(bundle_dir), "pos_scorer": pos_kind,
+            "neg_scorer": neg_kind, "k1": args.k1, "b": args.b,
+            "fit": args.fit,
+        }
+        inputs = bundle_paths(bundle_dir)
+        if args.checkpoint:
+            config["checkpoint"] = str(args.checkpoint)
+            inputs.append(Path(args.checkpoint))
         _emit_manifest(
-            out_dir, "score",
-            {
-                "bundle": str(bundle_dir), "pos_scorer": pos_kind,
-                "neg_scorer": neg_kind, "k1": args.k1, "b": args.b,
-                "fit": args.fit,
-            },
-            args.seed, bundle_paths(bundle_dir), outputs,
+            out_dir, "score", config, args.seed, inputs, outputs,
             scorer_digest=f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}",
         )
     print(f"positives scored: {len(ledger.positives)}")
@@ -344,7 +373,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     bundle_dir = Path(args.bundle)
-    sessions, documents, _ = load_bundle(bundle_dir)
+    sessions, documents, _ = load_bundle(bundle_dir, contexts=False)
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise CliError(f"checkpoint not found: {ckpt_path}")
@@ -551,6 +580,13 @@ def _apply_config_file(parser, argv):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    # Bundle, ledger and log I/O allocates millions of small acyclic
+    # objects; each burst sets off the cyclic collector, which finds nothing
+    # to free. gc.freeze() would not help: it only exempts objects that
+    # already exist. The caller's setting comes back on return, since tests
+    # and the benchmark run many commands in one process.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
@@ -564,6 +600,9 @@ def main(argv=None) -> int:
     except Exception as e:  # internal failure
         print(f"internal error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

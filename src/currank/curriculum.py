@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .scorers import ScoreSource
 from .sessions import SearchContext
 
@@ -310,9 +311,7 @@ def save_ledger(ledger: DifficultyLedger, path: str | Path) -> None:
             for cid, entries in sorted(ledger.negatives.items())
         },
     }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    )
+    write_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def load_ledger(

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import file_digest
+from .checkpoint import file_digest, write_atomic
 
 MANIFEST_NAME = "manifest.json"
 
@@ -42,5 +42,5 @@ def digest_paths(paths: list[Path], base: Path | None = None) -> dict[str, str]:
 def write_manifest(out_dir: Path, manifest: RunManifest) -> Path:
     manifest.created_at = datetime.now(timezone.utc).isoformat()
     path = out_dir / MANIFEST_NAME
-    path.write_text(json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n")
+    write_atomic(path, json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n")
     return path

@@ -1,3 +1,5 @@
+import errno
+import gc
 import json
 import os
 import shutil
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 
 from currank import cli
-from currank.checkpoint import load_checkpoint
+from currank.checkpoint import file_digest, load_checkpoint
 from currank.cli import LOCK_NAME, build_vocab, in_split, load_bundle, main, split_of
-from currank.manifest import MANIFEST_NAME
+from currank.curriculum import load_ledger, save_ledger
+from currank.manifest import MANIFEST_NAME, RunManifest, write_manifest
 from currank.ranker import init_ranker
 from currank.sessions import build_eval_items
 from currank.towers import token_rows
@@ -86,6 +89,23 @@ class TestSynth:
         (out / LOCK_NAME).touch()
         assert run_cli(*SYNTH_ARGS, "--out", out) == 2
         assert "locked" in capsys.readouterr().err
+
+    def test_lock_file_names_its_owner(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        held, write_bundle = [], cli.write_bundle
+
+        def spy(out_dir, *args):
+            held.append((out_dir / LOCK_NAME).read_text())
+            return write_bundle(out_dir, *args)
+
+        monkeypatch.setattr(cli, "write_bundle", spy)
+        assert run_cli(*SYNTH_ARGS, "--out", out) == 0
+        assert held == [f"{os.getpid()}\n"]
+        assert not (out / LOCK_NAME).exists()
+
+        (out / LOCK_NAME).write_text("4242\n")
+        assert run_cli(*SYNTH_ARGS, "--out", out) == 2
+        assert "locked by another command (pid 4242)" in capsys.readouterr().err
 
 
 class TestGoldenDigests:
@@ -204,6 +224,40 @@ class TestScore:
         context_id = f"{rec['session_id']}:{rec['position']}:{rec['positive_doc_id']}"
         assert f"context {context_id}: document {doc} is not in the corpus" \
             in capsys.readouterr().err
+
+    def test_fit_with_checkpoint_exits_two_before_any_work(
+        self, bundle_dir, tmp_path, monkeypatch, capsys
+    ):
+        ckpt = tmp_path / "dense_scorer.bin"
+        ckpt.write_bytes(b"")
+        loaded = []
+        monkeypatch.setattr(cli, "load_bundle", lambda *args, **kwargs: loaded.append(args))
+        out = tmp_path / "o"
+        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense", "--fit",
+                       "--checkpoint", ckpt, "--out", out) == 2
+        assert "--fit and --checkpoint exclude each other" in capsys.readouterr().err
+        assert loaded == [] and not out.exists()
+
+    def test_checkpoint_is_an_input_of_the_manifest(self, bundle_dir, tmp_path, capsys):
+        fitted = tmp_path / "fitted"
+        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
+                       "--fit", "--fit-epochs", 1, "--out", fitted) == 0
+        ckpt = fitted / "dense_scorer.bin"
+        out = tmp_path / "o"
+        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
+                       "--checkpoint", ckpt, "--out", out) == 0
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        assert manifest["config"]["checkpoint"] == str(ckpt)
+        assert manifest["input_digests"] == {
+            **{str(bundle_dir / name): file_digest(bundle_dir / name)
+               for name in cli.BUNDLE_FILES},
+            str(ckpt): file_digest(ckpt),
+        }
+        assert list(manifest["output_digests"]) == ["ledger.json"]
+
+        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
+                       "--checkpoint", tmp_path / "nope.bin", "--out", tmp_path / "x") == 2
+        assert "checkpoint not found" in capsys.readouterr().err
 
     def test_dense_fit_writes_scorer_checkpoint(self, bundle_dir, tmp_path):
         out = tmp_path / "dense"
@@ -591,6 +645,96 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"error: config file {config} is not valid YAML" in err
         assert "internal error" not in err
+
+
+class TestGarbageCollector:
+    """Commands run with the cyclic collector off; main() hands the
+    caller's setting back however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_before(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("exit_code", [0, 1, 2])
+    def test_caller_setting_is_restored(self, gc_before, tmp_path, monkeypatch,
+                                        exit_code):
+        during, build_contexts = [], cli.build_contexts
+
+        def spy(*args, **kwargs):
+            during.append(gc.isenabled())
+            if exit_code == 1:
+                raise RuntimeError("injected failure")
+            return build_contexts(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_contexts", spy)
+        if exit_code == 2:
+            argv = ("ingest", "--log", tmp_path / "missing.jsonl", "--out", tmp_path / "o")
+        else:
+            argv = (*SYNTH_ARGS, "--out", tmp_path / "o")
+        assert run_cli(*argv) == exit_code
+        assert gc.isenabled() is gc_before
+        assert during == ([] if exit_code == 2 else [False])
+
+
+class TestBundleReads:
+    @pytest.mark.parametrize("command,unused", [
+        ("score", "read_sessions"),
+        ("eval", "read_contexts"),
+    ])
+    def test_command_skips_the_file_it_does_not_use(
+        self, bundle_dir, train_dir, tmp_path, monkeypatch, command, unused
+    ):
+        calls = []
+        monkeypatch.setattr(cli, unused, calls.append)
+        flags = ("--checkpoint", train_dir / "checkpoint.bin") if command == "eval" else ()
+        out = tmp_path / command
+        assert run_cli(command, "--bundle", bundle_dir, *flags, "--out", out) == 0
+        assert calls == []
+        # the manifest still digests every bundle file
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        for name in cli.BUNDLE_FILES:
+            path = bundle_dir / name
+            assert manifest["input_digests"][str(path)] == file_digest(path)
+
+
+class TestAtomicWrites:
+    @pytest.fixture
+    def writers(self, bundle_dir, ledger_dir):
+        _, _, contexts = load_bundle(bundle_dir)
+        ledger = load_ledger(ledger_dir / "ledger.json", in_split(contexts, "train"))
+        manifest = RunManifest("score", {"k1": 1.2}, 0, {}, {})
+        return {
+            "ledger.json": lambda out: save_ledger(ledger, out / "ledger.json"),
+            MANIFEST_NAME: lambda out: write_manifest(out, manifest),
+        }
+
+    @pytest.mark.parametrize("name", ["ledger.json", MANIFEST_NAME])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "replace"])
+    def test_failed_write_leaves_no_partial_file(self, writers, tmp_path, monkeypatch,
+                                                 name, existing):
+        out = tmp_path / "out"
+        out.mkdir()
+        if existing:
+            (out / name).write_text("old\n")
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            with open(path, "w") as fp:
+                fp.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError):
+            writers[name](out)
+        monkeypatch.undo()
+        assert [p.name for p in out.iterdir()] == ([name] if existing else [])
+        if existing:
+            assert (out / name).read_text() == "old\n"
+        writers[name](out)
+        assert [p.name for p in out.iterdir()] == [name]
+        assert (out / name).read_text() != "old\n"
 
 
 class TestSplit:
