@@ -259,6 +259,11 @@ def cmd_score(args) -> int:
     if args.fit and args.checkpoint:
         raise CliError("--fit and --checkpoint exclude each other: --fit trains "
                        "a new dense scorer, --checkpoint loads a trained one")
+    pos_kind = args.pos_scorer or args.scorer
+    neg_kind = args.neg_scorer or args.scorer
+    if "dense" not in (pos_kind, neg_kind) and (args.fit or args.checkpoint):
+        raise CliError(f"--{'fit' if args.fit else 'checkpoint'} needs a dense scorer; "
+                       f"both curricula use {pos_kind}")
     if args.checkpoint and not Path(args.checkpoint).exists():
         raise CliError(f"checkpoint not found: {args.checkpoint}")
     bundle_dir = Path(args.bundle)
@@ -268,8 +273,6 @@ def cmd_score(args) -> int:
         raise CliError("no training-split contexts in bundle")
     vocab = build_vocab(documents, contexts)
     out_dir = Path(args.out)
-    pos_kind = args.pos_scorer or args.scorer
-    neg_kind = args.neg_scorer or args.scorer
     with output_lock(out_dir):
         pos_scorer = _make_scorer(pos_kind, args, documents, train_contexts, vocab, out_dir)
         neg_scorer = (
@@ -309,7 +312,6 @@ def _train_config_from(args, n_positives: int) -> TrainConfig:
         batch_size=args.batch_size,
         m=args.m,
         learning_rate=args.lr,
-        optimizer=args.optimizer,
         momentum=args.momentum,
         seed=args.seed,
         checkpoint_interval=args.checkpoint_interval,
@@ -333,10 +335,10 @@ def _load_training_inputs(args):
     ledger_path = Path(args.ledger)
     if not ledger_path.exists():
         raise CliError(f"ledger file not found: {ledger_path}")
-    ledger = load_ledger(ledger_path, in_split(contexts, "train"))
+    ledger = load_ledger(ledger_path)
     vocab = build_vocab(documents, contexts)
     val_items = build_eval_items(in_split(sessions, "val"), documents)
-    data = training_data(vocab, documents, ledger)
+    data = training_data(vocab, documents, in_split(contexts, "train"), ledger)
     slates = encode_slates(vocab, val_items, documents) if val_items else None
     return ledger, data, slates, bundle_paths(bundle_dir) + [ledger_path]
 
@@ -424,18 +426,18 @@ def cmd_ablate(args) -> int:
             for d in deltas for e in etas]:
         check_prefixes(config, data.columns)  # every run, before the first
 
-    mode_rows = []
-    for mode in MODES:
-        row = train_and_evaluate(replace(base, mode=mode), data, slates, mode=mode)
-        mode_rows.append(row)
-        print(f"mode {mode:>14s}: MAP={row['MAP']:.4f} MRR={row['MRR']:.4f}")
-
-    grid_rows = sweep(base, data, deltas, etas, slates)
-    for row in grid_rows:
-        print(f"delta={row['delta']:.2f} eta={row['eta']:.2f}: MAP={row['MAP']:.4f}")
-
     out_dir = Path(args.out)
     with output_lock(out_dir):
+        mode_rows = []
+        for mode in MODES:
+            row = train_and_evaluate(replace(base, mode=mode), data, slates, mode=mode)
+            mode_rows.append(row)
+            print(f"mode {mode:>14s}: MAP={row['MAP']:.4f} MRR={row['MRR']:.4f}")
+
+        grid_rows = sweep(base, data, deltas, etas, slates)
+        for row in grid_rows:
+            print(f"delta={row['delta']:.2f} eta={row['eta']:.2f}: MAP={row['MAP']:.4f}")
+
         payload = {"modes": mode_rows, "grid": grid_rows}
         (out_dir / "ablation.json").write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -459,7 +461,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--m", type=int, default=2, help="negatives per positive")
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--optimizer", default="momentum", choices=("sgd", "momentum"))
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--delta", type=float, default=0.3)
     p.add_argument("--eta", type=float, default=0.7)
@@ -570,11 +571,16 @@ def _apply_config_file(parser, argv):
         raise CliError(f"config file {path} is not valid YAML: {e}")
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must be a mapping")
-    defaults = {key.replace("-", "_"): value for key, value in data.items()}
-    for action in parser._subparsers._group_actions:
-        for sub in action.choices.values():
-            known_dests = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known_dests})
+    defaults = {str(key).replace("-", "_"): value for key, value in data.items()}
+    subs = [sub for action in parser._subparsers._group_actions
+            for sub in action.choices.values()]
+    dests = [{a.dest for a in sub._actions} for sub in subs]
+    # A key of another command is allowed: one file may serve several.
+    unknown = sorted(str(k) for k in data if str(k).replace("-", "_") not in set().union(*dests))
+    if unknown:
+        raise CliError(f"config file {path}: no command takes {', '.join(unknown)}")
+    for sub, known_dests in zip(subs, dests):
+        sub.set_defaults(**{k: v for k, v in defaults.items() if k in known_dests})
 
 
 def main(argv=None) -> int:

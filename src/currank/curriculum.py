@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -101,18 +102,14 @@ def rank_of_positive(corpus_scores: np.ndarray, pos: int) -> int:
     return better + tied_before + 1
 
 
-@dataclass(frozen=True)
-class PositiveEntry:
-    context_id: str
-    positive_doc_id: str
-    d_p: float
-
-
 @dataclass
 class DifficultyLedger:
-    positives: list[PositiveEntry]  # ascending d_p, ties by context id
-    negatives: dict[str, list[tuple[str, float]]]  # descending d_n per context
-    contexts: dict[str, SearchContext]
+    """What ledger.json holds: (context id, positive doc id, d_p) by
+    ascending d_p, ties by context id, and each context's (doc id, d_n)
+    negatives by descending d_n."""
+
+    positives: list[tuple[str, str, float]]
+    negatives: dict[str, list[tuple[str, float]]]
     pos_scorer_digest: str = ""
     neg_scorer_digest: str = ""
 
@@ -120,11 +117,11 @@ class DifficultyLedger:
 @dataclass(frozen=True)
 class LedgerColumns:
     """The ledger as row arrays, positives in d_p order: positive i's
-    context row and positive doc row, and its negatives' doc rows by
-    descending d_n at neg_rows[neg_start[i]:neg_start[i] + neg_len[i]]."""
+    context id (its context row is i) and positive doc row, and its
+    negatives' doc rows by descending d_n at
+    neg_rows[neg_start[i]:neg_start[i] + neg_len[i]]."""
 
-    positives: list[PositiveEntry]
-    context_rows: np.ndarray
+    context_ids: list[str]
     positive_rows: np.ndarray
     neg_rows: np.ndarray
     neg_start: np.ndarray
@@ -139,15 +136,36 @@ class LedgerColumns:
 
 
 def ledger_columns(
-    ledger: DifficultyLedger, context_row: dict[str, int], doc_row: dict[str, int]
+    ledger: DifficultyLedger, contexts: dict[str, SearchContext], doc_row: dict[str, int]
 ) -> LedgerColumns:
-    """`ledger` over the context and document rows these maps give."""
-    negs = [ledger.negatives[e.context_id] for e in ledger.positives]
+    """`ledger` over `contexts`, keyed by context id, and the document rows
+    `doc_row` gives. Each positive must name a distinct context of
+    `contexts` and that context's positive document, and have negatives,
+    all from the context's negative pool; a ledger that breaks this is
+    refused with a ValueError."""
+    ids = [cid for cid, _, _ in ledger.positives]
+    negs = [ledger.negatives.get(cid) for cid in ids]
+    for what, bad in [
+        ("references unknown contexts", [cid for cid in ids if cid not in contexts]),
+        ("lists contexts more than once", [c for c, k in Counter(ids).items() if k > 1]),
+        ("has no negatives for contexts", [cid for cid, n in zip(ids, negs) if not n]),
+    ]:
+        if bad:
+            raise ValueError(f"ledger {what}: {bad[:5]}")
+    ctxs = [contexts[cid] for cid in ids]
+    check_documents(ctxs, doc_row)
+    for ctx, (cid, doc, _), n in zip(ctxs, ledger.positives, negs):
+        if doc != ctx.positive_doc_id:
+            raise ValueError(f"ledger: context {cid}: positive {doc} is not the "
+                             f"context's positive {ctx.positive_doc_id}")
+        foreign = [d for d, _ in n if d not in ctx.negative_pool]
+        if foreign:
+            raise ValueError(f"ledger: context {cid}: negatives {foreign[:5]} are not "
+                             "in the context's negative pool")
     neg_len = np.array([len(n) for n in negs], dtype=np.intp)
     return LedgerColumns(
-        ledger.positives,
-        np.array([context_row[e.context_id] for e in ledger.positives], dtype=np.intp),
-        np.array([doc_row[e.positive_doc_id] for e in ledger.positives], dtype=np.intp),
+        ids,
+        np.array([doc_row[doc] for _, doc, _ in ledger.positives], dtype=np.intp),
         np.array([doc_row[d] for n in negs for d, _ in n], dtype=np.intp),
         np.cumsum(neg_len) - neg_len, neg_len,
     )
@@ -210,24 +228,22 @@ def build_ledger(
         neg_scored.sort(key=lambda e: (-e[1], e[0]))
         negatives[ctx.context_id] = neg_scored
 
-    entries = [
-        PositiveEntry(ctx.context_id, ctx.positive_doc_id,
-                      difficulty_positive(s, rank, corpus_max))
+    positives = [
+        (ctx.context_id, ctx.positive_doc_id, difficulty_positive(s, rank, corpus_max))
         for ctx, rank, s in raw
     ]
-    entries.sort(key=lambda e: (e.d_p, e.context_id))
+    positives.sort(key=lambda e: (e[2], e[0]))
     return DifficultyLedger(
-        positives=entries,
+        positives=positives,
         negatives=negatives,
-        contexts={c.context_id: c for c in contexts},
         pos_scorer_digest=pos_scorer.digest(),
         neg_scorer_digest=neg_scorer.digest(),
     )
 
 
-def eligible_positive_count(ledger: DifficultyLedger | LedgerColumns, fraction: float) -> int:
+def eligible_positive_count(n_positives: int, fraction: float) -> int:
     # Ceiling keeps the eligible set non-empty even for tiny fractions.
-    return min(len(ledger.positives), math.ceil(fraction * len(ledger.positives)))
+    return min(n_positives, math.ceil(fraction * n_positives))
 
 
 def eligible_negative_count(n_negatives: np.ndarray, fraction: float) -> np.ndarray:
@@ -252,7 +268,7 @@ def sample_batch(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    n_pos = eligible_positive_count(columns, f_p)
+    n_pos = eligible_positive_count(len(columns.context_ids), f_p)
     if batch_size > n_pos:
         raise ValueError(
             f"batch_size {batch_size} exceeds {n_pos} eligible positives at step {t}"
@@ -262,13 +278,13 @@ def sample_batch(
     short = np.flatnonzero(n_neg < m)
     if short.size:
         raise ValueError(
-            f"context {columns.positives[chosen[short[0]]].context_id}: eligible "
+            f"context {columns.context_ids[chosen[short[0]]]}: eligible "
             f"negative prefix ({n_neg[short[0]]}) smaller than m={m} at step {t}"
         )
     picks = _choose_each(rng, n_neg, m)
     negs = columns.neg_rows[columns.neg_start[chosen][:, None] + picks]
     return TrainingBatch(
-        contexts=columns.context_rows[chosen],
+        contexts=chosen,
         docs=np.column_stack([columns.positive_rows[chosen], negs]),
     )
 
@@ -299,34 +315,20 @@ def _choose_each(rng: np.random.Generator, n: np.ndarray, m: int) -> np.ndarray:
 
 
 def save_ledger(ledger: DifficultyLedger, path: str | Path) -> None:
-    payload = {
-        "version": LEDGER_FORMAT_VERSION,
-        "pos_scorer_digest": ledger.pos_scorer_digest,
-        "neg_scorer_digest": ledger.neg_scorer_digest,
-        "positives": [
-            [e.context_id, e.positive_doc_id, e.d_p] for e in ledger.positives
-        ],
-        "negatives": {
-            cid: [[d, s] for d, s in entries]
-            for cid, entries in sorted(ledger.negatives.items())
-        },
-    }
+    payload = {"version": LEDGER_FORMAT_VERSION, **vars(ledger)}
     write_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def load_ledger(
-    path: str | Path, contexts: Sequence[SearchContext]
-) -> DifficultyLedger:
+def load_ledger(path: str | Path) -> DifficultyLedger:
+    """Parse a ledger file; training_data checks it against the contexts."""
     try:
         payload = json.loads(Path(path).read_text())
         if payload["version"] != LEDGER_FORMAT_VERSION:
             raise ValueError(f"unsupported version {payload['version']!r}")
-        ledger = DifficultyLedger(
-            positives=[PositiveEntry(cid, doc, float(dp))
-                       for cid, doc, dp in payload["positives"]],
+        return DifficultyLedger(
+            positives=[(cid, doc, float(dp)) for cid, doc, dp in payload["positives"]],
             negatives={cid: [(d, float(s)) for d, s in entries]
                        for cid, entries in payload["negatives"].items()},
-            contexts={c.context_id: c for c in contexts},
             pos_scorer_digest=payload["pos_scorer_digest"],
             neg_scorer_digest=payload["neg_scorer_digest"],
         )
@@ -334,10 +336,3 @@ def load_ledger(
         raise ValueError(f"{path}: malformed ledger: no {e} entry") from e
     except (AttributeError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: malformed ledger: {e}") from e
-    missing = [e.context_id for e in ledger.positives if e.context_id not in ledger.contexts]
-    if missing:
-        raise ValueError(f"ledger references unknown contexts: {missing[:5]}")
-    uncovered = [e.context_id for e in ledger.positives if e.context_id not in ledger.negatives]
-    if uncovered:
-        raise ValueError(f"ledger has no negatives for contexts: {uncovered[:5]}")
-    return ledger

@@ -2,7 +2,7 @@
 
 Each optimizer step samples one curriculum batch from the frozen
 difficulty ledger, computes the listwise loss and its exact gradients,
-and applies SGD (optionally with momentum). Ablation modes disable one
+and applies SGD with momentum (0 for plain SGD). Ablation modes disable one
 or both curricula or pin negatives to the easy/hard half of each list.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class TrainConfig:
     batch_size: int = 32
     m: int = 2  # negatives per positive
     learning_rate: float = 0.05
-    optimizer: str = "momentum"  # "sgd" | "momentum"
     momentum: float = 0.9
     seed: int = 0
     checkpoint_interval: int = 0  # 0 disables periodic checkpoints
@@ -79,8 +78,6 @@ class TrainConfig:
             raise ValueError("m must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.optimizer not in ("sgd", "momentum"):
-            raise ValueError("optimizer must be 'sgd' or 'momentum'")
 
 
 @dataclass
@@ -96,8 +93,8 @@ def steps_per_epoch(n_positives: int, batch_size: int) -> int:
 
 @dataclass(frozen=True)
 class TrainingData:
-    """A ledger's contexts and documents encoded under `vocab`, and its
-    columns over them."""
+    """A ledger's contexts, in ledger order, and documents encoded under
+    `vocab`, and its columns over them."""
 
     vocab: Vocab
     corpus: EncodedCorpus
@@ -105,10 +102,14 @@ class TrainingData:
 
 
 def training_data(vocab: Vocab, documents: dict[str, Document],
+                  contexts: Iterable[SearchContext],
                   ledger: DifficultyLedger) -> TrainingData:
-    corpus = encode_corpus(vocab, documents, ledger.contexts)
-    return TrainingData(
-        vocab, corpus, ledger_columns(ledger, corpus.context_row, corpus.doc_row))
+    """`ledger` over `contexts`, encoded in ledger order: once ledger_columns
+    has refused unknown and repeated context ids, context row i is positive i's."""
+    by_id = {c.context_id: c for c in contexts}
+    corpus = encode_corpus(vocab, documents, {
+        cid: by_id[cid] for cid, _, _ in ledger.positives if cid in by_id})
+    return TrainingData(vocab, corpus, ledger_columns(ledger, by_id, corpus.doc_row))
 
 
 def check_prefixes(config: TrainConfig, columns: LedgerColumns) -> None:
@@ -119,7 +120,8 @@ def check_prefixes(config: TrainConfig, columns: LedgerColumns) -> None:
     T = config.pacing.T
     if T == 0:
         return
-    n_pos = eligible_positive_count(columns, 1.0 if pin_fp else pacing_positive(config.pacing, 0))
+    n_pos = eligible_positive_count(len(columns.context_ids),
+                                    1.0 if pin_fp else pacing_positive(config.pacing, 0))
     if config.batch_size > n_pos:
         raise ValueError(f"delta={config.pacing.delta:g}: batch_size {config.batch_size} "
                          f"exceeds the {n_pos} eligible positives at step 0")
@@ -127,7 +129,7 @@ def check_prefixes(config: TrainConfig, columns: LedgerColumns) -> None:
     n_neg = eligible_negative_count((columns.halved(half) if half else columns).neg_len, f_n)
     short = np.flatnonzero(n_neg < config.m)
     if short.size:
-        raise ValueError(f"context {columns.positives[short[0]].context_id}: eligible "
+        raise ValueError(f"context {columns.context_ids[short[0]]}: eligible "
                          f"negative prefix ({n_neg[short[0]]}) smaller than "
                          f"m={config.m} at f_n={f_n:.4g}")
 
@@ -229,7 +231,7 @@ def train(
         start_step = int(meta["step"])
         rng_sampler.bit_generator.state = _rng_state_from_meta(meta["sampler_state"])
 
-    spe = steps_per_epoch(len(columns.positives), config.batch_size)
+    spe = steps_per_epoch(len(columns.context_ids), config.batch_size)
     log = TrainLog()
     prev_val_loss = None
 
@@ -241,18 +243,15 @@ def train(
             report = loss_and_grad(params, *data.corpus.batch_rows(batch))
         except Exception as e:
             raise RuntimeError(f"step {t}: {e}") from e
-        if config.optimizer == "momentum":
-            velocity *= config.momentum
-            velocity += report.grads.flat
-            params.encoder.flat[...] -= config.learning_rate * velocity
-        else:
-            params.encoder.flat[...] -= config.learning_rate * report.grads.flat
+        velocity *= config.momentum
+        velocity += report.grads.flat
+        params.encoder.flat[...] -= config.learning_rate * velocity
         log.steps.append(
             {
                 "t": t,
                 "f_p": f_p,
                 "f_n": f_n,
-                "eligible_positives": eligible_positive_count(columns, f_p),
+                "eligible_positives": eligible_positive_count(len(columns.context_ids), f_p),
                 "eligible_negative_fraction": f_n,
                 "loss": report.loss,
             }

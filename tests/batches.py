@@ -7,25 +7,25 @@ from currank.curriculum import ledger_columns, pacing_negative, pacing_positive,
 from currank.towers import encode_corpus
 
 
-def ledger_view(ledger):
-    """The ledger's columns over rows that number its context ids and its
-    doc ids in sorted order, and those two sorted id lists."""
-    contexts = sorted(ledger.contexts)
-    docs = sorted({e.positive_doc_id for e in ledger.positives}
+def ledger_view(ledger, contexts):
+    """The ledger's columns over `contexts` and doc rows that number the
+    ledger's doc ids in sorted order, and that sorted id list."""
+    docs = sorted({doc for _, doc, _ in ledger.positives}
                   | {d for neg in ledger.negatives.values() for d, _ in neg})
-    columns = ledger_columns(ledger, {c: i for i, c in enumerate(contexts)},
+    columns = ledger_columns(ledger, {c.context_id: c for c in contexts},
                              {d: i for i, d in enumerate(docs)})
-    return columns, contexts, docs
+    return columns, docs
 
 
-def sample_items(ledger, pacing, t, batch_size, m, rng, f_p=None, f_n=None):
-    """curriculum.sample_batch on `ledger`'s columns, as items; f_p and
-    f_n default to the pacing functions' values at step t."""
-    columns, contexts, docs = ledger_view(ledger)
+def sample_items(ledger, contexts, pacing, t, batch_size, m, rng, f_p=None, f_n=None):
+    """curriculum.sample_batch on `ledger`'s columns over `contexts`, as
+    items; f_p and f_n default to the pacing functions' values at step t."""
+    columns, docs = ledger_view(ledger, contexts)
+    by_id = {c.context_id: c for c in contexts}
     f_p = pacing_positive(pacing, t) if f_p is None else f_p
     f_n = pacing_negative(pacing, t) if f_n is None else f_n
     batch = sample_batch(columns, t, batch_size, m, rng, f_p, f_n)
-    return [(ledger.contexts[contexts[c]], docs[slate[0]],
+    return [(by_id[columns.context_ids[c]], docs[slate[0]],
              tuple(docs[d] for d in slate[1:]))
             for c, slate in zip(batch.contexts, batch.docs)]
 

@@ -145,7 +145,7 @@ def loop_validation_loss(params, vocab, eval_items, documents) -> float:
 def loop_sample_batch(columns, t, batch_size, m, rng, f_p, f_n):
     """curriculum.sample_batch one item at a time: one rng.choice for the
     positives, then one rng.choice per item for its negatives."""
-    n_pos = len(columns.positives)
+    n_pos = len(columns.context_ids)
     chosen = rng.choice(min(n_pos, math.ceil(f_p * n_pos)), size=batch_size,
                         replace=False)
     slates = []
@@ -154,7 +154,7 @@ def loop_sample_batch(columns, t, batch_size, m, rng, f_p, f_n):
         picks = rng.choice(min(n, math.ceil(f_n * n)), size=m, replace=False)
         slates.append([columns.positive_rows[idx],
                        *(columns.neg_rows[start + int(j)] for j in picks)])
-    return TrainingBatch(contexts=columns.context_rows[chosen], docs=np.array(slates))
+    return TrainingBatch(contexts=chosen, docs=np.array(slates))
 
 
 def two_pass_validation_loss(params, slates) -> float:

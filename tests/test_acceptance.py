@@ -25,7 +25,6 @@ from currank.cli import main as cli_main, split_of
 from currank.curriculum import (
     DifficultyLedger,
     PacingParams,
-    PositiveEntry,
     build_ledger,
     difficulty_negative,
     difficulty_positive,
@@ -152,7 +151,7 @@ def test_criterion_3_difficulty_correctness():
 
 def _tiny_ledger(n_contexts=40, pool=6, seed=0):
     rng = np.random.default_rng(seed)
-    contexts = {}
+    contexts = []
     positives = []
     negatives = {}
     for i in range(n_contexts):
@@ -162,19 +161,18 @@ def _tiny_ledger(n_contexts=40, pool=6, seed=0):
             context_tokens=("q", f"t{i}"), positive_doc_id=f"p{i}",
             negative_pool=tuple(f"n{i}_{j}" for j in range(pool)),
         )
-        contexts[cid] = ctx
-        positives.append(PositiveEntry(cid, f"p{i}", float(i)))
+        contexts.append(ctx)
+        positives.append((cid, f"p{i}", float(i)))
         scores = sorted(rng.uniform(0, 1, size=pool), reverse=True)
         negatives[cid] = [(f"n{i}_{j}", s) for j, s in enumerate(scores)]
-    return DifficultyLedger(positives=positives, negatives=negatives,
-                            contexts=contexts)
+    return DifficultyLedger(positives=positives, negatives=negatives), contexts
 
 
 def test_criterion_4_sampler_soundness():
     with criterion(4, "sampler soundness"):
         start = time.monotonic()
-        ledger = _tiny_ledger()
-        pos_index = {e.context_id: i for i, e in enumerate(ledger.positives)}
+        ledger, contexts = _tiny_ledger()
+        pos_index = {e[0]: i for i, e in enumerate(ledger.positives)}
         pacing = PacingParams(T=100)
         rng = np.random.default_rng(13)
 
@@ -184,8 +182,8 @@ def test_criterion_4_sampler_soundness():
             t = int(rng.integers(0, pacing.T + 1))
             f_p = pacing_positive(pacing, t)
             f_n = pacing_negative(pacing, t)
-            n_pos = eligible_positive_count(ledger, f_p)
-            batch = sample_items(ledger, pacing, t, min(4, n_pos), 1, rng)
+            n_pos = eligible_positive_count(len(ledger.positives), f_p)
+            batch = sample_items(ledger, contexts, pacing, t, min(4, n_pos), 1, rng)
             for ctx, pos_id, negs in batch:
                 assert pos_index[ctx.context_id] < n_pos
                 neg_list = ledger.negatives[ctx.context_id]
@@ -195,11 +193,11 @@ def test_criterion_4_sampler_soundness():
 
         # within-prefix uniformity at a fixed mid-schedule step
         t = 30
-        n_pos = eligible_positive_count(ledger, pacing_positive(pacing, t))
+        n_pos = eligible_positive_count(len(ledger.positives), pacing_positive(pacing, t))
         counts = np.zeros(n_pos)
         rng2 = np.random.default_rng(14)
         for _ in range(10_000):
-            batch = sample_items(ledger, pacing, t, 2, 1, rng2)
+            batch = sample_items(ledger, contexts, pacing, t, 2, 1, rng2)
             for ctx, _, _ in batch:
                 counts[pos_index[ctx.context_id]] += 1
         assert scipy_stats.chisquare(counts).pvalue > 0.001
@@ -208,16 +206,16 @@ def test_criterion_4_sampler_soundness():
         rng_a = np.random.default_rng(15)
         rng_b = np.random.default_rng(15)
         for t in range(50):
-            batch = sample_items(ledger, pacing, t, 4, 2, rng_a,
+            batch = sample_items(ledger, contexts, pacing, t, 4, 2, rng_a,
                                  f_p=1.0, f_n=1.0)
             chosen = rng_b.choice(len(ledger.positives), size=4, replace=False)
             expected = []
             for idx in chosen:
-                entry = ledger.positives[int(idx)]
-                neg_list = ledger.negatives[entry.context_id]
+                cid, positive_doc_id, _ = ledger.positives[int(idx)]
+                neg_list = ledger.negatives[cid]
                 picks = rng_b.choice(len(neg_list), size=2, replace=False)
                 expected.append(
-                    (entry.context_id, entry.positive_doc_id,
+                    (cid, positive_doc_id,
                      tuple(neg_list[int(j)][0] for j in picks))
                 )
             got = [(c.context_id, p, n) for c, p, n in batch]
@@ -405,7 +403,7 @@ def desk_experiment():
     val_items = build_eval_items(
         [s for s in sessions if split_of(s.session_id) == "val"], documents)
 
-    data = training_data(vocab, documents, ledger)
+    data = training_data(vocab, documents, train_contexts, ledger)
     slates = encode_slates(vocab, val_items, documents)
     T = 8 * steps_per_epoch(len(ledger.positives), 32)
     base = TrainConfig(pacing=PacingParams(T=T))

@@ -238,6 +238,24 @@ class TestScore:
         assert "--fit and --checkpoint exclude each other" in capsys.readouterr().err
         assert loaded == [] and not out.exists()
 
+    @pytest.mark.parametrize("flags, flag", [
+        (("--fit",), "--fit"),
+        (("--checkpoint", "ckpt"), "--checkpoint"),
+        (("--pos-scorer", "bm25", "--neg-scorer", "bm25", "--fit"), "--fit"),
+    ], ids=["fit", "checkpoint", "both-bm25-fit"])
+    def test_dense_flags_without_a_dense_scorer_exit_two_before_any_work(
+        self, bundle_dir, tmp_path, monkeypatch, capsys, flags, flag
+    ):
+        (tmp_path / "ckpt").write_bytes(b"")
+        loaded = []
+        monkeypatch.setattr(cli, "load_bundle", lambda *args, **kwargs: loaded.append(args))
+        out = tmp_path / "o"
+        flags = [tmp_path / f if f == "ckpt" else f for f in flags]
+        assert run_cli("score", "--bundle", bundle_dir, *flags, "--out", out) == 2
+        assert f"error: {flag} needs a dense scorer; both curricula use bm25" \
+            in capsys.readouterr().err
+        assert loaded == [] and not out.exists()
+
     def test_checkpoint_is_an_input_of_the_manifest(self, bundle_dir, tmp_path, capsys):
         fitted = tmp_path / "fitted"
         assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
@@ -368,19 +386,57 @@ class TestTrain:
                        "--ledger", tmp_path / "nope.json",
                        "--out", tmp_path / "o") == 2
 
+    @staticmethod
+    def _break_ledger(payload, contexts, case):
+        """Make `payload`'s first positive break the ledger in one way;
+        return the error the resolver must report."""
+        cid, doc, _ = payload["positives"][0]
+        ctx = next(c for c in contexts if c.context_id == cid)
+        other = next(c for c in contexts if c.context_id != cid
+                     and c.positive_doc_id != doc
+                     and not set(c.negative_pool) <= set(ctx.negative_pool))
+        negatives = payload["negatives"][cid]
+        if case == "no-negatives":
+            del payload["negatives"][cid]
+            return f"ledger has no negatives for contexts: ['{cid}']"
+        if case == "unknown-context":
+            payload["positives"][0][0] = "nosuch:1:doc"
+            return "ledger references unknown contexts: ['nosuch:1:doc']"
+        if case == "duplicate-positive":
+            payload["positives"].append(payload["positives"][0])
+            return f"ledger lists contexts more than once: ['{cid}']"
+        if case in ("unknown-positive-doc", "foreign-positive-doc"):
+            bad = payload["positives"][0][1] = (
+                "nosuchdoc" if case == "unknown-positive-doc" else other.positive_doc_id)
+            return f"ledger: context {cid}: positive {bad} is not the context's positive {doc}"
+        bad = negatives[0][0] = (
+            "nosuchdoc" if case == "unknown-negative-doc"
+            else next(d for d in other.negative_pool if d not in ctx.negative_pool))
+        return (f"ledger: context {cid}: negatives ['{bad}'] are not in the "
+                "context's negative pool")
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("case", [
+        "no-negatives", "unknown-context", "duplicate-positive", "unknown-positive-doc",
+        "foreign-positive-doc", "unknown-negative-doc", "foreign-negative-doc",
+    ])
     def test_ledger_without_a_context_negatives_exits_two(
-        self, bundle_dir, ledger_dir, tmp_path, capsys
+        self, bundle_dir, ledger_dir, tmp_path, capsys, case, command
     ):
+        """And every other ledger that does not match the bundle's training
+        contexts: the resolver refuses it before any work."""
         payload = json.loads((ledger_dir / "ledger.json").read_text())
-        context_id = payload["positives"][0][0]
-        del payload["negatives"][context_id]
+        _, _, contexts = load_bundle(bundle_dir)
+        message = self._break_ledger(payload, in_split(contexts, "train"), case)
         ledger = tmp_path / "ledger.json"
         ledger.write_text(json.dumps(payload))
         out = tmp_path / "o"
-        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger,
+        assert run_cli(command, "--bundle", bundle_dir, "--ledger", ledger,
                        "--out", out, "--steps", 10, "--batch-size", 8) == 2
-        assert f"no negatives for contexts: ['{context_id}']" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        captured = capsys.readouterr()
+        assert f"error: {message}\n" == captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["version", "pos_scorer_digest",
                                      "neg_scorer_digest", "positives", "negatives"])
@@ -559,6 +615,23 @@ class TestAblate:
             "at step 0" in captured.err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_locked_output_exits_two_before_the_first_run(
+        self, bundle_dir, ledger_dir, tmp_path, monkeypatch, capsys
+    ):
+        runs = []
+        monkeypatch.setattr(cli, "train_and_evaluate", lambda *a, **k: runs.append(k))
+        monkeypatch.setattr(cli, "sweep", lambda *a, **k: runs.append(k))
+        out = tmp_path / "ablate"
+        out.mkdir()
+        (out / LOCK_NAME).write_text("4242\n")
+        assert run_cli("ablate", "--bundle", bundle_dir,
+                       "--ledger", ledger_dir / "ledger.json", "--out", out,
+                       "--steps", 5, "--batch-size", 8) == 2
+        captured = capsys.readouterr()
+        assert "is locked by another command (pid 4242)" in captured.err
+        assert runs == [] and captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == [LOCK_NAME]
+
 
 @pytest.fixture(scope="module")
 def desk_dirs(tmp_path_factory):
@@ -631,6 +704,30 @@ class TestConfigFile:
                   if "validation" not in l]
         assert len(steps2) == 5
 
+    def test_key_of_another_command_is_allowed(self, bundle_dir, ledger_dir, tmp_path):
+        config = tmp_path / "conf.yaml"
+        config.write_text("steps: 3\nbatch-size: 8\nfit-epochs: 2\nsessions: 9\n")
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", config, "--bundle", bundle_dir,
+                       "--ledger", ledger_dir / "ledger.json", "--out", out) == 0
+        assert json.loads((out / MANIFEST_NAME).read_text())["config"]["batch_size"] == 8
+
+    @pytest.mark.parametrize("text, keys", [
+        ("lerning_rate: 0.5\nsteps: 3\n", "lerning_rate"),
+        ("optimizer: sgd\nsteps: 3\n", "optimizer"),
+        ("steps: 3\nzeta: 1\nbatch-sise: 8\n", "batch-sise, zeta"),
+    ], ids=["typo", "removed-optimizer", "two-keys"])
+    def test_key_no_command_takes_exits_two(self, bundle_dir, ledger_dir, tmp_path,
+                                            capsys, text, keys):
+        config = tmp_path / "conf.yaml"
+        config.write_text(text)
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", config, "--bundle", bundle_dir,
+                       "--ledger", ledger_dir / "ledger.json", "--out", out) == 2
+        assert f"error: config file {config}: no command takes {keys}\n" \
+            == capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_two(self, bundle_dir, tmp_path, capsys):
         assert run_cli("train", "--config", tmp_path / "nope.yaml",
                        "--bundle", bundle_dir, "--ledger", tmp_path / "l",
@@ -702,9 +799,8 @@ class TestBundleReads:
 
 class TestAtomicWrites:
     @pytest.fixture
-    def writers(self, bundle_dir, ledger_dir):
-        _, _, contexts = load_bundle(bundle_dir)
-        ledger = load_ledger(ledger_dir / "ledger.json", in_split(contexts, "train"))
+    def writers(self, ledger_dir):
+        ledger = load_ledger(ledger_dir / "ledger.json")
         manifest = RunManifest("score", {"k1": 1.2}, 0, {}, {})
         return {
             "ledger.json": lambda out: save_ledger(ledger, out / "ledger.json"),

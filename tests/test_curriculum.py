@@ -9,7 +9,6 @@ from currank.curriculum import (
     DifficultyLedger,
     LedgerColumns,
     PacingParams,
-    PositiveEntry,
     build_ledger,
     difficulty_negative,
     difficulty_positive,
@@ -168,18 +167,14 @@ def _toy_ledger(n_pos=10, n_neg=6):
             )
         )
     positives = [
-        PositiveEntry(c.context_id, c.positive_doc_id, float(i + 1))
+        (c.context_id, c.positive_doc_id, float(i + 1))
         for i, c in enumerate(contexts)
     ]
     negatives = {
         c.context_id: [(f"n{i}_{j}", float(n_neg - j)) for j in range(n_neg)]
         for i, c in enumerate(contexts)
     }
-    return DifficultyLedger(
-        positives=positives,
-        negatives=negatives,
-        contexts={c.context_id: c for c in contexts},
-    )
+    return DifficultyLedger(positives=positives, negatives=negatives), contexts
 
 
 class TestBuildLedger:
@@ -206,7 +201,7 @@ class TestBuildLedger:
     def test_sortedness(self):
         scorer, contexts = self._fixture()
         ledger = build_ledger(scorer, scorer, contexts)
-        dps = [e.d_p for e in ledger.positives]
+        dps = [e[2] for e in ledger.positives]
         assert dps == sorted(dps)
         for entries in ledger.negatives.values():
             dns = [s for _, s in entries]
@@ -223,7 +218,7 @@ class TestBuildLedger:
         s1 = dict(zip(scorer.doc_ids, scorer.score_corpus(contexts[1])))["p1"]  # (chanel,)
         first = ledger.positives[0]
         expected_first = "s0:1:p0" if s0 >= s1 else "s1:1:p1"
-        assert first.context_id == expected_first
+        assert first[0] == expected_first
         # negatives for s0 sorted by BM25 against (clay aiken)
         neg = ledger.negatives["s0:1:p0"]
         assert [d for d, _ in neg] == sorted(
@@ -241,10 +236,7 @@ class TestBuildLedger:
         ledger = build_ledger(scorer, scorer, contexts)
         path = tmp_path / "ledger.json"
         save_ledger(ledger, path)
-        loaded = load_ledger(path, contexts)
-        assert loaded.positives == ledger.positives
-        assert loaded.negatives == ledger.negatives
-        assert loaded.pos_scorer_digest == ledger.pos_scorer_digest
+        assert load_ledger(path) == ledger
 
 
 def _mixed_fixture(extra_doc=False):
@@ -283,6 +275,12 @@ class TestMixedScorers:
         assert mixed.positives == build_ledger(a, a, contexts).positives
         assert mixed.negatives == build_ledger(b, b, contexts).negatives
 
+    def test_mixed_ledger_round_trips(self, tmp_path):
+        contexts, scorers = _mixed_fixture()
+        ledger = build_ledger(scorers["bm25"], scorers["dense"], contexts)
+        save_ledger(ledger, tmp_path / "ledger.json")
+        assert load_ledger(tmp_path / "ledger.json") == ledger
+
     @pytest.mark.parametrize("pos_kind,neg_kind", [("bm25", "dense"), ("dense", "bm25")])
     def test_different_corpora_rejected(self, pos_kind, neg_kind):
         contexts, scorers = _mixed_fixture()
@@ -293,31 +291,31 @@ class TestMixedScorers:
 
 class TestSampleBatch:
     def test_full_prefix_when_pacing_one(self, rng):
-        ledger = _toy_ledger()
+        ledger, contexts = _toy_ledger()
         pacing = PacingParams(T=10)
         seen = set()
         for _ in range(300):
-            batch = sample_items(ledger, pacing, 0, 2, 2, rng, f_p=1.0, f_n=1.0)
+            batch = sample_items(ledger, contexts, pacing, 0, 2, 2, rng, f_p=1.0, f_n=1.0)
             for ctx, pos, negs in batch:
                 seen.add(pos)
         assert seen == {f"p{i}" for i in range(10)}
 
     def test_prefix_restriction(self, rng):
-        ledger = _toy_ledger(n_pos=100)
+        ledger, contexts = _toy_ledger(n_pos=100)
         pacing = PacingParams(T=10)
         for _ in range(200):
-            batch = sample_items(ledger, pacing, 0, 5, 2, rng, f_p=0.1, f_n=1.0)
+            batch = sample_items(ledger, contexts, pacing, 0, 5, 2, rng, f_p=0.1, f_n=1.0)
             for ctx, pos, _ in batch:
                 assert int(pos[1:]) < 10
 
     def test_uniformity_chi_square(self):
-        ledger = _toy_ledger(n_pos=10)
+        ledger, contexts = _toy_ledger(n_pos=10)
         pacing = PacingParams(T=10)
         rng = np.random.default_rng(42)
         counts = {f"p{i}": 0 for i in range(5)}
         n_draws = 10_000
         for _ in range(n_draws):
-            batch = sample_items(ledger, pacing, 0, 1, 2, rng, f_p=0.5, f_n=1.0)
+            batch = sample_items(ledger, contexts, pacing, 0, 1, 2, rng, f_p=0.5, f_n=1.0)
             counts[batch[0][1]] += 1
         freqs = np.array([counts[f"p{i}"] for i in range(5)])
         assert freqs.sum() == n_draws
@@ -326,30 +324,30 @@ class TestSampleBatch:
         assert stats.chisquare(freqs).pvalue > 0.001
 
     def test_negative_prefix_too_small_names_context(self, rng):
-        ledger = _toy_ledger(n_neg=4)
+        ledger, contexts = _toy_ledger(n_neg=4)
         pacing = PacingParams(T=10)
         with pytest.raises(ValueError, match="s0"):
             # eligible prefix ceil(0.25*4)=1 < m=2; keep drawing until s00 hits
             for _ in range(200):
-                sample_items(ledger, pacing, 0, 10, 2, rng, f_p=1.0, f_n=0.25)
+                sample_items(ledger, contexts, pacing, 0, 10, 2, rng, f_p=1.0, f_n=0.25)
 
     def test_batch_size_exceeding_eligible_rejected(self, rng):
-        ledger = _toy_ledger(n_pos=10)
+        ledger, contexts = _toy_ledger(n_pos=10)
         pacing = PacingParams(T=10)
         with pytest.raises(ValueError, match="batch_size"):
-            sample_items(ledger, pacing, 0, 6, 2, rng, f_p=0.5, f_n=1.0)
+            sample_items(ledger, contexts, pacing, 0, 6, 2, rng, f_p=0.5, f_n=1.0)
 
     def test_negatives_distinct_and_not_positive(self, rng):
-        ledger = _toy_ledger()
+        ledger, contexts = _toy_ledger()
         pacing = PacingParams(T=10)
         for _ in range(100):
-            batch = sample_items(ledger, pacing, 0, 3, 3, rng, f_p=1.0, f_n=1.0)
+            batch = sample_items(ledger, contexts, pacing, 0, 3, 3, rng, f_p=1.0, f_n=1.0)
             for ctx, pos, negs in batch:
                 assert len(set(negs)) == len(negs)
                 assert pos not in negs
 
     def test_sampler_soundness_over_steps(self, rng):
-        ledger = _toy_ledger(n_pos=40, n_neg=8)
+        ledger, contexts = _toy_ledger(n_pos=40, n_neg=8)
         pacing = PacingParams(delta=0.2, eta=0.5, alpha=0.6, beta=0.6, k=2.0, T=50)
         from currank.curriculum import pacing_negative, pacing_positive
 
@@ -358,9 +356,9 @@ class TestSampleBatch:
             f_n = pacing_negative(pacing, t)
             max_pos = math.ceil(f_p * 40)
             max_neg = math.ceil(f_n * 8)
-            eligible_ids = {e.context_id for e in ledger.positives[:max_pos]}
+            eligible_ids = {e[0] for e in ledger.positives[:max_pos]}
             for _ in range(50):
-                batch = sample_items(ledger, pacing, t, 2, 2, rng)
+                batch = sample_items(ledger, contexts, pacing, t, 2, 2, rng)
                 for ctx, pos, negs in batch:
                     assert ctx.context_id in eligible_ids
                     allowed = {d for d, _ in ledger.negatives[ctx.context_id][:max_neg]}
@@ -368,7 +366,7 @@ class TestSampleBatch:
 
     def test_monotone_hardness_exposure(self):
         # max reachable d_p and min reachable d_n both grow with t
-        ledger = _toy_ledger(n_pos=50, n_neg=10)
+        ledger, _ = _toy_ledger(n_pos=50, n_neg=10)
         pacing = PacingParams(delta=0.2, eta=0.4, alpha=0.7, beta=0.7, k=2.0, T=100)
         from currank.curriculum import pacing_negative, pacing_positive
 
@@ -377,7 +375,7 @@ class TestSampleBatch:
         for t in range(0, 101, 10):
             n_pos = math.ceil(pacing_positive(pacing, t) * 50)
             n_neg = math.ceil(pacing_negative(pacing, t) * 10)
-            max_dp = ledger.positives[n_pos - 1].d_p
+            max_dp = ledger.positives[n_pos - 1][2]
             min_dn = min(
                 entries[n_neg - 1][1] for entries in ledger.negatives.values()
             )
@@ -386,14 +384,14 @@ class TestSampleBatch:
             prev_max_dp, prev_min_dn = max_dp, min_dn
 
     def test_deterministic_under_seed(self):
-        ledger = _toy_ledger()
+        ledger, contexts = _toy_ledger()
         pacing = PacingParams(T=10)
 
         def draws(seed):
             rng = np.random.default_rng(seed)
             out = []
             for t in range(5):
-                batch = sample_items(ledger, pacing, t, 2, 2, rng)
+                batch = sample_items(ledger, contexts, pacing, t, 2, 2, rng)
                 out.append([(c.context_id, p, n) for c, p, n in batch])
             return out
 
@@ -406,8 +404,7 @@ def _random_columns(rng, n_pos, pools):
     """LedgerColumns over rows numbered as drawn, with pool sizes `pools`."""
     pools = np.asarray(pools)
     return LedgerColumns(
-        positives=[PositiveEntry(f"c{i}", f"p{i}", float(i)) for i in range(n_pos)],
-        context_rows=rng.permutation(n_pos),
+        context_ids=[f"c{i}" for i in range(n_pos)],
         positive_rows=rng.integers(0, 100, size=n_pos),
         neg_rows=rng.integers(100, 10**6, size=int(pools.sum())),
         neg_start=np.cumsum(pools) - pools,
@@ -423,7 +420,7 @@ class TestSamplerMatchesPerItemLoop:
     def _assert_same_draws(columns, m, f_n_values, seed, batch_size=8):
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for t, f_n in enumerate(f_n_values):
-            f_p = min(1.0, batch_size / len(columns.positives) + t / 10)
+            f_p = min(1.0, batch_size / len(columns.context_ids) + t / 10)
             got = sample_batch(columns, t, batch_size, m, fast, f_p, f_n)
             want = loop_sample_batch(columns, t, batch_size, m, slow, f_p, f_n)
             assert np.array_equal(got.contexts, want.contexts)

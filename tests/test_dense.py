@@ -303,8 +303,8 @@ class TestBatchedScorerMatchesPerContextOracle:
         oracle = PerContextDenseScorer(params, vocab, docs)
         got = build_ledger(batched, batched, contexts)
         want = build_ledger(oracle, oracle, contexts)
-        assert [e.context_id for e in got.positives] == [e.context_id for e in want.positives]
-        assert max(abs(a.d_p - b.d_p) for a, b in zip(got.positives, want.positives)) < 1e-12
+        assert [e[0] for e in got.positives] == [e[0] for e in want.positives]
+        assert max(abs(a[2] - b[2]) for a, b in zip(got.positives, want.positives)) < 1e-12
         assert got.pos_scorer_digest == want.pos_scorer_digest
 
         def tie_key(negatives):

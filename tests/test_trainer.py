@@ -7,11 +7,13 @@ import pytest
 
 from currank import checkpoint, towers, trainer
 from currank.bm25 import Bm25Params, build_index
-from currank.curriculum import PacingParams, build_ledger
+from currank.curriculum import (
+    PacingParams, build_ledger, pacing_negative, pacing_positive, sample_batch,
+)
 from currank.scorers import Bm25Scorer
 from currank.sessions import SEP_TOKEN, build_contexts, build_eval_items
 from currank.synth import SynthSpec, generate_synthetic
-from currank.ranker import rank_slate
+from currank.ranker import init_ranker, loss_and_grad, rank_slate
 from currank.towers import Vocab
 from currank.trainer import (
     MODES,
@@ -55,8 +57,8 @@ def small_world():
 
 @pytest.fixture(scope="module")
 def data(small_world):
-    _, documents, _, ledger, vocab, _ = small_world
-    return training_data(vocab, documents, ledger)
+    _, documents, contexts, ledger, vocab, _ = small_world
+    return training_data(vocab, documents, contexts, ledger)
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +108,7 @@ class TestTrain:
         assert all(a >= b for a, b in zip(neg, neg[1:]))
 
     def test_mode_none_matches_uniform_sampler(self, small_world, data):
-        ledger = small_world[3]
+        _, _, contexts, ledger, _, _ = small_world
         config = config_for(ledger, mode="none", epochs=1, seed=13)
         _, log = train(config, data)
 
@@ -117,20 +119,20 @@ class TestTrain:
                                 replace=False)
             for idx in chosen:
                 entry = ledger.positives[int(idx)]
-                neg_list = ledger.negatives[entry.context_id]
+                neg_list = ledger.negatives[entry[0]]
                 rng.choice(len(neg_list), size=config.m, replace=False)
         # identical consumption of the stream implies identical batches;
         # verify by replaying the trainer's own sampler
         rng2 = np.random.default_rng([13, 1])
         replay = []
         for t in range(config.pacing.T):
-            batch = sample_items(ledger, config.pacing, t, config.batch_size,
+            batch = sample_items(ledger, contexts, config.pacing, t, config.batch_size,
                                  config.m, rng2, f_p=1.0, f_n=1.0)
             replay.append([(c.context_id, p, n) for c, p, n in batch])
         rng3 = np.random.default_rng([13, 1])
         again = []
         for t in range(config.pacing.T):
-            batch = sample_items(ledger, config.pacing, t, config.batch_size,
+            batch = sample_items(ledger, contexts, config.pacing, t, config.batch_size,
                                  config.m, rng3, f_p=1.0, f_n=1.0)
             again.append([(c.context_id, p, n) for c, p, n in batch])
         assert replay == again
@@ -142,6 +144,30 @@ class TestTrain:
         a, _ = train(config, data)
         b, _ = train(config, data)
         assert np.array_equal(a.encoder.flat, b.encoder.flat)
+
+    def test_context_row_i_is_positive_i(self, small_world, data):
+        _, _, contexts, ledger, vocab, _ = small_world
+        assert data.columns.context_ids == [cid for cid, _, _ in ledger.positives]
+        assert list(data.corpus.context_row) == data.columns.context_ids
+        by_id = {c.context_id: c for c in contexts}
+        rows = data.corpus.contexts
+        for i, cid in enumerate(data.columns.context_ids):
+            assert rows.ids[i, :rows.lengths[i]].tolist() \
+                == (vocab.encode(by_id[cid].context_tokens) or [0])
+
+    def test_momentum_zero_is_plain_sgd(self, small_world, data):
+        ledger = small_world[3]
+        config = config_for(ledger, epochs=1, seed=4, momentum=0.0, learning_rate=0.3)
+        params, _ = train(config, data)
+        # plain SGD on the trainer's init and sampler substreams
+        want = init_ranker(len(data.vocab), 8, 8, np.random.default_rng([4, 0]))
+        rng = np.random.default_rng([4, 1])
+        for t in range(config.pacing.T):
+            batch = sample_batch(data.columns, t, 8, 2, rng, pacing_positive(config.pacing, t),
+                                 pacing_negative(config.pacing, t))
+            report = loss_and_grad(want, *data.corpus.batch_rows(batch))
+            want.encoder.flat[...] -= 0.3 * report.grads.flat
+        assert np.array_equal(params.encoder.flat, want.encoder.flat)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_all_modes_run(self, small_world, data, mode):
