@@ -3,6 +3,12 @@
 The idf uses the +1-inside-log form, ln(1 + (N - df + 0.5)/(df + 0.5)),
 which is never negative, so difficulty orderings derived from these
 scores stay stable.
+
+A query's score vector is the sum, over its distinct terms in first-
+occurrence (`Counter`) order, of count × the term's weight vector, added
+into zeros one term at a time. Floating-point addition does not
+associate, so that order is part of the scores' bits: every scorer and
+the ledgers built from them rely on it staying fixed.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from math import log
+from typing import Sequence
 
 import numpy as np
 
@@ -91,22 +98,25 @@ def idf(n: int, df: int) -> float:
     return log(1.0 + (n - df + 0.5) / (df + 0.5))
 
 
-def score_all(
-    index: LexicalIndex,
-    params: Bm25Params,
-    query_tokens: list[str] | tuple[str, ...],
-) -> np.ndarray:
-    """BM25 scores of every indexed document for one query (float64)."""
+def term_weights(index: LexicalIndex, params: Bm25Params) -> dict:
+    """term -> (doc positions, the term's BM25 weight idf · tf · (k1 + 1)
+    / (tf + norm) at each), parallel arrays computed once for all queries."""
     n = len(index.doc_ids)
-    scores = np.zeros(n, dtype=np.float64)
-    avgdl = index.avg_doc_length
-    norm = params.k1 * (1.0 - params.b + params.b * index.doc_lengths / avgdl)
-    for term, count in Counter(query_tokens).items():
-        entry = index.postings.get(term)
-        if entry is None:
-            continue
-        positions, tfs = entry
+    norm = params.k1 * (1.0 - params.b + params.b * index.doc_lengths / index.avg_doc_length)
+    weights = {}
+    for term, (positions, tfs) in index.postings.items():
         tf = tfs.astype(np.float64)
         contrib = idf(n, len(positions)) * tf * (params.k1 + 1.0) / (tf + norm[positions])
-        scores[positions] += count * contrib
+        weights[term] = (positions, contrib)
+    return weights
+
+
+def score_all(weights: dict, n_docs: int, query_tokens: Sequence[str]) -> np.ndarray:
+    """BM25 scores of all n_docs indexed documents for one query (float64)."""
+    scores = np.zeros(n_docs, dtype=np.float64)
+    for term, count in Counter(query_tokens).items():
+        entry = weights.get(term)
+        if entry is not None:
+            positions, contrib = entry
+            scores[positions] += count * contrib
     return scores

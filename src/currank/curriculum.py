@@ -13,6 +13,8 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -140,35 +142,96 @@ def ledger_columns(
 ) -> LedgerColumns:
     """`ledger` over `contexts`, keyed by context id, and the document rows
     `doc_row` gives. Each positive must name a distinct context of
-    `contexts` and that context's positive document, and have negatives,
-    all from the context's negative pool; a ledger that breaks this is
-    refused with a ValueError."""
-    ids = [cid for cid, _, _ in ledger.positives]
-    negs = [ledger.negatives.get(cid) for cid in ids]
-    for what, bad in [
-        ("references unknown contexts", [cid for cid in ids if cid not in contexts]),
-        ("lists contexts more than once", [c for c, k in Counter(ids).items() if k > 1]),
-        ("has no negatives for contexts", [cid for cid, n in zip(ids, negs) if not n]),
-    ]:
-        if bad:
-            raise ValueError(f"ledger {what}: {bad[:5]}")
-    ctxs = [contexts[cid] for cid in ids]
-    check_documents(ctxs, doc_row)
-    for ctx, (cid, doc, _), n in zip(ctxs, ledger.positives, negs):
+    `contexts` and that context's positive document, and have distinct
+    negatives, all from the context's negative pool. Positives must
+    ascend in (d_p, context id) and each context's negatives descend in
+    d_n, ties by ascending doc id, as build_ledger writes them. A ledger
+    that breaks this is refused with a ValueError."""
+    ids = list(map(itemgetter(0), ledger.positives))
+    negs = list(map(ledger.negatives.get, ids))
+    unique = set(ids)
+    if not (unique <= contexts.keys() and len(unique) == len(ids) and all(negs)):
+        for what, bad in [
+            ("references unknown contexts", [cid for cid in ids if cid not in contexts]),
+            ("lists contexts more than once", [c for c, k in Counter(ids).items() if k > 1]),
+            ("has no negatives for contexts", [cid for cid, n in zip(ids, negs) if not n]),
+        ]:
+            if bad:
+                raise ValueError(f"ledger {what}: {bad[:5]}")
+    d_p = np.fromiter(map(itemgetter(2), ledger.positives), np.float64, len(ids))
+    late = [*np.flatnonzero(d_p[1:] < d_p[:-1])[:1],
+            *(i for i in np.flatnonzero(d_p[1:] == d_p[:-1]) if ids[i] > ids[i + 1])]
+    if late:
+        i = min(late)
+        raise ValueError(f"ledger: positive {ids[i + 1]} (d_p {d_p[i + 1]}) follows "
+                         f"{ids[i]} (d_p {d_p[i]}): positives must ascend in "
+                         "(d_p, context id)")
+
+    # Each context's negatives and pool are read in the ledger file's context
+    # order, the order both lie in memory; in d_p order the reads jump across
+    # it and take twice as long. Context k in file order is positive order[k].
+    file_pos = {cid: k for k, cid in enumerate(ledger.negatives)}
+    order = np.argsort(np.fromiter(map(file_pos.__getitem__, ids), np.intp, len(ids)))
+    positives = [ledger.positives[i] for i in order.tolist()]
+    ctxs = [contexts[cid] for cid, _, _ in positives]
+    negs = [ledger.negatives[cid] for cid, _, _ in positives]
+    # Documents by their index in doc-id order, -1 if unknown; a (context,
+    # document) pair is the key k * n_docs + document index.
+    doc_ids = sorted(doc_row)
+    index = {d: i for i, d in enumerate(doc_ids)}.get
+    n_docs = len(doc_ids)
+    pool_len = [len(c.negative_pool) for c in ctxs]
+    pool = np.fromiter(map(index, chain.from_iterable(c.negative_pool for c in ctxs),
+                           repeat(-1)), np.intp, sum(pool_len))
+    positive = np.fromiter(map(index, (c.positive_doc_id for c in ctxs), repeat(-1)),
+                           np.intp, len(ids))
+    if (pool < 0).any() or (positive < 0).any():
+        check_documents(ctxs, doc_row)  # names the first missing document
+    for (cid, doc, _), ctx in zip(positives, ctxs):
         if doc != ctx.positive_doc_id:
             raise ValueError(f"ledger: context {cid}: positive {doc} is not the "
                              f"context's positive {ctx.positive_doc_id}")
-        foreign = [d for d, _ in n if d not in ctx.negative_pool]
-        if foreign:
-            raise ValueError(f"ledger: context {cid}: negatives {foreign[:5]} are not "
-                             "in the context's negative pool")
-    neg_len = np.array([len(n) for n in negs], dtype=np.intp)
-    return LedgerColumns(
-        ids,
-        np.array([doc_row[doc] for _, doc, _ in ledger.positives], dtype=np.intp),
-        np.array([doc_row[d] for n in negs for d, _ in n], dtype=np.intp),
-        np.cumsum(neg_len) - neg_len, neg_len,
-    )
+
+    neg_len = np.fromiter(map(len, negs), np.intp, len(ids))
+    neg_start = np.cumsum(neg_len) - neg_len
+    neg = np.fromiter(map(index, map(itemgetter(0), chain.from_iterable(negs)), repeat(-1)),
+                      np.intp, neg_len.sum())
+    pool += np.repeat(np.arange(len(ids)) * n_docs, pool_len)
+    pool.sort()
+    keys = neg + np.repeat(np.arange(len(ids)) * n_docs, neg_len)
+    foreign = (neg < 0) | (np.searchsorted(pool, keys) == np.searchsorted(pool, keys, "right"))
+    del pool  # this runs near train's peak memory: each check frees its arrays
+    if foreign.any():
+        k = np.searchsorted(neg_start, foreign.argmax(), "right") - 1
+        bad = [d for d, _ in negs[k] if d not in ctxs[k].negative_pool]
+        raise ValueError(f"ledger: context {positives[k][0]}: negatives {bad[:5]} are not "
+                         "in the context's negative pool")
+    keys.sort()
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    del keys
+    if repeated.size:
+        k, d = divmod(int(repeated[0]), n_docs)
+        raise ValueError(f"ledger: context {positives[k][0]}: negative {doc_ids[d]} "
+                         "is listed more than once")
+    d_n = np.fromiter(map(itemgetter(1), chain.from_iterable(negs)), np.float64, len(neg))
+    unordered = (d_n[1:] > d_n[:-1]) | ((d_n[1:] == d_n[:-1]) & (neg[1:] < neg[:-1]))
+    unordered[neg_start[1:] - 1] = False  # the last negative of a context, the next's first
+    if unordered.any():
+        j = unordered.argmax()
+        k = np.searchsorted(neg_start, j, "right") - 1
+        raise ValueError(f"ledger: context {positives[k][0]}: negative {doc_ids[neg[j + 1]]} "
+                         f"(d_n {d_n[j + 1]}) follows {doc_ids[neg[j]]} (d_n {d_n[j]}): "
+                         "negatives must descend in d_n, ties by ascending doc id")
+    del d_n, unordered
+
+    # The columns, in d_p order: positive i is context at[i] in file order.
+    at = np.empty_like(order)
+    at[order] = np.arange(len(ids))
+    neg_len = neg_len[at]
+    start = np.cumsum(neg_len) - neg_len
+    take = np.repeat(neg_start[at] - start, neg_len) + np.arange(len(neg))
+    row = np.array([doc_row[d] for d in doc_ids], dtype=np.intp)
+    return LedgerColumns(ids, row[positive[at]], row[neg[take]], start, neg_len)
 
 
 @dataclass(frozen=True)
@@ -320,19 +383,44 @@ def save_ledger(ledger: DifficultyLedger, path: str | Path) -> None:
 
 
 def load_ledger(path: str | Path) -> DifficultyLedger:
-    """Parse a ledger file; training_data checks it against the contexts."""
+    """Parse a ledger file and check its entries' fields: ids are strings,
+    difficulties finite JSON numbers. training_data checks the ledger
+    against the contexts."""
     try:
         payload = json.loads(Path(path).read_text())
         if payload["version"] != LEDGER_FORMAT_VERSION:
             raise ValueError(f"unsupported version {payload['version']!r}")
-        return DifficultyLedger(
-            positives=[(cid, doc, float(dp)) for cid, doc, dp in payload["positives"]],
-            negatives={cid: [(d, float(s)) for d, s in entries]
-                       for cid, entries in payload["negatives"].items()},
+        # Popping each parsed list as its tuples are made frees it at once,
+        # so the file is never in memory in both forms.
+        negatives = payload.pop("negatives")
+        ledger = DifficultyLedger(
+            positives=[(cid, doc, dp) for cid, doc, dp in payload.pop("positives")],
+            negatives={cid: [(d, dn) for d, dn in negatives.pop(cid)] for cid in list(negatives)},
             pos_scorer_digest=payload["pos_scorer_digest"],
             neg_scorer_digest=payload["neg_scorer_digest"],
         )
+        _check_fields(ledger)
+        return ledger
     except KeyError as e:
         raise ValueError(f"{path}: malformed ledger: no {e} entry") from e
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{path}: malformed ledger: {e}") from e
+
+
+def _check_fields(ledger: DifficultyLedger) -> None:
+    """Refuse the first id that is not a string or difficulty that is not
+    a finite int or float (a bool is neither); each negative is a pair."""
+    pairs = list(chain.from_iterable(chain.from_iterable(ledger.negatives.values())))
+    for what, values, number in [
+        ("context id", list(map(itemgetter(0), ledger.positives)), False),
+        ("doc id", list(map(itemgetter(1), ledger.positives)) + pairs[0::2], False),
+        ("d_p", list(map(itemgetter(2), ledger.positives)), True),
+        ("d_n", pairs[1::2], True),
+    ]:
+        types = {int, float} if number else {str}
+        bad = [v for v in values if type(v) not in types] if set(map(type, values)) - types else []
+        if number and not bad and not math.isfinite(sum(values)):
+            bad = [v for v in values if not math.isfinite(v)]  # none if the sum overflowed
+        if bad:
+            kind = "finite number" if number else "string"
+            raise ValueError(f"{what} {bad[0]!r} is not a {kind}")

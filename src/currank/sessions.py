@@ -95,8 +95,16 @@ def parse_sessions(
     from .bm25 import tokenize
 
     documents: dict[str, Document] = {}
+    tokens_of: dict[str, tuple[str, ...]] = {}  # each distinct text tokenized once
     # session_id -> {position -> Interaction}
     by_session: dict[str, dict[int, Interaction]] = {}
+
+    def tokens(text, field: str) -> tuple[str, ...]:
+        if type(text) is not str:
+            raise SessionLogError(f"line {lineno}: {field} {text!r} is not a string")
+        if text not in tokens_of:
+            tokens_of[text] = tuple(tokenize(text))
+        return tokens_of[text]
 
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -113,6 +121,7 @@ def parse_sessions(
             candidates = rec["candidates"]
         except (KeyError, TypeError, ValueError) as e:
             raise SessionLogError(f"line {lineno}: missing or bad field ({e})")
+        query_tokens = tokens(query_text, "query_text")
         if not candidates:
             raise SessionLogError(
                 f"line {lineno}: interaction has zero candidates"
@@ -140,19 +149,20 @@ def parse_sessions(
                 raise SessionLogError(
                     f"line {lineno}: doc {doc_id!r} appears twice among the candidates"
                 )
-            tokens = tuple(tokenize(title))
+            title_tokens = tokens(title, "title")
             prev = documents.get(doc_id)
-            if prev is not None and prev.title_tokens != tokens:
+            if prev is None:
+                documents[doc_id] = Document(doc_id, title_tokens)
+            elif prev.title_tokens != title_tokens:
                 raise SessionLogError(
                     f"line {lineno}: doc {doc_id!r} has conflicting titles"
                 )
-            documents[doc_id] = Document(doc_id, tokens)
             cand_ids.append(doc_id)
             if is_clicked:
                 clicked.add(doc_id)
         interactions[position] = Interaction(
             query_id=f"{sid}:{position}",
-            query_tokens=tuple(tokenize(query_text)),
+            query_tokens=query_tokens,
             clicked_doc_ids=frozenset(clicked),
             candidate_doc_ids=tuple(cand_ids),
         )

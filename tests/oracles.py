@@ -5,8 +5,9 @@ code with the implementation under test. The exceptions are
 loop_sample_batch, two_pass_validation_loss, entries_eval, the per-array
 parameter code (loop_init_params, per_array_checkpoint_bytes,
 per_array_dense_digest), the one-pair scorers (rank_score, dense_score),
-PerContextDenseScorer and pair_train_in_batch: earlier forms of library
-code, kept to show that the current forms compute the same bits.
+PerContextDenseScorer, pair_train_in_batch, per_call_score_all and
+PerCallBm25Scorer: earlier forms of library code, kept to show that the
+current forms compute the same bits.
 """
 
 from __future__ import annotations
@@ -15,15 +16,18 @@ import hashlib
 import json
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 
 from currank import towers
+from currank.bm25 import idf
 from currank.dense import in_batch_loss_and_grad
 from currank.checkpoint import FORMAT_VERSION, MAGIC
 from currank.curriculum import TrainingBatch
 from currank.metrics import evaluate_run
 from currank.ranker import order_slate
+from currank.scorers import Bm25Scorer
 from currank.towers import PARAM_NAMES
 
 
@@ -42,6 +46,37 @@ def naive_bm25(docs: dict[str, list[str]], query: list[str], doc_id: str,
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         total += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * len(doc) / avgdl))
     return total
+
+
+def per_call_score_all(index, params, query_tokens) -> np.ndarray:
+    """bm25.score_all as it computed every query term's weights on each call."""
+    n = len(index.doc_ids)
+    scores = np.zeros(n, dtype=np.float64)
+    avgdl = index.avg_doc_length
+    norm = params.k1 * (1.0 - params.b + params.b * index.doc_lengths / avgdl)
+    for term, count in Counter(query_tokens).items():
+        entry = index.postings.get(term)
+        if entry is None:
+            continue
+        positions, tfs = entry
+        tf = tfs.astype(np.float64)
+        contrib = idf(n, len(positions)) * tf * (params.k1 + 1.0) / (tf + norm[positions])
+        scores[positions] += count * contrib
+    return scores
+
+
+class PerCallBm25Scorer:
+    """scorers.Bm25Scorer as it scored every context through
+    per_call_score_all."""
+
+    def __init__(self, index, params):
+        self.index = index
+        self.params = params
+        self.doc_ids = index.doc_ids
+        self.digest = Bm25Scorer(index, params).digest
+
+    def score_corpus(self, ctx) -> np.ndarray:
+        return per_call_score_all(self.index, self.params, ctx.context_tokens)
 
 
 def naive_ap(ranked: list[str], relevant: set[str]) -> float | None:

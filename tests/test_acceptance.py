@@ -324,7 +324,8 @@ def test_criterion_6_oracle_equivalence():
             params = bm25.Bm25Params()
             for _ in range(10):
                 query = list(rng.choice(tokens, size=int(rng.integers(1, 5))))
-                all_scores = bm25.score_all(index, params, query)
+                all_scores = bm25.score_all(bm25.term_weights(index, params),
+                                            len(index.doc_ids), query)
                 for pos, doc_id in enumerate(index.doc_ids):
                     want = naive_bm25(raw, query, doc_id)
                     assert all_scores[pos] == pytest.approx(want, abs=1e-9)

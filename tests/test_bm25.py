@@ -7,16 +7,19 @@ from currank.bm25 import (
     Bm25Params,
     build_index,
     score_all,
+    term_weights,
     tokenize,
 )
+from currank.scorers import Bm25Scorer
 from currank.sessions import Document, SearchContext
 
-from oracles import naive_bm25
+from oracles import naive_bm25, per_call_score_all
 
 
 def score(index, params, query, doc_id):
     """One document's entry of the corpus scores."""
-    return score_all(index, params, query)[index.doc_ids.index(doc_id)]
+    scores = score_all(term_weights(index, params), len(index.doc_ids), query)
+    return scores[index.doc_ids.index(doc_id)]
 
 
 class TestTokenize:
@@ -163,3 +166,38 @@ class TestParams:
             Bm25Params(k1=-0.1)
         with pytest.raises(ValueError):
             Bm25Params(b=1.5)
+
+
+class TestScoreMatchesPerCallOracle:
+    """Term weights computed once give the bits of the per-call computation."""
+
+    def test_random_corpora(self, rng):
+        words = [f"w{i}" for i in range(25)]
+        for _ in range(20):
+            docs = {
+                f"d{j:03d}": Document(f"d{j:03d}", tuple(
+                    rng.choice(words, size=int(rng.integers(1, 10))).tolist()))
+                for j in range(int(rng.integers(1, 80)))
+            }
+            index = build_index(docs)
+            params = Bm25Params(k1=float(rng.uniform(0, 3)), b=float(rng.uniform(0, 1)))
+            weights = term_weights(index, params)
+            scorer = Bm25Scorer(index, params)
+            for _ in range(20):
+                # repeated terms, terms no document has, the separator, empty queries
+                query = rng.choice(words + ["oov", "|"], size=int(rng.integers(0, 15))).tolist()
+                want = per_call_score_all(index, params, query)
+                assert np.array_equal(score_all(weights, len(index.doc_ids), query), want)
+                ctx = SearchContext("s", 1, tuple(query), "d000", ())
+                assert np.array_equal(scorer.score_corpus(ctx), want)
+
+    def test_repeated_tokens_reuse_the_read_only_vector(self, tiny_index):
+        scorer = Bm25Scorer(tiny_index, Bm25Params())
+        a = SearchContext("s", 1, ("clay", "aiken"), "d1", ())
+        b = SearchContext("s", 1, ("clay", "aiken"), "d2", ())
+        c = SearchContext("s", 2, ("clay",), "d1", ())
+        scores = scorer.score_corpus(a)
+        assert scorer.score_corpus(b) is scores
+        assert scorer.score_corpus(c) is not scores
+        with pytest.raises(ValueError, match="read-only"):
+            scores[0] = 1.0

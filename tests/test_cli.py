@@ -160,8 +160,15 @@ class TestIngest:
         (_log_record(2, {"doc_id": "d1", "title": "x", "rank": 1, "clicked": True},
                      {"doc_id": "d1", "title": "x", "rank": 2, "clicked": False}),
          "twice"),
+        (_log_record(2, {"doc_id": "d1", "title": ["a"], "rank": 1, "clicked": True}),
+         "title ['a'] is not a string"),
+        (_log_record(2, {"doc_id": "d1", "title": 5, "rank": 1, "clicked": True}),
+         "title 5 is not a string"),
+        (_log_record(2, {"doc_id": "d1", "title": "x", "rank": 1, "clicked": True})
+         .replace('"query_text": "q"', '"query_text": ["a"]'),
+         "query_text ['a'] is not a string"),
     ], ids=["invalid-json", "missing-rank", "non-integer-rank",
-         "fractional-rank", "duplicate-doc"])
+         "fractional-rank", "duplicate-doc", "list-title", "integer-title", "list-query"])
     def test_malformed_log_exits_two(self, tmp_path, capsys, record, error):
         bad = tmp_path / "bad.jsonl"
         good = _log_record(1, {"doc_id": "d0", "title": "y", "rank": 1, "clicked": True})
@@ -169,6 +176,7 @@ class TestIngest:
         assert run_cli("ingest", "--log", bad, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "line 2" in err and error in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestScore:
@@ -405,6 +413,19 @@ class TestTrain:
         if case == "duplicate-positive":
             payload["positives"].append(payload["positives"][0])
             return f"ledger lists contexts more than once: ['{cid}']"
+        if case == "repeated-negative":
+            negatives.append(negatives[-1])
+            return f"ledger: context {cid}: negative {negatives[-1][0]} is listed more than once"
+        if case == "reversed-positives":
+            payload["positives"].reverse()
+            (a, _, da), (b, _, db) = payload["positives"][:2]
+            return (f"ledger: positive {b} (d_p {db}) follows {a} (d_p {da}): "
+                    "positives must ascend in (d_p, context id)")
+        if case == "ascending-negatives":
+            negatives.reverse()
+            (a, da), (b, db) = negatives[:2]
+            return (f"ledger: context {cid}: negative {b} (d_n {db}) follows {a} (d_n {da}): "
+                    "negatives must descend in d_n, ties by ascending doc id")
         if case in ("unknown-positive-doc", "foreign-positive-doc"):
             bad = payload["positives"][0][1] = (
                 "nosuchdoc" if case == "unknown-positive-doc" else other.positive_doc_id)
@@ -419,6 +440,7 @@ class TestTrain:
     @pytest.mark.parametrize("case", [
         "no-negatives", "unknown-context", "duplicate-positive", "unknown-positive-doc",
         "foreign-positive-doc", "unknown-negative-doc", "foreign-negative-doc",
+        "repeated-negative", "reversed-positives", "ascending-negatives",
     ])
     def test_ledger_without_a_context_negatives_exits_two(
         self, bundle_dir, ledger_dir, tmp_path, capsys, case, command
@@ -450,6 +472,24 @@ class TestTrain:
                        "--out", tmp_path / "o", "--steps", 10, "--batch-size", 8) == 2
         assert f"error: {ledger}: malformed ledger: no '{key}' entry" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("field, value, message", [
+        (0, ["x"], "context id ['x'] is not a string"),
+        (2, float("nan"), "d_p nan is not a finite number"),
+        (2, "0.5", "d_p '0.5' is not a finite number"),
+    ], ids=["list-context-id", "nan-d_p", "string-d_p"])
+    def test_ledger_entry_of_wrong_type_exits_two(self, bundle_dir, ledger_dir, tmp_path,
+                                                  capsys, command, field, value, message):
+        payload = json.loads((ledger_dir / "ledger.json").read_text())
+        payload["positives"][0][field] = value
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert run_cli(command, "--bundle", bundle_dir, "--ledger", ledger,
+                       "--out", out, "--steps", 10, "--batch-size", 8) == 2
+        assert capsys.readouterr().err == f"error: {ledger}: malformed ledger: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"version": 1, "positives": 5}',
                                       "not json"],

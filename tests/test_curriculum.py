@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from currank.curriculum import (
     build_ledger,
     difficulty_negative,
     difficulty_positive,
+    ledger_columns,
     load_ledger,
     pacing_negative,
     pacing_positive,
@@ -20,11 +23,11 @@ from currank.curriculum import (
     save_ledger,
 )
 from currank.scorers import Bm25Scorer, DenseScorer
-from currank.sessions import Document, SearchContext
+from currank.sessions import Document, Interaction, SearchContext, Session, build_contexts
 from currank.towers import Vocab, encode_corpus, init_params
 
 from batches import sample_items
-from oracles import loop_sample_batch
+from oracles import PerCallBm25Scorer, loop_sample_batch
 
 
 def random_pacing(rng, T=None):
@@ -287,6 +290,108 @@ class TestMixedScorers:
         _, other = _mixed_fixture(extra_doc=True)
         with pytest.raises(ValueError, match="different corpora"):
             build_ledger(scorers[pos_kind], other[neg_kind], contexts)
+
+
+def _multi_click_contexts(rng, n_sessions=40):
+    """Random sessions whose interactions have 1-3 clicks each, so the
+    contexts of one interaction are adjacent and share their tokens."""
+    words = [f"w{i}" for i in range(20)]
+
+    def tokens(lo, hi):
+        return tuple(rng.choice(words, size=int(rng.integers(lo, hi))).tolist())
+
+    docs = {f"d{j:02d}": Document(f"d{j:02d}", tokens(1, 6)) for j in range(50)}
+    sessions = []
+    for i in range(n_sessions):
+        inters = []
+        for q in range(1, int(rng.integers(2, 5))):
+            cands = tuple(f"d{j:02d}" for j in rng.choice(50, 8, replace=False))
+            clicked = rng.choice(cands, int(rng.integers(1, 4)), replace=False).tolist()
+            inters.append(Interaction(f"s{i:02d}:{q}", tokens(1, 5), frozenset(clicked), cands))
+        sessions.append(Session(f"s{i:02d}", tuple(inters)))
+    contexts, _ = build_contexts(sessions, docs)
+    return docs, contexts
+
+
+class TestBuildLedgerMatchesPerCallScorer:
+    def test_multi_click_contexts(self, rng):
+        """BM25 term weights computed once, and a score vector reused for
+        adjacent contexts with equal tokens, give the per-call ledger."""
+        docs, contexts = _multi_click_contexts(rng)
+        shared = [(a, b) for a, b in zip(contexts, contexts[1:])
+                  if a.context_tokens == b.context_tokens]
+        assert len(shared) > 10
+        index, params = build_index(docs), Bm25Params()
+        scorer, oracle = Bm25Scorer(index, params), PerCallBm25Scorer(index, params)
+        ledger = build_ledger(scorer, scorer, contexts)
+        want = build_ledger(oracle, oracle, contexts)
+        assert ledger.positives == want.positives
+        assert ledger.negatives == want.negatives
+        a, b = shared[0]
+        assert scorer.score_corpus(a) is scorer.score_corpus(b)
+        assert np.array_equal(scorer.score_corpus(b), oracle.score_corpus(b))
+
+
+class TestLedgerColumnsRefuses:
+    """Ties in build_ledger's orders; test_cli covers repeated negatives,
+    reversed positives and ascending negatives."""
+
+    def _columns(self, ledger, contexts):
+        docs = {d for c in contexts for d in (c.positive_doc_id, *c.negative_pool)}
+        return ledger_columns(ledger, {c.context_id: c for c in contexts},
+                              {d: i for i, d in enumerate(sorted(docs))})
+
+    def test_toy_ledger_accepted(self):
+        ledger, contexts = _toy_ledger()
+        assert self._columns(ledger, contexts).neg_len.tolist() == [6] * 10
+
+    def test_tied_positives_out_of_id_order(self):
+        ledger, contexts = _toy_ledger()
+        (a, da, _), (b, db, _) = ledger.positives[4:6]
+        ledger.positives[4:6] = [(b, db, 5.0), (a, da, 5.0)]
+        with pytest.raises(ValueError, match=f"positive {a} .* follows {b}"):
+            self._columns(ledger, contexts)
+
+    def test_tied_negatives_out_of_id_order(self):
+        ledger, contexts = _toy_ledger()
+        cid = ledger.positives[0][0]
+        ledger.negatives[cid][:2] = [("n0_1", 6.0), ("n0_0", 6.0)]
+        with pytest.raises(ValueError, match="negative n0_0 .* follows n0_1"):
+            self._columns(ledger, contexts)
+        ledger.negatives[cid][:2] = [("n0_0", 6.0), ("n0_1", 6.0)]
+        self._columns(ledger, contexts)
+
+
+class TestLoadLedgerFieldTypes:
+    """test_cli covers a list context id, a NaN d_p and a string d_p."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p["positives"][0].__setitem__(1, 7), "doc id 7 is not a string"),
+        (lambda p: p["positives"][0].__setitem__(2, True), "d_p True is not a finite number"),
+        (lambda p: p["negatives"]["s00:1:p0"][0].__setitem__(0, None),
+         "doc id None is not a string"),
+        (lambda p: p["negatives"]["s00:1:p0"][0].__setitem__(1, -math.inf),
+         "d_n -inf is not a finite number"),
+        (lambda p: p["negatives"]["s00:1:p0"][0].append(1.0),
+         "too many values to unpack (expected 2)"),
+        (lambda p: p["positives"][0].pop(), "not enough values to unpack (expected 3, got 2)"),
+    ], ids=["integer-doc-id", "bool-d_p", "null-negative-doc-id", "infinite-d_n",
+            "long-negative", "short-positive"])
+    def test_refused(self, tmp_path, edit, message):
+        ledger, _ = _toy_ledger()
+        payload = json.loads(json.dumps({"version": 1, **vars(ledger)}))
+        edit(payload)
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed ledger: {message}")):
+            load_ledger(path)
+
+    def test_integer_difficulties_accepted(self, tmp_path):
+        ledger, _ = _toy_ledger()
+        path = tmp_path / "ledger.json"
+        save_ledger(ledger, path)
+        path.write_text(path.read_text().replace(".0", ""))
+        assert load_ledger(path) == ledger
 
 
 class TestSampleBatch:

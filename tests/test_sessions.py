@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -96,6 +97,29 @@ class TestParseSessions:
             record("s1", 2, "q", [("a", "another title")], set()),
         ]
         with pytest.raises(SessionLogError, match="conflicting"):
+            parse_sessions(lines)
+
+
+    def test_titles_that_tokenize_alike_agree(self):
+        lines = [
+            record("s1", 1, "q", [("a", "Clay Aiken")], set()),
+            record("s1", 2, "q", [("a", "clay, aiken!"), ("b", "Clay Aiken")], set()),
+        ]
+        _, documents = parse_sessions(lines)
+        assert documents["a"].title_tokens == documents["b"].title_tokens == ("clay", "aiken")
+
+    @pytest.mark.parametrize("field, value", [
+        ("title", ["a"]), ("title", 5), ("query_text", ["a"]),
+    ], ids=["list-title", "integer-title", "list-query"])
+    def test_non_string_text_rejected(self, field, value):
+        rec = json.loads(record("s1", 2, "q", [("a", "t")], set()))
+        if field == "title":
+            rec["candidates"][0]["title"] = value
+        else:
+            rec["query_text"] = value
+        lines = [record("s1", 1, "q", [("a", "t")], set()), json.dumps(rec)]
+        with pytest.raises(SessionLogError,
+                           match=re.escape(f"line 2: {field} {value!r} is not a string")):
             parse_sessions(lines)
 
 
