@@ -167,71 +167,55 @@ def ledger_columns(
                          f"{ids[i]} (d_p {d_p[i]}): positives must ascend in "
                          "(d_p, context id)")
 
-    # Each context's negatives and pool are read in the ledger file's context
-    # order, the order both lie in memory; in d_p order the reads jump across
-    # it and take twice as long. Context k in file order is positive order[k].
-    file_pos = {cid: k for k, cid in enumerate(ledger.negatives)}
-    order = np.argsort(np.fromiter(map(file_pos.__getitem__, ids), np.intp, len(ids)))
-    positives = [ledger.positives[i] for i in order.tolist()]
-    ctxs = [contexts[cid] for cid, _, _ in positives]
-    negs = [ledger.negatives[cid] for cid, _, _ in positives]
+    ctxs = [contexts[cid] for cid in ids]
     # Documents by their index in doc-id order, -1 if unknown; a (context,
-    # document) pair is the key k * n_docs + document index.
+    # document) pair is the key i * n_docs + document index.
     doc_ids = sorted(doc_row)
     index = {d: i for i, d in enumerate(doc_ids)}.get
     n_docs = len(doc_ids)
-    pool_len = [len(c.negative_pool) for c in ctxs]
+    pool_len = np.fromiter(map(len, (c.negative_pool for c in ctxs)), np.intp, len(ids))
     pool = np.fromiter(map(index, chain.from_iterable(c.negative_pool for c in ctxs),
-                           repeat(-1)), np.intp, sum(pool_len))
+                           repeat(-1)), np.intp, pool_len.sum())
     positive = np.fromiter(map(index, (c.positive_doc_id for c in ctxs), repeat(-1)),
                            np.intp, len(ids))
     if (pool < 0).any() or (positive < 0).any():
         check_documents(ctxs, doc_row)  # names the first missing document
-    for (cid, doc, _), ctx in zip(positives, ctxs):
+    for (cid, doc, _), ctx in zip(ledger.positives, ctxs):
         if doc != ctx.positive_doc_id:
             raise ValueError(f"ledger: context {cid}: positive {doc} is not the "
                              f"context's positive {ctx.positive_doc_id}")
 
     neg_len = np.fromiter(map(len, negs), np.intp, len(ids))
     neg_start = np.cumsum(neg_len) - neg_len
-    neg = np.fromiter(map(index, map(itemgetter(0), chain.from_iterable(negs)), repeat(-1)),
-                      np.intp, neg_len.sum())
-    pool += np.repeat(np.arange(len(ids)) * n_docs, pool_len)
-    pool.sort()
-    keys = neg + np.repeat(np.arange(len(ids)) * n_docs, neg_len)
+    flat = list(chain.from_iterable(negs))
+    neg = np.fromiter(map(index, map(itemgetter(0), flat), repeat(-1)), np.intp, len(flat))
+    d_n = np.fromiter(map(itemgetter(1), flat), np.float64, len(flat))
+    offset = np.arange(len(ids)) * n_docs
+    keys = neg + np.repeat(offset, neg_len)
+    pool = np.sort(pool + np.repeat(offset, pool_len))
     foreign = (neg < 0) | (np.searchsorted(pool, keys) == np.searchsorted(pool, keys, "right"))
-    del pool  # this runs near train's peak memory: each check frees its arrays
     if foreign.any():
-        k = np.searchsorted(neg_start, foreign.argmax(), "right") - 1
-        bad = [d for d, _ in negs[k] if d not in ctxs[k].negative_pool]
-        raise ValueError(f"ledger: context {positives[k][0]}: negatives {bad[:5]} are not "
+        i = np.searchsorted(neg_start, foreign.argmax(), "right") - 1
+        bad = [d for d, _ in negs[i] if d not in ctxs[i].negative_pool]
+        raise ValueError(f"ledger: context {ids[i]}: negatives {bad[:5]} are not "
                          "in the context's negative pool")
     keys.sort()
-    repeated = keys[1:][keys[1:] == keys[:-1]]
-    del keys
+    repeated = keys[1:][np.diff(keys) == 0]
     if repeated.size:
-        k, d = divmod(int(repeated[0]), n_docs)
-        raise ValueError(f"ledger: context {positives[k][0]}: negative {doc_ids[d]} "
+        i, d = divmod(int(repeated[0]), n_docs)
+        raise ValueError(f"ledger: context {ids[i]}: negative {doc_ids[d]} "
                          "is listed more than once")
-    d_n = np.fromiter(map(itemgetter(1), chain.from_iterable(negs)), np.float64, len(neg))
-    unordered = (d_n[1:] > d_n[:-1]) | ((d_n[1:] == d_n[:-1]) & (neg[1:] < neg[:-1]))
+    step = np.diff(d_n)
+    unordered = (step > 0) | ((step == 0) & (np.diff(neg) < 0))
     unordered[neg_start[1:] - 1] = False  # the last negative of a context, the next's first
     if unordered.any():
         j = unordered.argmax()
-        k = np.searchsorted(neg_start, j, "right") - 1
-        raise ValueError(f"ledger: context {positives[k][0]}: negative {doc_ids[neg[j + 1]]} "
+        i = np.searchsorted(neg_start, j, "right") - 1
+        raise ValueError(f"ledger: context {ids[i]}: negative {doc_ids[neg[j + 1]]} "
                          f"(d_n {d_n[j + 1]}) follows {doc_ids[neg[j]]} (d_n {d_n[j]}): "
                          "negatives must descend in d_n, ties by ascending doc id")
-    del d_n, unordered
-
-    # The columns, in d_p order: positive i is context at[i] in file order.
-    at = np.empty_like(order)
-    at[order] = np.arange(len(ids))
-    neg_len = neg_len[at]
-    start = np.cumsum(neg_len) - neg_len
-    take = np.repeat(neg_start[at] - start, neg_len) + np.arange(len(neg))
     row = np.array([doc_row[d] for d in doc_ids], dtype=np.intp)
-    return LedgerColumns(ids, row[positive[at]], row[neg[take]], start, neg_len)
+    return LedgerColumns(ids, row[positive], row[neg], neg_start, neg_len)
 
 
 @dataclass(frozen=True)

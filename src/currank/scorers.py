@@ -28,21 +28,14 @@ class ScoreSource(Protocol):
 
 
 class Bm25Scorer:
-    """Adjacent contexts with equal tokens share one read-only score vector."""
-
     def __init__(self, index: bm25.LexicalIndex, params: bm25.Bm25Params):
         self.index = index
         self.params = params
         self.doc_ids = index.doc_ids
         self._weights = bm25.term_weights(index, params)
-        self._last: tuple[tuple[str, ...], np.ndarray] | None = None
 
     def score_corpus(self, ctx: SearchContext) -> np.ndarray:
-        if self._last is None or self._last[0] != ctx.context_tokens:
-            scores = bm25.score_all(self._weights, len(self.doc_ids), ctx.context_tokens)
-            scores.flags.writeable = False
-            self._last = (ctx.context_tokens, scores)
-        return self._last[1]
+        return bm25.score_all(self._weights, len(self.doc_ids), ctx.context_tokens)
 
     def digest(self) -> str:
         h = hashlib.sha256()

@@ -190,14 +190,3 @@ class TestScoreMatchesPerCallOracle:
                 assert np.array_equal(score_all(weights, len(index.doc_ids), query), want)
                 ctx = SearchContext("s", 1, tuple(query), "d000", ())
                 assert np.array_equal(scorer.score_corpus(ctx), want)
-
-    def test_repeated_tokens_reuse_the_read_only_vector(self, tiny_index):
-        scorer = Bm25Scorer(tiny_index, Bm25Params())
-        a = SearchContext("s", 1, ("clay", "aiken"), "d1", ())
-        b = SearchContext("s", 1, ("clay", "aiken"), "d2", ())
-        c = SearchContext("s", 2, ("clay",), "d1", ())
-        scores = scorer.score_corpus(a)
-        assert scorer.score_corpus(b) is scores
-        assert scorer.score_corpus(c) is not scores
-        with pytest.raises(ValueError, match="read-only"):
-            scores[0] = 1.0

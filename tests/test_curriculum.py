@@ -315,8 +315,8 @@ def _multi_click_contexts(rng, n_sessions=40):
 
 class TestBuildLedgerMatchesPerCallScorer:
     def test_multi_click_contexts(self, rng):
-        """BM25 term weights computed once, and a score vector reused for
-        adjacent contexts with equal tokens, give the per-call ledger."""
+        """BM25 term weights computed once give the per-call ledger, also
+        where adjacent contexts share their tokens."""
         docs, contexts = _multi_click_contexts(rng)
         shared = [(a, b) for a, b in zip(contexts, contexts[1:])
                   if a.context_tokens == b.context_tokens]
@@ -327,9 +327,6 @@ class TestBuildLedgerMatchesPerCallScorer:
         want = build_ledger(oracle, oracle, contexts)
         assert ledger.positives == want.positives
         assert ledger.negatives == want.negatives
-        a, b = shared[0]
-        assert scorer.score_corpus(a) is scorer.score_corpus(b)
-        assert np.array_equal(scorer.score_corpus(b), oracle.score_corpus(b))
 
 
 class TestLedgerColumnsRefuses:
