@@ -43,12 +43,11 @@ def save_checkpoint(
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fp:
-        fp.write(MAGIC)
-        fp.write(struct.pack("<I", len(blob)))
-        fp.write(blob)
-        for arr in (params.flat, *extras.values()):
-            fp.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_atomic(path, b"".join([
+        MAGIC, struct.pack("<I", len(blob)), blob,
+        *(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+          for arr in (params.flat, *extras.values())),
+    ]))
 
 
 def load_checkpoint(
@@ -97,8 +96,8 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write `text` to `path` through a temporary file in the same directory
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file in the same directory
     and `os.replace`, so that a reader or a failed write finds the old file
     or the new one, never part of one. The temporary file is removed when
     the write fails; it is not fsynced, so this guards against a crashing
@@ -106,7 +105,7 @@ def write_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -40,8 +40,8 @@ from .sessions import (
 )
 from .towers import Vocab, encode_corpus
 from .trainer import (  # evaluate_ranker: perfbench/spans.py traces it here
-    MODES, TrainConfig, check_prefixes, encode_slates, evaluate_ranker,
-    load_ranker, rank_slates, save_ranker, steps_per_epoch, sweep, train,
+    MODES, TrainConfig, ablation_runs, check_prefixes, encode_slates, evaluate_ranker,
+    load_ranker, rank_slates, save_ranker, steps_per_epoch, train,
     train_and_evaluate, training_data,
 )
 
@@ -231,16 +231,17 @@ def _make_scorer(kind: str, args, documents, train_contexts, vocab, out_dir):
     if kind != "dense":
         raise CliError(f"unknown scorer kind {kind!r}")
     contexts_by_id = {c.context_id: c for c in train_contexts}
+    tokens_by_id = {cid: c.context_tokens for cid, c in contexts_by_id.items()}
     if args.checkpoint:
         params, ckpt_vocab, _, _ = checkpoint.load_checkpoint(
             args.checkpoint, expect_kind="dense-scorer"
         )
         return DenseScorer(params, ckpt_vocab,
-                           encode_corpus(ckpt_vocab, documents, contexts_by_id))
+                           encode_corpus(ckpt_vocab, documents, tokens_by_id))
     if not args.fit:
         raise CliError("dense scorer needs --checkpoint or --fit")
     check_documents(train_contexts, documents)  # before the fit reads the positives
-    corpus = encode_corpus(vocab, documents, contexts_by_id)
+    corpus = encode_corpus(vocab, documents, tokens_by_id)
     rng = np.random.default_rng([args.seed, 2])
     params = towers.init_params(len(vocab), args.d_emb, args.hidden, rng)
     positive_rows = [corpus.doc_row[c.positive_doc_id] for c in contexts_by_id.values()]
@@ -392,13 +393,8 @@ def cmd_eval(args) -> int:
             write_run_file(ranked, args.tag, fp)
         with open(out_dir / "qrels.txt", "w") as fp:
             write_qrels(ranked, fp)
-        metrics_payload = {
-            "metrics": table.metrics,
-            "evaluated_queries": table.evaluated_queries,
-            "skipped_queries": table.skipped_queries,
-        }
         (out_dir / "metrics.json").write_text(
-            json.dumps(metrics_payload, sort_keys=True, indent=2) + "\n"
+            json.dumps(asdict(table), sort_keys=True, indent=2) + "\n"
         )
         outputs = [out_dir / "run.txt", out_dir / "qrels.txt", out_dir / "metrics.json"]
         _emit_manifest(
@@ -419,26 +415,20 @@ def cmd_ablate(args) -> int:
     if slates is None:
         raise CliError("ablation needs a non-empty validation split")
     base = _train_config_from(args, len(ledger.positives))
-    deltas = [float(x) for x in args.grid_deltas.split(",")]
-    etas = [float(x) for x in args.grid_etas.split(",")]
-    for config in [replace(base, mode=mode) for mode in MODES] + [
-            replace(base, pacing=replace(base.pacing, delta=d, eta=e))
-            for d in deltas for e in etas]:
+    runs = ablation_runs(base, [float(x) for x in args.grid_deltas.split(",")],
+                         [float(x) for x in args.grid_etas.split(",")])
+    for _, config in runs:
         check_prefixes(config, data.columns)  # every run, before the first
 
     out_dir = Path(args.out)
     with output_lock(out_dir):
-        mode_rows = []
-        for mode in MODES:
-            row = train_and_evaluate(replace(base, mode=mode), data, slates, mode=mode)
-            mode_rows.append(row)
-            print(f"mode {mode:>14s}: MAP={row['MAP']:.4f} MRR={row['MRR']:.4f}")
-
-        grid_rows = sweep(base, data, deltas, etas, slates)
-        for row in grid_rows:
-            print(f"delta={row['delta']:.2f} eta={row['eta']:.2f}: MAP={row['MAP']:.4f}")
-
-        payload = {"modes": mode_rows, "grid": grid_rows}
+        payload = {"modes": [], "grid": []}
+        for row, config in runs:
+            row = train_and_evaluate(config, data, slates, **row)
+            payload["modes" if "mode" in row else "grid"].append(row)
+            print(f"mode {row['mode']:>14s}: MAP={row['MAP']:.4f} MRR={row['MRR']:.4f}"
+                  if "mode" in row else
+                  f"delta={row['delta']:.2f} eta={row['eta']:.2f}: MAP={row['MAP']:.4f}")
         (out_dir / "ablation.json").write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n"
         )

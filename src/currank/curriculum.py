@@ -363,7 +363,7 @@ def _choose_each(rng: np.random.Generator, n: np.ndarray, m: int) -> np.ndarray:
 
 def save_ledger(ledger: DifficultyLedger, path: str | Path) -> None:
     payload = {"version": LEDGER_FORMAT_VERSION, **vars(ledger)}
-    write_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    write_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
 
 
 def load_ledger(path: str | Path) -> DifficultyLedger:

@@ -75,6 +75,10 @@ class SearchContext:
         return f"{self.session_id}:{self.position}:{self.positive_doc_id}"
 
 
+# A held-out slate: (query id, context tokens, logged candidates, clicked set).
+EvalSlate = tuple[str, tuple[str, ...], tuple[str, ...], frozenset[str]]
+
+
 def _candidate_rank(cand: dict) -> int:
     rank = cand["rank"]
     if type(rank) is not int:  # also rejects bool, a subclass of int
@@ -115,12 +119,16 @@ def parse_sessions(
         except json.JSONDecodeError as e:
             raise SessionLogError(f"line {lineno}: invalid JSON ({e.msg})")
         try:
-            sid = str(rec["session_id"])
-            position = int(rec["query_position"])
+            sid = rec["session_id"]
+            position = rec["query_position"]
             query_text = rec["query_text"]
             candidates = rec["candidates"]
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError) as e:
             raise SessionLogError(f"line {lineno}: missing or bad field ({e})")
+        if type(sid) is not str:
+            raise SessionLogError(f"line {lineno}: session_id {sid!r} is not a string")
+        if type(position) is not int:  # also rejects bool, a subclass of int
+            raise SessionLogError(f"line {lineno}: query_position {position!r} is not an integer")
         query_tokens = tokens(query_text, "query_text")
         if not candidates:
             raise SessionLogError(
@@ -140,11 +148,15 @@ def parse_sessions(
         clicked = set()
         for cand in ordered:
             try:
-                doc_id = str(cand["doc_id"])
+                doc_id = cand["doc_id"]
                 title = cand["title"]
-                is_clicked = bool(cand["clicked"])
+                is_clicked = cand["clicked"]
             except (KeyError, TypeError) as e:
                 raise SessionLogError(f"line {lineno}: bad candidate ({e})")
+            if type(doc_id) is not str:
+                raise SessionLogError(f"line {lineno}: doc_id {doc_id!r} is not a string")
+            if type(is_clicked) is not bool:
+                raise SessionLogError(f"line {lineno}: clicked {is_clicked!r} is not a boolean")
             if doc_id in cand_ids:
                 raise SessionLogError(
                     f"line {lineno}: doc {doc_id!r} appears twice among the candidates"
@@ -250,24 +262,14 @@ def negative_window_pool(
 def build_eval_items(
     sessions: Iterable[Session],
     documents: dict[str, Document],
-) -> list[tuple[SearchContext, tuple[str, ...], frozenset[str]]]:
-    """One evaluation slate per interaction with at least one click:
-    (context, logged candidate list, clicked set)."""
-    items = []
-    for session_id, position, inter, ctx_tokens in _walk(sessions, documents):
-        if inter.clicked_doc_ids:
-            ctx = SearchContext(
-                session_id=session_id,
-                position=position,
-                context_tokens=ctx_tokens,
-                positive_doc_id=min(inter.clicked_doc_ids),
-                negative_pool=tuple(
-                    d for d in inter.candidate_doc_ids
-                    if d not in inter.clicked_doc_ids
-                ),
-            )
-            items.append((ctx, inter.candidate_doc_ids, inter.clicked_doc_ids))
-    return items
+) -> list[EvalSlate]:
+    """One evaluation slate per interaction with at least one click. The
+    query id is session_id:<1-based index of the interaction>, as _walk
+    counts it, not the log's query_position, which may have gaps."""
+    return [(f"{session_id}:{position}", ctx_tokens, inter.candidate_doc_ids,
+             inter.clicked_doc_ids)
+            for session_id, position, inter, ctx_tokens in _walk(sessions, documents)
+            if inter.clicked_doc_ids]
 
 
 # ---------------------------------------------------------------------------

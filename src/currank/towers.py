@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .sessions import Document, SearchContext
+from .sessions import Document
 
 if TYPE_CHECKING:
     from .curriculum import TrainingBatch
@@ -88,8 +88,8 @@ def token_rows(sequences: Iterable[Sequence[int]]) -> TokenRows:
 
 @dataclass
 class EncodedCorpus:
-    """Context and document token rows, encoded once and looked up by
-    context id and doc id."""
+    """Context and document token rows, encoded once and looked up by the
+    caller's context key and by doc id."""
 
     contexts: TokenRows
     context_row: dict[str, int]
@@ -102,15 +102,16 @@ class EncodedCorpus:
 
 
 def encode_corpus(
-    vocab: Vocab, documents: dict[str, Document], contexts: dict[str, SearchContext]
+    vocab: Vocab, documents: dict[str, Document], contexts: dict[str, Sequence[str]]
 ) -> EncodedCorpus:
-    """Encode `contexts`, keyed by context id, and `documents`; documents
-    with identical titles share a row, so they always score alike."""
+    """Encode the token sequences `contexts`, keyed by the caller's ids
+    (context ids, or query ids for held-out slates), and `documents`;
+    documents with identical titles share a row, so they always score alike."""
     titles: dict[tuple[str, ...], int] = {}
     doc_row = {d: titles.setdefault(doc.title_tokens, len(titles))
                for d, doc in documents.items()}
     return EncodedCorpus(
-        contexts=token_rows(vocab.encode(c.context_tokens) for c in contexts.values()),
+        contexts=token_rows(vocab.encode(tokens) for tokens in contexts.values()),
         context_row={cid: i for i, cid in enumerate(contexts)},
         docs=token_rows(vocab.encode(t) for t in titles),
         doc_row=doc_row,

@@ -9,7 +9,7 @@ or both curricula or pin negatives to the easy/hard half of each list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -31,7 +31,7 @@ from .metrics import MetricTable, RankedSlate, evaluate_run, query_gains
 from .ranker import (  # noqa: F401 -- perfbench/spans.py traces rank_slate here
     RankerParams, init_ranker, loss_and_grad, order_slate, rank_slate,
 )
-from .sessions import Document, SearchContext
+from .sessions import Document, EvalSlate, SearchContext
 from .towers import PARAM_NAMES, EncodedCorpus, Vocab, encode_corpus
 
 # mode -> (negative half kept or None for all, pin f_p to 1, pin f_n to 1)
@@ -44,8 +44,6 @@ _MODE_TABLE = {
     "hard-neg-only": ("hard", True, True),
 }
 MODES = tuple(_MODE_TABLE)
-
-EvalItems = list[tuple[SearchContext, tuple[str, ...], frozenset[str]]]
 
 # Substream labels hung off the master seed.
 _SEED_INIT = 0
@@ -108,7 +106,7 @@ def training_data(vocab: Vocab, documents: dict[str, Document],
     has refused unknown and repeated context ids, context row i is positive i's."""
     by_id = {c.context_id: c for c in contexts}
     corpus = encode_corpus(vocab, documents, {
-        cid: by_id[cid] for cid, _, _ in ledger.positives if cid in by_id})
+        cid: by_id[cid].context_tokens for cid, _, _ in ledger.positives if cid in by_id})
     return TrainingData(vocab, corpus, ledger_columns(ledger, by_id, corpus.doc_row))
 
 
@@ -136,43 +134,39 @@ def check_prefixes(config: TrainConfig, columns: LedgerColumns) -> None:
 
 @dataclass
 class EvalSlates:
-    """Held-out slates (context, logged candidates, clicked set) with
-    every context and document encoded once."""
+    """Held-out slates with every context, keyed by query id, and every
+    document encoded once."""
 
-    items: EvalItems
+    items: list[EvalSlate]
     corpus: EncodedCorpus
 
     def scorer(self, params: RankerParams):
         """A forward pass over all contexts and documents, returning
-        score(context, doc_ids): that context's scores for those docs."""
+        score(query_id, doc_ids): that slate's scores for those docs."""
         corpus = self.corpus
         c_enc, _ = towers.encode_batch(params.encoder, corpus.contexts, "context")
         d_enc, _ = towers.encode_batch(params.encoder, corpus.docs, "document")
 
-        def score(ctx: SearchContext, doc_ids) -> np.ndarray:
-            c = c_enc[corpus.context_row[ctx.context_id]]
+        def score(query_id: str, doc_ids) -> np.ndarray:
+            c = c_enc[corpus.context_row[query_id]]
             return (d_enc[[corpus.doc_row[d] for d in doc_ids]] @ c) / params.tau
 
         return score
 
 
 def encode_slates(
-    vocab: Vocab, eval_items: EvalItems, documents: dict[str, Document]
+    vocab: Vocab, eval_items: list[EvalSlate], documents: dict[str, Document]
 ) -> EvalSlates:
-    contexts = {c.context_id: c for c, _, _ in eval_items}
-    return EvalSlates(eval_items, encode_corpus(vocab, documents, contexts))
-
-
-def _query_id(ctx: SearchContext) -> str:
-    return f"{ctx.session_id}:{ctx.position}"
+    return EvalSlates(eval_items, encode_corpus(
+        vocab, documents, {query_id: tokens for query_id, tokens, _, _ in eval_items}))
 
 
 def rank_slates(slates: EvalSlates, score) -> Iterator[RankedSlate]:
     """Each held-out slate, in slate order, as its query id, its candidates
     ranked by order_slate under `score` (a slates.scorer result) and its
     clicked set. Lazily, so that validation keeps only the gains."""
-    return ((_query_id(ctx), order_slate(candidates, score(ctx, candidates)), clicked)
-            for ctx, candidates, clicked in slates.items)
+    return ((query_id, order_slate(candidates, score(query_id, candidates)), clicked)
+            for query_id, _, candidates, clicked in slates.items)
 
 
 def evaluate_ranker(
@@ -214,22 +208,19 @@ def train(
         enc, vocab_loaded, extra, meta = checkpoint.load_checkpoint(
             resume_from, expect_kind="ranker"
         )
-        if "sampler_state" not in meta:
-            raise ValueError(f"{resume_from}: not a periodic training checkpoint; "
-                             "only ckpt_*.bin files can be resumed")
-        if meta["step"] > T:
-            raise ValueError(f"{resume_from}: checkpoint is at step {meta['step']}, "
-                             f"past the run's T={T}")
+        if "config" not in meta:  # a final checkpoint, or one that predates stored configs
+            raise ValueError(f"{resume_from}: not a resumable checkpoint; only periodic "
+                             "ckpt_*.bin files that record their run's training config "
+                             "can be resumed")
         if vocab_loaded.tokens != vocab.tokens:
             raise ValueError("checkpoint vocabulary does not match corpus")
-        saved = {"d_emb": enc.d_emb, "hidden": enc.hidden, "tau": float(meta["tau"])}
-        run = {k: getattr(config, k) for k in saved}
-        if saved != run:
-            raise ValueError(f"{resume_from}: checkpoint has {saved}, the run {run}")
+        _check_resumed_config(resume_from, meta["config"], config)
         params = RankerParams(encoder=enc, tau=config.tau)
         velocity = np.concatenate([extra[f"vel.{name}"].ravel() for name in PARAM_NAMES])
         start_step = int(meta["step"])
-        rng_sampler.bit_generator.state = _rng_state_from_meta(meta["sampler_state"])
+        state = meta["sampler_state"]
+        rng_sampler.bit_generator.state = {
+            **state, "state": {k: int(v) for k, v in state["state"].items()}}
 
     spe = steps_per_epoch(len(columns.context_ids), config.batch_size)
     log = TrainLog()
@@ -264,15 +255,13 @@ def train(
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
             log.checkpoints.append(Path(checkpoint_dir) / f"ckpt_{done:08d}.bin")
             _save_train_checkpoint(
-                log.checkpoints[-1], params, vocab, velocity, done, rng_sampler
+                log.checkpoints[-1], params, vocab, velocity, done, rng_sampler, config
             )
         if slates and done % spe == 0:
             score = slates.scorer(params)
-            table = evaluate_ranker(params, slates, score)
-            epoch = done // spe
-            val_loss = _validation_loss(params, slates, score)
-            record = {"epoch": epoch, "step": done, "val_loss": val_loss}
-            record.update(table.metrics)
+            metrics = evaluate_ranker(params, slates, score).metrics
+            val_loss = _validation_loss(slates, score)
+            record = {"epoch": done // spe, "step": done, "val_loss": val_loss, **metrics}
             if prev_val_loss is not None and val_loss >= prev_val_loss:
                 record["warning"] = "validation loss did not decrease"
             prev_val_loss = val_loss
@@ -281,17 +270,17 @@ def train(
     return params, log
 
 
-def _validation_loss(params: RankerParams, slates: EvalSlates, score=None) -> float:
+def _validation_loss(slates: EvalSlates, score) -> float:
     """Listwise loss over each held-out slate, once per clicked document
-    with the unclicked candidates as negatives; a forward pass only."""
-    score = score or slates.scorer(params)
+    with the unclicked candidates as negatives, under `score`, a
+    slates.scorer result."""
     losses = []
-    for ctx, candidates, clicked in slates.items:
+    for query_id, _, candidates, clicked in slates.items:
         negs = [d for d in candidates if d not in clicked]
         if not negs:
             continue
         pos = sorted(clicked)
-        s = score(ctx, pos + negs)
+        s = score(query_id, pos + negs)
         slate = np.column_stack(
             [s[: len(pos)], np.broadcast_to(s[len(pos):], (len(pos), len(negs)))]
         )
@@ -300,11 +289,22 @@ def _validation_loss(params: RankerParams, slates: EvalSlates, score=None) -> fl
     return float(np.mean(losses)) if losses else 0.0
 
 
-def _save_train_checkpoint(path, params, vocab, velocity, step, rng_sampler):
+def _check_resumed_config(path, saved: dict, config: TrainConfig) -> None:
+    """Refuse to resume under a config other than the checkpoint's run's,
+    naming every field that differs, the pacing fields by their own names."""
+    saved, run = ({**c["pacing"], **c} for c in (saved, asdict(config)))
+    differ = [k for k in run if k != "pacing" and saved.get(k) != run[k]]
+    if differ:
+        raise ValueError(f"{path}: checkpoint written under another config: " + ", ".join(
+            f"{k} {saved.get(k)!r} (this run {run[k]!r})" for k in differ))
+
+
+def _save_train_checkpoint(path, params, vocab, velocity, step, rng_sampler, config):
     extra = params.encoder.like(velocity).named("vel.")
     # The 128-bit PCG64 state words go into JSON as strings.
     state = rng_sampler.bit_generator.state
     meta = {
+        "config": asdict(config),
         "tau": params.tau,
         "step": step,
         "sampler_state": {
@@ -314,10 +314,6 @@ def _save_train_checkpoint(path, params, vocab, velocity, step, rng_sampler):
     checkpoint.save_checkpoint(
         path, "ranker", params.encoder, vocab, extra_arrays=extra, meta=meta
     )
-
-
-def _rng_state_from_meta(meta_state: dict) -> dict:
-    return {**meta_state, "state": {k: int(v) for k, v in meta_state["state"].items()}}
 
 
 def save_ranker(path: str | Path, params: RankerParams, vocab: Vocab) -> None:
@@ -331,26 +327,17 @@ def load_ranker(path: str | Path) -> tuple[RankerParams, Vocab]:
     return RankerParams(encoder=enc, tau=float(meta["tau"])), vocab
 
 
-def sweep(
-    base: TrainConfig,
-    data: TrainingData,
-    deltas: list[float],
-    etas: list[float],
-    slates: EvalSlates,
-) -> list[dict]:
-    """One full training run per (delta, eta) grid point, shared seed.
-
-    delta=1.0 / eta=1.0 act as sentinels that disable the respective
-    curriculum (the pacing value is pinned at 1 from step 0).
-    """
-    return [
-        train_and_evaluate(
-            replace(base, pacing=replace(base.pacing, delta=delta, eta=eta)),
-            data, slates, delta=delta, eta=eta,
-        )
-        for delta in deltas
-        for eta in etas
-    ]
+def ablation_runs(
+    base: TrainConfig, deltas: list[float], etas: list[float]
+) -> list[tuple[dict, TrainConfig]]:
+    """The ablation's (row, config) pairs, all with base's seed: one per
+    curriculum mode, then one per (delta, eta) grid point. delta=1.0 and
+    eta=1.0 act as sentinels that disable the respective curriculum (the
+    pacing value is pinned at 1 from step 0)."""
+    return [({"mode": mode}, replace(base, mode=mode)) for mode in MODES] + [
+        ({"delta": delta, "eta": eta},
+         replace(base, pacing=replace(base.pacing, delta=delta, eta=eta)))
+        for delta in deltas for eta in etas]
 
 
 def train_and_evaluate(

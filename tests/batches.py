@@ -33,7 +33,8 @@ def sample_items(ledger, contexts, pacing, t, batch_size, m, rng, f_p=None, f_n=
 def item_rows(vocab, documents, items):
     """The context rows and the slate document rows of `items`, laid out
     as EncodedCorpus.batch_rows lays out a sampled batch."""
-    corpus = encode_corpus(vocab, documents, {c.context_id: c for c, _, _ in items})
+    corpus = encode_corpus(vocab, documents,
+                           {c.context_id: c.context_tokens for c, _, _ in items})
     return (corpus.contexts.take([corpus.context_row[c.context_id] for c, _, _ in items]),
             corpus.docs.take([corpus.doc_row[d]
                               for _, pos, negs in items for d in (pos, *negs)]))

@@ -164,12 +164,12 @@ def loop_validation_loss(params, vocab, eval_items, documents) -> float:
 
     total = 0.0
     count = 0
-    for ctx, candidates, clicked in eval_items:
+    for _, tokens, candidates, clicked in eval_items:
         negs = tuple(d for d in candidates if d not in clicked)
         if not negs:
             continue
         for pos in sorted(clicked):
-            scores = np.array([score(ctx.context_tokens, d) for d in (pos, *negs)])
+            scores = np.array([score(tokens, d) for d in (pos, *negs)])
             scores /= params.tau
             exp = np.exp(scores - scores.max())
             total += -math.log(exp[0] / exp.sum())
@@ -201,12 +201,12 @@ def two_pass_validation_loss(params, slates) -> float:
     c_enc, _ = towers.encode_batch(params.encoder, corpus.contexts, "context")
     d_enc, _ = towers.encode_batch(params.encoder, corpus.docs, "document")
     losses = []
-    for ctx, candidates, clicked in slates.items:
+    for query_id, _, candidates, clicked in slates.items:
         negs = [d for d in candidates if d not in clicked]
         if not negs:
             continue
         pos = sorted(clicked)
-        c = c_enc[corpus.context_row[ctx.context_id]]
+        c = c_enc[corpus.context_row[query_id]]
         s = (d_enc[[corpus.doc_row[d] for d in pos + negs]] @ c) / params.tau
         slate = np.column_stack(
             [s[: len(pos)], np.broadcast_to(s[len(pos):], (len(pos), len(negs)))])
@@ -225,9 +225,8 @@ def entries_eval(params, slates, tag: str = "currank"):
     score = slates.scorer(params)
     entries = []
     qrels = {}
-    for ctx, candidates, clicked in slates.items:
-        query_id = f"{ctx.session_id}:{ctx.position}"
-        ranked = order_slate(candidates, score(ctx, candidates))
+    for query_id, _, candidates, clicked in slates.items:
+        ranked = order_slate(candidates, score(query_id, candidates))
         entries += [(query_id, d, rank, s) for rank, (d, s) in enumerate(ranked, start=1)]
         for doc_id in candidates:
             qrels.setdefault((query_id, doc_id), 0)

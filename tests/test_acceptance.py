@@ -51,9 +51,10 @@ from currank.trainer import (
     TrainConfig,
     encode_slates,
     evaluate_ranker,
+    ablation_runs,
     steps_per_epoch,
-    sweep,
     train,
+    train_and_evaluate,
     training_data,
 )
 
@@ -427,7 +428,9 @@ def desk_experiment():
         maps, times = zip(*(fit_and_score(mode, s) for s in run_seeds))
         mode_results[mode] = (list(maps), max(times))
 
-    grid = sweep(base, data, [0.1, 0.3, 0.5], [0.5, 0.7, 0.9], slates)
+    grid = [train_and_evaluate(config, data, slates, **row)
+            for row, config in ablation_runs(base, [0.1, 0.3, 0.5], [0.5, 0.7, 0.9])
+            if "delta" in row]
     return {
         "untrained_map": untrained_map,
         "mode_results": mode_results,

@@ -5,20 +5,21 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from currank import cli
-from currank.checkpoint import file_digest, load_checkpoint
+from currank.checkpoint import file_digest, load_checkpoint, save_checkpoint
 from currank.cli import LOCK_NAME, build_vocab, in_split, load_bundle, main, split_of
 from currank.curriculum import load_ledger, save_ledger
 from currank.manifest import MANIFEST_NAME, RunManifest, write_manifest
 from currank.ranker import init_ranker
 from currank.sessions import build_eval_items
 from currank.towers import token_rows
-from currank.trainer import encode_slates, load_ranker, save_ranker
+from currank.trainer import MODES, encode_slates, load_ranker, save_ranker
 
 from oracles import entries_eval
 
@@ -167,8 +168,23 @@ class TestIngest:
         (_log_record(2, {"doc_id": "d1", "title": "x", "rank": 1, "clicked": True})
          .replace('"query_text": "q"', '"query_text": ["a"]'),
          "query_text ['a'] is not a string"),
+        (_log_record(2, {"doc_id": "d1", "title": "x", "rank": 1, "clicked": True})
+         .replace('"session_id": "s1"', '"session_id": ["s1"]'),
+         "session_id ['s1'] is not a string"),
+        (_log_record(1.7, {"doc_id": "d1", "title": "x", "rank": 1, "clicked": True}),
+         "query_position 1.7 is not an integer"),
+        (_log_record(True, {"doc_id": "d1", "title": "x", "rank": 1, "clicked": True}),
+         "query_position True is not an integer"),
+        (_log_record(2, {"doc_id": 5, "title": "x", "rank": 1, "clicked": True}),
+         "doc_id 5 is not a string"),
+        (_log_record(2, {"doc_id": "d1", "title": "x", "rank": 1, "clicked": "no"}),
+         "clicked 'no' is not a boolean"),
+        (_log_record(2, {"doc_id": "d1", "title": "x", "rank": 1, "clicked": 1}),
+         "clicked 1 is not a boolean"),
     ], ids=["invalid-json", "missing-rank", "non-integer-rank",
-         "fractional-rank", "duplicate-doc", "list-title", "integer-title", "list-query"])
+         "fractional-rank", "duplicate-doc", "list-title", "integer-title", "list-query",
+         "list-session-id", "fractional-position", "bool-position", "integer-doc-id",
+         "string-clicked", "integer-clicked"])
     def test_malformed_log_exits_two(self, tmp_path, capsys, record, error):
         bad = tmp_path / "bad.jsonl"
         good = _log_record(1, {"doc_id": "d0", "title": "y", "rank": 1, "clicked": True})
@@ -302,7 +318,7 @@ class TestScore:
         encode_corpus, train_in_batch = cli.encode_corpus, cli.dense.train_in_batch
 
         def spy_encode(vocab, documents, contexts):
-            encoded.append(list(contexts.values()))
+            encoded.append(list(contexts.items()))
             return encode_corpus(vocab, documents, contexts)
 
         def spy_fit(params, ctx_rows, doc_rows, **kwargs):
@@ -318,7 +334,7 @@ class TestScore:
         _, documents, contexts = load_bundle(bundle_dir)
         train = in_split(contexts, "train")
         assert len(train) < len(contexts)
-        assert encoded == [train]
+        assert encoded == [[(c.context_id, c.context_tokens) for c in train]]
         if source == "checkpoint":
             assert fit_rows == []
             return
@@ -521,25 +537,54 @@ class TestTrain:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", [("--d-emb", 16), ("--hidden", 8), ("--tau", 2.0)],
-                             ids=["d-emb", "hidden", "tau"])
+    @pytest.mark.parametrize("flag, differ", [
+        (("--d-emb", 16), "d_emb 32 (this run 16)"),
+        (("--hidden", 8), "hidden 32 (this run 8)"),
+        (("--tau", 2.0), "tau 1.0 (this run 2.0)"),
+        (("--lr", 0.5), "learning_rate 0.05 (this run 0.5)"),
+        (("--mode", "none"), "mode 'dual' (this run 'none')"),
+        (("--steps", 30), "T 10 (this run 30)"),
+        (("--seed", 9, "--m", 1), "m 2 (this run 1), seed 0 (this run 9)"),
+        (("--checkpoint-interval", 0), "checkpoint_interval 5 (this run 0)"),
+    ], ids=["d-emb", "hidden", "tau", "lr", "mode", "steps", "seed-and-m",
+            "checkpoint-interval"])
     def test_resume_refuses_another_configuration(self, bundle_dir, ledger_dir,
-                                                  tmp_path, capsys, flag):
-        common = ("train", "--bundle", bundle_dir, "--ledger",
-                  ledger_dir / "ledger.json", "--steps", 10, "--batch-size", 8)
-        assert run_cli(*common, "--checkpoint-interval", 5, "--out", tmp_path / "full") == 0
+                                                  tmp_path, capsys, flag, differ):
+        """Every field that differs is named, and nothing is written."""
+        common = ("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                  "--steps", 10, "--batch-size", 8, "--checkpoint-interval", 5)
+        assert run_cli(*common, "--out", tmp_path / "full") == 0
         ckpt = tmp_path / "full" / "ckpt_00000005.bin"
         out = tmp_path / "resumed"
         assert run_cli(*common, *flag, "--resume", ckpt, "--out", out) == 2
-        assert f"error: {ckpt}: checkpoint has {{'d_emb': 32, 'hidden': 32, " \
-            "'tau': 1.0}, the run" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: {ckpt}: checkpoint written under another config: {differ}\n"
         assert not any(out.iterdir())
         assert run_cli(*common, "--resume", ckpt, "--out", out) == 0
 
+    def test_resume_refuses_a_checkpoint_without_a_config(self, bundle_dir, ledger_dir,
+                                                          tmp_path, capsys):
+        common = ("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                  "--steps", 10, "--batch-size", 8, "--checkpoint-interval", 5)
+        assert run_cli(*common, "--out", tmp_path / "full") == 0
+        params, vocab, extra, meta = load_checkpoint(tmp_path / "full" / "ckpt_00000005.bin")
+        assert meta.pop("config") == json.loads(
+            (tmp_path / "full" / MANIFEST_NAME).read_text())["config"]
+        ckpt = tmp_path / "no-config.bin"
+        save_checkpoint(ckpt, "ranker", params, vocab, extra_arrays=extra, meta=meta)
+        out = tmp_path / "resumed"
+        assert run_cli(*common, "--resume", ckpt, "--out", out) == 2
+        assert f"error: {ckpt}: not a resumable checkpoint; only periodic ckpt_*.bin " \
+            "files that record their run's training config can be resumed\n" \
+            == capsys.readouterr().err
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("name, steps, message", [
-        ("checkpoint.bin", 10, "not a periodic training checkpoint; only ckpt_*.bin "
-                               "files can be resumed"),
-        ("ckpt_00000010.bin", 5, "checkpoint is at step 10, past the run's T=5"),
+        ("checkpoint.bin", 10, "not a resumable checkpoint; only periodic ckpt_*.bin "
+                               "files that record their run's training config can be "
+                               "resumed"),
+        ("ckpt_00000010.bin", 5, "checkpoint written under another config: "
+                                 "T 10 (this run 5)"),
     ], ids=["final", "past-last-step"])
     def test_resume_refuses_a_checkpoint_it_cannot_continue(
             self, bundle_dir, ledger_dir, tmp_path, capsys, name, steps, message):
@@ -622,6 +667,28 @@ class TestEval:
                 if line.startswith(f"{sid}:7 ")] == ["1"] * 6
         assert table.evaluated_queries == 35
 
+    def test_query_ids_number_the_interactions_not_the_log_positions(self, tmp_path):
+        """A session logged at query positions 3 and 8 is ranked and judged
+        as its first and second query, s:1 and s:2."""
+        sid = next(s for s in (f"g{i}" for i in range(100)) if split_of(s) == "test")
+        candidates = [{"doc_id": "d0", "title": "w0", "rank": 1, "clicked": True},
+                      {"doc_id": "d1", "title": "w1", "rank": 2, "clicked": False}]
+        (tmp_path / "log.jsonl").write_text("".join(
+            json.dumps({"session_id": sid, "query_position": position,
+                        "query_text": "w0 w1", "candidates": candidates}) + "\n"
+            for position in (8, 3)))
+        bundle = tmp_path / "bundle"
+        assert run_cli("ingest", "--log", tmp_path / "log.jsonl", "--out", bundle) == 0
+        _, documents, contexts = load_bundle(bundle)
+        vocab = build_vocab(documents, contexts)
+        ckpt = tmp_path / "ranker.bin"
+        save_ranker(ckpt, init_ranker(len(vocab), 4, 4, np.random.default_rng(0)), vocab)
+        out = tmp_path / "eval"
+        assert run_cli("eval", "--bundle", bundle, "--checkpoint", ckpt, "--out", out) == 0
+        for name in ("run.txt", "qrels.txt"):
+            query_ids = [line.split()[0] for line in (out / name).read_text().splitlines()]
+            assert query_ids == [f"{sid}:1"] * 2 + [f"{sid}:2"] * 2
+
 
 class TestAblate:
     def test_modes_and_grid(self, bundle_dir, ledger_dir, tmp_path):
@@ -638,6 +705,44 @@ class TestAblate:
         ]
         assert len(payload["grid"]) == 2
         assert all("MAP" in r for r in payload["modes"] + payload["grid"])
+
+    def test_checks_exactly_the_runs_it_trains(self, bundle_dir, ledger_dir, tmp_path,
+                                               monkeypatch, capsys):
+        checked, trained = [], []
+        check_prefixes, train_and_evaluate = cli.check_prefixes, cli.train_and_evaluate
+
+        def spy_check(config, columns):
+            checked.append(config)
+            return check_prefixes(config, columns)
+
+        def spy_train(config, data, slates, **row):
+            trained.append((config, dict(row)))
+            return train_and_evaluate(config, data, slates, **row)
+
+        monkeypatch.setattr(cli, "check_prefixes", spy_check)
+        monkeypatch.setattr(cli, "train_and_evaluate", spy_train)
+        out = tmp_path / "ablate"
+        assert run_cli(
+            "ablate", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+            "--out", out, "--steps", 5, "--batch-size", 8,
+            "--grid-deltas", "0.3,1.0", "--grid-etas", "0.5,0.7",
+        ) == 0
+        assert checked == [config for config, _ in trained]
+        assert len(trained) == len(MODES) + 4
+        modes, grid = trained[:len(MODES)], trained[len(MODES):]
+        base = modes[0][0]
+        assert modes == [(replace(base, mode=mode), {"mode": mode}) for mode in MODES]
+        assert grid == [(replace(base, pacing=replace(base.pacing, delta=d, eta=e)),
+                         {"delta": d, "eta": e})
+                        for d in (0.3, 1.0) for e in (0.5, 0.7)]
+        payload = json.loads((out / "ablation.json").read_text())
+        assert [r["mode"] for r in payload["modes"]] == list(MODES)
+        assert [(r["delta"], r["eta"]) for r in payload["grid"]] == \
+            [(row["delta"], row["eta"]) for _, row in grid]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == \
+            [f"mode {mode:>14s}" for mode in MODES] + \
+            [f"delta={d:.2f} eta={e:.2f}" for d in (0.3, 1.0) for e in (0.5, 0.7)]
 
     def test_small_grid_delta_fails_before_the_first_run(self, tmp_path, capsys):
         # 129 training positives: delta 0.1 admits 13 at step 0, fewer than
@@ -660,7 +765,6 @@ class TestAblate:
     ):
         runs = []
         monkeypatch.setattr(cli, "train_and_evaluate", lambda *a, **k: runs.append(k))
-        monkeypatch.setattr(cli, "sweep", lambda *a, **k: runs.append(k))
         out = tmp_path / "ablate"
         out.mkdir()
         (out / LOCK_NAME).write_text("4242\n")
@@ -839,15 +943,18 @@ class TestBundleReads:
 
 class TestAtomicWrites:
     @pytest.fixture
-    def writers(self, ledger_dir):
+    def writers(self, ledger_dir, train_dir):
         ledger = load_ledger(ledger_dir / "ledger.json")
         manifest = RunManifest("score", {"k1": 1.2}, 0, {}, {})
+        params, vocab, _, meta = load_checkpoint(train_dir / "checkpoint.bin")
         return {
             "ledger.json": lambda out: save_ledger(ledger, out / "ledger.json"),
             MANIFEST_NAME: lambda out: write_manifest(out, manifest),
+            "checkpoint.bin": lambda out: save_checkpoint(
+                out / "checkpoint.bin", "ranker", params, vocab, meta=meta),
         }
 
-    @pytest.mark.parametrize("name", ["ledger.json", MANIFEST_NAME])
+    @pytest.mark.parametrize("name", ["ledger.json", MANIFEST_NAME, "checkpoint.bin"])
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "replace"])
     def test_failed_write_leaves_no_partial_file(self, writers, tmp_path, monkeypatch,
                                                  name, existing):
@@ -856,12 +963,12 @@ class TestAtomicWrites:
         if existing:
             (out / name).write_text("old\n")
 
-        def write_half_then_fail(path, text, *args, **kwargs):
-            with open(path, "w") as fp:
-                fp.write(text[: len(text) // 2])
+        def write_half_then_fail(path, data, *args, **kwargs):
+            with open(path, "wb") as fp:
+                fp.write(data[: len(data) // 2])
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
         with pytest.raises(OSError):
             writers[name](out)
         monkeypatch.undo()
@@ -870,7 +977,7 @@ class TestAtomicWrites:
             assert (out / name).read_text() == "old\n"
         writers[name](out)
         assert [p.name for p in out.iterdir()] == [name]
-        assert (out / name).read_text() != "old\n"
+        assert (out / name).read_bytes() != b"old\n"
 
 
 class TestSplit:

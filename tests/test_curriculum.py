@@ -265,7 +265,7 @@ def _mixed_fixture(extra_doc=False):
     return contexts, {
         "bm25": Bm25Scorer(build_index(docs), Bm25Params()),
         "dense": DenseScorer(params, vocab, encode_corpus(
-            vocab, docs, {c.context_id: c for c in contexts})),
+            vocab, docs, {c.context_id: c.context_tokens for c in contexts})),
     }
 
 

@@ -34,7 +34,7 @@ def contexts_of(token_lists, positive="d0"):
 
 
 def dense_scorer(params, vocab, documents, contexts):
-    by_id = {c.context_id: c for c in contexts}
+    by_id = {c.context_id: c.context_tokens for c in contexts}
     return DenseScorer(params, vocab, encode_corpus(vocab, documents, by_id))
 
 
@@ -269,8 +269,7 @@ def _ledger_world(seed=5):
     contexts[1] = SearchContext("s01", 1, ("w1", "unseen"), "d01", contexts[1].negative_pool)
     vocab = Vocab(words)
     params = init_params(len(vocab), 16, 16, rng)
-    by_id = {c.context_id: c for c in contexts}
-    corpus = encode_corpus(vocab, docs, by_id)
+    corpus = encode_corpus(vocab, docs, {c.context_id: c.context_tokens for c in contexts})
     train_in_batch(params, corpus.contexts,
                    corpus.docs.take([corpus.doc_row[c.positive_doc_id] for c in contexts]),
                    batch_size=8, epochs=3, learning_rate=0.3, seed=seed)

@@ -200,15 +200,15 @@ class TestRankSlate:
     def test_single_candidate(self, small_setup):
         vocab, documents, params = small_setup
         ctx = make_context(["t0"])
-        out = rank_slate(params, vocab, ctx, ["d3"], documents)
+        out = rank_slate(params, vocab, ctx.context_tokens, ["d3"], documents)
         assert out == [("d3", pytest.approx(out[0][1]))]
 
     def test_permutation_invariant_output(self, small_setup):
         vocab, documents, params = small_setup
         ctx = make_context(["t0", "t1"])
         ids = sorted(documents)
-        a = rank_slate(params, vocab, ctx, ids, documents)
-        b = rank_slate(params, vocab, ctx, ids[::-1], documents)
+        a = rank_slate(params, vocab, ctx.context_tokens, ids, documents)
+        b = rank_slate(params, vocab, ctx.context_tokens, ids[::-1], documents)
         assert a == b
 
     def test_zero_params_orders_by_doc_id(self, small_setup):
@@ -216,14 +216,15 @@ class TestRankSlate:
         params = zero_ranker(len(vocab))
         ctx = make_context(["t0"])
         ids = ["d3", "d1", "d2"]
-        out = rank_slate(params, vocab, ctx, ids, documents)
+        out = rank_slate(params, vocab, ctx.context_tokens, ids, documents)
         assert [d for d, _ in out] == ["d1", "d2", "d3"]
         assert all(s == 0.0 for _, s in out)
 
     def test_scores_match_reference_scorer(self, small_setup):
         vocab, documents, params = small_setup
         ctx = make_context(["t0", "t4", "zzz"])
-        for doc_id, score in rank_slate(params, vocab, ctx, sorted(documents), documents):
+        for doc_id, score in rank_slate(params, vocab, ctx.context_tokens, sorted(documents),
+                                        documents):
             want = rank_score(params, vocab, ctx.context_tokens,
                               documents[doc_id].title_tokens)
             assert score == pytest.approx(want, rel=1e-12, abs=1e-15)
@@ -231,6 +232,6 @@ class TestRankSlate:
     def test_scores_sorted_descending(self, small_setup):
         vocab, documents, params = small_setup
         ctx = make_context(["t0", "t4"])
-        out = rank_slate(params, vocab, ctx, sorted(documents), documents)
+        out = rank_slate(params, vocab, ctx.context_tokens, sorted(documents), documents)
         scores = [s for _, s in out]
         assert scores == sorted(scores, reverse=True)

@@ -1,6 +1,6 @@
 import copy
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -22,9 +22,10 @@ from currank.trainer import (
     evaluate_ranker,
     load_ranker,
     save_ranker,
+    ablation_runs,
     steps_per_epoch,
-    sweep,
     train,
+    train_and_evaluate,
     training_data,
 )
 
@@ -212,9 +213,9 @@ class TestBatchedValidation:
     def test_loss_matches_per_item_reference(self, small_world, data):
         _, documents, _, ledger, vocab, val_items = small_world
         # one to three clicks per slate, and one slate with no unclicked candidate
-        items = [(ctx, cands, frozenset(cands[: 1 + i % 3]))
-                 for i, (ctx, cands, _) in enumerate(val_items)]
-        items[0] = (items[0][0], items[0][1], frozenset(items[0][1]))
+        items = [(query_id, tokens, cands, frozenset(cands[: 1 + i % 3]))
+                 for i, (query_id, tokens, cands, _) in enumerate(val_items)]
+        items[0] = (*items[0][:3], frozenset(items[0][2]))
         params, log = train(config_for(ledger, epochs=2), data,
                             encode_slates(vocab, items, documents))
         want = loop_validation_loss(params, vocab, items, documents)
@@ -226,11 +227,11 @@ class TestBatchedValidation:
         params, _ = train(config_for(ledger, epochs=1), data)
         ranked = list(trainer.rank_slates(slates, slates.scorer(params)))
         assert len(ranked) == len(val_items)
-        for (ctx, candidates, clicked), (query_id, got, ranked_clicked) in zip(
+        for (query_id, tokens, candidates, clicked), (got_id, got, ranked_clicked) in zip(
                 val_items, ranked):
-            assert query_id == f"{ctx.session_id}:{ctx.position}"
+            assert got_id == query_id
             assert ranked_clicked == clicked
-            want = rank_slate(params, vocab, ctx, list(candidates), documents)
+            want = rank_slate(params, vocab, tokens, list(candidates), documents)
             assert [d for d, _ in got] == [d for d, _ in want]
             assert [s for _, s in got] == pytest.approx([s for _, s in want],
                                                         rel=1e-12, abs=0)
@@ -257,8 +258,8 @@ class TestSameMachineIdentity:
         sessions, documents, _, ledger, vocab, _ = small_world
         # every session's slates, out of query-id order, with one to three clicks
         items = build_eval_items(sessions, documents)
-        items = [(ctx, cands, frozenset(cands[i % 3: i % 3 + 1 + i % 3]))
-                 for i, (ctx, cands, _) in enumerate(items[1::2] + items[::2])]
+        items = [(query_id, tokens, cands, frozenset(cands[i % 3: i % 3 + 1 + i % 3]))
+                 for i, (query_id, tokens, cands, _) in enumerate(items[1::2] + items[::2])]
         seen = []
         evaluate = trainer.evaluate_ranker
 
@@ -343,12 +344,14 @@ class TestCheckpointRoundTrip:
 
     def test_training_checkpoint_equals_the_per_array_code(self, small_world, data, tmp_path):
         _, _, _, ledger, vocab, _ = small_world
-        params, _ = train(config_for(ledger, epochs=1), data)
+        config = config_for(ledger, epochs=1)
+        params, _ = train(config, data)
         velocity = np.random.default_rng(4).normal(size=params.encoder.flat.size)
         rng = np.random.default_rng(9)
         path = tmp_path / "ckpt.bin"
-        trainer._save_train_checkpoint(path, params, vocab, velocity, 17, rng)
+        trainer._save_train_checkpoint(path, params, vocab, velocity, 17, rng, config)
         _, _, extra, meta = checkpoint.load_checkpoint(path, expect_kind="ranker")
+        assert meta["config"] == asdict(config)
         arrays = param_list(params.encoder)
         parts = np.split(velocity, np.cumsum([a.size for a in arrays])[:-1])
         vel = {f"vel.{name}": part.reshape(a.shape)
@@ -371,27 +374,35 @@ class TestCheckpointRoundTrip:
 
 
 class TestSweep:
+    """The delta/eta grid as ablate runs it: ablation_runs' grid pairs,
+    after one pair per mode, each trained by train_and_evaluate."""
+
     def test_single_cell_equals_train(self, small_world, data, slates):
         base = config_for(small_world[3], epochs=1)
-        rows = sweep(base, data, [0.3], [0.7], slates)
-        assert len(rows) == 1
-        from dataclasses import replace
-
-        config = replace(base, pacing=replace(base.pacing, delta=0.3, eta=0.7))
+        runs = ablation_runs(base, [0.3], [0.7])
+        assert [row for row, _ in runs] == \
+            [{"mode": mode} for mode in MODES] + [{"delta": 0.3, "eta": 0.7}]
+        row, config = runs[-1]
+        got = train_and_evaluate(config, data, slates, **row)
+        assert config == replace(base, pacing=replace(base.pacing, delta=0.3, eta=0.7))
         params, _ = train(config, data)
         table = evaluate_ranker(params, slates)
-        assert rows[0]["MAP"] == pytest.approx(table.metrics["MAP"], abs=1e-12)
+        assert got == {"delta": 0.3, "eta": 0.7, **table.metrics}
 
     def test_reproducible(self, small_world, data, slates):
         base = config_for(small_world[3], epochs=1)
-        a = sweep(base, data, [0.2, 0.5], [0.7], slates)
-        b = sweep(base, data, [0.2, 0.5], [0.7], slates)
-        assert a == b
+        a, b = ([train_and_evaluate(config, data, slates, **row)
+                 for row, config in ablation_runs(base, [0.2, 0.5], [0.7])[len(MODES):]]
+                for _ in range(2))
+        assert len(a) == 2 and a == b
 
-    def test_grid_shape(self, small_world, data, slates):
+    def test_grid_shape(self, small_world):
         base = config_for(small_world[3], epochs=1)
-        rows = sweep(base, data, [0.2, 0.5, 1.0], [0.5, 0.8, 1.0], slates)
-        assert len(rows) == 9
-        assert {(r["delta"], r["eta"]) for r in rows} == {
-            (d, e) for d in (0.2, 0.5, 1.0) for e in (0.5, 0.8, 1.0)
-        }
+        runs = ablation_runs(base, [0.2, 0.5, 1.0], [0.5, 0.8, 1.0])
+        assert [(row, config) for row, config in runs[:len(MODES)]] == \
+            [({"mode": mode}, replace(base, mode=mode)) for mode in MODES]
+        grid = runs[len(MODES):]
+        assert [(r["delta"], r["eta"]) for r, _ in grid] == \
+            [(d, e) for d in (0.2, 0.5, 1.0) for e in (0.5, 0.8, 1.0)]
+        assert all(config == replace(base, pacing=replace(base.pacing, **row))
+                   for row, config in grid)
