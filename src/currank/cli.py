@@ -41,7 +41,7 @@ from .sessions import (
 from .towers import Vocab, encode_corpus
 from .trainer import (  # evaluate_ranker: perfbench/spans.py traces it here
     MODES, TrainConfig, ablation_runs, check_prefixes, encode_slates, evaluate_ranker,
-    load_ranker, rank_slates, save_ranker, steps_per_epoch, train,
+    load_ranker, load_resume, rank_slates, save_ranker, steps_per_epoch, train,
     train_and_evaluate, training_data,
 )
 
@@ -89,9 +89,10 @@ def split_of(session_id: str) -> str:
     return "train" if bucket < 8 else ("val" if bucket == 8 else "test")
 
 
-def in_split(records, split: str) -> list:
-    """The sessions or contexts whose session id falls in `split`."""
-    return [r for r in records if split_of(r.session_id) == split]
+def in_split(records: list, split: str) -> list:
+    """The sessions or contexts whose session id (each hashed once) falls in `split`."""
+    keep = {s for s in {r.session_id for r in records} if split_of(s) == split}
+    return [r for r in records if r.session_id in keep]
 
 
 def bundle_paths(bundle_dir: Path) -> list[Path]:
@@ -347,12 +348,13 @@ def _load_training_inputs(args):
 def cmd_train(args) -> int:
     ledger, data, slates, inputs = _load_training_inputs(args)
     config = _train_config_from(args, len(ledger.positives))
+    check_prefixes(config, data.columns)  # every refusal before the lock creates --out
+    resume = load_resume(args.resume, config, data.vocab) if args.resume else None
     out_dir = Path(args.out)
     with output_lock(out_dir):
         params, log = train(
             config, data, slates,
-            checkpoint_dir=out_dir if config.checkpoint_interval else None,
-            resume_from=args.resume,
+            checkpoint_dir=out_dir if config.checkpoint_interval else None, resume=resume,
         )
         ckpt_path = out_dir / "checkpoint.bin"
         save_ranker(ckpt_path, params, data.vocab)

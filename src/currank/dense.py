@@ -38,8 +38,8 @@ def in_batch_loss_and_grad(
     dscores[np.arange(n), np.arange(n)] -= 1.0
     dscores /= n
     grads = params.like(np.zeros_like(params.flat))
-    towers.backward_batch(params, c_cache, dscores @ d_enc, grads)
-    towers.backward_batch(params, d_cache, dscores.T @ c_enc, grads)
+    towers.backward_batch(
+        params, [(c_cache, dscores @ d_enc), (d_cache, dscores.T @ c_enc)], grads)
     return loss, grads
 
 

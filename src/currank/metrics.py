@@ -18,7 +18,8 @@ RankedSlate = tuple[str, list[tuple[str, float]], frozenset[str]]
 
 
 def _dcg(gains: Sequence[int], k: int) -> float:
-    return sum((2**g - 1) / math.log2(rank + 1) for rank, g in enumerate(gains[:k], start=1))
+    return sum((2**g - 1) / math.log2(rank + 1)  # skips zero gains: + 0.0 changes no sum
+               for rank, g in enumerate(gains[:k], start=1) if g)
 
 
 def _query_metrics(gains: Sequence[int]) -> list[float] | None:

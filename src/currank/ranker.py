@@ -82,8 +82,7 @@ def loss_and_grad(
     grads = params.encoder.like(np.zeros_like(params.encoder.flat))
     gc = np.einsum("nw,nwd->nd", ddots, d_enc3)
     gd = (ddots[:, :, None] * c_enc[:, None, :]).reshape(n * width, -1)
-    towers.backward_batch(params.encoder, c_cache, gc, grads)
-    towers.backward_batch(params.encoder, d_cache, gd, grads)
+    towers.backward_batch(params.encoder, [(c_cache, gc), (d_cache, gd)], grads)
     return LossReport(
         loss=loss, grads=grads, grad_tau=grad_tau, positive_ranks=positive_ranks
     )

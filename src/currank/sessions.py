@@ -125,8 +125,9 @@ def parse_sessions(
             candidates = rec["candidates"]
         except (KeyError, TypeError) as e:
             raise SessionLogError(f"line {lineno}: missing or bad field ({e})")
-        if type(sid) is not str:
-            raise SessionLogError(f"line {lineno}: session_id {sid!r} is not a string")
+        if type(sid) is not str or not sid:
+            raise SessionLogError(f"line {lineno}: session_id {sid!r} is "
+                                  + ("empty" if sid == "" else "not a string"))
         if type(position) is not int:  # also rejects bool, a subclass of int
             raise SessionLogError(f"line {lineno}: query_position {position!r} is not an integer")
         query_tokens = tokens(query_text, "query_text")
@@ -153,8 +154,9 @@ def parse_sessions(
                 is_clicked = cand["clicked"]
             except (KeyError, TypeError) as e:
                 raise SessionLogError(f"line {lineno}: bad candidate ({e})")
-            if type(doc_id) is not str:
-                raise SessionLogError(f"line {lineno}: doc_id {doc_id!r} is not a string")
+            if type(doc_id) is not str or not doc_id:
+                raise SessionLogError(f"line {lineno}: doc_id {doc_id!r} is "
+                                      + ("empty" if doc_id == "" else "not a string"))
             if type(is_clicked) is not bool:
                 raise SessionLogError(f"line {lineno}: clicked {is_clicked!r} is not a boolean")
             if doc_id in cand_ids:

@@ -20,9 +20,10 @@ dataclasses are frozen: updates write into the views (`w[...] += g`).
 Batches are TokenRows: ids padded with -1, the index of a zero row
 appended to emb. Summation order matches per-sequence pooling bit for
 bit: the pool adds token positions in sequence, as emb[ids].mean(axis=0)
-does, then divides by the length; the embedding gradient is one np.add.at
-in row-major (sequence, token) order. np.add.reduceat and a sparse
-averaging matmul would change the order, so neither is used.
+does, then divides by the length. Both towers' embedding gradient is one
+np.bincount keyed by token_id * d_emb + column, over the passes in order,
+each in row-major (sequence, token) order, so each bin sums from zero as
+np.add.at would; np.add.reduceat or a sparse matmul would change the order.
 """
 
 from __future__ import annotations
@@ -246,26 +247,25 @@ def encode_batch(
 
 def backward_batch(
     params: DualEncoderParams,
-    cache: ForwardCache,
-    grad_out: np.ndarray,
+    passes: Sequence[tuple[ForwardCache, np.ndarray]],
     grads: DualEncoderParams,
 ) -> None:
-    """Accumulate parameter gradients for encode_batch outputs.
-
-    grad_out has shape (n, d_emb); accumulation order is fixed so
-    repeated runs produce bit-identical gradients.
-    """
-    t = params.tower(cache.tower)
-    gt = grads.tower(cache.tower)
-    gt.w2[...] += grad_out.T @ cache.hidden
-    gt.b2[...] += grad_out.sum(axis=0)
-    ghidden = grad_out @ t.w2
-    gz = ghidden * (1.0 - cache.hidden**2)
-    gt.w1[...] += gz.T @ cache.pooled
-    gt.b1[...] += gz.sum(axis=0)
-    gpooled = gz @ t.w1
-    rows = cache.rows
-    share = gpooled / rows.lengths[:, None]
-    np.add.at(grads.emb, rows.ids[rows.ids >= 0],
-              np.repeat(share, rows.lengths, axis=0))
-
+    """Accumulate parameter gradients for encode_batch outputs, given
+    each pass's (cache, grad_out (n, d_emb)), in a fixed order so repeated
+    runs produce bit-identical gradients (see the module docstring)."""
+    tokens, shares = [], []
+    for cache, grad_out in passes:
+        t = params.tower(cache.tower)
+        gt = grads.tower(cache.tower)
+        gt.w2[...] += grad_out.T @ cache.hidden
+        gt.b2[...] += grad_out.sum(axis=0)
+        gz = (grad_out @ t.w2) * (1.0 - cache.hidden**2)
+        gt.w1[...] += gz.T @ cache.pooled
+        gt.b1[...] += gz.sum(axis=0)
+        gpooled = gz @ t.w1
+        rows = cache.rows
+        tokens.append(rows.ids[rows.ids >= 0])
+        shares.append(np.repeat(gpooled / rows.lengths[:, None], rows.lengths, axis=0))
+    keys = np.concatenate(tokens)[:, None] * params.d_emb + np.arange(params.d_emb)
+    grads.emb[...] += np.bincount(keys.ravel(), np.concatenate(shares).ravel(),
+                                  minlength=grads.emb.size).reshape(grads.emb.shape)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -134,22 +135,48 @@ def check_prefixes(config: TrainConfig, columns: LedgerColumns) -> None:
 
 @dataclass
 class EvalSlates:
-    """Held-out slates with every context, keyed by query id, and every
-    document encoded once."""
+    """Held-out slates with every context and document encoded once, and
+    each slate's context row and candidates' doc rows, looked up once."""
 
     items: list[EvalSlate]
     corpus: EncodedCorpus
+    context_rows: list[int] = field(init=False)
+    rank_rows: list[np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        context_row, doc_row = self.corpus.context_row, self.corpus.doc_row
+        self.context_rows = [context_row[query_id] for query_id, *_ in self.items]
+        self.rank_rows = [np.array([doc_row[d] for d in candidates], dtype=np.intp)
+                          for _, _, candidates, _ in self.items]
+
+    @cached_property
+    def loss_layout(self) -> tuple[list, list]:
+        """(slate, doc rows of sorted(clicked) + unclicked) per slate with both,
+        and the loss rows by width: indices into those slates' concatenated
+        scores, and the rows' places in slate order. Built on first use."""
+        doc_row, slates, cells, at = self.corpus.doc_row, [], [], 0
+        for i, (_, _, candidates, clicked) in enumerate(self.items):
+            rows = [doc_row[d] for d in sorted(clicked)]
+            rows += [doc_row[d] for d in candidates if d not in clicked]
+            if 0 < len(clicked) < len(rows):
+                slates.append((i, np.array(rows, dtype=np.intp)))
+                cells += [[at + j, *range(at + len(clicked), at + len(rows))]
+                          for j in range(len(clicked))]
+                at += len(rows)
+        by_width: dict[int, list[int]] = {}
+        for place, row in enumerate(cells):
+            by_width.setdefault(len(row), []).append(place)
+        return slates, [(np.array([cells[p] for p in places], dtype=np.intp),
+                         np.array(places)) for places in by_width.values()]
 
     def scorer(self, params: RankerParams):
         """A forward pass over all contexts and documents, returning
-        score(query_id, doc_ids): that slate's scores for those docs."""
-        corpus = self.corpus
-        c_enc, _ = towers.encode_batch(params.encoder, corpus.contexts, "context")
-        d_enc, _ = towers.encode_batch(params.encoder, corpus.docs, "document")
+        score(i, doc_rows): slate i's scores for those document rows."""
+        c_enc, _ = towers.encode_batch(params.encoder, self.corpus.contexts, "context")
+        d_enc, _ = towers.encode_batch(params.encoder, self.corpus.docs, "document")
 
-        def score(query_id: str, doc_ids) -> np.ndarray:
-            c = c_enc[corpus.context_row[query_id]]
-            return (d_enc[[corpus.doc_row[d] for d in doc_ids]] @ c) / params.tau
+        def score(i: int, doc_rows: np.ndarray) -> np.ndarray:
+            return (d_enc[doc_rows] @ c_enc[self.context_rows[i]]) / params.tau
 
         return score
 
@@ -165,8 +192,8 @@ def rank_slates(slates: EvalSlates, score) -> Iterator[RankedSlate]:
     """Each held-out slate, in slate order, as its query id, its candidates
     ranked by order_slate under `score` (a slates.scorer result) and its
     clicked set. Lazily, so that validation keeps only the gains."""
-    return ((query_id, order_slate(candidates, score(query_id, candidates)), clicked)
-            for query_id, _, candidates, clicked in slates.items)
+    return ((query_id, order_slate(candidates, score(i, slates.rank_rows[i])), clicked)
+            for i, (query_id, _, candidates, clicked) in enumerate(slates.items))
 
 
 def evaluate_ranker(
@@ -182,13 +209,14 @@ def train(
     data: TrainingData,
     slates: EvalSlates | None = None,
     checkpoint_dir: str | Path | None = None,
-    resume_from: str | Path | None = None,
+    resume: tuple | None = None,
 ) -> tuple[RankerParams, TrainLog]:
     """Run pacing.T optimizer steps of curriculum training, validating on
     `slates`, when given, after every epoch.
 
     Deterministic under a fixed config seed; an interrupted run resumed
-    from a periodic checkpoint continues bit-identically.
+    from a periodic checkpoint (`resume`, a load_resume result, whose
+    arrays it trains in place) continues bit-identically.
     """
     pacing = config.pacing
     T = pacing.T
@@ -201,26 +229,9 @@ def train(
     rng_sampler = np.random.default_rng([config.seed, _SEED_SAMPLER])
     params = init_ranker(len(vocab), config.d_emb, config.hidden, rng_init,
                          tau=config.tau)
-    velocity = np.zeros_like(params.encoder.flat)
-    start_step = 0
-
-    if resume_from is not None:
-        enc, vocab_loaded, extra, meta = checkpoint.load_checkpoint(
-            resume_from, expect_kind="ranker"
-        )
-        if "config" not in meta:  # a final checkpoint, or one that predates stored configs
-            raise ValueError(f"{resume_from}: not a resumable checkpoint; only periodic "
-                             "ckpt_*.bin files that record their run's training config "
-                             "can be resumed")
-        if vocab_loaded.tokens != vocab.tokens:
-            raise ValueError("checkpoint vocabulary does not match corpus")
-        _check_resumed_config(resume_from, meta["config"], config)
-        params = RankerParams(encoder=enc, tau=config.tau)
-        velocity = np.concatenate([extra[f"vel.{name}"].ravel() for name in PARAM_NAMES])
-        start_step = int(meta["step"])
-        state = meta["sampler_state"]
-        rng_sampler.bit_generator.state = {
-            **state, "state": {k: int(v) for k, v in state["state"].items()}}
+    velocity, start_step = np.zeros_like(params.encoder.flat), 0
+    if resume is not None:
+        params, velocity, start_step, rng_sampler.bit_generator.state = resume
 
     spe = steps_per_epoch(len(columns.context_ids), config.batch_size)
     log = TrainLog()
@@ -271,32 +282,42 @@ def train(
 
 
 def _validation_loss(slates: EvalSlates, score) -> float:
-    """Listwise loss over each held-out slate, once per clicked document
-    with the unclicked candidates as negatives, under `score`, a
-    slates.scorer result."""
-    losses = []
-    for query_id, _, candidates, clicked in slates.items:
-        negs = [d for d in candidates if d not in clicked]
-        if not negs:
-            continue
-        pos = sorted(clicked)
-        s = score(query_id, pos + negs)
-        slate = np.column_stack(
-            [s[: len(pos)], np.broadcast_to(s[len(pos):], (len(pos), len(negs)))]
-        )
+    """Listwise loss over each held-out slate, once per clicked document with
+    the unclicked candidates as negatives, under `score`, a slates.scorer result:
+    a mat-vec per slate (OpenBLAS's last bits depend on a row's position)."""
+    loss_slates, groups = slates.loss_layout
+    if not loss_slates:
+        return 0.0
+    scores = np.concatenate([score(i, rows) for i, rows in loss_slates])
+    losses = np.empty(sum(len(places) for _, places in groups))
+    for cells, places in groups:
+        slate = scores[cells]
         exp = np.exp(slate - slate.max(axis=1, keepdims=True))
-        losses.extend(-np.log(exp[:, 0] / exp.sum(axis=1)))
-    return float(np.mean(losses)) if losses else 0.0
+        losses[places] = -np.log(exp[:, 0] / exp.sum(axis=1))
+    return float(np.mean(losses))
 
 
-def _check_resumed_config(path, saved: dict, config: TrainConfig) -> None:
-    """Refuse to resume under a config other than the checkpoint's run's,
-    naming every field that differs, the pacing fields by their own names."""
-    saved, run = ({**c["pacing"], **c} for c in (saved, asdict(config)))
+def load_resume(path: str | Path, config: TrainConfig, vocab: Vocab) -> tuple:
+    """A periodic checkpoint's (params, velocity, step, sampler state),
+    refused unless it was written under `vocab` and `config`; a config that
+    differs is named field by field, the pacing fields by their own names."""
+    enc, vocab_loaded, extra, meta = checkpoint.load_checkpoint(path, expect_kind="ranker")
+    if "config" not in meta:  # a final checkpoint, or one that predates stored configs
+        raise ValueError(f"{path}: not a resumable checkpoint; only periodic "
+                         "ckpt_*.bin files that record their run's training config "
+                         "can be resumed")
+    if vocab_loaded.tokens != vocab.tokens:
+        raise ValueError("checkpoint vocabulary does not match corpus")
+    saved, run = ({**c["pacing"], **c} for c in (meta["config"], asdict(config)))
     differ = [k for k in run if k != "pacing" and saved.get(k) != run[k]]
     if differ:
         raise ValueError(f"{path}: checkpoint written under another config: " + ", ".join(
             f"{k} {saved.get(k)!r} (this run {run[k]!r})" for k in differ))
+    state = meta["sampler_state"]
+    return (RankerParams(encoder=enc, tau=config.tau),
+            np.concatenate([extra[f"vel.{name}"].ravel() for name in PARAM_NAMES]),
+            int(meta["step"]),
+            {**state, "state": {k: int(v) for k, v in state["state"].items()}})
 
 
 def _save_train_checkpoint(path, params, vocab, velocity, step, rng_sampler, config):

@@ -222,11 +222,15 @@ def entries_eval(params, slates, tag: str = "currank"):
     query in rank order with gains looked up in the qrels, queries in id
     order, and the run and qrels files as their writers wrote them.
     Returns (run text, qrels text, MetricTable)."""
-    score = slates.scorer(params)
+    corpus = slates.corpus
+    c_enc, _ = towers.encode_batch(params.encoder, corpus.contexts, "context")
+    d_enc, _ = towers.encode_batch(params.encoder, corpus.docs, "document")
     entries = []
     qrels = {}
     for query_id, _, candidates, clicked in slates.items:
-        ranked = order_slate(candidates, score(query_id, candidates))
+        c = c_enc[corpus.context_row[query_id]]
+        scores = (d_enc[[corpus.doc_row[d] for d in candidates]] @ c) / params.tau
+        ranked = order_slate(candidates, scores)
         entries += [(query_id, d, rank, s) for rank, (d, s) in enumerate(ranked, start=1)]
         for doc_id in candidates:
             qrels.setdefault((query_id, doc_id), 0)

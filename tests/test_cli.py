@@ -181,10 +181,15 @@ class TestIngest:
          "clicked 'no' is not a boolean"),
         (_log_record(2, {"doc_id": "d1", "title": "x", "rank": 1, "clicked": 1}),
          "clicked 1 is not a boolean"),
+        (_log_record(2, {"doc_id": "d1", "title": "x", "rank": 1, "clicked": True})
+         .replace('"session_id": "s1"', '"session_id": ""'),
+         "session_id '' is empty"),
+        (_log_record(2, {"doc_id": "", "title": "x", "rank": 1, "clicked": True}),
+         "doc_id '' is empty"),
     ], ids=["invalid-json", "missing-rank", "non-integer-rank",
          "fractional-rank", "duplicate-doc", "list-title", "integer-title", "list-query",
          "list-session-id", "fractional-position", "bool-position", "integer-doc-id",
-         "string-clicked", "integer-clicked"])
+         "string-clicked", "integer-clicked", "empty-session-id", "empty-doc-id"])
     def test_malformed_log_exits_two(self, tmp_path, capsys, record, error):
         bad = tmp_path / "bad.jsonl"
         good = _log_record(1, {"doc_id": "d0", "title": "y", "rank": 1, "clicked": True})
@@ -559,7 +564,7 @@ class TestTrain:
         assert run_cli(*common, *flag, "--resume", ckpt, "--out", out) == 2
         assert capsys.readouterr().err == \
             f"error: {ckpt}: checkpoint written under another config: {differ}\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
         assert run_cli(*common, "--resume", ckpt, "--out", out) == 0
 
     def test_resume_refuses_a_checkpoint_without_a_config(self, bundle_dir, ledger_dir,
@@ -577,7 +582,7 @@ class TestTrain:
         assert f"error: {ckpt}: not a resumable checkpoint; only periodic ckpt_*.bin " \
             "files that record their run's training config can be resumed\n" \
             == capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, steps, message", [
         ("checkpoint.bin", 10, "not a resumable checkpoint; only periodic ckpt_*.bin "
@@ -596,7 +601,7 @@ class TestTrain:
         out = tmp_path / "resumed"
         assert run_cli(*common, "--steps", steps, "--resume", ckpt, "--out", out) == 2
         assert f"error: {ckpt}: {message}" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestEval:

@@ -4,6 +4,7 @@ import pytest
 
 from currank.metrics import (
     NDCG_CUTOFFS,
+    _query_metrics,
     evaluate_run,
     query_gains,
     write_qrels,
@@ -71,6 +72,19 @@ class TestNdcg:
 
         best = max(dcg(p) for p in itertools.permutations(["a", "b", "c"]))
         assert got == pytest.approx(dcg(["a", "b", "c"]) / best, abs=1e-12)
+
+
+class TestQueryMetrics:
+    def test_gains_of_two_equal_the_naive_ndcg_bit_for_bit(self, rng):
+        """_dcg skips zero gains, whose 0.0 terms never change the sum."""
+        for _ in range(100):
+            n = int(rng.integers(1, 14))
+            docs = [f"d{i}" for i in range(n)]
+            ranked = list(rng.permutation(docs))
+            gains = {d: int(rng.integers(0, 3)) for d in docs}
+            gains[docs[0]] = 2
+            got = _query_metrics([gains[d] for d in ranked])
+            assert got[2:] == [naive_ndcg(ranked, gains, k) for k in NDCG_CUTOFFS]
 
 
 class TestEvaluateRun:

@@ -79,13 +79,38 @@ class TestBackwardBatch:
             _, cache = towers.encode_batch(params, token_rows(sequences), tower)
             grad_out = rng.normal(size=(len(sequences), 32))
             grads = params.like(np.zeros_like(params.flat))
-            towers.backward_batch(params, cache, grad_out, grads)
+            towers.backward_batch(params, [(cache, grad_out)], grads)
 
             t = params.tower(tower)
             gz = (grad_out @ t.w2) * (1.0 - cache.hidden**2)
             want = np.zeros_like(params.emb)
             loop_scatter(want, sequences, gz @ t.w1)
             assert np.array_equal(grads.emb, want)
+
+    def test_both_towers_in_one_call_equal_the_loop_context_first(self):
+        """One bincount over a context and a document pass that share
+        tokens adds each bin's terms as the per-token loop does, context
+        sequences first; each tower's dense gradients are its own pass's."""
+        rng = np.random.default_rng(9)
+        params = init_params(30, 16, 8, rng)
+        ctx_seqs = SEQUENCES + random_sequences(rng, n=40, vocab_size=30)
+        doc_seqs = random_sequences(rng, n=60, vocab_size=30) + SEQUENCES
+        passes, want = [], np.zeros_like(params.emb)
+        for tower, sequences in (("context", ctx_seqs), ("document", doc_seqs)):
+            _, cache = towers.encode_batch(params, token_rows(sequences), tower)
+            grad_out = rng.normal(size=(len(sequences), 16))
+            passes.append((cache, grad_out))
+            t = params.tower(tower)
+            loop_scatter(want, sequences, ((grad_out @ t.w2) * (1.0 - cache.hidden**2)) @ t.w1)
+        grads = params.like(np.zeros_like(params.flat))
+        towers.backward_batch(params, passes, grads)
+        assert np.array_equal(grads.emb, want)
+        for tower, one_pass in zip(("context", "document"), passes):
+            alone = params.like(np.zeros_like(params.flat))
+            towers.backward_batch(params, [one_pass], alone)
+            got, solo = grads.tower(tower), alone.tower(tower)
+            for name in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(getattr(got, name), getattr(solo, name))
 
 
 class TestFlatLayout:

@@ -186,7 +186,8 @@ class TestTrain:
         resumed, _ = train(
             config, data,
             checkpoint_dir=tmp_path / "resumed",
-            resume_from=tmp_path / "full" / "ckpt_00000007.bin",
+            resume=trainer.load_resume(
+                tmp_path / "full" / "ckpt_00000007.bin", config, data.vocab),
         )
         assert np.array_equal(
             full.encoder.flat, resumed.encoder.flat
@@ -235,6 +236,24 @@ class TestBatchedValidation:
             assert [d for d, _ in got] == [d for d, _ in want]
             assert [s for _, s in got] == pytest.approx([s for _, s in want],
                                                         rel=1e-12, abs=0)
+
+
+    def test_width_groups_equal_the_two_pass_loss(self, small_world, data):
+        """Slates of four widths with two or three clicks, and all-clicked
+        slates (skipped): the per-width softmax keeps every bit."""
+        sessions, documents, _, ledger, vocab, _ = small_world
+        items = [(query_id, tokens, cands[: 3 + i % 4], frozenset(cands[: 2 + i // 4 % 2]))
+                 for i, (query_id, tokens, cands, _)
+                 in enumerate(build_eval_items(sessions, documents))]
+        items[1] = (*items[1][:3], frozenset(items[1][2]))
+        slates = encode_slates(vocab, items, documents)
+        loss_slates, groups = slates.loss_layout
+        assert sorted(len(cells[0]) for cells, _ in groups) == [2, 3, 4, 5]
+        assert len(loss_slates) < len(items)
+        for epochs in (0, 1, 2):
+            params, _ = train(config_for(ledger, epochs=epochs), data)
+            got = trainer._validation_loss(slates, slates.scorer(params))
+            assert got > 0 and got == two_pass_validation_loss(params, slates)
 
 
 class TestSameMachineIdentity:
