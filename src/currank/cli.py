@@ -99,19 +99,30 @@ def bundle_paths(bundle_dir: Path) -> list[Path]:
     return [bundle_dir / name for name in BUNDLE_FILES]
 
 
+def input_path(path, what: str) -> Path:
+    """`path` as a Path; a missing one is an input error (exit 2)."""
+    path = Path(path)
+    if not path.exists():
+        raise CliError(f"{what} not found: {path}")
+    return path
+
+
 def load_bundle(bundle_dir: Path, sessions: bool = True, contexts: bool = True):
     """(sessions, documents, contexts) of a bundle, with None for the
     sessions or contexts a command does not ask for. Every bundle file
-    must exist either way: the command's manifest digests all three."""
-    paths = bundle_paths(bundle_dir)
-    for path in paths:
-        if not path.exists():
-            raise CliError(f"bundle file not found: {path}")
-    docs_path, sessions_path, contexts_path = paths
+    must exist either way: the command's manifest digests all three. A
+    malformed record is an input error naming its file."""
+    docs_path, sessions_path, contexts_path = [
+        input_path(path, "bundle file") for path in bundle_paths(bundle_dir)]
 
     def read(path, reader):
         with open(path) as fp:
-            return reader(fp)
+            try:
+                return reader(fp)
+            except KeyError as e:
+                raise CliError(f"{path}: malformed record: no {e} entry")
+            except (TypeError, ValueError) as e:
+                raise CliError(f"{path}: malformed record: {e}")
 
     documents = read(docs_path, read_documents)
     return (read(sessions_path, read_sessions) if sessions else None,
@@ -140,18 +151,20 @@ def write_bundle(out_dir: Path, sessions, documents, contexts) -> list[Path]:
     return paths
 
 
-def _emit_manifest(out_dir, command, config, seed, inputs, outputs, scorer_digest=""):
-    write_manifest(
-        out_dir,
-        RunManifest(
-            command=command,
-            config=config,
-            master_seed=seed,
-            input_digests=digest_paths(inputs),
-            output_digests=digest_paths(outputs, base=out_dir),
-            scorer_digest=scorer_digest,
-        ),
-    )
+@contextlib.contextmanager
+def command_output(args, config: dict, inputs: list[Path], seed: int | None = None):
+    """Lock `args.out` and yield (out_dir, outputs, manifest): the command
+    lists what it writes in `outputs` and may set the manifest's
+    scorer_digest. The manifest, digesting `inputs` and `outputs`, is
+    written when the body returns; a body that raises leaves none."""
+    out_dir = Path(args.out)
+    with output_lock(out_dir):
+        outputs: list[Path] = []
+        manifest = RunManifest(args.command, config, seed, {}, {})
+        yield out_dir, outputs, manifest
+        manifest.input_digests = digest_paths(inputs)
+        manifest.output_digests = digest_paths(outputs, base=out_dir)
+        write_manifest(out_dir, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +172,16 @@ def _emit_manifest(out_dir, command, config, seed, inputs, outputs, scorer_diges
 
 
 def cmd_ingest(args) -> int:
-    log_path = Path(args.log)
-    if not log_path.exists():
-        raise CliError(f"log file not found: {log_path}")
+    log_path = input_path(args.log, "log file")
     with open(log_path) as fp:
         try:
             sessions, documents = parse_sessions(fp)
         except SessionLogError as e:
             raise CliError(f"{log_path}: {e}")
     contexts, skipped = build_contexts(sessions, documents, window=args.window)
-    out_dir = Path(args.out)
-    with output_lock(out_dir):
-        outputs = write_bundle(out_dir, sessions, documents, contexts)
-        _emit_manifest(
-            out_dir, "ingest",
-            {"log": str(log_path), "window": args.window},
-            None, [log_path], outputs,
-        )
+    config = {"log": str(log_path), "window": args.window}
+    with command_output(args, config, [log_path]) as (out_dir, outputs, _):
+        outputs += write_bundle(out_dir, sessions, documents, contexts)
     print(f"sessions: {len(sessions)}")
     print(f"documents: {len(documents)}")
     print(f"contexts: {len(contexts)}")
@@ -195,27 +201,20 @@ def cmd_synth(args) -> int:
     )
     sessions, documents, labels = synth.generate_synthetic(spec)
     contexts, _ = build_contexts(sessions, documents, window=args.window)
-    out_dir = Path(args.out)
-    with output_lock(out_dir):
-        outputs = write_bundle(out_dir, sessions, documents, contexts)
-        with open(out_dir / "log.jsonl", "w") as fp:
+    with command_output(args, asdict(spec), [], args.seed) as (out_dir, outputs, _):
+        log_path, labels_path = out_dir / "log.jsonl", out_dir / "labels.jsonl"
+        outputs += [*write_bundle(out_dir, sessions, documents, contexts),
+                    log_path, labels_path]
+        with open(log_path, "w") as fp:
             synth.write_session_log(sessions, documents, fp)
-        with open(out_dir / "labels.jsonl", "w") as fp:
+        with open(labels_path, "w") as fp:
             synth.write_labels(labels, fp)
-        outputs += [out_dir / "log.jsonl", out_dir / "labels.jsonl"]
 
-        # Post-generation audit: does the click land on the session topic?
-        total = on_topic = 0
-        for session in sessions:
-            topic = labels[session.session_id]
-            for inter in session.interactions:
-                for doc_id in inter.clicked_doc_ids:
-                    total += 1
-                    if doc_id.startswith(f"d{topic:03d}_"):
-                        on_topic += 1
-        _emit_manifest(
-            out_dir, "synth", asdict(spec), args.seed, [], outputs,
-        )
+    # Post-generation audit: does the click land on the session topic?
+    clicks = [doc_id.startswith(f"d{labels[session.session_id]:03d}_")
+              for session in sessions for inter in session.interactions
+              for doc_id in inter.clicked_doc_ids]
+    total, on_topic = len(clicks), sum(clicks)
     print(f"sessions: {len(sessions)}")
     print(f"documents: {len(documents)}")
     print(f"contexts: {len(contexts)}")
@@ -266,39 +265,33 @@ def cmd_score(args) -> int:
     if "dense" not in (pos_kind, neg_kind) and (args.fit or args.checkpoint):
         raise CliError(f"--{'fit' if args.fit else 'checkpoint'} needs a dense scorer; "
                        f"both curricula use {pos_kind}")
-    if args.checkpoint and not Path(args.checkpoint).exists():
-        raise CliError(f"checkpoint not found: {args.checkpoint}")
     bundle_dir = Path(args.bundle)
+    config = {
+        "bundle": str(bundle_dir), "pos_scorer": pos_kind,
+        "neg_scorer": neg_kind, "k1": args.k1, "b": args.b,
+        "fit": args.fit,
+    }
+    inputs = bundle_paths(bundle_dir)
+    if args.checkpoint:
+        config["checkpoint"] = str(args.checkpoint)
+        inputs.append(input_path(args.checkpoint, "checkpoint"))
     _, documents, contexts = load_bundle(bundle_dir, sessions=False)
     train_contexts = in_split(contexts, "train")
     if not train_contexts:
         raise CliError("no training-split contexts in bundle")
     vocab = build_vocab(documents, contexts)
-    out_dir = Path(args.out)
-    with output_lock(out_dir):
+    with command_output(args, config, inputs, args.seed) as (out_dir, outputs, manifest):
         pos_scorer = _make_scorer(pos_kind, args, documents, train_contexts, vocab, out_dir)
         neg_scorer = (
             pos_scorer if neg_kind == pos_kind
             else _make_scorer(neg_kind, args, documents, train_contexts, vocab, out_dir)
         )
         ledger = build_ledger(pos_scorer, neg_scorer, train_contexts)
-        outputs = [out_dir / "ledger.json"]
-        save_ledger(ledger, outputs[0])
         if "dense" in (pos_kind, neg_kind) and not args.checkpoint:
-            outputs.insert(0, out_dir / "dense_scorer.bin")
-        config = {
-            "bundle": str(bundle_dir), "pos_scorer": pos_kind,
-            "neg_scorer": neg_kind, "k1": args.k1, "b": args.b,
-            "fit": args.fit,
-        }
-        inputs = bundle_paths(bundle_dir)
-        if args.checkpoint:
-            config["checkpoint"] = str(args.checkpoint)
-            inputs.append(Path(args.checkpoint))
-        _emit_manifest(
-            out_dir, "score", config, args.seed, inputs, outputs,
-            scorer_digest=f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}",
-        )
+            outputs.append(out_dir / "dense_scorer.bin")
+        outputs.append(out_dir / "ledger.json")
+        save_ledger(ledger, outputs[-1])
+        manifest.scorer_digest = f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}"
     print(f"positives scored: {len(ledger.positives)}")
     print(f"pos scorer digest: {ledger.pos_scorer_digest}")
     print(f"neg scorer digest: {ledger.neg_scorer_digest}")
@@ -332,11 +325,8 @@ def _load_training_inputs(args):
     """The training-split ledger, its encoded training data, the encoded
     validation slates (None if the split has none), and the input paths
     a training manifest digests."""
-    bundle_dir = Path(args.bundle)
+    bundle_dir, ledger_path = Path(args.bundle), input_path(args.ledger, "ledger file")
     sessions, documents, contexts = load_bundle(bundle_dir)
-    ledger_path = Path(args.ledger)
-    if not ledger_path.exists():
-        raise CliError(f"ledger file not found: {ledger_path}")
     ledger = load_ledger(ledger_path)
     vocab = build_vocab(documents, contexts)
     val_items = build_eval_items(in_split(sessions, "val"), documents)
@@ -346,29 +336,26 @@ def _load_training_inputs(args):
 
 
 def cmd_train(args) -> int:
+    resume_path = args.resume and input_path(args.resume, "checkpoint")
     ledger, data, slates, inputs = _load_training_inputs(args)
     config = _train_config_from(args, len(ledger.positives))
     check_prefixes(config, data.columns)  # every refusal before the lock creates --out
-    resume = load_resume(args.resume, config, data.vocab) if args.resume else None
-    out_dir = Path(args.out)
-    with output_lock(out_dir):
+    resume = load_resume(resume_path, config, data.vocab) if resume_path else None
+    with command_output(args, asdict(config), inputs, args.seed) as (
+            out_dir, outputs, manifest):
         params, log = train(
             config, data, slates,
             checkpoint_dir=out_dir if config.checkpoint_interval else None, resume=resume,
         )
-        ckpt_path = out_dir / "checkpoint.bin"
+        ckpt_path, log_path = out_dir / "checkpoint.bin", out_dir / "trainlog.jsonl"
         save_ranker(ckpt_path, params, data.vocab)
-        log_path = out_dir / "trainlog.jsonl"
         with open(log_path, "w") as fp:
             for rec in log.steps:
                 fp.write(json.dumps(rec, sort_keys=True) + "\n")
             for rec in log.validations:
                 fp.write(json.dumps({"validation": rec}, sort_keys=True) + "\n")
-        outputs = [ckpt_path, *log.checkpoints, log_path]
-        _emit_manifest(
-            out_dir, "train", asdict(config), args.seed, inputs, outputs,
-            scorer_digest=f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}",
-        )
+        outputs += [ckpt_path, *log.checkpoints, log_path]
+        manifest.scorer_digest = f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}"
     print(f"steps: {len(log.steps)} (T={config.pacing.T}, mode={config.mode})")
     if log.validations:
         last = log.validations[-1]
@@ -377,11 +364,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    bundle_dir = Path(args.bundle)
+    bundle_dir, ckpt_path = Path(args.bundle), input_path(args.checkpoint, "checkpoint")
     sessions, documents, _ = load_bundle(bundle_dir, contexts=False)
-    ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.exists():
-        raise CliError(f"checkpoint not found: {ckpt_path}")
     params, vocab = load_ranker(ckpt_path)
     items = build_eval_items(in_split(sessions, args.split), documents)
     if not items:
@@ -389,22 +373,15 @@ def cmd_eval(args) -> int:
     slates = encode_slates(vocab, items, documents)
     ranked = list(rank_slates(slates, slates.scorer(params)))
     table = evaluate_run(query_gains(ranked))
-    out_dir = Path(args.out)
-    with output_lock(out_dir):
-        with open(out_dir / "run.txt", "w") as fp:
+    config = {"bundle": str(bundle_dir), "checkpoint": str(ckpt_path), "split": args.split}
+    inputs = bundle_paths(bundle_dir) + [ckpt_path]
+    with command_output(args, config, inputs) as (out_dir, outputs, _):
+        outputs += [out_dir / "run.txt", out_dir / "qrels.txt", out_dir / "metrics.json"]
+        with open(outputs[0], "w") as fp:
             write_run_file(ranked, args.tag, fp)
-        with open(out_dir / "qrels.txt", "w") as fp:
+        with open(outputs[1], "w") as fp:
             write_qrels(ranked, fp)
-        (out_dir / "metrics.json").write_text(
-            json.dumps(asdict(table), sort_keys=True, indent=2) + "\n"
-        )
-        outputs = [out_dir / "run.txt", out_dir / "qrels.txt", out_dir / "metrics.json"]
-        _emit_manifest(
-            out_dir, "eval",
-            {"bundle": str(bundle_dir), "checkpoint": str(ckpt_path),
-             "split": args.split},
-            None, bundle_paths(bundle_dir) + [ckpt_path], outputs,
-        )
+        outputs[2].write_text(json.dumps(asdict(table), sort_keys=True, indent=2) + "\n")
     for name, value in table.metrics.items():
         print(f"{name}: {value:.4f}")
     print(f"queries evaluated: {table.evaluated_queries} "
@@ -422,8 +399,7 @@ def cmd_ablate(args) -> int:
     for _, config in runs:
         check_prefixes(config, data.columns)  # every run, before the first
 
-    out_dir = Path(args.out)
-    with output_lock(out_dir):
+    with command_output(args, asdict(base), inputs, args.seed) as (out_dir, outputs, _):
         payload = {"modes": [], "grid": []}
         for row, config in runs:
             row = train_and_evaluate(config, data, slates, **row)
@@ -431,13 +407,8 @@ def cmd_ablate(args) -> int:
             print(f"mode {row['mode']:>14s}: MAP={row['MAP']:.4f} MRR={row['MRR']:.4f}"
                   if "mode" in row else
                   f"delta={row['delta']:.2f} eta={row['eta']:.2f}: MAP={row['MAP']:.4f}")
-        (out_dir / "ablation.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        )
-        _emit_manifest(
-            out_dir, "ablate", asdict(base), args.seed, inputs,
-            [out_dir / "ablation.json"],
-        )
+        outputs.append(out_dir / "ablation.json")
+        outputs[0].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -446,24 +417,25 @@ def cmd_ablate(args) -> int:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", default="dual", choices=MODES)
+    p.add_argument("--ledger", required=True)
+    p.add_argument("--mode", default=TrainConfig.mode, choices=MODES)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--steps", type=int, default=None,
                    help="total optimizer steps T (overrides --epochs)")
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--m", type=int, default=2, help="negatives per positive")
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--delta", type=float, default=0.3)
-    p.add_argument("--eta", type=float, default=0.7)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--k", type=float, default=2.0)
-    p.add_argument("--d-emb", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--checkpoint-interval", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--m", type=int, default=TrainConfig.m, help="negatives per positive")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p.add_argument("--delta", type=float, default=PacingParams.delta)
+    p.add_argument("--eta", type=float, default=PacingParams.eta)
+    p.add_argument("--alpha", type=float, default=PacingParams.alpha)
+    p.add_argument("--beta", type=float, default=PacingParams.beta)
+    p.add_argument("--k", type=float, default=PacingParams.k)
+    p.add_argument("--d-emb", type=int, default=TrainConfig.d_emb)
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    p.add_argument("--tau", type=float, default=TrainConfig.tau)
+    p.add_argument("--checkpoint-interval", type=int, default=TrainConfig.checkpoint_interval)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,35 +445,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # flags of every command
+    common.add_argument("--config", default=None)
+    common.add_argument("--out", required=True)
+    reads_bundle = argparse.ArgumentParser(add_help=False, parents=[common])
+    reads_bundle.add_argument("--bundle", required=True)
 
-    p = sub.add_parser("ingest", help="parse a session log into a corpus bundle")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("ingest", parents=[common],
+                       help="parse a session log into a corpus bundle")
     p.add_argument("--log", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--window", type=int, default=DEFAULT_NEGATIVE_WINDOW)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus bundle")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus bundle")
     p.add_argument("--sessions", type=int, required=True)
-    p.add_argument("--vocab-size", type=int, default=400)
-    p.add_argument("--topics", type=int, default=20)
-    p.add_argument("--queries", type=int, default=3)
-    p.add_argument("--candidates", type=int, default=10)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--vocab-size", type=int, default=synth.SynthSpec.vocab_size)
+    p.add_argument("--topics", type=int, default=synth.SynthSpec.n_topics)
+    p.add_argument("--queries", type=int, default=synth.SynthSpec.queries_per_session)
+    p.add_argument("--candidates", type=int, default=synth.SynthSpec.candidates_per_query)
+    p.add_argument("--noise", type=float, default=synth.SynthSpec.noise_rate)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--window", type=int, default=DEFAULT_NEGATIVE_WINDOW)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("score", help="build a difficulty ledger")
-    p.add_argument("--config", default=None)
-    p.add_argument("--bundle", required=True)
+    p = sub.add_parser("score", parents=[reads_bundle], help="build a difficulty ledger")
     p.add_argument("--scorer", default="bm25", choices=("bm25", "dense"))
     p.add_argument("--pos-scorer", default=None, choices=("bm25", "dense"))
     p.add_argument("--neg-scorer", default=None, choices=("bm25", "dense"))
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=float, default=bm25.Bm25Params.k1)
+    p.add_argument("--b", type=float, default=bm25.Bm25Params.b)
     p.add_argument("--checkpoint", default=None,
                    help="trained dense-scorer checkpoint")
     p.add_argument("--fit", action="store_true",
@@ -512,33 +484,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-emb", type=int, default=32)
     p.add_argument("--hidden", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("train", help="train the ranker with the dual curriculum")
-    p.add_argument("--config", default=None)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--ledger", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("train", parents=[reads_bundle],
+                       help="train the ranker with the dual curriculum")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a trained checkpoint")
-    p.add_argument("--config", default=None)
-    p.add_argument("--bundle", required=True)
+    p = sub.add_parser("eval", parents=[reads_bundle], help="evaluate a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test", choices=("train", "val", "test"))
     p.add_argument("--tag", default="currank")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="run curriculum-mode ablations and the "
-                                      "delta/eta grid")
-    p.add_argument("--config", default=None)
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--ledger", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("ablate", parents=[reads_bundle],
+                       help="run curriculum-mode ablations and the delta/eta grid")
     p.add_argument("--grid-deltas", default="0.1,0.3,0.5")
     p.add_argument("--grid-etas", default="0.5,0.7,0.9")
     _add_train_flags(p)
@@ -554,9 +515,7 @@ def _apply_config_file(parser, argv):
     known, _ = pre.parse_known_args(argv)
     if not known.config:
         return
-    path = Path(known.config)
-    if not path.exists():
-        raise CliError(f"config file not found: {path}")
+    path = input_path(known.config, "config file")
     try:
         data = yaml.safe_load(path.read_text()) or {}
     except yaml.YAMLError as e:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -136,18 +137,21 @@ def check_prefixes(config: TrainConfig, columns: LedgerColumns) -> None:
 @dataclass
 class EvalSlates:
     """Held-out slates with every context and document encoded once, and
-    each slate's context row and candidates' doc rows, looked up once."""
+    each slate's context row and candidates' doc rows, looked up once: slate
+    i's doc rows are rank_rows[offsets[i]:offsets[i + 1]]."""
 
     items: list[EvalSlate]
     corpus: EncodedCorpus
     context_rows: list[int] = field(init=False)
-    rank_rows: list[np.ndarray] = field(init=False)
+    rank_rows: np.ndarray = field(init=False)
+    offsets: list[int] = field(init=False)
 
     def __post_init__(self):
         context_row, doc_row = self.corpus.context_row, self.corpus.doc_row
         self.context_rows = [context_row[query_id] for query_id, *_ in self.items]
-        self.rank_rows = [np.array([doc_row[d] for d in candidates], dtype=np.intp)
-                          for _, _, candidates, _ in self.items]
+        self.offsets = list(accumulate((len(c) for _, _, c, _ in self.items), initial=0))
+        self.rank_rows = np.fromiter((doc_row[d] for _, _, candidates, _ in self.items
+                                      for d in candidates), np.intp, self.offsets[-1])
 
     @cached_property
     def loss_layout(self) -> tuple[list, list]:
@@ -192,7 +196,8 @@ def rank_slates(slates: EvalSlates, score) -> Iterator[RankedSlate]:
     """Each held-out slate, in slate order, as its query id, its candidates
     ranked by order_slate under `score` (a slates.scorer result) and its
     clicked set. Lazily, so that validation keeps only the gains."""
-    return ((query_id, order_slate(candidates, score(i, slates.rank_rows[i])), clicked)
+    rows, at = slates.rank_rows, slates.offsets
+    return ((query_id, order_slate(candidates, score(i, rows[at[i]:at[i + 1]])), clicked)
             for i, (query_id, _, candidates, clicked) in enumerate(slates.items))
 
 

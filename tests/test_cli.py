@@ -585,12 +585,13 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("name, steps, message", [
-        ("checkpoint.bin", 10, "not a resumable checkpoint; only periodic ckpt_*.bin "
-                               "files that record their run's training config can be "
-                               "resumed"),
-        ("ckpt_00000010.bin", 5, "checkpoint written under another config: "
+        ("checkpoint.bin", 10, "{ckpt}: not a resumable checkpoint; only periodic "
+                               "ckpt_*.bin files that record their run's training "
+                               "config can be resumed"),
+        ("ckpt_00000010.bin", 5, "{ckpt}: checkpoint written under another config: "
                                  "T 10 (this run 5)"),
-    ], ids=["final", "past-last-step"])
+        ("nope.bin", 10, "checkpoint not found: {ckpt}"),
+    ], ids=["final", "past-last-step", "missing"])
     def test_resume_refuses_a_checkpoint_it_cannot_continue(
             self, bundle_dir, ledger_dir, tmp_path, capsys, name, steps, message):
         common = ("train", "--bundle", bundle_dir, "--ledger",
@@ -600,7 +601,7 @@ class TestTrain:
         ckpt = tmp_path / "full" / name
         out = tmp_path / "resumed"
         assert run_cli(*common, "--steps", steps, "--resume", ckpt, "--out", out) == 2
-        assert f"error: {ckpt}: {message}" in capsys.readouterr().err
+        assert f"error: {message.format(ckpt=ckpt)}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -944,6 +945,50 @@ class TestBundleReads:
         for name in cli.BUNDLE_FILES:
             path = bundle_dir / name
             assert manifest["input_digests"][str(path)] == file_digest(path)
+
+
+# bundle file -> (the key a malformed record drops, the commands that read the file)
+BUNDLE_READERS = {
+    "documents.jsonl": ("title_tokens", ("score", "train", "eval", "ablate")),
+    "sessions.jsonl": ("interactions", ("train", "eval", "ablate")),
+    "contexts.jsonl": ("negative_pool", ("score", "train", "ablate")),
+}
+
+
+class TestMalformedBundle:
+    """A bundle record its reader cannot take is an input error naming the
+    file, under every command that reads the file, before --out exists."""
+
+    @pytest.mark.parametrize("name, command", [
+        (name, command) for name, (_, commands) in BUNDLE_READERS.items()
+        for command in commands])
+    @pytest.mark.parametrize("case", ["missing-key", "wrong-type", "invalid-json"])
+    def test_exits_two_naming_the_file(self, bundle_dir, ledger_dir, train_dir, tmp_path,
+                                       capsys, name, command, case):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        path, key = bundle / name, BUNDLE_READERS[name][0]
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        if case == "missing-key":
+            del record[key]
+        else:
+            record[key] = 5
+        lines[0] = "{not json" if case == "invalid-json" else json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        flags = {
+            "score": (),
+            "eval": ("--checkpoint", train_dir / "checkpoint.bin"),
+        }.get(command, ("--ledger", ledger_dir / "ledger.json", "--steps", 10,
+                        "--batch-size", 8))
+        out = tmp_path / "o"
+        assert run_cli(command, "--bundle", bundle, *flags, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: malformed record: ")
+        if case == "missing-key":
+            assert captured.err == f"error: {path}: malformed record: no '{key}' entry\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestAtomicWrites:
