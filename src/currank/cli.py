@@ -371,7 +371,7 @@ def cmd_eval(args) -> int:
     if not items:
         raise CliError(f"no evaluable interactions in split {args.split!r}")
     slates = encode_slates(vocab, items, documents)
-    ranked = list(rank_slates(slates, slates.scorer(params)))
+    ranked = list(rank_slates(slates, slates.scores(params)))
     table = evaluate_run(query_gains(ranked))
     config = {"bundle": str(bundle_dir), "checkpoint": str(ckpt_path), "split": args.split}
     inputs = bundle_paths(bundle_dir) + [ckpt_path]
@@ -386,6 +386,14 @@ def cmd_eval(args) -> int:
         print(f"{name}: {value:.4f}")
     print(f"queries evaluated: {table.evaluated_queries} "
           f"(skipped without relevant: {table.skipped_queries})")
+    contexts = slates.corpus.contexts
+    unknown = int(np.count_nonzero(contexts.ids == vocab.index[towers.UNK_TOKEN]))
+    total = int(contexts.lengths.sum())
+    print(f"unknown context tokens: {unknown / total:.4f}")
+    if unknown:
+        print(f"warning: {unknown} of {total} context tokens ({unknown / total:.2%}) are "
+              f"not in the checkpoint's vocabulary and map to {towers.UNK_TOKEN}",
+              file=sys.stderr)
     return 0
 
 

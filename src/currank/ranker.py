@@ -101,7 +101,7 @@ def rank_slate(
     c = towers.encode(params.encoder, vocab.encode(context_tokens), "context")
     doc_rows = token_rows(vocab.encode(documents[d].title_tokens) for d in candidate_doc_ids)
     d_enc, _ = towers.encode_batch(params.encoder, doc_rows, "document")
-    return order_slate(candidate_doc_ids, (d_enc @ c) / params.tau)
+    return order_slate(candidate_doc_ids, np.einsum("ij,j->i", d_enc, c) / params.tau)
 
 
 def order_slate(

@@ -107,10 +107,7 @@ def encode_corpus(
 ) -> EncodedCorpus:
     """Encode the token sequences `contexts`, keyed by the caller's ids
     (context ids, or query ids for held-out slates), and `documents`;
-    documents with identical titles share a row, so one encoding. A slate's
-    mat-vec can still give the two copies of a row different last bits
-    (OpenBLAS's result depends on a row's position), so such documents do not
-    always score alike or rank in doc-id order."""
+    documents with identical titles share a row, so one encoding."""
     titles: dict[tuple[str, ...], int] = {}
     doc_row = {d: titles.setdefault(doc.title_tokens, len(titles))
                for d, doc in documents.items()}

@@ -137,52 +137,49 @@ def check_prefixes(config: TrainConfig, columns: LedgerColumns) -> None:
 @dataclass
 class EvalSlates:
     """Held-out slates with every context and document encoded once, and
-    each slate's context row and candidates' doc rows, looked up once: slate
-    i's doc rows are rank_rows[offsets[i]:offsets[i + 1]]."""
+    one (context row, doc row) pair per candidate, looked up once: slate i's
+    pairs are offsets[i]:offsets[i + 1] of pair_context and pair_doc."""
 
     items: list[EvalSlate]
     corpus: EncodedCorpus
-    context_rows: list[int] = field(init=False)
-    rank_rows: np.ndarray = field(init=False)
+    pair_context: np.ndarray = field(init=False)
+    pair_doc: np.ndarray = field(init=False)
     offsets: list[int] = field(init=False)
 
     def __post_init__(self):
         context_row, doc_row = self.corpus.context_row, self.corpus.doc_row
-        self.context_rows = [context_row[query_id] for query_id, *_ in self.items]
-        self.offsets = list(accumulate((len(c) for _, _, c, _ in self.items), initial=0))
-        self.rank_rows = np.fromiter((doc_row[d] for _, _, candidates, _ in self.items
-                                      for d in candidates), np.intp, self.offsets[-1])
+        widths = [len(candidates) for _, _, candidates, _ in self.items]
+        self.offsets = list(accumulate(widths, initial=0))
+        self.pair_context = np.repeat(np.fromiter(
+            (context_row[query_id] for query_id, *_ in self.items), np.intp, len(widths)), widths)
+        self.pair_doc = np.fromiter((doc_row[d] for _, _, candidates, _ in self.items
+                                     for d in candidates), np.intp, self.offsets[-1])
 
     @cached_property
-    def loss_layout(self) -> tuple[list, list]:
-        """(slate, doc rows of sorted(clicked) + unclicked) per slate with both,
-        and the loss rows by width: indices into those slates' concatenated
-        scores, and the rows' places in slate order. Built on first use."""
-        doc_row, slates, cells, at = self.corpus.doc_row, [], [], 0
-        for i, (_, _, candidates, clicked) in enumerate(self.items):
-            rows = [doc_row[d] for d in sorted(clicked)]
-            rows += [doc_row[d] for d in candidates if d not in clicked]
-            if 0 < len(clicked) < len(rows):
-                slates.append((i, np.array(rows, dtype=np.intp)))
-                cells += [[at + j, *range(at + len(clicked), at + len(rows))]
-                          for j in range(len(clicked))]
-                at += len(rows)
+    def loss_layout(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The loss rows by width, as pair indices: for each sorted clicked
+        document of a slate with unclicked candidates, its pair then the
+        slate's unclicked pairs; and the rows' places in slate order. Built
+        on first use."""
+        cells = []
+        for (_, _, candidates, clicked), at in zip(self.items, self.offsets):
+            negs = [at + j for j, d in enumerate(candidates) if d not in clicked]
+            if negs:
+                cells += [[at + candidates.index(d), *negs] for d in sorted(clicked)]
         by_width: dict[int, list[int]] = {}
         for place, row in enumerate(cells):
             by_width.setdefault(len(row), []).append(place)
-        return slates, [(np.array([cells[p] for p in places], dtype=np.intp),
-                         np.array(places)) for places in by_width.values()]
+        return [(np.array([cells[p] for p in places], dtype=np.intp), np.array(places))
+                for places in by_width.values()]
 
-    def scorer(self, params: RankerParams):
-        """A forward pass over all contexts and documents, returning
-        score(i, doc_rows): slate i's scores for those document rows."""
+    def scores(self, params: RankerParams) -> np.ndarray:
+        """Every pair's score from one forward pass over all contexts and
+        documents. Each is the product sum of its two rows alone, so
+        documents that share a title row tie exactly."""
         c_enc, _ = towers.encode_batch(params.encoder, self.corpus.contexts, "context")
         d_enc, _ = towers.encode_batch(params.encoder, self.corpus.docs, "document")
-
-        def score(i: int, doc_rows: np.ndarray) -> np.ndarray:
-            return (d_enc[doc_rows] @ c_enc[self.context_rows[i]]) / params.tau
-
-        return score
+        return np.einsum("ij,ij->i", d_enc[self.pair_doc],
+                         c_enc[self.pair_context]) / params.tau
 
 
 def encode_slates(
@@ -192,21 +189,22 @@ def encode_slates(
         vocab, documents, {query_id: tokens for query_id, tokens, _, _ in eval_items}))
 
 
-def rank_slates(slates: EvalSlates, score) -> Iterator[RankedSlate]:
+def rank_slates(slates: EvalSlates, scores: np.ndarray) -> Iterator[RankedSlate]:
     """Each held-out slate, in slate order, as its query id, its candidates
-    ranked by order_slate under `score` (a slates.scorer result) and its
+    ranked by order_slate under `scores` (a slates.scores result) and its
     clicked set. Lazily, so that validation keeps only the gains."""
-    rows, at = slates.rank_rows, slates.offsets
-    return ((query_id, order_slate(candidates, score(i, rows[at[i]:at[i + 1]])), clicked)
+    at = slates.offsets
+    return ((query_id, order_slate(candidates, scores[at[i]:at[i + 1]]), clicked)
             for i, (query_id, _, candidates, clicked) in enumerate(slates.items))
 
 
 def evaluate_ranker(
-    params: RankerParams, slates: EvalSlates, score=None
+    params: RankerParams, slates: EvalSlates, scores: np.ndarray | None = None
 ) -> MetricTable:
-    """The metrics of `slates` ranked by `params`; `score`, a
-    slates.scorer(params) result, saves a forward pass."""
-    return evaluate_run(query_gains(rank_slates(slates, score or slates.scorer(params))))
+    """The metrics of `slates` ranked by `params`; `scores`, a
+    slates.scores(params) result, saves a forward pass."""
+    scores = slates.scores(params) if scores is None else scores
+    return evaluate_run(query_gains(rank_slates(slates, scores)))
 
 
 def train(
@@ -261,6 +259,7 @@ def train(
                 "eligible_positives": eligible_positive_count(len(columns.context_ids), f_p),
                 "eligible_negative_fraction": f_n,
                 "loss": report.loss,
+                "mean_positive_rank": sum(report.positive_ranks) / len(report.positive_ranks),
             }
         )
 
@@ -274,9 +273,9 @@ def train(
                 log.checkpoints[-1], params, vocab, velocity, done, rng_sampler, config
             )
         if slates and done % spe == 0:
-            score = slates.scorer(params)
-            metrics = evaluate_ranker(params, slates, score).metrics
-            val_loss = _validation_loss(slates, score)
+            scores = slates.scores(params)
+            metrics = evaluate_ranker(params, slates, scores).metrics
+            val_loss = _validation_loss(slates, scores)
             record = {"epoch": done // spe, "step": done, "val_loss": val_loss, **metrics}
             if prev_val_loss is not None and val_loss >= prev_val_loss:
                 record["warning"] = "validation loss did not decrease"
@@ -286,14 +285,13 @@ def train(
     return params, log
 
 
-def _validation_loss(slates: EvalSlates, score) -> float:
+def _validation_loss(slates: EvalSlates, scores: np.ndarray) -> float:
     """Listwise loss over each held-out slate, once per clicked document with
-    the unclicked candidates as negatives, under `score`, a slates.scorer result:
-    a mat-vec per slate (OpenBLAS's last bits depend on a row's position)."""
-    loss_slates, groups = slates.loss_layout
-    if not loss_slates:
+    the unclicked candidates as negatives, under `scores`, a slates.scores
+    result; one softmax per width group, the mean in slate order."""
+    groups = slates.loss_layout
+    if not groups:
         return 0.0
-    scores = np.concatenate([score(i, rows) for i, rows in loss_slates])
     losses = np.empty(sum(len(places) for _, places in groups))
     for cells, places in groups:
         slate = scores[cells]

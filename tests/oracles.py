@@ -207,7 +207,7 @@ def two_pass_validation_loss(params, slates) -> float:
             continue
         pos = sorted(clicked)
         c = c_enc[corpus.context_row[query_id]]
-        s = (d_enc[[corpus.doc_row[d] for d in pos + negs]] @ c) / params.tau
+        s = np.einsum("ij,j->i", d_enc[[corpus.doc_row[d] for d in pos + negs]], c) / params.tau
         slate = np.column_stack(
             [s[: len(pos)], np.broadcast_to(s[len(pos):], (len(pos), len(negs)))])
         exp = np.exp(slate - slate.max(axis=1, keepdims=True))
@@ -229,7 +229,8 @@ def entries_eval(params, slates, tag: str = "currank"):
     qrels = {}
     for query_id, _, candidates, clicked in slates.items:
         c = c_enc[corpus.context_row[query_id]]
-        scores = (d_enc[[corpus.doc_row[d] for d in candidates]] @ c) / params.tau
+        scores = np.einsum("ij,j->i", d_enc[[corpus.doc_row[d] for d in candidates]],
+                           c) / params.tau
         ranked = order_slate(candidates, scores)
         entries += [(query_id, d, rank, s) for rank, (d, s) in enumerate(ranked, start=1)]
         for doc_id in candidates:

@@ -19,7 +19,7 @@ from currank.manifest import MANIFEST_NAME, RunManifest, write_manifest
 from currank.ranker import init_ranker
 from currank.sessions import build_eval_items
 from currank.towers import token_rows
-from currank.trainer import MODES, encode_slates, load_ranker, save_ranker
+from currank.trainer import MODES, encode_slates, load_ranker, rank_slates, save_ranker
 
 from oracles import entries_eval
 
@@ -624,10 +624,36 @@ class TestEval:
                        "--checkpoint", tmp_path / "nope.bin",
                        "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("seed", [7, 8], ids=["own-bundle", "foreign-bundle"])
+    def test_reports_unknown_context_tokens(self, bundle_dir, train_dir, tmp_path, capsys,
+                                            seed):
+        """The share of test context tokens outside the checkpoint's vocabulary:
+        0 on the run's own bundle; above 0 on one drawn with another seed,
+        which eval warns about on stderr and still exits 0."""
+        bundle = bundle_dir
+        if seed != 7:
+            bundle = tmp_path / "bundle"
+            assert run_cli(*SYNTH_ARGS[:-1], seed, "--out", bundle) == 0
+        ckpt = train_dir / "checkpoint.bin"
+        capsys.readouterr()
+        assert run_cli("eval", "--bundle", bundle, "--checkpoint", ckpt,
+                       "--out", tmp_path / "eval") == 0
+        out, err = capsys.readouterr()
+        sessions, documents, _ = load_bundle(bundle, contexts=False)
+        vocab = load_ranker(ckpt)[1]
+        tokens = [t for _, context, _, _ in build_eval_items(in_split(sessions, "test"),
+                                                             documents) for t in context]
+        unknown = sum(t not in vocab.index for t in tokens)
+        assert f"unknown context tokens: {unknown / len(tokens):.4f}\n" in out
+        assert (unknown > 0) == (seed != 7)
+        assert ("warning:" in err) == (seed != 7)
+        if unknown:
+            assert f"warning: {unknown} of {len(tokens)} context tokens" in err
+
     def test_files_equal_the_entries_and_qrels_path(self, tmp_path):
         """Three test-split sessions of 12 queries, so "s:10" sorts before
-        "s:2"; one slate has every candidate clicked, one none, and two
-        documents share a title, so their scores tie."""
+        "s:2"; one slate has every candidate clicked, one none, and
+        documents that share a title tie: equal scores, ranked by doc id."""
         rng = np.random.default_rng(3)
         titles = {f"d{j:02d}": " ".join(rng.choice(["w0", "w1", "w2", "w3", "w4"], 2))
                   for j in range(16)}
@@ -660,7 +686,8 @@ class TestEval:
 
         params, vocab = load_ranker(ckpt)
         items = build_eval_items(in_split(sessions, "test"), documents)
-        run, qrels, table = entries_eval(params, encode_slates(vocab, items, documents))
+        slates = encode_slates(vocab, items, documents)
+        run, qrels, table = entries_eval(params, slates)
         payload = {"metrics": table.metrics, "evaluated_queries": table.evaluated_queries,
                    "skipped_queries": table.skipped_queries}
         assert (out / "run.txt").read_text() == run
@@ -672,6 +699,16 @@ class TestEval:
         assert [line[-1] for line in qrels.splitlines()
                 if line.startswith(f"{sid}:7 ")] == ["1"] * 6
         assert table.evaluated_queries == 35
+        ties = 0
+        for query_id, ranked, _ in rank_slates(slates, slates.scores(params)):
+            by_title: dict[tuple, list] = {}
+            for doc_id, score in ranked:
+                by_title.setdefault(documents[doc_id].title_tokens, []).append((doc_id, score))
+            for tied in (t for t in by_title.values() if len(t) > 1):
+                ties += 1
+                assert [d for d, _ in tied] == sorted(d for d, _ in tied), query_id
+                assert len({score for _, score in tied}) == 1, query_id
+        assert ties > 3
 
     def test_query_ids_number_the_interactions_not_the_log_positions(self, tmp_path):
         """A session logged at query positions 3 and 8 is ranked and judged

@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currank import checkpoint, towers, trainer
 from currank.bm25 import Bm25Params, build_index
@@ -11,9 +12,9 @@ from currank.curriculum import (
     PacingParams, build_ledger, pacing_negative, pacing_positive, sample_batch,
 )
 from currank.scorers import Bm25Scorer
-from currank.sessions import SEP_TOKEN, build_contexts, build_eval_items
+from currank.sessions import SEP_TOKEN, Document, build_contexts, build_eval_items
 from currank.synth import SynthSpec, generate_synthetic
-from currank.ranker import init_ranker, loss_and_grad, rank_slate
+from currank.ranker import init_ranker, loss_and_grad, order_slate, rank_slate
 from currank.towers import Vocab
 from currank.trainer import (
     MODES,
@@ -68,6 +69,29 @@ def slates(small_world):
     return encode_slates(vocab, val_items, documents)
 
 
+WORDS = ("w0", "w1", "w2", "w3", "w4")
+# 16 distinct two-word titles, each shared by two documents: d{k} and d{k + 16}.
+DOCUMENTS = {f"d{j:02d}": Document(f"d{j:02d}", (WORDS[j % 16 % 5], WORDS[j % 16 // 5]))
+             for j in range(32)}
+
+
+@st.composite
+def held_out_items(draw):
+    """One to four slates of 1-15 candidates, from no click to all clicked;
+    a slate of two or more holds both documents of its first title."""
+    items = []
+    for i in range(draw(st.integers(1, 4))):
+        titles = draw(st.lists(st.integers(0, 15), min_size=1, max_size=14, unique=True))
+        rows = [titles[0], titles[0] + 16] + [k + 16 * draw(st.integers(0, 1))
+                                               for k in titles[1:]]
+        candidates = tuple(draw(st.permutations(
+            [f"d{j:02d}" for j in rows[:draw(st.integers(1, len(rows)))]])))
+        tokens = tuple(draw(st.lists(st.sampled_from(WORDS + ("unseen",)), max_size=5)))
+        items.append((f"q{i}", tokens, candidates,
+                      frozenset(draw(st.sets(st.sampled_from(candidates))))))
+    return items
+
+
 def config_for(ledger, batch_size=8, epochs=2, mode="dual", m=2, seed=0, **kw):
     T = kw.pop("T", None)
     if T is None:
@@ -107,6 +131,21 @@ class TestTrain:
         neg = [r["eligible_negative_fraction"] for r in log.steps]
         assert all(a <= b for a, b in zip(pos, pos[1:]))
         assert all(a >= b for a, b in zip(neg, neg[1:]))
+
+    def test_steps_log_the_mean_positive_rank(self, small_world, data, monkeypatch):
+        reports = []
+
+        def keep_report(*args):
+            reports.append(loss_and_grad(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(trainer, "loss_and_grad", keep_report)
+        config = config_for(small_world[3], epochs=2)
+        _, log = train(config, data)
+        ranks = [rec["mean_positive_rank"] for rec in log.steps]
+        assert len(ranks) == len(reports) == config.pacing.T
+        assert ranks == [sum(r.positive_ranks) / config.batch_size for r in reports]
+        assert all(1 <= rank <= 1 + config.m for rank in ranks)
 
     def test_mode_none_matches_uniform_sampler(self, small_world, data):
         _, _, contexts, ledger, _, _ = small_world
@@ -226,7 +265,7 @@ class TestBatchedValidation:
     def test_ranking_matches_rank_slate(self, small_world, data, slates):
         _, documents, _, ledger, vocab, val_items = small_world
         params, _ = train(config_for(ledger, epochs=1), data)
-        ranked = list(trainer.rank_slates(slates, slates.scorer(params)))
+        ranked = list(trainer.rank_slates(slates, slates.scores(params)))
         assert len(ranked) == len(val_items)
         for (query_id, tokens, candidates, clicked), (got_id, got, ranked_clicked) in zip(
                 val_items, ranked):
@@ -238,6 +277,27 @@ class TestBatchedValidation:
                                                         rel=1e-12, abs=0)
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(items=held_out_items(), seed=st.integers(0, 2**16), tau=st.sampled_from([1.0, 0.3]))
+    def test_pair_scores_equal_a_per_pair_loop(self, items, seed, tau):
+        """Ranking reads one score per pair, so a pair scored alone ranks the
+        same, ties by doc id included; the loss reads the same vector."""
+        vocab = Vocab(WORDS)
+        params = init_ranker(len(vocab), 8, 8, np.random.default_rng(seed), tau=tau)
+        slates = encode_slates(vocab, items, DOCUMENTS)
+        scores = slates.scores(params)
+        corpus = slates.corpus
+        c_enc, _ = towers.encode_batch(params.encoder, corpus.contexts, "context")
+        d_enc, _ = towers.encode_batch(params.encoder, corpus.docs, "document")
+        want = [(query_id, order_slate(candidates, np.array(
+                    [np.einsum("j,j->", d_enc[corpus.doc_row[d]],
+                               c_enc[corpus.context_row[query_id]]) / tau
+                     for d in candidates])), clicked)
+                for query_id, _, candidates, clicked in items]
+        assert list(trainer.rank_slates(slates, scores)) == want
+        assert trainer._validation_loss(slates, scores) == pytest.approx(
+            loop_validation_loss(params, vocab, items, DOCUMENTS), rel=1e-12, abs=0)
+
     def test_width_groups_equal_the_two_pass_loss(self, small_world, data):
         """Slates of four widths with two or three clicks, and all-clicked
         slates (skipped): the per-width softmax keeps every bit."""
@@ -247,12 +307,13 @@ class TestBatchedValidation:
                  in enumerate(build_eval_items(sessions, documents))]
         items[1] = (*items[1][:3], frozenset(items[1][2]))
         slates = encode_slates(vocab, items, documents)
-        loss_slates, groups = slates.loss_layout
+        groups = slates.loss_layout
         assert sorted(len(cells[0]) for cells, _ in groups) == [2, 3, 4, 5]
-        assert len(loss_slates) < len(items)
+        assert sum(map(len, (places for _, places in groups))) < sum(
+            len(clicked) for *_, clicked in items)
         for epochs in (0, 1, 2):
             params, _ = train(config_for(ledger, epochs=epochs), data)
-            got = trainer._validation_loss(slates, slates.scorer(params))
+            got = trainer._validation_loss(slates, slates.scores(params))
             assert got > 0 and got == two_pass_validation_loss(params, slates)
 
 
@@ -282,9 +343,9 @@ class TestSameMachineIdentity:
         seen = []
         evaluate = trainer.evaluate_ranker
 
-        def keep_params(params, slates, score=None):
+        def keep_params(params, slates, scores=None):
             seen.append((copy.deepcopy(params), slates))
-            return evaluate(params, slates, score)
+            return evaluate(params, slates, scores)
 
         monkeypatch.setattr(trainer, "evaluate_ranker", keep_params)
         _, log = train(config_for(ledger, epochs=3), data,
