@@ -51,6 +51,8 @@ MODES = tuple(_MODE_TABLE)
 _SEED_INIT = 0
 _SEED_SAMPLER = 1
 
+SCORE_BLOCK = 1024  # held-out pairs scored at a time, to bound the row gathers' memory
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -174,12 +176,15 @@ class EvalSlates:
 
     def scores(self, params: RankerParams) -> np.ndarray:
         """Every pair's score from one forward pass over all contexts and
-        documents. Each is the product sum of its two rows alone, so
-        documents that share a title row tie exactly."""
+        documents, SCORE_BLOCK pairs at a time. Each is the product sum of
+        its two rows alone, so documents that share a title row tie exactly."""
         c_enc, _ = towers.encode_batch(params.encoder, self.corpus.contexts, "context")
         d_enc, _ = towers.encode_batch(params.encoder, self.corpus.docs, "document")
-        return np.einsum("ij,ij->i", d_enc[self.pair_doc],
-                         c_enc[self.pair_context]) / params.tau
+        scores = np.empty(len(self.pair_doc))
+        for pairs in (slice(at, at + SCORE_BLOCK) for at in range(0, len(scores), SCORE_BLOCK)):
+            np.einsum("ij,ij->i", d_enc[self.pair_doc[pairs]], c_enc[self.pair_context[pairs]],
+                      out=scores[pairs])
+        return scores / params.tau
 
 
 def encode_slates(

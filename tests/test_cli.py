@@ -1,8 +1,13 @@
+import contextlib
 import errno
 import gc
+import io
 import json
+import multiprocessing
 import os
+import pickle
 import shutil
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from currank import cli
+from currank import cli, trainer
 from currank.checkpoint import file_digest, load_checkpoint, save_checkpoint
 from currank.cli import LOCK_NAME, build_vocab, in_split, load_bundle, main, split_of
 from currank.curriculum import load_ledger, save_ledger
@@ -26,6 +31,42 @@ from oracles import entries_eval
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def append_record(path, record):
+    """Append `record` to `path` in one write, so that spies in forked
+    workers and in the test process can share one file."""
+    with open(path, "ab") as fp:
+        fp.write(pickle.dumps(record))
+
+
+class Hung(BaseException):
+    """Raised by `deadline`; not an Exception, so `main` cannot turn it into an exit code."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block with `Hung` if it has not returned after `seconds`."""
+    def alarm(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def read_records(path) -> list:
+    """The records appended to `path`, in order; none if it does not exist."""
+    records = []
+    with contextlib.suppress(FileNotFoundError), open(path, "rb") as fp:
+        with contextlib.suppress(EOFError):
+            while True:
+                records.append(pickle.load(fp))
+    return records
 
 
 SYNTH_ARGS = (
@@ -751,25 +792,31 @@ class TestAblate:
 
     def test_checks_exactly_the_runs_it_trains(self, bundle_dir, ledger_dir, tmp_path,
                                                monkeypatch, capsys):
-        checked, trained = [], []
+        # The runs train in forked workers, so the spies record into files.
+        # One worker trains the runs in run order.
+        checked_log, trained_log = tmp_path / "checked.pkl", tmp_path / "trained.pkl"
         check_prefixes, train_and_evaluate = cli.check_prefixes, cli.train_and_evaluate
 
         def spy_check(config, columns):
-            checked.append(config)
+            append_record(checked_log, config)
             return check_prefixes(config, columns)
 
         def spy_train(config, data, slates, **row):
-            trained.append((config, dict(row)))
+            append_record(trained_log, (config, dict(row), os.getpid()))
             return train_and_evaluate(config, data, slates, **row)
 
         monkeypatch.setattr(cli, "check_prefixes", spy_check)
         monkeypatch.setattr(cli, "train_and_evaluate", spy_train)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
         out = tmp_path / "ablate"
         assert run_cli(
             "ablate", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
             "--out", out, "--steps", 5, "--batch-size", 8,
             "--grid-deltas", "0.3,1.0", "--grid-etas", "0.5,0.7",
         ) == 0
+        checked, trained = read_records(checked_log), read_records(trained_log)
+        assert len({pid for *_, pid in trained} - {os.getpid()}) == 1
+        trained = [(config, row) for config, row, _ in trained]
         assert checked == [config for config, _ in trained]
         assert len(trained) == len(MODES) + 4
         modes, grid = trained[:len(MODES)], trained[len(MODES):]
@@ -786,6 +833,124 @@ class TestAblate:
         assert [line.split(":")[0] for line in lines] == \
             [f"mode {mode:>14s}" for mode in MODES] + \
             [f"delta={d:.2f} eta={e:.2f}" for d in (0.3, 1.0) for e in (0.5, 0.7)]
+
+    def test_output_is_the_same_for_any_number_of_workers(
+        self, bundle_dir, ledger_dir, tmp_path, monkeypatch, capsys
+    ):
+        started_log = tmp_path / "started.pkl"
+        init = cli._init_ablation_worker
+
+        def spy_init(data, slates):
+            append_record(started_log, os.getpid())
+            return init(data, slates)
+
+        monkeypatch.setattr(cli, "_init_ablation_worker", spy_init)
+        outputs = []
+        for cpus in (1, 3, 4):  # the 8 runs on one worker, or spread over 3 or 4
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            started_log.unlink(missing_ok=True)
+            out = tmp_path / f"ablate-{cpus}"
+            assert run_cli(
+                "ablate", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                "--out", out, "--steps", 5, "--batch-size", 8,
+                "--grid-deltas", "0.3,1.0", "--grid-etas", "0.7",
+            ) == 0
+            assert multiprocessing.active_children() == []
+            workers = read_records(started_log)
+            assert len(set(workers)) == len(workers) == cpus
+            assert os.getpid() not in workers
+            outputs.append(((out / "ablation.json").read_bytes(), capsys.readouterr().out))
+        assert outputs[0][1].count("\n") == len(MODES) + 2
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_a_failed_run_exits_one_and_leaves_no_output(
+        self, bundle_dir, ledger_dir, tmp_path, monkeypatch, capsys, cpus
+    ):
+        train = trainer.train
+
+        def train_unless_mode_none(config, data, *args, **kwargs):
+            if config.mode == "none":
+                raise ValueError("no such run")
+            return train(config, data, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", train_unless_mode_none)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        out = tmp_path / "ablate"
+        assert run_cli(
+            "ablate", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+            "--out", out, "--steps", 5, "--batch-size", 8,
+            "--grid-deltas", "0.3,1.0", "--grid-etas", "0.7",
+        ) == 1
+        assert "internal error: training run {'mode': 'none'} failed: no such run" in \
+            capsys.readouterr().err
+        assert list(out.iterdir()) == []  # no lock, no manifest, no ablation.json
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("maps", [
+        "7f00-7f10 r-xp 00000000 08:01 42 /home/u/My Projects/venv/libscipy_openblas64_.so\n",
+        None,
+    ], ids=["space in path", "no /proc"])
+    def test_a_blas_pin_that_fails_does_not_stop_the_runs(
+        self, bundle_dir, ledger_dir, tmp_path, monkeypatch, capsys, maps
+    ):
+        loaded = tmp_path / "loaded.pkl"
+
+        def fake_open(path, *args, **kwargs):
+            if path != "/proc/self/maps":
+                return open(path, *args, **kwargs)
+            if maps is None:
+                raise FileNotFoundError(path)
+            return io.StringIO(maps)
+
+        def failing_cdll(path):
+            append_record(loaded, path)
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        monkeypatch.setattr(cli.ctypes, "CDLL", failing_cdll)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        with deadline(120):
+            assert run_cli(
+                "ablate", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                "--out", tmp_path / "ablate", "--steps", 5, "--batch-size", 8,
+                "--grid-deltas", "0.3", "--grid-etas", "0.7",
+            ) == 0
+        # The sixth field of a maps line is the whole path, spaces included.
+        assert read_records(loaded) == ([] if maps is None else
+                                        ["/home/u/My Projects/venv/libscipy_openblas64_.so"] * 2)
+        assert capsys.readouterr().out.count("\n") == len(MODES) + 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fault", ["worker setup raises", "worker killed"])
+    def test_a_lost_worker_exits_one_and_leaves_no_output(
+        self, bundle_dir, ledger_dir, tmp_path, monkeypatch, capsys, fault
+    ):
+        if fault == "worker setup raises":
+            def init(data, slates):
+                raise RuntimeError("no worker")
+
+            monkeypatch.setattr(cli, "_init_ablation_worker", init)
+        else:
+            train = trainer.train
+
+            def train_unless_mode_none(config, data, *args, **kwargs):
+                if config.mode == "none":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return train(config, data, *args, **kwargs)
+
+            monkeypatch.setattr(trainer, "train", train_unless_mode_none)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "ablate"
+        with deadline(120):
+            assert run_cli(
+                "ablate", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                "--out", out, "--steps", 5, "--batch-size", 8,
+                "--grid-deltas", "0.3", "--grid-etas", "0.7",
+            ) == 1
+        assert "internal error: A " in capsys.readouterr().err  # BrokenProcessPool
+        assert list(out.iterdir()) == []  # no lock, no manifest, no ablation.json
+        assert multiprocessing.active_children() == []
 
     def test_small_grid_delta_fails_before_the_first_run(self, tmp_path, capsys):
         # 129 training positives: delta 0.1 admits 13 at step 0, fewer than
@@ -806,8 +971,9 @@ class TestAblate:
     def test_locked_output_exits_two_before_the_first_run(
         self, bundle_dir, ledger_dir, tmp_path, monkeypatch, capsys
     ):
-        runs = []
-        monkeypatch.setattr(cli, "train_and_evaluate", lambda *a, **k: runs.append(k))
+        runs = tmp_path / "runs.pkl"
+        monkeypatch.setattr(cli, "train_and_evaluate",
+                            lambda *a, **k: append_record(runs, k))
         out = tmp_path / "ablate"
         out.mkdir()
         (out / LOCK_NAME).write_text("4242\n")
@@ -816,7 +982,7 @@ class TestAblate:
                        "--steps", 5, "--batch-size", 8) == 2
         captured = capsys.readouterr()
         assert "is locked by another command (pid 4242)" in captured.err
-        assert runs == [] and captured.out == ""
+        assert read_records(runs) == [] and captured.out == ""
         assert sorted(p.name for p in out.iterdir()) == [LOCK_NAME]
 
 

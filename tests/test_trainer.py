@@ -298,6 +298,20 @@ class TestBatchedValidation:
         assert trainer._validation_loss(slates, scores) == pytest.approx(
             loop_validation_loss(params, vocab, items, DOCUMENTS), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("block", [1, 7, 256, trainer.SCORE_BLOCK])
+    def test_blocked_scores_equal_one_shot_scores(self, small_world, data, monkeypatch,
+                                                   block):
+        sessions, documents, _, ledger, vocab, _ = small_world
+        slates = encode_slates(vocab, build_eval_items(sessions, documents) * 3, documents)
+        assert len(slates.pair_doc) > trainer.SCORE_BLOCK  # more than one default block
+        params, _ = train(config_for(ledger, epochs=1), data)
+        c_enc, _ = towers.encode_batch(params.encoder, slates.corpus.contexts, "context")
+        d_enc, _ = towers.encode_batch(params.encoder, slates.corpus.docs, "document")
+        want = np.einsum("ij,ij->i", d_enc[slates.pair_doc],
+                         c_enc[slates.pair_context]) / params.tau
+        monkeypatch.setattr(trainer, "SCORE_BLOCK", block)
+        assert np.array_equal(slates.scores(params), want)
+
     def test_width_groups_equal_the_two_pass_loss(self, small_world, data):
         """Slates of four widths with two or three clicks, and all-clicked
         slates (skipped): the per-width softmax keeps every bit."""
