@@ -19,6 +19,7 @@ import ctypes
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -47,6 +48,7 @@ from .trainer import (  # evaluate_ranker: perfbench/spans.py traces it here
 )
 
 LOCK_NAME = ".currank.lock"
+CGROUP_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2: "<quota> <period>" or "max <period>"
 BUNDLE_FILES = ("documents.jsonl", "sessions.jsonl", "contexts.jsonl")
 
 
@@ -238,7 +240,6 @@ def _make_scorer(kind: str, args, documents, train_contexts, vocab, out_dir):
                            encode_corpus(ckpt_vocab, documents, tokens_by_id))
     if not args.fit:
         raise CliError("dense scorer needs --checkpoint or --fit")
-    check_documents(train_contexts, documents)  # before the fit reads the positives
     corpus = encode_corpus(vocab, documents, tokens_by_id)
     rng = np.random.default_rng([args.seed, 2])
     params = towers.init_params(len(vocab), args.d_emb, args.hidden, rng)
@@ -277,6 +278,7 @@ def cmd_score(args) -> int:
     train_contexts = in_split(contexts, "train")
     if not train_contexts:
         raise CliError("no training-split contexts in bundle")
+    check_documents(train_contexts, documents)  # before the lock creates --out
     vocab = build_vocab(documents, contexts)
     with command_output(args, config, inputs, args.seed) as (out_dir, outputs, manifest):
         pos_scorer = _make_scorer(pos_kind, args, documents, train_contexts, vocab, out_dir)
@@ -395,6 +397,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (affinity mask, else CPU count), capped at
+    ceil(quota / period) of CGROUP_CPU_MAX; no cap for "max" or a file not read."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with contextlib.suppress(OSError, ValueError, ZeroDivisionError):
+        quota, period = CGROUP_CPU_MAX.read_text().split()
+        cpus = min(cpus, max(1, math.ceil(int(quota) / int(period))))
+    return cpus
+
+
 def _init_ablation_worker(data, slates) -> None:
     """Keep the inputs (inherited under fork); pin OpenBLAS to one thread, best effort."""
     global _ablation_inputs
@@ -425,9 +437,8 @@ def cmd_ablate(args) -> int:
     # here, since these modules add about 2 MB of RSS that no other command needs.
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     with command_output(args, asdict(base), inputs, args.seed) as (out_dir, outputs, _), \
-            ProcessPoolExecutor(min(cpus or 1, len(runs)), get_context("fork"),
+            ProcessPoolExecutor(min(usable_cpus(), len(runs)), get_context("fork"),
                                 _init_ablation_worker, (data, slates)) as pool:
         payload = {"modes": [], "grid": []}
         for row in pool.map(_ablation_run, runs):

@@ -228,8 +228,11 @@ class TrainingBatch:
 
 
 def check_documents(contexts: Sequence[SearchContext], doc_ids) -> None:
-    """Each context's positive and negatives must be in `doc_ids`."""
+    """Each context's negative pool must be non-empty, and its positive and
+    negatives must be in `doc_ids`."""
     for ctx in contexts:
+        if not ctx.negative_pool:
+            raise ValueError(f"context {ctx.context_id} has an empty negative pool")
         for d in (ctx.positive_doc_id, *ctx.negative_pool):
             if d not in doc_ids:
                 raise ValueError(
@@ -253,9 +256,6 @@ def build_ledger(
     if neg_scorer.doc_ids != pos_scorer.doc_ids:
         raise ValueError("positive and negative scorers rank different corpora")
     doc_pos = {d: i for i, d in enumerate(pos_scorer.doc_ids)}
-    for ctx in contexts:
-        if not ctx.negative_pool:
-            raise ValueError(f"context {ctx.context_id} has an empty negative pool")
     check_documents(contexts, doc_pos)
 
     raw: list[tuple[SearchContext, int, float]] = []

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Iterator
 
 # Segment separator inserted between queries/documents in flattened
@@ -262,12 +264,18 @@ def negative_window_pool(
 
 
 def build_eval_items(
-    sessions: Iterable[Session],
+    sessions: list[Session],
     documents: dict[str, Document],
 ) -> list[EvalSlate]:
     """One evaluation slate per interaction with at least one click. The
     query id is session_id:<1-based index of the interaction>, as _walk
-    counts it, not the log's query_position, which may have gaps."""
+    counts it, not the log's query_position, which may have gaps. Every
+    candidate (so every click) must be in `documents`."""
+    candidates = [(s.session_id, i.candidate_doc_ids) for s in sessions for i in s.interactions]
+    if set(chain.from_iterable(map(itemgetter(1), candidates))) - documents.keys():
+        session_id, doc_id = next((s, d) for s, ids in candidates for d in ids
+                                  if d not in documents)
+        raise SessionLogError(f"session {session_id}: document {doc_id} is not in the corpus")
     return [(f"{session_id}:{position}", ctx_tokens, inter.candidate_doc_ids,
              inter.clicked_doc_ids)
             for session_id, position, inter, ctx_tokens in _walk(sessions, documents)
@@ -278,85 +286,109 @@ def build_eval_items(
 # Bundle serialization (line-delimited JSON, deterministic field order)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # built once, not per call
+
+
+class _JsonText(dict):
+    """Each string's JSON text, made once: writers join it into `_dumps(record)`'s bytes."""
+
+    def __missing__(self, s: str) -> str:
+        self[s] = text = _dumps(s)
+        return text
+
+    def array(self, strings: Iterable[str]) -> str:
+        return f"[{','.join(map(self.__getitem__, strings))}]"
+
+
+_decode = json.JSONDecoder().raw_decode
 
 
 def _records(fp: Iterable[str]) -> Iterator[dict]:
-    for line in fp:
-        line = line.strip()
+    for line in map(str.strip, fp):
         if line:
-            yield json.loads(line)
+            rec, end = _decode(line)  # json.loads less its per-call checks
+            if end < len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+            yield rec
+
+
+def _strings(rec: dict, key: str) -> tuple:
+    """Field `key` of `rec`, a JSON list, as a tuple (`_check_types` checks its entries)."""
+    value = rec[key]
+    if type(value) is not list:
+        raise SessionLogError(f"{key} {value!r} is not a list")
+    return tuple(value)
+
+
+def _check_types(records: list, fields: dict[str, type]) -> None:
+    """Refuse the first field value of `records` whose type is not the field's
+    (a bool is not an int); each entry of a tuple field must be a string.
+    One set of types per column: no branch per value."""
+    for field, kind in fields.items():
+        what, column = field, list(map(attrgetter(field), records))
+        if kind is tuple:
+            what, column, kind = f"{field} entry", list(chain.from_iterable(column)), str
+        if set(map(type, column)) - {kind}:
+            bad = next(v for v in column if type(v) is not kind)
+            raise SessionLogError(
+                f"{what} {bad!r} is not {'a string' if kind is str else 'an integer'}")
 
 
 def write_documents(documents: dict[str, Document], fp: IO[str]) -> None:
+    text = _JsonText()
     for doc_id in sorted(documents):
-        doc = documents[doc_id]
-        fp.write(_dumps({"doc_id": doc.doc_id, "title_tokens": list(doc.title_tokens)}) + "\n")
+        fp.write(f'{{"doc_id":{_dumps(doc_id)},'
+                 f'"title_tokens":{text.array(documents[doc_id].title_tokens)}}}\n')
 
 
 def read_documents(fp: Iterable[str]) -> dict[str, Document]:
-    return {
-        rec["doc_id"]: Document(rec["doc_id"], tuple(rec["title_tokens"]))
-        for rec in _records(fp)
-    }
+    documents = [Document(rec["doc_id"], _strings(rec, "title_tokens")) for rec in _records(fp)]
+    _check_types(documents, {"doc_id": str, "title_tokens": tuple})
+    return {doc.doc_id: doc for doc in documents}
 
 
 def write_sessions(sessions: Iterable[Session], fp: IO[str]) -> None:
+    text = _JsonText()
     for session in sessions:
-        rec = {
-            "session_id": session.session_id,
-            "interactions": [
-                {
-                    "query_id": i.query_id,
-                    "query_tokens": list(i.query_tokens),
-                    "clicked_doc_ids": sorted(i.clicked_doc_ids),
-                    "candidate_doc_ids": list(i.candidate_doc_ids),
-                }
-                for i in session.interactions
-            ],
-        }
-        fp.write(_dumps(rec) + "\n")
+        interactions = ",".join(
+            f'{{"candidate_doc_ids":{text.array(i.candidate_doc_ids)},'
+            f'"clicked_doc_ids":{text.array(sorted(i.clicked_doc_ids))},'
+            f'"query_id":{_dumps(i.query_id)},"query_tokens":{text.array(i.query_tokens)}}}'
+            for i in session.interactions)
+        fp.write(f'{{"interactions":[{interactions}],"session_id":{_dumps(session.session_id)}}}\n')
 
 
 def read_sessions(fp: Iterable[str]) -> list[Session]:
-    return [
-        Session(
-            rec["session_id"],
-            tuple(
-                Interaction(
-                    query_id=i["query_id"],
-                    query_tokens=tuple(i["query_tokens"]),
-                    clicked_doc_ids=frozenset(i["clicked_doc_ids"]),
-                    candidate_doc_ids=tuple(i["candidate_doc_ids"]),
-                )
-                for i in rec["interactions"]
-            ),
-        )
+    sessions = [
+        Session(rec["session_id"], tuple(
+            Interaction(i["query_id"], _strings(i, "query_tokens"),
+                        frozenset(_strings(i, "clicked_doc_ids")),
+                        _strings(i, "candidate_doc_ids"))
+            for i in rec["interactions"]))
         for rec in _records(fp)
     ]
+    _check_types(sessions, {"session_id": str})
+    # Clicks are candidates (Interaction checks), so strings too.
+    _check_types(list(chain.from_iterable(s.interactions for s in sessions)),
+                 {"query_id": str, "query_tokens": tuple, "candidate_doc_ids": tuple})
+    return sessions
 
 
 def write_contexts(contexts: Iterable[SearchContext], fp: IO[str]) -> None:
+    text = _JsonText()
     for ctx in contexts:
-        rec = {
-            "session_id": ctx.session_id,
-            "position": ctx.position,
-            "context_tokens": list(ctx.context_tokens),
-            "positive_doc_id": ctx.positive_doc_id,
-            "negative_pool": list(ctx.negative_pool),
-        }
-        fp.write(_dumps(rec) + "\n")
+        fp.write(f'{{"context_tokens":{text.array(ctx.context_tokens)},'
+                 f'"negative_pool":{text.array(ctx.negative_pool)},"position":{ctx.position:d},'
+                 f'"positive_doc_id":{text[ctx.positive_doc_id]},'
+                 f'"session_id":{_dumps(ctx.session_id)}}}\n')
 
 
 def read_contexts(fp: Iterable[str]) -> list[SearchContext]:
-    return [
-        SearchContext(
-            session_id=rec["session_id"],
-            position=rec["position"],
-            context_tokens=tuple(rec["context_tokens"]),
-            positive_doc_id=rec["positive_doc_id"],
-            negative_pool=tuple(rec["negative_pool"]),
-        )
+    contexts = [
+        SearchContext(rec["session_id"], rec["position"], _strings(rec, "context_tokens"),
+                      rec["positive_doc_id"], _strings(rec, "negative_pool"))
         for rec in _records(fp)
     ]
+    _check_types(contexts, {"session_id": str, "position": int, "context_tokens": tuple,
+                            "positive_doc_id": str, "negative_pool": tuple})
+    return contexts

@@ -112,25 +112,23 @@ def generate_synthetic(
 
 def write_labels(labels: dict[str, int], fp: IO[str]) -> None:
     for session_id in sorted(labels):
-        fp.write(_dumps({"session_id": session_id, "topic_id": labels[session_id]}) + "\n")
+        fp.write(f'{{"session_id":{_dumps(session_id)},"topic_id":{labels[session_id]:d}}}\n')
 
 
 def write_session_log(sessions: list[Session], documents: dict[str, Document], fp: IO[str]) -> None:
-    """Emit sessions in the external line-delimited log format."""
+    """Emit sessions in the external log format; each (doc, rank, clicked) is serialized once."""
+    titles = {doc_id: " ".join(doc.title_tokens) for doc_id, doc in documents.items()}
+    candidates: dict[tuple[str, int, bool], str] = {}
     for session in sessions:
         for position, inter in enumerate(session.interactions, start=1):
-            rec = {
-                "session_id": session.session_id,
-                "query_position": position,
-                "query_text": " ".join(inter.query_tokens),
-                "candidates": [
-                    {
-                        "doc_id": doc_id,
-                        "title": " ".join(documents[doc_id].title_tokens),
-                        "rank": rank,
-                        "clicked": doc_id in inter.clicked_doc_ids,
-                    }
-                    for rank, doc_id in enumerate(inter.candidate_doc_ids, start=1)
-                ],
-            }
-            fp.write(_dumps(rec) + "\n")
+            keys = [(doc_id, rank, doc_id in inter.clicked_doc_ids)
+                    for rank, doc_id in enumerate(inter.candidate_doc_ids, start=1)]
+            for key in keys:
+                if key not in candidates:
+                    doc_id, rank, clicked = key
+                    candidates[key] = _dumps({"doc_id": doc_id, "title": titles[doc_id],
+                                              "rank": rank, "clicked": clicked})
+            fp.write(f'{{"candidates":[{",".join(map(candidates.__getitem__, keys))}],'
+                     f'"query_position":{position:d},'
+                     f'"query_text":{_dumps(" ".join(inter.query_tokens))},'
+                     f'"session_id":{_dumps(session.session_id)}}}\n')

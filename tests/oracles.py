@@ -5,9 +5,9 @@ code with the implementation under test. The exceptions are
 loop_sample_batch, two_pass_validation_loss, entries_eval, the per-array
 parameter code (loop_init_params, per_array_checkpoint_bytes,
 per_array_dense_digest), the one-pair scorers (rank_score, dense_score),
-PerContextDenseScorer, pair_train_in_batch, per_call_score_all and
-PerCallBm25Scorer: earlier forms of library code, kept to show that the
-current forms compute the same bits.
+PerContextDenseScorer, pair_train_in_batch, per_call_score_all,
+PerCallBm25Scorer and the dict_write_* JSONL writers: earlier forms of
+library code, kept to show that the current forms compute the same bits.
 """
 
 from __future__ import annotations
@@ -350,3 +350,68 @@ def pair_train_in_batch(params, vocab, pairs, batch_size, epochs, learning_rate,
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)))
     return epoch_losses
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def dict_write_documents(documents, fp) -> None:
+    """sessions.write_documents as it built and dumped one dict per record."""
+    for doc_id in sorted(documents):
+        doc = documents[doc_id]
+        fp.write(_dumps({"doc_id": doc.doc_id, "title_tokens": list(doc.title_tokens)}) + "\n")
+
+
+def dict_write_sessions(sessions, fp) -> None:
+    for session in sessions:
+        rec = {
+            "session_id": session.session_id,
+            "interactions": [
+                {
+                    "query_id": i.query_id,
+                    "query_tokens": list(i.query_tokens),
+                    "clicked_doc_ids": sorted(i.clicked_doc_ids),
+                    "candidate_doc_ids": list(i.candidate_doc_ids),
+                }
+                for i in session.interactions
+            ],
+        }
+        fp.write(_dumps(rec) + "\n")
+
+
+def dict_write_contexts(contexts, fp) -> None:
+    for ctx in contexts:
+        rec = {
+            "session_id": ctx.session_id,
+            "position": ctx.position,
+            "context_tokens": list(ctx.context_tokens),
+            "positive_doc_id": ctx.positive_doc_id,
+            "negative_pool": list(ctx.negative_pool),
+        }
+        fp.write(_dumps(rec) + "\n")
+
+
+def dict_write_labels(labels, fp) -> None:
+    for session_id in sorted(labels):
+        fp.write(_dumps({"session_id": session_id, "topic_id": labels[session_id]}) + "\n")
+
+
+def dict_write_session_log(sessions, documents, fp) -> None:
+    for session in sessions:
+        for position, inter in enumerate(session.interactions, start=1):
+            rec = {
+                "session_id": session.session_id,
+                "query_position": position,
+                "query_text": " ".join(inter.query_tokens),
+                "candidates": [
+                    {
+                        "doc_id": doc_id,
+                        "title": " ".join(documents[doc_id].title_tokens),
+                        "rank": rank,
+                        "clicked": doc_id in inter.clicked_doc_ids,
+                    }
+                    for rank, doc_id in enumerate(inter.candidate_doc_ids, start=1)
+                ],
+            }
+            fp.write(_dumps(rec) + "\n")

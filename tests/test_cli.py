@@ -10,11 +10,13 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from currank import cli, trainer
 from currank.checkpoint import file_digest, load_checkpoint, save_checkpoint
@@ -775,6 +777,11 @@ class TestEval:
 
 
 class TestAblate:
+    @pytest.fixture(autouse=True)
+    def no_cpu_quota(self, tmp_path, monkeypatch):
+        """A CPU quota of the machine running the tests caps no pool here."""
+        monkeypatch.setattr(cli, "CGROUP_CPU_MAX", tmp_path / "no-cpu.max")
+
     def test_modes_and_grid(self, bundle_dir, ledger_dir, tmp_path):
         out = tmp_path / "ablate"
         assert run_cli(
@@ -951,6 +958,38 @@ class TestAblate:
         assert "internal error: A " in capsys.readouterr().err  # BrokenProcessPool
         assert list(out.iterdir()) == []  # no lock, no manifest, no ablation.json
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpu_max, workers", [
+        ("50000 100000\n", 1), ("150000 100000\n", 2), ("max 100000\n", 4),
+        (None, 4), ("", 4),
+    ], ids=["half a CPU", "one and a half CPUs", "no quota", "no file", "empty file"])
+    def test_worker_count_honours_a_cgroup_cpu_quota(self, tmp_path, monkeypatch,
+                                                      cpu_max, workers):
+        cpu_max_file = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            cpu_max_file.write_text(cpu_max)
+        monkeypatch.setattr(cli, "CGROUP_CPU_MAX", cpu_max_file)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert cli.usable_cpus() == workers
+
+    def test_a_cpu_quota_caps_the_pool(self, bundle_dir, ledger_dir, tmp_path, monkeypatch):
+        started_log, cpu_max_file = tmp_path / "started.pkl", tmp_path / "cpu.max"
+        init = cli._init_ablation_worker
+
+        def spy_init(data, slates):
+            append_record(started_log, os.getpid())
+            return init(data, slates)
+
+        cpu_max_file.write_text("100000 100000\n")
+        monkeypatch.setattr(cli, "CGROUP_CPU_MAX", cpu_max_file)
+        monkeypatch.setattr(cli, "_init_ablation_worker", spy_init)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert run_cli(
+            "ablate", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+            "--out", tmp_path / "ablate", "--steps", 5, "--batch-size", 8,
+            "--grid-deltas", "0.3", "--grid-etas", "0.7",
+        ) == 0
+        assert len(read_records(started_log)) == 1
 
     def test_small_grid_delta_fails_before_the_first_run(self, tmp_path, capsys):
         # 129 training positives: delta 0.1 admits 13 at step 0, fewer than
@@ -1192,6 +1231,143 @@ class TestMalformedBundle:
             assert captured.err == f"error: {path}: malformed record: no '{key}' entry\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+# bundle file -> (the table's cases: record 0 with one field or entry changed)
+WRONG_TYPES = {
+    "contexts.jsonl": [("session_id", None), ("session_id", 5), ("session_id", ["s"]),
+                       ("context_tokens", [None]), ("context_tokens", [5]),
+                       ("context_tokens", [["w"]]), ("context_tokens", "abc"),
+                       ("position", True)],
+    "documents.jsonl": [("doc_id", 5), ("title_tokens", "abc")],
+    "sessions.jsonl": [("session_id", 5), ("session_id", None),
+                       ("interactions.query_tokens", [5]),
+                       ("interactions.clicked_doc_ids", "d")],
+}
+
+
+class TestBundleRecordTypes:
+    """A bundle field or entry of the wrong type, or a slate document the
+    bundle does not hold, is an input error before --out exists."""
+
+    @pytest.mark.parametrize("name, field, value", [
+        pytest.param(name, field, value, id=f"{name}-{field}-{json.dumps(value)}")
+        for name, cases in WRONG_TYPES.items() for field, value in cases])
+    def test_wrong_type_exits_two_naming_the_file(self, bundle_dir, ledger_dir, train_dir,
+                                                  tmp_path, capsys, name, field, value):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        path = bundle / name
+        lines = path.read_text().splitlines()
+        record = holder = json.loads(lines[0])
+        *parents, key = field.split(".")
+        for parent in parents:
+            holder = holder[parent][0]
+        holder[key] = value
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        for command in BUNDLE_READERS[name][1]:
+            if command == "ablate":
+                continue  # reads as train does
+            out = tmp_path / command
+            flags = {
+                "score": (),
+                "eval": ("--checkpoint", train_dir / "checkpoint.bin"),
+            }.get(command, ("--ledger", ledger_dir / "ledger.json", "--steps", 10,
+                            "--batch-size", 8))
+            assert run_cli(command, "--bundle", bundle, *flags, "--out", out) == 2, command
+            assert capsys.readouterr().err.startswith(f"error: {path}: malformed record: ")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, split", [("eval", "test"), ("train", "val")])
+    def test_slate_document_missing_from_the_corpus_exits_two(
+            self, bundle_dir, ledger_dir, train_dir, tmp_path, capsys, command, split):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        session = next(s for s in map(json.loads, (bundle / "sessions.jsonl").open())
+                       if split_of(s["session_id"]) == split)  # the split's first
+        doc = session["interactions"][0]["candidate_doc_ids"][0]
+        path = bundle / "documents.jsonl"
+        path.write_text("".join(line for line in path.open()
+                                if json.loads(line)["doc_id"] != doc))
+        flags = ("--checkpoint", train_dir / "checkpoint.bin") if command == "eval" else \
+            ("--ledger", ledger_dir / "ledger.json", "--steps", 10, "--batch-size", 8)
+        out = tmp_path / command
+        assert run_cli(command, "--bundle", bundle, *flags, "--out", out) == 2
+        assert capsys.readouterr().err == \
+            f"error: session {session['session_id']}: document {doc} is not in the corpus\n"
+        assert not out.exists()
+
+
+# bundle file -> the fields a corruption may strike ("a.b": field b of an entry of a)
+BUNDLE_FIELDS = {
+    "documents.jsonl": ["doc_id", "title_tokens"],
+    "sessions.jsonl": ["session_id", "interactions", "interactions.query_id",
+                       "interactions.query_tokens", "interactions.clicked_doc_ids",
+                       "interactions.candidate_doc_ids"],
+    "contexts.jsonl": ["session_id", "position", "context_tokens", "positive_doc_id",
+                       "negative_pool"],
+}
+ODD_VALUES = st.sampled_from([None, 5, -1, True, 1.5, "", "d", "abc", [], [5], [None],
+                              [["w"]], {}, {"w": 1}])
+
+
+def corrupt_bundle(bundle: Path, data) -> None:
+    """Change one record of one bundle file as `data` draws: drop a key,
+    change a type (of a field or of one entry), repeat an entry or a
+    record, or delete a document."""
+    how = data.draw(st.sampled_from(["drop a key", "change a type", "change an entry",
+                                     "repeat an entry", "repeat a record",
+                                     "delete a document"]), label="corruption")
+    name = "documents.jsonl" if how == "delete a document" else \
+        data.draw(st.sampled_from(sorted(BUNDLE_FIELDS)), label="file")
+    path = bundle / name
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    i = data.draw(st.integers(0, len(records) - 1), label="record")
+    if how == "delete a document":
+        del records[i]
+    elif how == "repeat a record":
+        records.insert(i, records[i])
+    else:
+        *parents, key = data.draw(st.sampled_from(BUNDLE_FIELDS[name]), label="field").split(".")
+        holder = records[i]
+        for parent in parents:
+            holder = holder[parent][data.draw(st.integers(0, len(holder[parent]) - 1))]
+        value = holder[key]
+        if how == "drop a key":
+            del holder[key]
+        elif how == "change a type" or type(value) is not list or not value:
+            holder[key] = data.draw(ODD_VALUES, label="value")
+        else:
+            j = data.draw(st.integers(0, len(value) - 1), label="entry")
+            if how == "repeat an entry":
+                value.insert(j, value[j])
+            else:
+                value[j] = data.draw(ODD_VALUES, label="value")
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+class TestCorruptedBundle:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_commands_exit_zero_or_two_and_two_leaves_no_output(
+            self, bundle_dir, ledger_dir, train_dir, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = Path(tmp) / "bundle"
+            shutil.copytree(bundle_dir, bundle)
+            corrupt_bundle(bundle, data)
+            for command, *flags in [
+                ("score",),
+                ("train", "--ledger", ledger_dir / "ledger.json", "--steps", 10,
+                 "--batch-size", 8),
+                ("eval", "--checkpoint", train_dir / "checkpoint.bin"),
+            ]:
+                out, err = Path(tmp) / command, io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = run_cli(command, "--bundle", bundle, *flags, "--out", out)
+                assert rc in (0, 2), f"{command} exited {rc}: {err.getvalue()}"
+                assert rc == 0 or not out.exists(), f"{command} left {out}: {err.getvalue()}"
 
 
 class TestAtomicWrites:

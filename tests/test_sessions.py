@@ -3,10 +3,13 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currank.sessions import (
     Document,
     Interaction,
+    SearchContext,
+    Session,
     SessionLogError,
     build_contexts,
     negative_window_pool,
@@ -18,6 +21,9 @@ from currank.sessions import (
     write_documents,
     write_sessions,
 )
+from currank.synth import write_labels, write_session_log
+
+import oracles
 
 
 def record(session_id, position, query, candidates, clicked):
@@ -218,6 +224,55 @@ class TestRoundTrip:
         buf = io.StringIO()
         write_contexts(tiny_contexts, buf)
         assert read_contexts(io.StringIO(buf.getvalue())) == tiny_contexts
+
+
+# Quotes, backslashes, control characters, non-ASCII and a line separator,
+# each of which JSON escapes; and any text at all.
+TEXT = st.text(st.sampled_from('ab "\\/\x00\x1f\x7f\n\té€\u2028😀'), max_size=5) | st.text(max_size=5)
+IDS = TEXT.filter(bool)
+TOKENS = st.lists(TEXT, max_size=4).map(tuple)  # empty tuples included
+
+
+@st.composite
+def bundles(draw):
+    """(documents, sessions, contexts, labels) over a few shared doc ids, so
+    that ids, tokens and (doc, rank, clicked) candidates repeat."""
+    doc_ids = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+    documents = {d: Document(d, draw(TOKENS)) for d in doc_ids}
+    doc = st.sampled_from(doc_ids)
+    sessions = []
+    for session_id in draw(st.lists(IDS, max_size=3)):
+        interactions = []
+        for _ in range(draw(st.integers(1, 3))):
+            candidates = draw(st.lists(doc, min_size=1, max_size=4, unique=True))
+            clicked = draw(st.sets(st.sampled_from(candidates)))
+            interactions.append(Interaction(draw(IDS), draw(TOKENS), frozenset(clicked),
+                                            tuple(candidates)))
+        sessions.append(Session(session_id, tuple(interactions)))
+    contexts = [
+        SearchContext(draw(IDS), draw(st.integers(-2**70, 2**70)), draw(TOKENS), draw(doc),
+                      tuple(draw(st.lists(doc, max_size=3))))  # one-entry pools included
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return documents, sessions, contexts, draw(st.dictionaries(IDS, st.integers()))
+
+
+class TestWritersMatchDictOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(bundle=bundles())
+    def test_every_writer_writes_the_oracle_bytes(self, bundle):
+        documents, sessions, contexts, labels = bundle
+        for write, oracle, args in [
+            (write_documents, oracles.dict_write_documents, (documents,)),
+            (write_sessions, oracles.dict_write_sessions, (sessions,)),
+            (write_contexts, oracles.dict_write_contexts, (contexts,)),
+            (write_labels, oracles.dict_write_labels, (labels,)),
+            (write_session_log, oracles.dict_write_session_log, (sessions, documents)),
+        ]:
+            got, want = io.StringIO(), io.StringIO()
+            write(*args, got)
+            oracle(*args, want)
+            assert got.getvalue() == want.getvalue(), write.__name__
 
 
 def _session(session_id, specs, documents):
