@@ -50,6 +50,7 @@ from .trainer import (  # evaluate_ranker: perfbench/spans.py traces it here
 LOCK_NAME = ".currank.lock"
 CGROUP_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2: "<quota> <period>" or "max <period>"
 BUNDLE_FILES = ("documents.jsonl", "sessions.jsonl", "contexts.jsonl")
+FIT_FLAGS = ("fit_epochs", "fit_batch_size", "fit_lr", "d_emb", "hidden")  # score --fit's
 
 
 class CliError(Exception):
@@ -60,6 +61,8 @@ class CliError(Exception):
 
 @contextlib.contextmanager
 def output_lock(out_dir: Path):
+    """Lock `out_dir`; on the way out, rmdir it if this lock created it and it is empty."""
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / LOCK_NAME
     try:
@@ -76,6 +79,9 @@ def output_lock(out_dir: Path):
         yield
     finally:
         lock.unlink(missing_ok=True)
+        if created:
+            with contextlib.suppress(OSError):  # not empty
+                out_dir.rmdir()
 
 
 def _lock_owner(lock: Path) -> str:
@@ -201,7 +207,8 @@ def cmd_synth(args) -> int:
     )
     sessions, documents, labels = synth.generate_synthetic(spec)
     contexts, _ = build_contexts(sessions, documents, window=args.window)
-    with command_output(args, asdict(spec), [], args.seed) as (out_dir, outputs, _):
+    config = {**asdict(spec), "window": args.window}
+    with command_output(args, config, [], args.seed) as (out_dir, outputs, _):
         log_path, labels_path = out_dir / "log.jsonl", out_dir / "labels.jsonl"
         outputs += [*write_bundle(out_dir, sessions, documents, contexts),
                     log_path, labels_path]
@@ -228,8 +235,6 @@ def _make_scorer(kind: str, args, documents, train_contexts, vocab, out_dir):
     if kind == "bm25":
         index = bm25.build_index(documents)
         return Bm25Scorer(index, bm25.Bm25Params(k1=args.k1, b=args.b))
-    if kind != "dense":
-        raise CliError(f"unknown scorer kind {kind!r}")
     contexts_by_id = {c.context_id: c for c in train_contexts}
     tokens_by_id = {cid: c.context_tokens for cid, c in contexts_by_id.items()}
     if args.checkpoint:
@@ -268,7 +273,7 @@ def cmd_score(args) -> int:
     config = {
         "bundle": str(bundle_dir), "pos_scorer": pos_kind,
         "neg_scorer": neg_kind, "k1": args.k1, "b": args.b,
-        "fit": args.fit,
+        "fit": args.fit, **{k: vars(args)[k] for k in FIT_FLAGS if args.fit},
     }
     inputs = bundle_paths(bundle_dir)
     if args.checkpoint:
@@ -278,7 +283,7 @@ def cmd_score(args) -> int:
     train_contexts = in_split(contexts, "train")
     if not train_contexts:
         raise CliError("no training-split contexts in bundle")
-    check_documents(train_contexts, documents)  # before the lock creates --out
+    check_documents(train_contexts, documents)  # build_ledger and the dense fit rely on it
     vocab = build_vocab(documents, contexts)
     with command_output(args, config, inputs, args.seed) as (out_dir, outputs, manifest):
         pos_scorer = _make_scorer(pos_kind, args, documents, train_contexts, vocab, out_dir)
@@ -339,14 +344,10 @@ def cmd_train(args) -> int:
     resume_path = args.resume and input_path(args.resume, "checkpoint")
     ledger, data, slates, inputs = _load_training_inputs(args)
     config = _train_config_from(args, len(ledger.positives))
-    check_prefixes(config, data.columns)  # every refusal before the lock creates --out
     resume = load_resume(resume_path, config, data.vocab) if resume_path else None
     with command_output(args, asdict(config), inputs, args.seed) as (
             out_dir, outputs, manifest):
-        params, log = train(
-            config, data, slates,
-            checkpoint_dir=out_dir if config.checkpoint_interval else None, resume=resume,
-        )
+        params, log = train(config, data, slates, checkpoint_dir=out_dir, resume=resume)
         ckpt_path, log_path = out_dir / "checkpoint.bin", out_dir / "trainlog.jsonl"
         save_ranker(ckpt_path, params, data.vocab)
         with open(log_path, "w") as fp:
@@ -373,7 +374,8 @@ def cmd_eval(args) -> int:
     slates = encode_slates(vocab, items, documents)
     ranked = list(rank_slates(slates, slates.scores(params)))
     table = evaluate_run(query_gains(ranked))
-    config = {"bundle": str(bundle_dir), "checkpoint": str(ckpt_path), "split": args.split}
+    config = {"bundle": str(bundle_dir), "checkpoint": str(ckpt_path), "split": args.split,
+              "tag": args.tag}
     inputs = bundle_paths(bundle_dir) + [ckpt_path]
     with command_output(args, config, inputs) as (out_dir, outputs, _):
         outputs += [out_dir / "run.txt", out_dir / "qrels.txt", out_dir / "metrics.json"]
@@ -428,8 +430,8 @@ def cmd_ablate(args) -> int:
     if slates is None:
         raise CliError("ablation needs a non-empty validation split")
     base = _train_config_from(args, len(ledger.positives))
-    runs = ablation_runs(base, [float(x) for x in args.grid_deltas.split(",")],
-                         [float(x) for x in args.grid_etas.split(",")])
+    deltas, etas = ([float(x) for x in f.split(",")] for f in (args.grid_deltas, args.grid_etas))
+    runs = ablation_runs(base, deltas, etas)
     for _, config in runs:
         check_prefixes(config, data.columns)  # every run, before the first
 
@@ -437,7 +439,8 @@ def cmd_ablate(args) -> int:
     # here, since these modules add about 2 MB of RSS that no other command needs.
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
-    with command_output(args, asdict(base), inputs, args.seed) as (out_dir, outputs, _), \
+    config = {**asdict(base), "grid_deltas": deltas, "grid_etas": etas}
+    with command_output(args, config, inputs, args.seed) as (out_dir, outputs, _), \
             ProcessPoolExecutor(min(usable_cpus(), len(runs)), get_context("fork"),
                                 _init_ablation_worker, (data, slates)) as pool:
         payload = {"modes": [], "grid": []}
@@ -561,16 +564,27 @@ def _apply_config_file(parser, argv):
         raise CliError(f"config file {path} is not valid YAML: {e}")
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must be a mapping")
-    defaults = {str(key).replace("-", "_"): value for key, value in data.items()}
+    entries = {str(key).replace("-", "_"): (key, value) for key, value in data.items()}
     subs = [sub for action in parser._subparsers._group_actions
             for sub in action.choices.values()]
-    dests = [{a.dest for a in sub._actions} for sub in subs]
+    flags = [{a.dest: a for a in sub._actions} for sub in subs]
     # A key of another command is allowed: one file may serve several.
-    unknown = sorted(str(k) for k in data if str(k).replace("-", "_") not in set().union(*dests))
+    unknown = sorted(str(k) for k in data if str(k).replace("-", "_") not in set().union(*flags))
     if unknown:
         raise CliError(f"config file {path}: no command takes {', '.join(unknown)}")
-    for sub, known_dests in zip(subs, dests):
-        sub.set_defaults(**{k: v for k, v in defaults.items() if k in known_dests})
+    for sub, actions in zip(subs, flags):
+        sub.set_defaults(**{dest: _flag_value(path, key, actions[dest], value)
+                            for dest, (key, value) in entries.items() if dest in actions})
+
+
+def _flag_value(path: Path, key, action: argparse.Action, value):
+    """A config file's `value` for `key`, parsed as its flag would be: by the
+    flag's type and choices. A switch such as --fit takes only true or false."""
+    with contextlib.suppress(ValueError):
+        value = value if action.nargs == 0 else (action.type or str)(str(value))
+        if type(value) is bool if action.nargs == 0 else value in (action.choices or [value]):
+            return value
+    raise CliError(f"config file {path}: {key}: invalid value {value!r}")
 
 
 def main(argv=None) -> int:

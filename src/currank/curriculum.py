@@ -245,7 +245,8 @@ def build_ledger(
     neg_scorer: ScoreSource,
     contexts: Sequence[SearchContext],
 ) -> DifficultyLedger:
-    """Score and sort all training pairs under the frozen scorers.
+    """Score and sort the training pairs of contexts that pass
+    check_documents under the frozen scorers.
 
     Positive and negative difficulties may come from different scorers
     (mixed-mode experiments); each context is scored once per scorer,
@@ -256,7 +257,6 @@ def build_ledger(
     if neg_scorer.doc_ids != pos_scorer.doc_ids:
         raise ValueError("positive and negative scorers rank different corpora")
     doc_pos = {d: i for i, d in enumerate(pos_scorer.doc_ids)}
-    check_documents(contexts, doc_pos)
 
     raw: list[tuple[SearchContext, int, float]] = []
     corpus_max = -math.inf
@@ -311,23 +311,12 @@ def sample_batch(
     of its negatives.
 
     Positives come from one rng.choice, each item's m negatives from its
-    own, all read in one rng.integers call (see _choose_each).
+    own, all read in one rng.integers call (see _choose_each). The
+    prefixes are large enough: trainer.check_prefixes proves it before step 0.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    n_pos = eligible_positive_count(len(columns.context_ids), f_p)
-    if batch_size > n_pos:
-        raise ValueError(
-            f"batch_size {batch_size} exceeds {n_pos} eligible positives at step {t}"
-        )
-    chosen = rng.choice(n_pos, size=batch_size, replace=False)
+    chosen = rng.choice(eligible_positive_count(len(columns.context_ids), f_p),
+                        size=batch_size, replace=False)
     n_neg = eligible_negative_count(columns.neg_len[chosen], f_n)
-    short = np.flatnonzero(n_neg < m)
-    if short.size:
-        raise ValueError(
-            f"context {columns.context_ids[chosen[short[0]]]}: eligible "
-            f"negative prefix ({n_neg[short[0]]}) smaller than m={m} at step {t}"
-        )
     picks = _choose_each(rng, n_neg, m)
     negs = columns.neg_rows[columns.neg_start[chosen][:, None] + picks]
     return TrainingBatch(
@@ -387,7 +376,7 @@ def load_ledger(path: str | Path) -> DifficultyLedger:
         return ledger
     except KeyError as e:
         raise ValueError(f"{path}: malformed ledger: no {e} entry") from e
-    except (AttributeError, TypeError, ValueError, OverflowError) as e:
+    except (AttributeError, IndexError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{path}: malformed ledger: {e}") from e
 
 

@@ -19,14 +19,10 @@ def in_batch_loss_and_grad(
 ) -> tuple[float, DualEncoderParams]:
     """Mean in-batch softmax cross-entropy and its exact gradient.
 
-    Row i of the score matrix holds context i against every document in
-    the batch; the diagonal entry is the positive.
+    Row i of the score matrix holds context i against every document of
+    the batch, n >= 2 rows on each side; the diagonal entry is the positive.
     """
     n = len(ctx_rows)
-    if n != len(doc_rows):
-        raise ValueError("context/document batch size mismatch")
-    if n < 2:
-        raise ValueError("in-batch negatives need a batch of at least 2")
     c_enc, c_cache = towers.encode_batch(params, ctx_rows, "context")
     d_enc, d_cache = towers.encode_batch(params, doc_rows, "document")
     scores = c_enc @ d_enc.T
@@ -59,8 +55,8 @@ def train_in_batch(
     """
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2 for in-batch negatives")
-    if len(ctx_rows) < 2:
-        raise ValueError("need at least 2 positive pairs")
+    if len(ctx_rows) < 2 or len(doc_rows) != len(ctx_rows):
+        raise ValueError("need at least 2 positive pairs, one document row per context row")
     rng = np.random.default_rng(seed)
     epoch_losses = []
     for _ in range(epochs):

@@ -565,6 +565,20 @@ class TestTrain:
                        "--out", tmp_path / "o", "--steps", 10, "--batch-size", 8) == 2
         assert f"error: {ledger}: malformed ledger" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("negatives", [[5], [True]], ids=["five", "true"])
+    def test_ledger_whose_negatives_are_a_list_exits_two(self, bundle_dir, ledger_dir,
+                                                         tmp_path, capsys, negatives):
+        """list.pop(5) raised IndexError, which was reported as an internal error."""
+        payload = json.loads((ledger_dir / "ledger.json").read_text())
+        payload["negatives"] = negatives
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger,
+                       "--out", out, "--steps", 10, "--batch-size", 8) == 2
+        assert f"error: {ledger}: malformed ledger" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag, value, message", [
         pytest.param(command, flag, value, message,
                      id=command if flag == "--batch-size" else f"{command}{flag}")
@@ -891,7 +905,7 @@ class TestAblate:
         ) == 1
         assert "internal error: training run {'mode': 'none'} failed: no such run" in \
             capsys.readouterr().err
-        assert list(out.iterdir()) == []  # no lock, no manifest, no ablation.json
+        assert not out.exists()  # no lock, no manifest, no ablation.json
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("maps", [
@@ -956,7 +970,7 @@ class TestAblate:
                 "--grid-deltas", "0.3", "--grid-etas", "0.7",
             ) == 1
         assert "internal error: A " in capsys.readouterr().err  # BrokenProcessPool
-        assert list(out.iterdir()) == []  # no lock, no manifest, no ablation.json
+        assert not out.exists()  # no lock, no manifest, no ablation.json
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpu_max, workers", [
@@ -1134,6 +1148,44 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"error: config file {config} is not valid YAML" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("command, text, key, shown", [
+        ("train", "steps: [1]\n", "steps", "[1]"),
+        ("train", "seed: 1.5\n", "seed", "1.5"),
+        ("train", "epochs: true\n", "epochs", "True"),
+        ("eval", "split: nope\n", "split", "'nope'"),
+        ("score", "scorer: foo\n", "scorer", "'foo'"),
+        ("score", "fit: 1\n", "fit", "1"),
+    ], ids=["list-steps", "fractional-seed", "boolean-epochs", "unknown-split",
+            "unknown-scorer", "integer-fit"])
+    def test_value_its_flag_would_refuse_exits_two(self, bundle_dir, ledger_dir, train_dir,
+                                                   tmp_path, capsys, command, text, key,
+                                                   shown):
+        """Each value goes through its flag's type and choices; a switch
+        takes only true or false."""
+        config = tmp_path / "conf.yaml"
+        config.write_text(text)
+        flags = {"train": ("--ledger", ledger_dir / "ledger.json"),
+                 "eval": ("--checkpoint", train_dir / "checkpoint.bin"), "score": ()}[command]
+        out = tmp_path / "o"
+        assert run_cli(command, "--config", config, "--bundle", bundle_dir, *flags,
+                       "--out", out) == 2
+        assert capsys.readouterr().err == \
+            f"error: config file {config}: {key}: invalid value {shown}\n"
+        assert not out.exists()
+
+    def test_values_parse_as_their_flags_do(self, bundle_dir, ledger_dir, tmp_path):
+        config = tmp_path / "conf.yaml"
+        config.write_text("lr: 1\nsteps: '3'\nbatch-size: 8\nmode: none\n")
+        common = ("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json")
+        assert run_cli(*common, "--config", config, "--out", tmp_path / "file") == 0
+        assert run_cli(*common, "--lr", 1, "--steps", 3, "--batch-size", 8, "--mode", "none",
+                       "--out", tmp_path / "flags") == 0
+        by_file, by_flags = (json.loads((tmp_path / name / MANIFEST_NAME).read_text())
+                             for name in ("file", "flags"))
+        assert by_file["config"] == by_flags["config"]
+        assert type(by_file["config"]["learning_rate"]) is float
+        assert by_file["output_digests"] == by_flags["output_digests"]
 
 
 class TestGarbageCollector:
@@ -1368,6 +1420,174 @@ class TestCorruptedBundle:
                     rc = run_cli(command, "--bundle", bundle, *flags, "--out", out)
                 assert rc in (0, 2), f"{command} exited {rc}: {err.getvalue()}"
                 assert rc == 0 or not out.exists(), f"{command} left {out}: {err.getvalue()}"
+
+
+def corrupt_ledger(path: Path, data) -> None:
+    """Change the ledger at `path` as `data` draws: truncate the file, drop a
+    key (of the ledger or of its negatives), change a type (of a key's value,
+    an entry or an entry's field), repeat an entry, or reorder the positives
+    or one context's negatives. An entry is a positive or one context's
+    negative."""
+    text = path.read_text()
+    how = data.draw(st.sampled_from(["truncate", "drop a key", "change a type",
+                                     "repeat an entry", "reorder the positives",
+                                     "reorder a context's negatives"]), label="corruption")
+    if how == "truncate":
+        path.write_text(text[:data.draw(st.integers(0, len(text) - 1), label="length")])
+        return
+    payload = json.loads(text)
+    negatives = payload["negatives"]
+    cid = data.draw(st.sampled_from(sorted(negatives)), label="context")
+    entries = negatives[cid] if data.draw(st.booleans(), label="negative entry") \
+        else payload["positives"]
+    j = data.draw(st.integers(0, len(entries) - 1), label="entry")
+    if how == "drop a key":
+        holder = negatives if data.draw(st.booleans(), label="a context's") else payload
+        del holder[data.draw(st.sampled_from(sorted(holder)), label="key")]
+    elif how == "reorder the positives":
+        payload["positives"] = data.draw(st.permutations(payload["positives"]), label="order")
+    elif how == "reorder a context's negatives":
+        negatives[cid] = data.draw(st.permutations(negatives[cid]), label="order")
+    elif how == "repeat an entry":
+        entries.insert(j, entries[j])
+    else:
+        where = data.draw(st.sampled_from(["ledger key", "context", "entry", "field"]),
+                          label="where")
+        value = data.draw(ODD_VALUES, label="value")
+        if where == "ledger key":
+            payload[data.draw(st.sampled_from(sorted(payload)), label="key")] = value
+        elif where == "context":
+            negatives[cid] = value
+        elif where == "entry":
+            entries[j] = value
+        else:
+            entries[j][data.draw(st.integers(0, len(entries[j]) - 1), label="field")] = value
+    path.write_text(json.dumps(payload))
+
+
+class TestCorruptedLedger:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_train_exits_zero_or_two_and_two_leaves_no_output(
+            self, bundle_dir, ledger_dir, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            ledger = Path(tmp) / "ledger.json"
+            shutil.copyfile(ledger_dir / "ledger.json", ledger)
+            corrupt_ledger(ledger, data)
+            out, err = Path(tmp) / "train", io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = run_cli("train", "--bundle", bundle_dir, "--ledger", ledger,
+                             "--steps", 10, "--batch-size", 8, "--out", out)
+            assert rc in (0, 2), f"train exited {rc}: {err.getvalue()}"
+            assert rc == 0 or not out.exists(), f"train left {out}: {err.getvalue()}"
+
+
+class TestManifestConfig:
+    """A manifest records every flag that changes the command's outputs, so
+    that its configuration reproduces them."""
+
+    @pytest.mark.parametrize("command, flag, value, key, recorded", [
+        ("synth", "--window", 2, "window", 2),
+        ("eval", "--tag", "other", "tag", "other"),
+        ("score", "--fit-epochs", 2, "fit_epochs", 2),
+        ("score", "--fit-batch-size", 16, "fit_batch_size", 16),
+        ("score", "--fit-lr", 0.2, "fit_lr", 0.2),
+        ("score", "--d-emb", 8, "d_emb", 8),
+        ("score", "--hidden", 8, "hidden", 8),
+        ("ablate", "--grid-deltas", "0.5", "grid_deltas", [0.5]),
+        ("ablate", "--grid-etas", "0.5,0.9", "grid_etas", [0.5, 0.9]),
+    ], ids=["synth-window", "eval-tag", "score-fit-epochs", "score-fit-batch-size",
+            "score-fit-lr", "score-d-emb", "score-hidden", "ablate-grid-deltas",
+            "ablate-grid-etas"])
+    def test_runs_that_differ_in_one_flag_record_different_configs(
+            self, bundle_dir, ledger_dir, train_dir, tmp_path, monkeypatch, command, flag,
+            value, key, recorded):
+        monkeypatch.setattr(cli, "CGROUP_CPU_MAX", tmp_path / "no-cpu.max")
+        flags = {
+            "synth": SYNTH_ARGS[1:],
+            "eval": ("--bundle", bundle_dir, "--checkpoint", train_dir / "checkpoint.bin"),
+            "score": ("--bundle", bundle_dir, "--scorer", "dense", "--fit", "--fit-epochs", 1),
+            "ablate": ("--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                       "--steps", 5, "--batch-size", 8, "--grid-deltas", "0.3",
+                       "--grid-etas", "0.7"),
+        }[command]
+        configs = []
+        for name, extra in [("base", ()), ("changed", (flag, value))]:
+            out = tmp_path / name
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli(command, *flags, *extra, "--out", out) == 0
+            configs.append(json.loads((out / MANIFEST_NAME).read_text())["config"])
+        assert configs[1][key] == recorded
+        assert configs[0] == {**configs[1], key: configs[0][key]} != configs[1]
+
+    def test_bm25_score_records_no_fit_flags(self, ledger_dir):
+        config = json.loads((ledger_dir / MANIFEST_NAME).read_text())["config"]
+        assert not set(cli.FIT_FLAGS) & set(config)
+
+
+class TestFailedCommandOutput:
+    """A command that exits non-zero removes the --out it created while
+    that directory is still empty; a non-empty one, or one that existed
+    before, stays."""
+
+    @pytest.mark.parametrize("command, flags, config, message", [
+        ("score", ("--scorer", "dense", "--checkpoint", "RANKER"), None,
+         "checkpoint kind 'ranker', expected 'dense-scorer'"),
+        ("score", ("--scorer", "dense"), None, "dense scorer needs --checkpoint or --fit"),
+        ("train", ("--tau", 0), None, "tau must be > 0"),
+        ("score", (), "scorer: foo\n", "scorer: invalid value 'foo'"),
+        ("train", (), "seed: 1.5\n", "seed: invalid value 1.5"),
+    ], ids=["ranker-checkpoint-as-scorer", "dense-without-fit-or-checkpoint", "tau-zero",
+            "config-unknown-scorer", "config-fractional-seed"])
+    def test_exits_two_and_leaves_no_output(self, bundle_dir, ledger_dir, train_dir,
+                                            tmp_path, capsys, command, flags, config,
+                                            message):
+        flags = [train_dir / "checkpoint.bin" if f == "RANKER" else f for f in flags]
+        if command == "train":
+            flags += ["--ledger", ledger_dir / "ledger.json", "--steps", 5, "--batch-size", 8]
+        if config:
+            (tmp_path / "conf.yaml").write_text(config)
+            flags += ["--config", tmp_path / "conf.yaml"]
+        out = tmp_path / "o"
+        assert run_cli(command, "--bundle", bundle_dir, *flags, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_only_the_leaf_is_removed(self, bundle_dir, tmp_path):
+        out = tmp_path / "new" / "o"
+        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
+                       "--out", out) == 2
+        assert not out.exists()
+        assert list((tmp_path / "new").iterdir()) == []
+
+    def test_a_failed_train_keeps_its_periodic_checkpoints(self, bundle_dir, ledger_dir,
+                                                           tmp_path, monkeypatch, capsys):
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_ranker", no_space)
+        out = tmp_path / "o"
+        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                       "--steps", 10, "--batch-size", 8, "--checkpoint-interval", 5,
+                       "--out", out) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["ckpt_00000005.bin", "ckpt_00000010.bin"]  # no lock, no manifest
+        monkeypatch.undo()
+        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                       "--steps", 10, "--batch-size", 8, "--checkpoint-interval", 5,
+                       "--resume", out / "ckpt_00000005.bin", "--out", tmp_path / "resumed") == 0
+
+    @pytest.mark.parametrize("existing", [[], ["notes.txt"]], ids=["empty", "with-a-file"])
+    def test_a_directory_that_existed_is_never_removed(self, bundle_dir, tmp_path, existing):
+        out = tmp_path / "o"
+        out.mkdir()
+        for name in existing:
+            (out / name).write_text("mine\n")
+        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
+                       "--out", out) == 2
+        assert sorted(p.name for p in out.iterdir()) == existing
 
 
 class TestAtomicWrites:

@@ -425,20 +425,6 @@ class TestSampleBatch:
             assert abs(f - 0.2) < 0.02
         assert stats.chisquare(freqs).pvalue > 0.001
 
-    def test_negative_prefix_too_small_names_context(self, rng):
-        ledger, contexts = _toy_ledger(n_neg=4)
-        pacing = PacingParams(T=10)
-        with pytest.raises(ValueError, match="s0"):
-            # eligible prefix ceil(0.25*4)=1 < m=2; keep drawing until s00 hits
-            for _ in range(200):
-                sample_items(ledger, contexts, pacing, 0, 10, 2, rng, f_p=1.0, f_n=0.25)
-
-    def test_batch_size_exceeding_eligible_rejected(self, rng):
-        ledger, contexts = _toy_ledger(n_pos=10)
-        pacing = PacingParams(T=10)
-        with pytest.raises(ValueError, match="batch_size"):
-            sample_items(ledger, contexts, pacing, 0, 6, 2, rng, f_p=0.5, f_n=1.0)
-
     def test_negatives_distinct_and_not_positive(self, rng):
         ledger, contexts = _toy_ledger()
         pacing = PacingParams(T=10)
