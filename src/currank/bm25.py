@@ -17,6 +17,7 @@ import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import log
 from typing import Sequence
 
@@ -98,25 +99,38 @@ def idf(n: int, df: int) -> float:
     return log(1.0 + (n - df + 0.5) / (df + 0.5))
 
 
-def term_weights(index: LexicalIndex, params: Bm25Params) -> dict:
-    """term -> (doc positions, the term's BM25 weight idf · tf · (k1 + 1)
-    / (tf + norm) at each), parallel arrays computed once for all queries."""
+def term_weights(index: LexicalIndex, params: Bm25Params) -> tuple:
+    """Every term's BM25 weights idf · tf · (k1 + 1) / (tf + norm), computed once
+    for all queries, as (term ids, ptr, positions, weights): the term with id i
+    weighs doc positions[ptr[i]:ptr[i + 1]] by that slice of weights."""
     n = len(index.doc_ids)
     norm = params.k1 * (1.0 - params.b + params.b * index.doc_lengths / index.avg_doc_length)
-    weights = {}
-    for term, (positions, tfs) in index.postings.items():
-        tf = tfs.astype(np.float64)
-        contrib = idf(n, len(positions)) * tf * (params.k1 + 1.0) / (tf + norm[positions])
-        weights[term] = (positions, contrib)
-    return weights
+    postings = index.postings.values()
+    df = [len(pos) for pos, _ in postings]
+    positions, tfs = map(np.concatenate, zip((np.zeros(0, np.int64),) * 2, *postings))
+    tf = tfs.astype(np.float64)
+    idfs = np.repeat([idf(n, k) for k in df], df)  # math.log: np.log may differ in a last bit
+    return (dict(zip(index.postings, range(len(df)))), np.cumsum([0, *df]), positions,
+            idfs * tf * (params.k1 + 1.0) / (tf + norm[positions]))
 
 
-def score_all(weights: dict, n_docs: int, query_tokens: Sequence[str]) -> np.ndarray:
-    """BM25 scores of all n_docs indexed documents for one query (float64)."""
-    scores = np.zeros(n_docs, dtype=np.float64)
-    for term, count in Counter(query_tokens).items():
-        entry = weights.get(term)
-        if entry is not None:
-            positions, contrib = entry
-            scores[positions] += count * contrib
-    return scores
+def score_all(weights: tuple, n_docs: int, queries: Sequence[Sequence[str]]) -> np.ndarray:
+    """BM25 scores (float64) of all n_docs indexed documents, one row per
+    token sequence of `queries`. np.bincount adds into zeros in input order,
+    and its input is in (query, `Counter` term, posting) order: each cell
+    gets the additions of `scores[positions] += count * contrib`, term by term."""
+    term_id, ptr, positions, contrib = weights  # see term_weights
+    n_terms, lengths = len(term_id), np.fromiter(map(len, queries), np.intp, len(queries))
+    terms = np.fromiter(map(term_id.get, chain.from_iterable(queries), repeat(n_terms)),
+                        np.intp, lengths.sum())
+    keys = np.repeat(np.arange(len(queries)) * n_terms, lengths) + terms
+    keys, first, count = np.unique(keys[terms < n_terms], return_index=True, return_counts=True)
+    order = np.argsort(first)  # each query's terms in first-occurrence order
+    query, term = np.divmod(keys[order], n_terms)
+    start, size = ptr[term], np.diff(ptr)[term]
+    at = np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
+    scores = np.bincount(np.repeat(query * n_docs, size) + positions[at],
+                         np.repeat(count[order], size) * contrib[at],
+                         minlength=len(queries) * n_docs)
+    # np.bincount gives int64 zeros for a block without one known token.
+    return scores.astype(np.float64, copy=False).reshape(len(queries), n_docs)

@@ -75,6 +75,8 @@ def load_checkpoint(
     arrays = dict(zip(names[k:], split_flat(data[n:].copy(), shapes[k:])))
     vocab = Vocab.__new__(Vocab)
     vocab.tokens = list(header["vocab"])
+    if vocab.tokens[:2] != Vocab(()).tokens:  # the reserved pad and unknown tokens
+        raise ValueError(f"{path}: vocabulary does not start with {Vocab(()).tokens}")
     vocab.index = {t: i for i, t in enumerate(vocab.tokens)}
     return params, vocab, arrays, header["meta"]
 

@@ -116,6 +116,22 @@ def input_path(path, what: str) -> Path:
     return path
 
 
+def output_path(path: str) -> Path:
+    """`--out` as a Path; a file there or above it is an input error (exit 2)."""
+    out = Path(path)
+    if not (found := next(p for p in (out, *out.parents) if p.exists())).is_dir():
+        raise CliError(f"--out {out}: {found} is not a directory")
+    return out
+
+
+def read_checkpoint(path: Path, load, *args):
+    """`load(path, *args)`; a checkpoint it cannot take is an input error (exit 2)."""
+    try:
+        return load(path, *args)
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as e:
+        raise CliError(f"{path}: malformed checkpoint: {e!r}") from e
+
+
 def load_bundle(bundle_dir: Path, sessions: bool = True, contexts: bool = True):
     """(sessions, documents, contexts) of a bundle, with None for the
     sessions or contexts a command does not ask for. Every bundle file
@@ -238,9 +254,8 @@ def _make_scorer(kind: str, args, documents, train_contexts, vocab, out_dir):
     contexts_by_id = {c.context_id: c for c in train_contexts}
     tokens_by_id = {cid: c.context_tokens for cid, c in contexts_by_id.items()}
     if args.checkpoint:
-        params, ckpt_vocab, _, _ = checkpoint.load_checkpoint(
-            args.checkpoint, expect_kind="dense-scorer"
-        )
+        params, ckpt_vocab, _, _ = read_checkpoint(
+            args.checkpoint, checkpoint.load_checkpoint, "dense-scorer")
         return DenseScorer(params, ckpt_vocab,
                            encode_corpus(ckpt_vocab, documents, tokens_by_id))
     if not args.fit:
@@ -341,10 +356,10 @@ def _load_training_inputs(args):
 
 
 def cmd_train(args) -> int:
-    resume_path = args.resume and input_path(args.resume, "checkpoint")
+    resume_path = input_path(args.resume, "checkpoint") if args.resume else None
     ledger, data, slates, inputs = _load_training_inputs(args)
     config = _train_config_from(args, len(ledger.positives))
-    resume = load_resume(resume_path, config, data.vocab) if resume_path else None
+    resume = resume_path and read_checkpoint(resume_path, load_resume, config, data.vocab)
     with command_output(args, asdict(config), inputs, args.seed) as (
             out_dir, outputs, manifest):
         params, log = train(config, data, slates, checkpoint_dir=out_dir, resume=resume)
@@ -367,7 +382,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     bundle_dir, ckpt_path = Path(args.bundle), input_path(args.checkpoint, "checkpoint")
     sessions, documents, _ = load_bundle(bundle_dir, contexts=False)
-    params, vocab = load_ranker(ckpt_path)
+    params, vocab = read_checkpoint(ckpt_path, load_ranker)
     items = build_eval_items(in_split(sessions, args.split), documents)
     if not items:
         raise CliError(f"no evaluable interactions in split {args.split!r}")
@@ -489,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)  # flags of every command
     common.add_argument("--config", default=None)
-    common.add_argument("--out", required=True)
+    common.add_argument("--out", required=True, type=output_path)  # checked as it is parsed
     reads_bundle = argparse.ArgumentParser(add_help=False, parents=[common])
     reads_bundle.add_argument("--bundle", required=True)
 

@@ -25,6 +25,7 @@ from .scorers import ScoreSource
 from .sessions import SearchContext
 
 LEDGER_FORMAT_VERSION = 1
+_BLOCK_CELLS = 2**17  # (context, document) scores per build_ledger block: 1 MB of float64
 
 
 @dataclass(frozen=True)
@@ -77,31 +78,19 @@ def pacing_negative(params: PacingParams, t: float) -> float:
     return max(params.eta, 1.0 + params.eta - inner ** (1.0 / params.k))
 
 
-def difficulty_positive(
-    score: float, rank: int, corpus_max_score: float
-) -> float:
-    """rank + (1 - score/corpus_max): rank dominates, the normalized
-    score only separates pairs ranked at the same position."""
+def difficulty_positive(score, rank, corpus_max_score: float):
+    """rank + (1 - score/corpus_max), of numbers or arrays: rank dominates,
+    the normalized score only separates pairs ranked at the same position."""
     if corpus_max_score <= 0.0:
         raise ValueError("degenerate scorer: max positive score <= 0")
-    if rank < 1:
+    if np.min(rank) < 1:
         raise ValueError("rank is 1-based")
     return rank + (1.0 - score / corpus_max_score)
 
 
-def difficulty_negative(score: float) -> float:
+def difficulty_negative(score):
     """The raw scorer value: a high-scoring unclicked document is hard."""
     return score
-
-
-def rank_of_positive(corpus_scores: np.ndarray, pos: int) -> int:
-    """1-based rank of the positive, the document at corpus position
-    `pos`, among all corpus documents; ties broken by corpus position
-    (doc id ascending)."""
-    s = corpus_scores[pos]
-    better = int(np.count_nonzero(corpus_scores > s))
-    tied_before = int(np.count_nonzero(corpus_scores[:pos] == s))
-    return better + tied_before + 1
 
 
 @dataclass
@@ -256,33 +245,36 @@ def build_ledger(
         raise ValueError("no contexts to build a ledger from")
     if neg_scorer.doc_ids != pos_scorer.doc_ids:
         raise ValueError("positive and negative scorers rank different corpora")
-    doc_pos = {d: i for i, d in enumerate(pos_scorer.doc_ids)}
+    doc_ids, n = pos_scorer.doc_ids, len(contexts)
+    doc_pos = {d: i for i, d in enumerate(doc_ids)}.__getitem__
+    pos = np.fromiter(map(doc_pos, (c.positive_doc_id for c in contexts)), np.intp, n)
+    pools = [c.negative_pool for c in contexts]
+    bounds = np.cumsum([0, *map(len, pools)])
+    neg = np.fromiter(map(doc_pos, chain.from_iterable(pools)), np.intp, bounds[-1])
+    neg_ctx = np.repeat(np.arange(n), np.diff(bounds))
+    s, rank, d_n = np.empty(n), np.empty(n, np.intp), np.empty(len(neg))
+    block = max(1, _BLOCK_CELLS // len(doc_ids))
+    for lo in range(0, n, block):
+        hi, ctxs = min(lo + block, n), contexts[lo:lo + block]
+        scores = pos_scorer.score_corpus(ctxs)
+        neg_scores = scores if neg_scorer is pos_scorer else neg_scorer.score_corpus(ctxs)
+        s[lo:hi] = own = scores[np.arange(hi - lo), pos[lo:hi]]
+        # 1-based rank among all documents, ties by corpus position (doc id)
+        tied_before = (scores == own[:, None]) & (np.arange(len(doc_ids)) < pos[lo:hi, None])
+        rank[lo:hi] = ((scores > own[:, None]) | tied_before).sum(1) + 1
+        at = slice(bounds[lo], bounds[hi])
+        d_n[at] = difficulty_negative(neg_scores[neg_ctx[at] - lo, neg[at]])
 
-    raw: list[tuple[SearchContext, int, float]] = []
-    corpus_max = -math.inf
-    negatives: dict[str, list[tuple[str, float]]] = {}
-    for ctx in contexts:
-        scores = pos_scorer.score_corpus(ctx)
-        neg_scores = scores if neg_scorer is pos_scorer else neg_scorer.score_corpus(ctx)
-        pos = doc_pos[ctx.positive_doc_id]
-        s = float(scores[pos])
-        raw.append((ctx, rank_of_positive(scores, pos), s))
-        corpus_max = max(corpus_max, s)
-        neg_scored = [
-            (d, difficulty_negative(float(neg_scores[doc_pos[d]])))
-            for d in ctx.negative_pool
-        ]
-        neg_scored.sort(key=lambda e: (-e[1], e[0]))
-        negatives[ctx.context_id] = neg_scored
-
-    positives = [
-        (ctx.context_id, ctx.positive_doc_id, difficulty_positive(s, rank, corpus_max))
-        for ctx, rank, s in raw
-    ]
-    positives.sort(key=lambda e: (e[2], e[0]))
+    d_p = difficulty_positive(s, rank, s.max())
+    ids = [c.context_id for c in contexts]
+    by_id = np.array(sorted(range(n), key=ids.__getitem__))
+    order = by_id[np.argsort(d_p[by_id], kind="stable")].tolist()  # by (d_p, context id)
+    neg_order = np.lexsort((neg, -d_n, neg_ctx))  # doc positions ascend with doc ids
+    negs = list(zip(map(doc_ids.__getitem__, neg[neg_order].tolist()), d_n[neg_order].tolist()))
     return DifficultyLedger(
-        positives=positives,
-        negatives=negatives,
+        positives=list(zip(map(ids.__getitem__, order),
+                           map(doc_ids.__getitem__, pos[order].tolist()), d_p[order].tolist())),
+        negatives={cid: negs[a:b] for cid, a, b in zip(ids, bounds.tolist(), bounds[1:].tolist())},
         pos_scorer_digest=pos_scorer.digest(),
         neg_scorer_digest=neg_scorer.digest(),
     )
@@ -299,16 +291,14 @@ def eligible_negative_count(n_negatives: np.ndarray, fraction: float) -> np.ndar
 
 def sample_batch(
     columns: LedgerColumns,
-    t: int,
     batch_size: int,
     m: int,
     rng: np.random.Generator,
     f_p: float,
     f_n: float,
 ) -> TrainingBatch:
-    """Draw one curriculum batch at training step t, from the easiest
-    fraction f_p of the positives and, for each, the hardest fraction f_n
-    of its negatives.
+    """Draw one curriculum batch from the easiest fraction f_p of the
+    positives and, for each, the hardest fraction f_n of its negatives.
 
     Positives come from one rng.choice, each item's m negatives from its
     own, all read in one rng.integers call (see _choose_each). The

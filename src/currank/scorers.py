@@ -1,16 +1,16 @@
 """Frozen relevance scorers that feed the difficulty functions.
 
 Every scorer has one surface: `doc_ids` is the corpus order (the
-sorted doc ids), `score_corpus` scores a SearchContext against every
-document in that order, and `digest` identifies the frozen scorer. The
-ledger reads a context's positive (whose rank needs the whole corpus)
-and its negatives out of one such array.
+sorted doc ids), `score_corpus` scores a block of SearchContexts against
+every document in that order, one row per context, and `digest`
+identifies the frozen scorer. The ledger reads a context's positive
+(whose rank needs the whole corpus) and its negatives out of its row.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .towers import DualEncoderParams, EncodedCorpus, Vocab
 class ScoreSource(Protocol):
     doc_ids: list[str]
 
-    def score_corpus(self, ctx: SearchContext) -> np.ndarray: ...
+    def score_corpus(self, ctxs: Sequence[SearchContext]) -> np.ndarray: ...
 
     def digest(self) -> str: ...
 
@@ -34,8 +34,8 @@ class Bm25Scorer:
         self.doc_ids = index.doc_ids
         self._weights = bm25.term_weights(index, params)
 
-    def score_corpus(self, ctx: SearchContext) -> np.ndarray:
-        return bm25.score_all(self._weights, len(self.doc_ids), ctx.context_tokens)
+    def score_corpus(self, ctxs: Sequence[SearchContext]) -> np.ndarray:
+        return bm25.score_all(self._weights, len(self.doc_ids), [c.context_tokens for c in ctxs])
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -57,8 +57,10 @@ class DenseScorer:
         doc_enc, _ = towers.encode_batch(params, corpus.docs, "document")
         self._doc_enc = doc_enc[[corpus.doc_row[d] for d in self.doc_ids]]
 
-    def score_corpus(self, ctx: SearchContext) -> np.ndarray:
-        return self._doc_enc @ self._ctx_enc[self._context_row[ctx.context_id]]
+    def score_corpus(self, ctxs: Sequence[SearchContext]) -> np.ndarray:
+        # A mat-vec per context: a matrix product's bits may depend on a row's place.
+        return np.stack([self._doc_enc @ self._ctx_enc[self._context_row[c.context_id]]
+                         for c in ctxs])
 
     def digest(self) -> str:
         h = hashlib.sha256(b"dense:")

@@ -248,7 +248,7 @@ def train(
     for t in range(start_step, T):
         f_p = 1.0 if pin_fp else pacing_positive(pacing, t)
         f_n = 1.0 if pin_fn else pacing_negative(pacing, t)
-        batch = sample_batch(columns, t, config.batch_size, config.m, rng_sampler, f_p, f_n)
+        batch = sample_batch(columns, config.batch_size, config.m, rng_sampler, f_p, f_n)
         try:
             report = loss_and_grad(params, *data.corpus.batch_rows(batch))
         except Exception as e:
@@ -321,11 +321,12 @@ def load_resume(path: str | Path, config: TrainConfig, vocab: Vocab) -> tuple:
     if differ:
         raise ValueError(f"{path}: checkpoint written under another config: " + ", ".join(
             f"{k} {saved.get(k)!r} (this run {run[k]!r})" for k in differ))
-    state = meta["sampler_state"]
+    state, sampler = meta["sampler_state"], np.random.default_rng().bit_generator
+    # Set on a generator like the run's sampler: a state it cannot take fails here.
+    sampler.state = {**state, "state": {k: int(v) for k, v in state["state"].items()}}
     return (RankerParams(encoder=enc, tau=config.tau),
             np.concatenate([extra[f"vel.{name}"].ravel() for name in PARAM_NAMES]),
-            int(meta["step"]),
-            {**state, "state": {k: int(v) for k, v in state["state"].items()}})
+            int(meta["step"]), sampler.state)
 
 
 def _save_train_checkpoint(path, params, vocab, velocity, step, rng_sampler, config):

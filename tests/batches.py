@@ -24,7 +24,7 @@ def sample_items(ledger, contexts, pacing, t, batch_size, m, rng, f_p=None, f_n=
     by_id = {c.context_id: c for c in contexts}
     f_p = pacing_positive(pacing, t) if f_p is None else f_p
     f_n = pacing_negative(pacing, t) if f_n is None else f_n
-    batch = sample_batch(columns, t, batch_size, m, rng, f_p, f_n)
+    batch = sample_batch(columns, batch_size, m, rng, f_p, f_n)
     return [(by_id[columns.context_ids[c]], docs[slate[0]],
              tuple(docs[d] for d in slate[1:]))
             for c, slate in zip(batch.contexts, batch.docs)]

@@ -6,8 +6,9 @@ loop_sample_batch, two_pass_validation_loss, entries_eval, the per-array
 parameter code (loop_init_params, per_array_checkpoint_bytes,
 per_array_dense_digest), the one-pair scorers (rank_score, dense_score),
 PerContextDenseScorer, pair_train_in_batch, per_call_score_all,
-PerCallBm25Scorer and the dict_write_* JSONL writers: earlier forms of
-library code, kept to show that the current forms compute the same bits.
+PerCallBm25Scorer, rank_of_positive, loop_build_ledger and the
+dict_write_* JSONL writers: earlier forms of library code, kept to show
+that the current forms compute the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from currank import towers
 from currank.bm25 import idf
 from currank.dense import in_batch_loss_and_grad
 from currank.checkpoint import FORMAT_VERSION, MAGIC
-from currank.curriculum import TrainingBatch
+from currank.curriculum import DifficultyLedger, TrainingBatch, difficulty_positive
 from currank.metrics import evaluate_run
 from currank.ranker import order_slate
 from currank.scorers import Bm25Scorer
@@ -67,7 +68,7 @@ def per_call_score_all(index, params, query_tokens) -> np.ndarray:
 
 class PerCallBm25Scorer:
     """scorers.Bm25Scorer as it scored every context through
-    per_call_score_all."""
+    per_call_score_all, one row per context of a block."""
 
     def __init__(self, index, params):
         self.index = index
@@ -75,8 +76,41 @@ class PerCallBm25Scorer:
         self.doc_ids = index.doc_ids
         self.digest = Bm25Scorer(index, params).digest
 
-    def score_corpus(self, ctx) -> np.ndarray:
-        return per_call_score_all(self.index, self.params, ctx.context_tokens)
+    def score_corpus(self, ctxs) -> np.ndarray:
+        return np.stack([per_call_score_all(self.index, self.params, c.context_tokens)
+                         for c in ctxs])
+
+
+def rank_of_positive(corpus_scores: np.ndarray, pos: int) -> int:
+    """1-based rank of the positive, the document at corpus position
+    `pos`, among all corpus documents; ties broken by corpus position
+    (doc id ascending)."""
+    s = corpus_scores[pos]
+    better = int(np.count_nonzero(corpus_scores > s))
+    tied_before = int(np.count_nonzero(corpus_scores[:pos] == s))
+    return better + tied_before + 1
+
+
+def loop_build_ledger(pos_scorer, neg_scorer, contexts) -> DifficultyLedger:
+    """curriculum.build_ledger one context at a time: score it, rank its
+    positive, sort its negatives by (-d_n, doc id); then sort the
+    positives by (d_p, context id)."""
+    doc_pos = {d: i for i, d in enumerate(pos_scorer.doc_ids)}
+    raw, corpus_max, negatives = [], -math.inf, {}
+    for ctx in contexts:
+        scores = pos_scorer.score_corpus([ctx])[0]
+        neg_scores = scores if neg_scorer is pos_scorer else neg_scorer.score_corpus([ctx])[0]
+        pos = doc_pos[ctx.positive_doc_id]
+        s = float(scores[pos])
+        raw.append((ctx, rank_of_positive(scores, pos), s))
+        corpus_max = max(corpus_max, s)
+        negatives[ctx.context_id] = sorted(
+            ((d, float(neg_scores[doc_pos[d]])) for d in ctx.negative_pool),
+            key=lambda e: (-e[1], e[0]))
+    positives = sorted(
+        ((ctx.context_id, ctx.positive_doc_id, difficulty_positive(s, rank, corpus_max))
+         for ctx, rank, s in raw), key=lambda e: (e[2], e[0]))
+    return DifficultyLedger(positives, negatives, pos_scorer.digest(), neg_scorer.digest())
 
 
 def naive_ap(ranked: list[str], relevant: set[str]) -> float | None:
@@ -177,7 +211,7 @@ def loop_validation_loss(params, vocab, eval_items, documents) -> float:
     return total / count if count else 0.0
 
 
-def loop_sample_batch(columns, t, batch_size, m, rng, f_p, f_n):
+def loop_sample_batch(columns, batch_size, m, rng, f_p, f_n):
     """curriculum.sample_batch one item at a time: one rng.choice for the
     positives, then one rng.choice per item for its negatives."""
     n_pos = len(columns.context_ids)
@@ -322,9 +356,11 @@ class PerContextDenseScorer:
             vocab.encode(documents[d].title_tokens) for d in self.doc_ids)
         self._doc_enc, _ = towers.encode_batch(params, doc_rows, "document")
 
-    def score_corpus(self, ctx) -> np.ndarray:
-        c = towers.encode(self.params, self.vocab.encode(ctx.context_tokens), "context")
-        return self._doc_enc @ c
+    def score_corpus(self, ctxs) -> np.ndarray:
+        return np.stack([
+            self._doc_enc @ towers.encode(self.params, self.vocab.encode(c.context_tokens),
+                                          "context")
+            for c in ctxs])
 
     def digest(self) -> str:
         return per_array_dense_digest([self.params.flat], self.vocab)

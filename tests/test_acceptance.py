@@ -31,7 +31,6 @@ from currank.curriculum import (
     eligible_positive_count,
     pacing_negative,
     pacing_positive,
-    rank_of_positive,
 )
 from currank.manifest import MANIFEST_NAME
 from currank.metrics import NDCG_CUTOFFS, evaluate_run
@@ -65,6 +64,7 @@ from oracles import (
     naive_bm25,
     naive_ndcg,
     naive_rr,
+    rank_of_positive,
 )
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "acceptance_corpus.json"
@@ -326,7 +326,7 @@ def test_criterion_6_oracle_equivalence():
             for _ in range(10):
                 query = list(rng.choice(tokens, size=int(rng.integers(1, 5))))
                 all_scores = bm25.score_all(bm25.term_weights(index, params),
-                                            len(index.doc_ids), query)
+                                            len(index.doc_ids), [query])[0]
                 for pos, doc_id in enumerate(index.doc_ids):
                     want = naive_bm25(raw, query, doc_id)
                     assert all_scores[pos] == pytest.approx(want, abs=1e-9)

@@ -18,7 +18,7 @@ from oracles import naive_bm25, per_call_score_all
 
 def score(index, params, query, doc_id):
     """One document's entry of the corpus scores."""
-    scores = score_all(term_weights(index, params), len(index.doc_ids), query)
+    scores = score_all(term_weights(index, params), len(index.doc_ids), [query])[0]
     return scores[index.doc_ids.index(doc_id)]
 
 
@@ -187,6 +187,6 @@ class TestScoreMatchesPerCallOracle:
                 # repeated terms, terms no document has, the separator, empty queries
                 query = rng.choice(words + ["oov", "|"], size=int(rng.integers(0, 15))).tolist()
                 want = per_call_score_all(index, params, query)
-                assert np.array_equal(score_all(weights, len(index.doc_ids), query), want)
+                assert np.array_equal(score_all(weights, len(index.doc_ids), [query])[0], want)
                 ctx = SearchContext("s", 1, tuple(query), "d000", ())
-                assert np.array_equal(scorer.score_corpus(ctx), want)
+                assert np.array_equal(scorer.score_corpus([ctx])[0], want)

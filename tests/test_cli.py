@@ -10,16 +10,18 @@ import shutil
 import signal
 import subprocess
 import sys
+import struct
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from currank import cli, trainer
-from currank.checkpoint import file_digest, load_checkpoint, save_checkpoint
+from currank.checkpoint import MAGIC, file_digest, load_checkpoint, save_checkpoint
 from currank.cli import LOCK_NAME, build_vocab, in_split, load_bundle, main, split_of
 from currank.curriculum import load_ledger, save_ledger
 from currank.manifest import MANIFEST_NAME, RunManifest, write_manifest
@@ -1351,6 +1353,15 @@ class TestBundleRecordTypes:
         assert not out.exists()
 
 
+def check_exit(command: str, *argv, out: Path) -> None:
+    """Run `command`: it must exit 0 or 2, and a 2 must leave no `out`."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run_cli(command, *argv, "--out", out)
+    assert rc in (0, 2), f"{command} exited {rc}: {err.getvalue()}"
+    assert rc == 0 or not out.exists(), f"{command} left {out}: {err.getvalue()}"
+
+
 # bundle file -> the fields a corruption may strike ("a.b": field b of an entry of a)
 BUNDLE_FIELDS = {
     "documents.jsonl": ["doc_id", "title_tokens"],
@@ -1415,11 +1426,7 @@ class TestCorruptedBundle:
                  "--batch-size", 8),
                 ("eval", "--checkpoint", train_dir / "checkpoint.bin"),
             ]:
-                out, err = Path(tmp) / command, io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    rc = run_cli(command, "--bundle", bundle, *flags, "--out", out)
-                assert rc in (0, 2), f"{command} exited {rc}: {err.getvalue()}"
-                assert rc == 0 or not out.exists(), f"{command} left {out}: {err.getvalue()}"
+                check_exit(command, "--bundle", bundle, *flags, out=Path(tmp) / command)
 
 
 def corrupt_ledger(path: Path, data) -> None:
@@ -1475,12 +1482,136 @@ class TestCorruptedLedger:
             ledger = Path(tmp) / "ledger.json"
             shutil.copyfile(ledger_dir / "ledger.json", ledger)
             corrupt_ledger(ledger, data)
-            out, err = Path(tmp) / "train", io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                rc = run_cli("train", "--bundle", bundle_dir, "--ledger", ledger,
-                             "--steps", 10, "--batch-size", 8, "--out", out)
-            assert rc in (0, 2), f"train exited {rc}: {err.getvalue()}"
-            assert rc == 0 or not out.exists(), f"train left {out}: {err.getvalue()}"
+            check_exit("train", "--bundle", bundle_dir, "--ledger", ledger, "--steps", 10,
+                       "--batch-size", 8, out=Path(tmp) / "train")
+
+
+@pytest.fixture(scope="module")
+def periodic_dir(tmp_path_factory, bundle_dir, ledger_dir):
+    out = tmp_path_factory.mktemp("periodic")
+    assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                   *RESUMABLE_RUN, "--out", out) == 0
+    return out
+
+
+RESUMABLE_RUN = ("--steps", 10, "--batch-size", 8, "--checkpoint-interval", 5)
+
+
+def _holders(tree: dict, name: str = "") -> list[tuple[str, dict]]:
+    """(dotted name, mapping) of `tree` and of every mapping nested in it."""
+    return [(name, tree)] + [h for key, value in sorted(tree.items()) if isinstance(value, dict)
+                             for h in _holders(value, f"{name}.{key}")]
+
+
+def corrupt_mapping(tree: dict, data) -> None:
+    """Drop a key of `tree` or of a mapping in it, change a key's value to
+    another type, or add a key no reader knows, as `data` draws."""
+    how = data.draw(st.sampled_from(["drop a key", "change a type", "add an unknown key"]),
+                    label="corruption")
+    _, holder = data.draw(st.sampled_from(_holders(tree)), label="mapping")
+    if how == "add an unknown key":
+        holder["zz_unknown"] = data.draw(ODD_VALUES, label="value")
+    elif holder:
+        key = data.draw(st.sampled_from(sorted(holder)), label="key")
+        if how == "drop a key":
+            del holder[key]
+        else:
+            holder[key] = data.draw(ODD_VALUES, label="value")
+
+
+def edit_checkpoint_header(src: Path, dst: Path, edit) -> None:
+    """Write the checkpoint `src` to `dst` with `edit` applied to its JSON
+    header; the arrays keep their bytes."""
+    raw = src.read_bytes()
+    start = len(MAGIC) + 4
+    (size,) = struct.unpack("<I", raw[len(MAGIC):start])
+    header = json.loads(raw[start:start + size])
+    edit(header)
+    blob = json.dumps(header).encode()
+    dst.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[start + size:])
+
+
+def corrupt_checkpoint(path: Path, data) -> None:
+    """Truncate the checkpoint at `path`, or corrupt its JSON header (the
+    kind, vocabulary, array list and meta, with the run's config and
+    sampler state) with corrupt_mapping."""
+    if data.draw(st.booleans(), label="truncate"):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+    else:
+        edit_checkpoint_header(path, path, lambda header: corrupt_mapping(header, data))
+
+
+def corrupt_config(path: Path, data) -> None:
+    """Truncate the YAML config at `path`, or corrupt its mapping with corrupt_mapping."""
+    text = path.read_text()
+    if data.draw(st.booleans(), label="truncate"):
+        path.write_text(text[:data.draw(st.integers(0, len(text) - 1), label="length")])
+        return
+    config = yaml.safe_load(text)
+    corrupt_mapping(config, data)
+    path.write_text(yaml.safe_dump(config))
+
+
+class TestCorruptedCheckpoint:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_resume_and_eval_exit_zero_or_two_and_two_leaves_no_output(
+            self, bundle_dir, ledger_dir, periodic_dir, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = Path(tmp) / "ckpt.bin"
+            shutil.copyfile(periodic_dir / "ckpt_00000005.bin", ckpt)
+            corrupt_checkpoint(ckpt, data)
+            check_exit("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                       *RESUMABLE_RUN, "--resume", ckpt, out=Path(tmp) / "train")
+            check_exit("eval", "--bundle", bundle_dir, "--checkpoint", ckpt,
+                       out=Path(tmp) / "eval")
+
+
+class TestMalformedCheckpoint:
+    """A checkpoint header that a reader cannot take exits 2 naming the file."""
+
+    @pytest.mark.parametrize("command, edit, message", [
+        ("train", lambda h: h.pop("meta"), "malformed checkpoint: KeyError('meta')"),
+        ("train", lambda h: h["meta"].update(step=None), "malformed checkpoint: TypeError"),
+        ("train", lambda h: h["meta"]["sampler_state"]["state"].update(inc=-1),
+         "malformed checkpoint: OverflowError"),
+        ("eval", lambda h: h["meta"].update(tau=[5]), "malformed checkpoint: TypeError"),
+        ("eval", lambda h: h.update(arrays=5), "malformed checkpoint: TypeError"),
+        ("eval", lambda h: h.update(vocab=h["vocab"][2:]),
+         "vocabulary does not start with ['<pad>', '<unk>']"),
+    ], ids=["no-meta", "step-none", "negative-sampler-state", "tau-list", "arrays-int",
+            "vocab-without-unk"])
+    def test_exits_two_and_leaves_no_output(self, bundle_dir, ledger_dir, periodic_dir,
+                                            tmp_path, capsys, command, edit, message):
+        ckpt = tmp_path / "ckpt.bin"
+        edit_checkpoint_header(periodic_dir / "ckpt_00000005.bin", ckpt, edit)
+        flags = ("--ledger", ledger_dir / "ledger.json", *RESUMABLE_RUN, "--resume", ckpt) \
+            if command == "train" else ("--checkpoint", ckpt)
+        out = tmp_path / "o"
+        assert run_cli(command, "--bundle", bundle_dir, *flags, "--out", out) == 2
+        assert f"error: {ckpt}: " in (err := capsys.readouterr().err) and message in err
+        assert not out.exists()
+
+
+class TestCorruptedConfig:
+    CONFIG = {"steps": 10, "batch_size": 8, "checkpoint_interval": 5, "lr": 0.05,
+              "mode": "dual", "seed": 1, "split": "val", "tag": "run"}
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_train_and_eval_exit_zero_or_two_and_two_leaves_no_output(
+            self, bundle_dir, ledger_dir, train_dir, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.yaml"
+            config.write_text(yaml.safe_dump(self.CONFIG))
+            corrupt_config(config, data)
+            check_exit("train", "--config", config, "--bundle", bundle_dir,
+                       "--ledger", ledger_dir / "ledger.json", out=Path(tmp) / "train")
+            check_exit("eval", "--config", config, "--bundle", bundle_dir,
+                       "--checkpoint", train_dir / "checkpoint.bin", out=Path(tmp) / "eval")
 
 
 class TestManifestConfig:
@@ -1553,6 +1684,20 @@ class TestFailedCommandOutput:
         assert run_cli(command, "--bundle", bundle_dir, *flags, "--out", out) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["the-file", "below-the-file"])
+    def test_out_at_or_below_a_file_exits_two_before_any_work(
+            self, bundle_dir, tmp_path, monkeypatch, capsys, below):
+        def no_work(*args, **kwargs):
+            raise AssertionError("read the bundle before checking --out")
+
+        monkeypatch.setattr(cli, "load_bundle", no_work)
+        afile = tmp_path / "afile"
+        afile.write_text("mine\n")
+        out = afile.joinpath(*below)
+        assert run_cli("score", "--bundle", bundle_dir, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {afile} is not a directory\n"
+        assert afile.read_text() == "mine\n"
 
     def test_only_the_leaf_is_removed(self, bundle_dir, tmp_path):
         out = tmp_path / "new" / "o"

@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from currank import curriculum
 from currank.bm25 import Bm25Params, build_index
 from currank.curriculum import (
     DifficultyLedger,
@@ -18,7 +20,6 @@ from currank.curriculum import (
     load_ledger,
     pacing_negative,
     pacing_positive,
-    rank_of_positive,
     sample_batch,
     save_ledger,
 )
@@ -27,7 +28,13 @@ from currank.sessions import Document, Interaction, SearchContext, Session, buil
 from currank.towers import Vocab, encode_corpus, init_params
 
 from batches import sample_items
-from oracles import PerCallBm25Scorer, loop_sample_batch
+from oracles import (
+    PerCallBm25Scorer,
+    loop_build_ledger,
+    loop_sample_batch,
+    per_call_score_all,
+    rank_of_positive,
+)
 
 
 def random_pacing(rng, T=None):
@@ -153,7 +160,7 @@ class TestDifficultyNegative:
         }
         index = build_index(docs)
         query = SearchContext("s0", 1, ("chanel",), "hit", ("miss",))
-        scores = Bm25Scorer(index, Bm25Params()).score_corpus(query)
+        scores = Bm25Scorer(index, Bm25Params()).score_corpus([query])[0]
         d_hit = difficulty_negative(scores[index.doc_ids.index("hit")])
         d_miss = difficulty_negative(scores[index.doc_ids.index("miss")])
         assert d_hit > d_miss
@@ -216,9 +223,8 @@ class TestBuildLedger:
         # hand check: under C=(clay aiken), p0 matches both terms and must
         # rank 1; under C=(chanel,), p1 is the only match and ranks 1; the
         # tie at rank 1 is broken by the normalized score term.
-        clay = dict(zip(scorer.doc_ids, scorer.score_corpus(contexts[0])))  # (clay aiken)
-        s0 = clay["p0"]
-        s1 = dict(zip(scorer.doc_ids, scorer.score_corpus(contexts[1])))["p1"]  # (chanel,)
+        clay, chanel = (dict(zip(scorer.doc_ids, row)) for row in scorer.score_corpus(contexts))
+        s0, s1 = clay["p0"], chanel["p1"]
         first = ledger.positives[0]
         expected_first = "s0:1:p0" if s0 >= s1 else "s1:1:p1"
         assert first[0] == expected_first
@@ -324,9 +330,83 @@ class TestBuildLedgerMatchesPerCallScorer:
         index, params = build_index(docs), Bm25Params()
         scorer, oracle = Bm25Scorer(index, params), PerCallBm25Scorer(index, params)
         ledger = build_ledger(scorer, scorer, contexts)
-        want = build_ledger(oracle, oracle, contexts)
-        assert ledger.positives == want.positives
-        assert ledger.negatives == want.negatives
+        assert ledger == loop_build_ledger(oracle, oracle, contexts)
+
+    def test_contexts_across_a_full_size_block(self):
+        """2,000 documents make a block of 65 contexts; 150 contexts span three."""
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(40)]
+        docs = {f"d{j:04d}": Document(f"d{j:04d}", tuple(rng.choice(words, 4).tolist()))
+                for j in range(2000)}
+        ids = sorted(docs)
+        contexts = [SearchContext(f"s{i}", 1, tuple(rng.choice(words, 5).tolist()),
+                                  ids[int(rng.integers(2000))],
+                                  tuple(ids[j] for j in rng.choice(2000, 5, replace=False)))
+                    for i in range(150)]
+        index, params = build_index(docs), Bm25Params()
+        assert curriculum._BLOCK_CELLS // len(ids) < 150 // 2
+        scorer, oracle = Bm25Scorer(index, params), PerCallBm25Scorer(index, params)
+        want = loop_build_ledger(oracle, oracle, contexts)
+        assert build_ledger(scorer, scorer, contexts) == want
+
+
+@st.composite
+def ledger_worlds(draw):
+    """A small corpus with BM25 parameters, contexts over it and a block
+    size. Few words make repeated tokens, equal titles, tied positives and
+    tied negatives common; "oov" and the separator are unknown to every
+    document; a context may have no tokens or only unknown ones; a document
+    may have an empty title."""
+    words = [f"w{i}" for i in range(draw(st.integers(1, 6)))]
+    titles = draw(st.lists(st.lists(st.sampled_from(words), max_size=4), min_size=2, max_size=12)
+                  .filter(any))  # all-empty titles have no average length
+    docs = {f"d{j:02d}": Document(f"d{j:02d}", tuple(t)) for j, t in enumerate(titles)}
+    ids = sorted(docs)
+    contexts = []
+    # Session ids drawn out of order, so that the context-id order is not the input order.
+    for n, session in enumerate(draw(st.lists(st.integers(0, 99), min_size=1, max_size=40,
+                                              unique=True))):
+        tokens = draw(st.lists(st.sampled_from(words + ["oov", "|"]), max_size=6))
+        positive = draw(st.sampled_from(ids))
+        pool = draw(st.lists(st.sampled_from([d for d in ids if d != positive]),
+                             min_size=1, max_size=5, unique=True))
+        contexts.append(SearchContext(str(session), 1 + n % 2, tuple(tokens), positive,
+                                      tuple(pool)))
+    params = Bm25Params(k1=draw(st.sampled_from([0.0, 1.2, 2.5])),
+                        b=draw(st.sampled_from([0.0, 0.75, 1.0])))
+    return docs, contexts, params, draw(st.integers(1, 64))
+
+
+class TestBlockLedgerMatchesPerContextLoop:
+    """Scoring blocks of contexts gives the bits of scoring each context on
+    its own, and build_ledger the per-context loop's ledger."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(world=ledger_worlds(), kinds=st.sampled_from(
+        [("bm25", "bm25"), ("dense", "dense"), ("bm25", "dense"), ("dense", "bm25")]),
+        seed=st.integers(0, 2**16))
+    def test_random_worlds(self, world, kinds, seed):
+        docs, contexts, params, block_cells = world
+        index = build_index(docs)
+        bm25 = Bm25Scorer(index, params)
+        want = np.stack([per_call_score_all(index, params, c.context_tokens) for c in contexts])
+        assert bm25.score_corpus(contexts).tobytes() == want.tobytes()
+
+        vocab = Vocab({t for d in docs.values() for t in d.title_tokens})
+        dense = DenseScorer(init_params(len(vocab), 4, 3, np.random.default_rng(seed)), vocab,
+                            encode_corpus(vocab, docs, {c.context_id: c.context_tokens
+                                                        for c in contexts}))
+        scorers = {"bm25": bm25, "dense": dense}
+        pos_scorer, neg_scorer = scorers[kinds[0]], scorers[kinds[1]]
+        try:
+            want = loop_build_ledger(pos_scorer, neg_scorer, contexts)
+        except ValueError as e:  # every positive scores 0
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                build_ledger(pos_scorer, neg_scorer, contexts)
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(curriculum, "_BLOCK_CELLS", block_cells)
+            assert build_ledger(pos_scorer, neg_scorer, contexts) == want
 
 
 class TestLedgerColumnsRefuses:
@@ -509,8 +589,8 @@ class TestSamplerMatchesPerItemLoop:
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         for t, f_n in enumerate(f_n_values):
             f_p = min(1.0, batch_size / len(columns.context_ids) + t / 10)
-            got = sample_batch(columns, t, batch_size, m, fast, f_p, f_n)
-            want = loop_sample_batch(columns, t, batch_size, m, slow, f_p, f_n)
+            got = sample_batch(columns, batch_size, m, fast, f_p, f_n)
+            want = loop_sample_batch(columns, batch_size, m, slow, f_p, f_n)
             assert np.array_equal(got.contexts, want.contexts)
             assert np.array_equal(got.docs, want.docs)
             assert fast.bit_generator.state == slow.bit_generator.state

@@ -111,7 +111,7 @@ class TestDenseScore:
         docs = [Document(f"d{j}", (f"t{j % 10}",)) for j in range(4)]
         scorer = dense_scorer(params, vocab, doc_table(docs), contexts)
         for ctx in contexts:
-            corpus = scorer.score_corpus(ctx)
+            corpus = scorer.score_corpus([ctx])[0]
             for j, doc in enumerate(docs):
                 expected = dense_score(params, vocab, ctx.context_tokens, doc.title_tokens)
                 assert corpus[j] == pytest.approx(expected, abs=1e-12)
@@ -126,9 +126,9 @@ class TestScoreAll:
         ctx = contexts_of([["a"]])[0]
         scorer = dense_scorer(params, vocab, {"d": Document("d", ("b",))}, [ctx])
         expected = dense_score(params, vocab, ["a"], ["b"])
-        corpus = scorer.score_corpus(ctx)
-        assert corpus.shape == (1,)
-        assert corpus[0] == pytest.approx(expected, abs=1e-12)
+        corpus = scorer.score_corpus([ctx])
+        assert corpus.shape == (1, 1)
+        assert corpus[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_permutation_equivariance(self, rng):
         # Reversing which doc id carries which title reverses the corpus
@@ -141,10 +141,9 @@ class TestScoreAll:
         base = dense_scorer(params, vocab, doc_table(map(Document, ids, titles)), contexts)
         perm = dense_scorer(params, vocab, doc_table(map(Document, ids, titles[::-1])),
                             contexts)
-        for ctx in contexts:
-            assert np.allclose(
-                base.score_corpus(ctx)[::-1], perm.score_corpus(ctx), atol=0,
-            )
+        assert np.allclose(
+            base.score_corpus(contexts)[:, ::-1], perm.score_corpus(contexts), atol=0,
+        )
 
     def test_encode_call_budget(self, rng):
         vocab = Vocab([f"t{i}" for i in range(8)])
@@ -153,8 +152,7 @@ class TestScoreAll:
         docs = [Document(f"d{j}", (f"t{j % 8}",)) for j in range(20)]
         before = towers.ENCODE_CALLS
         scorer = dense_scorer(params, vocab, doc_table(docs), contexts)
-        for ctx in contexts:
-            scorer.score_corpus(ctx)
+        scorer.score_corpus(contexts)
         distinct_titles = len({d.title_tokens for d in docs})
         assert towers.ENCODE_CALLS - before == len(contexts) + distinct_titles
 
@@ -166,8 +164,7 @@ class TestScoreAll:
         a = dense_scorer(params, vocab, docs, contexts)
         b = dense_scorer(params, vocab, docs, contexts)
         assert a.digest() == b.digest()
-        for ctx in contexts:
-            assert np.array_equal(a.score_corpus(ctx), b.score_corpus(ctx))
+        assert np.array_equal(a.score_corpus(contexts), b.score_corpus(contexts))
 
     def test_digest_and_checkpoint_equal_the_per_array_code(self, rng, tmp_path):
         vocab = Vocab([f"t{i}" for i in range(8)])
@@ -287,8 +284,8 @@ class TestBatchedScorerMatchesPerContextOracle:
         oracle = PerContextDenseScorer(params, vocab, docs)
         assert batched.doc_ids == oracle.doc_ids
         assert batched.digest() == oracle.digest()
-        for ctx in contexts:
-            assert np.max(np.abs(batched.score_corpus(ctx) - oracle.score_corpus(ctx))) < 1e-12
+        assert np.max(np.abs(batched.score_corpus(contexts) - oracle.score_corpus(contexts))) \
+            < 1e-12
 
     # d58 and d59 share a title: the batched scorer scores them from one
     # row, so they tie exactly and fall back to doc-id order; the oracle

@@ -203,7 +203,7 @@ class TestTrain:
         want = init_ranker(len(data.vocab), 8, 8, np.random.default_rng([4, 0]))
         rng = np.random.default_rng([4, 1])
         for t in range(config.pacing.T):
-            batch = sample_batch(data.columns, t, 8, 2, rng, pacing_positive(config.pacing, t),
+            batch = sample_batch(data.columns, 8, 2, rng, pacing_positive(config.pacing, t),
                                  pacing_negative(config.pacing, t))
             report = loss_and_grad(want, *data.corpus.batch_rows(batch))
             want.encoder.flat[...] -= 0.3 * report.grads.flat
