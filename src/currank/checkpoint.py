@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,9 @@ from .towers import PARAM_NAMES, DualEncoderParams, Vocab, params_of, split_flat
 
 MAGIC = b"CURRANK1"
 FORMAT_VERSION = 1
+
+# Every JSON writer's text: keys sorted, and NaN or infinity refused (ValueError).
+strict_json = partial(json.dumps, sort_keys=True, allow_nan=False)
 
 
 def save_checkpoint(
@@ -42,7 +46,7 @@ def save_checkpoint(
         "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()],
         "meta": meta or {},
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    blob = strict_json(header, separators=(",", ":")).encode()
     write_atomic(path, b"".join([
         MAGIC, struct.pack("<I", len(blob)), blob,
         *(np.ascontiguousarray(arr, dtype="<f8").tobytes()
@@ -70,6 +74,8 @@ def load_checkpoint(
             raise ValueError(f"{path}: parameter arrays {names[:k]} out of order")
         sizes = [math.prod(shape) for shape in shapes]
         data = np.frombuffer(_read_exact(fp, sum(sizes) * 8, path, "arrays"), dtype="<f8")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: malformed checkpoint: non-finite array values")
     n = sum(sizes[:k])  # parameters first, then the extra arrays
     params = params_of(data[:n].copy(), shapes[:k])
     arrays = dict(zip(names[k:], split_flat(data[n:].copy(), shapes[k:])))

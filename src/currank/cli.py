@@ -6,7 +6,8 @@ digests next to them, and takes an exclusive lock on the output
 directory. Flags override values from an optional YAML --config file,
 which overrides built-in defaults.
 
-Exit codes: 0 success, 1 internal failure, 2 usage or input error.
+Exit codes: 0 success, 1 internal failure, 2 usage or input error or a
+diverged run (non-finite scores or parameters in training or the dense fit).
 
 Each command runs with the cyclic garbage collector off (see `main`).
 """
@@ -18,7 +19,6 @@ import contextlib
 import ctypes
 import gc
 import hashlib
-import json
 import math
 import os
 import sys
@@ -364,12 +364,10 @@ def cmd_train(args) -> int:
             out_dir, outputs, manifest):
         params, log = train(config, data, slates, checkpoint_dir=out_dir, resume=resume)
         ckpt_path, log_path = out_dir / "checkpoint.bin", out_dir / "trainlog.jsonl"
+        lines = [checkpoint.strict_json(rec) + "\n"  # refused before anything is written
+                 for rec in log.steps + [{"validation": rec} for rec in log.validations]]
         save_ranker(ckpt_path, params, data.vocab)
-        with open(log_path, "w") as fp:
-            for rec in log.steps:
-                fp.write(json.dumps(rec, sort_keys=True) + "\n")
-            for rec in log.validations:
-                fp.write(json.dumps({"validation": rec}, sort_keys=True) + "\n")
+        log_path.write_text("".join(lines))
         outputs += [ckpt_path, *log.checkpoints, log_path]
         manifest.scorer_digest = f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}"
     print(f"steps: {len(log.steps)} (T={config.pacing.T}, mode={config.mode})")
@@ -398,7 +396,7 @@ def cmd_eval(args) -> int:
             write_run_file(ranked, args.tag, fp)
         with open(outputs[1], "w") as fp:
             write_qrels(ranked, fp)
-        outputs[2].write_text(json.dumps(asdict(table), sort_keys=True, indent=2) + "\n")
+        outputs[2].write_text(checkpoint.strict_json(asdict(table), indent=2) + "\n")
     for name, value in table.metrics.items():
         print(f"{name}: {value:.4f}")
     print(f"queries evaluated: {table.evaluated_queries} "
@@ -465,7 +463,7 @@ def cmd_ablate(args) -> int:
                   if "mode" in row else
                   f"delta={row['delta']:.2f} eta={row['eta']:.2f}: MAP={row['MAP']:.4f}")
         outputs.append(out_dir / "ablation.json")
-        outputs[0].write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        outputs[0].write_text(checkpoint.strict_json(payload, indent=2) + "\n")
     return 0
 
 
@@ -619,7 +617,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code
-    except (SessionLogError, ValueError) as e:
+    except (SessionLogError, ValueError, FloatingPointError) as e:  # the last: a run diverged
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # internal failure

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import write_atomic
+from .checkpoint import strict_json, write_atomic
 from .scorers import ScoreSource
 from .sessions import SearchContext
 
@@ -39,14 +39,12 @@ class PacingParams:
 
     def __post_init__(self):
         # delta/eta admit 1.0 as a curriculum-disabling sentinel.
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must be in (0, 1]")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must be in (0, 1]")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
+        for name in ("delta", "eta"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in (0, 1]")
+        for name in ("alpha", "beta"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in (0, 1)")
         if self.k < 1.0:
             raise ValueError("k must be >= 1")
         # T = 0 is allowed as a no-op training budget.
@@ -342,7 +340,7 @@ def _choose_each(rng: np.random.Generator, n: np.ndarray, m: int) -> np.ndarray:
 
 def save_ledger(ledger: DifficultyLedger, path: str | Path) -> None:
     payload = {"version": LEDGER_FORMAT_VERSION, **vars(ledger)}
-    write_atomic(path, json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+    write_atomic(path, strict_json(payload, separators=(",", ":")).encode())
 
 
 def load_ledger(path: str | Path) -> DifficultyLedger:

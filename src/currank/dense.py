@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import towers
+from .ranker import check_finite, softmax_cross_entropy
 from .towers import DualEncoderParams, TokenRows
 
 
@@ -22,23 +23,16 @@ def in_batch_loss_and_grad(
     Row i of the score matrix holds context i against every document of
     the batch, n >= 2 rows on each side; the diagonal entry is the positive.
     """
-    n = len(ctx_rows)
     c_enc, c_cache = towers.encode_batch(params, ctx_rows, "context")
     d_enc, d_cache = towers.encode_batch(params, doc_rows, "document")
-    scores = c_enc @ d_enc.T
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = float(-np.mean(np.log(probs[np.arange(n), np.arange(n)])))
-    dscores = probs.copy()
-    dscores[np.arange(n), np.arange(n)] -= 1.0
-    dscores /= n
+    losses, dscores = softmax_cross_entropy(c_enc @ d_enc.T, np.arange(len(ctx_rows)))
     grads = params.like(np.zeros_like(params.flat))
     towers.backward_batch(
         params, [(c_cache, dscores @ d_enc), (d_cache, dscores.T @ c_enc)], grads)
-    return loss, grads
+    return float(np.mean(losses)), grads
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise below instead
 def train_in_batch(
     params: DualEncoderParams,
     ctx_rows: TokenRows,
@@ -51,7 +45,8 @@ def train_in_batch(
     """SGD fine-tuning on positive pairs: context row i with document row i.
 
     Updates `params` in place and returns the mean loss per epoch.
-    Deterministic under a fixed seed.
+    Deterministic under a fixed seed. A non-finite score, loss or
+    parameter raises FloatingPointError naming the epoch.
     """
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2 for in-batch negatives")
@@ -59,17 +54,22 @@ def train_in_batch(
         raise ValueError("need at least 2 positive pairs, one document row per context row")
     rng = np.random.default_rng(seed)
     epoch_losses = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = rng.permutation(len(ctx_rows))
         losses = []
-        for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            if len(batch) < 2:
-                continue  # a trailing singleton has no in-batch negatives
-            loss, grads = in_batch_loss_and_grad(
-                params, ctx_rows.take(batch), doc_rows.take(batch)
-            )
-            params.flat[...] -= learning_rate * grads.flat
-            losses.append(loss)
+        try:
+            for start in range(0, len(order), batch_size):
+                batch = order[start : start + batch_size]
+                if len(batch) < 2:
+                    continue  # a trailing singleton has no in-batch negatives
+                loss, grads = in_batch_loss_and_grad(
+                    params, ctx_rows.take(batch), doc_rows.take(batch)
+                )
+                params.flat[...] -= learning_rate * grads.flat
+                losses.append(loss)
+            check_finite(params.flat, "dense scorer parameters")
+        except FloatingPointError as e:
+            raise FloatingPointError(f"epoch {epoch}: {e}; the dense fit diverged "
+                                     f"under --fit-lr {learning_rate:g}") from e
         epoch_losses.append(float(np.mean(losses)))
     return epoch_losses

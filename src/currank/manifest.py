@@ -8,13 +8,12 @@ byte for byte (timestamps live only in the manifest itself).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .checkpoint import file_digest, write_atomic
+from .checkpoint import file_digest, strict_json, write_atomic
 
 MANIFEST_NAME = "manifest.json"
 
@@ -42,5 +41,5 @@ def digest_paths(paths: list[Path], base: Path | None = None) -> dict[str, str]:
 def write_manifest(out_dir: Path, manifest: RunManifest) -> Path:
     manifest.created_at = datetime.now(timezone.utc).isoformat()
     path = out_dir / MANIFEST_NAME
-    write_atomic(path, (json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n").encode())
+    write_atomic(path, (strict_json(asdict(manifest), indent=2) + "\n").encode())
     return path

@@ -23,7 +23,7 @@ class RankerParams:
     tau: float = 1.0  # temperature; fixed during training
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:  # NaN too
             raise ValueError("tau must be > 0")
 
 
@@ -35,16 +35,28 @@ class LossReport:
     positive_ranks: list[int]  # 1-based rank of d+ within each item's slate
 
 
-def init_ranker(
-    vocab_size: int,
-    d_emb: int,
-    hidden: int,
-    rng: np.random.Generator,
-    tau: float = 1.0,
-) -> RankerParams:
-    return RankerParams(
-        encoder=towers.init_params(vocab_size, d_emb, hidden, rng), tau=tau
-    )
+def check_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"non-finite {what}")
+
+
+def softmax_cross_entropy(scores: np.ndarray,
+                          positive: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's cross-entropy of softmax(row) at column `positive` (one for
+    all rows, or one per row), as log-sum-exp minus the positive's score, both
+    shifted by the row max; and the gradient of the mean loss over `scores`.
+    Non-finite scores or losses raise FloatingPointError."""
+    check_finite(scores, "scores")
+    rows = np.arange(len(scores))
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=1, keepdims=True)
+    losses = np.log(total[:, 0]) - shifted[rows, positive]
+    check_finite(losses, "losses")  # a positive more than the float range below its row max
+    dscores = exp / total
+    dscores[rows, positive] -= 1.0
+    dscores /= len(scores)
+    return losses, dscores
 
 
 def loss_and_grad(
@@ -53,7 +65,7 @@ def loss_and_grad(
     """Mean listwise cross-entropy over a batch with exact gradients.
 
     Rows as EncodedCorpus.batch_rows lays them out: item i's slate is its
-    positive then its m negatives. The softmax subtracts the row max.
+    positive then its m negatives.
     """
     n = len(ctx_rows)
     if not n or len(doc_rows) % n:
@@ -64,19 +76,11 @@ def loss_and_grad(
     d_enc3 = d_enc.reshape(n, width, -1)
     dots = np.einsum("nd,nwd->nw", c_enc, d_enc3)
     scores = dots / params.tau
-    if not np.all(np.isfinite(scores)):
-        raise FloatingPointError("non-finite ranker scores")
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = float(-np.mean(np.log(probs[:, 0])))
+    losses, dscores = softmax_cross_entropy(scores, 0)
     positive_ranks = (
         1 + np.count_nonzero(scores[:, 1:] > scores[:, :1], axis=1)
     ).tolist()
 
-    dscores = probs.copy()
-    dscores[:, 0] -= 1.0
-    dscores /= n
     ddots = dscores / params.tau
     grad_tau = float(-(dscores * dots).sum() / params.tau**2)
     grads = params.encoder.like(np.zeros_like(params.encoder.flat))
@@ -84,7 +88,7 @@ def loss_and_grad(
     gd = (ddots[:, :, None] * c_enc[:, None, :]).reshape(n * width, -1)
     towers.backward_batch(params.encoder, [(c_cache, gc), (d_cache, gd)], grads)
     return LossReport(
-        loss=loss, grads=grads, grad_tau=grad_tau, positive_ranks=positive_ranks
+        loss=float(np.mean(losses)), grads=grads, grad_tau=grad_tau, positive_ranks=positive_ranks
     )
 
 

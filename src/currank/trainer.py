@@ -31,7 +31,7 @@ from .curriculum import (
 )
 from .metrics import MetricTable, RankedSlate, evaluate_run, query_gains
 from .ranker import (  # noqa: F401 -- perfbench/spans.py traces rank_slate here
-    RankerParams, init_ranker, loss_and_grad, order_slate, rank_slate,
+    RankerParams, check_finite, loss_and_grad, order_slate, rank_slate, softmax_cross_entropy,
 )
 from .sessions import Document, EvalSlate, SearchContext
 from .towers import PARAM_NAMES, EncodedCorpus, Vocab, encode_corpus
@@ -69,15 +69,13 @@ class TrainConfig:
     tau: float = 1.0
 
     def __post_init__(self):
-        for name in ("batch_size", "d_emb", "hidden"):
+        for name in ("batch_size", "d_emb", "hidden", "m"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN too
             raise ValueError("learning_rate must be > 0")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -212,6 +210,7 @@ def evaluate_ranker(
     return evaluate_run(query_gains(rank_slates(slates, scores)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise below instead
 def train(
     config: TrainConfig,
     data: TrainingData,
@@ -224,7 +223,8 @@ def train(
 
     Deterministic under a fixed config seed; an interrupted run resumed
     from a periodic checkpoint (`resume`, a load_resume result, whose
-    arrays it trains in place) continues bit-identically.
+    arrays it trains in place) continues bit-identically. A non-finite score,
+    loss or parameter raises FloatingPointError naming the step and the flags.
     """
     pacing = config.pacing
     T = pacing.T
@@ -235,8 +235,8 @@ def train(
 
     rng_init = np.random.default_rng([config.seed, _SEED_INIT])
     rng_sampler = np.random.default_rng([config.seed, _SEED_SAMPLER])
-    params = init_ranker(len(vocab), config.d_emb, config.hidden, rng_init,
-                         tau=config.tau)
+    params = RankerParams(towers.init_params(len(vocab), config.d_emb, config.hidden, rng_init),
+                          tau=config.tau)
     velocity, start_step = np.zeros_like(params.encoder.flat), 0
     if resume is not None:
         params, velocity, start_step, rng_sampler.bit_generator.state = resume
@@ -251,41 +251,44 @@ def train(
         batch = sample_batch(columns, config.batch_size, config.m, rng_sampler, f_p, f_n)
         try:
             report = loss_and_grad(params, *data.corpus.batch_rows(batch))
-        except Exception as e:
-            raise RuntimeError(f"step {t}: {e}") from e
-        velocity *= config.momentum
-        velocity += report.grads.flat
-        params.encoder.flat[...] -= config.learning_rate * velocity
-        log.steps.append(
-            {
-                "t": t,
-                "f_p": f_p,
-                "f_n": f_n,
-                "eligible_positives": eligible_positive_count(len(columns.context_ids), f_p),
-                "eligible_negative_fraction": f_n,
-                "loss": report.loss,
-                "mean_positive_rank": sum(report.positive_ranks) / len(report.positive_ranks),
-            }
-        )
-
-        done = t + 1
-        if checkpoint_dir and config.checkpoint_interval and (
-            done % config.checkpoint_interval == 0 or done == T
-        ):
-            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-            log.checkpoints.append(Path(checkpoint_dir) / f"ckpt_{done:08d}.bin")
-            _save_train_checkpoint(
-                log.checkpoints[-1], params, vocab, velocity, done, rng_sampler, config
+            velocity *= config.momentum
+            velocity += report.grads.flat
+            params.encoder.flat[...] -= config.learning_rate * velocity
+            check_finite(params.encoder.flat, "ranker parameters")
+            log.steps.append(
+                {
+                    "t": t,
+                    "f_p": f_p,
+                    "f_n": f_n,
+                    "eligible_positives": eligible_positive_count(len(columns.context_ids), f_p),
+                    "eligible_negative_fraction": f_n,
+                    "loss": report.loss,
+                    "mean_positive_rank": sum(report.positive_ranks) / len(report.positive_ranks),
+                }
             )
-        if slates and done % spe == 0:
-            scores = slates.scores(params)
-            metrics = evaluate_ranker(params, slates, scores).metrics
-            val_loss = _validation_loss(slates, scores)
-            record = {"epoch": done // spe, "step": done, "val_loss": val_loss, **metrics}
-            if prev_val_loss is not None and val_loss >= prev_val_loss:
-                record["warning"] = "validation loss did not decrease"
-            prev_val_loss = val_loss
-            log.validations.append(record)
+
+            done = t + 1
+            if checkpoint_dir and config.checkpoint_interval and (
+                done % config.checkpoint_interval == 0 or done == T
+            ):
+                Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+                log.checkpoints.append(Path(checkpoint_dir) / f"ckpt_{done:08d}.bin")
+                _save_train_checkpoint(
+                    log.checkpoints[-1], params, vocab, velocity, done, rng_sampler, config
+                )
+            if slates and done % spe == 0:
+                scores = slates.scores(params)
+                metrics = evaluate_ranker(params, slates, scores).metrics
+                val_loss = _validation_loss(slates, scores)
+                record = {"epoch": done // spe, "step": done, "val_loss": val_loss, **metrics}
+                if prev_val_loss is not None and val_loss >= prev_val_loss:
+                    record["warning"] = "validation loss did not decrease"
+                prev_val_loss = val_loss
+                log.validations.append(record)
+        except FloatingPointError as e:
+            raise FloatingPointError(f"step {t}: {e}; the run diverged under --lr "
+                                     f"{config.learning_rate:g}, --momentum {config.momentum:g} "
+                                     f"and --tau {config.tau:g}") from e
 
     return params, log
 
@@ -299,9 +302,7 @@ def _validation_loss(slates: EvalSlates, scores: np.ndarray) -> float:
         return 0.0
     losses = np.empty(sum(len(places) for _, places in groups))
     for cells, places in groups:
-        slate = scores[cells]
-        exp = np.exp(slate - slate.max(axis=1, keepdims=True))
-        losses[places] = -np.log(exp[:, 0] / exp.sum(axis=1))
+        losses[places] = softmax_cross_entropy(scores[cells], 0)[0]
     return float(np.mean(losses))
 
 
@@ -330,26 +331,18 @@ def load_resume(path: str | Path, config: TrainConfig, vocab: Vocab) -> tuple:
 
 
 def _save_train_checkpoint(path, params, vocab, velocity, step, rng_sampler, config):
-    extra = params.encoder.like(velocity).named("vel.")
-    # The 128-bit PCG64 state words go into JSON as strings.
-    state = rng_sampler.bit_generator.state
-    meta = {
-        "config": asdict(config),
-        "tau": params.tau,
-        "step": step,
-        "sampler_state": {
-            **state, "state": {k: str(v) for k, v in state["state"].items()}
-        },
-    }
-    checkpoint.save_checkpoint(
-        path, "ranker", params.encoder, vocab, extra_arrays=extra, meta=meta
-    )
+    state = rng_sampler.bit_generator.state  # its 128-bit PCG64 words go into JSON as strings
+    save_ranker(path, params, vocab, step, params.encoder.like(velocity).named("vel."),
+                config=asdict(config),
+                sampler_state={**state, "state": {k: str(v) for k, v in state["state"].items()}})
 
 
-def save_ranker(path: str | Path, params: RankerParams, vocab: Vocab) -> None:
-    checkpoint.save_checkpoint(
-        path, "ranker", params.encoder, vocab, meta={"tau": params.tau, "step": -1}
-    )
+def save_ranker(path: str | Path, params: RankerParams, vocab: Vocab, step: int = -1,
+                extra_arrays: dict[str, np.ndarray] | None = None, **meta) -> None:
+    """A ranker checkpoint: tau and `step` (-1 for a final one) in its meta,
+    besides `meta`, and `extra_arrays` after the parameters."""
+    checkpoint.save_checkpoint(path, "ranker", params.encoder, vocab, extra_arrays,
+                               {"tau": params.tau, "step": step, **meta})
 
 
 def load_ranker(path: str | Path) -> tuple[RankerParams, Vocab]:
@@ -376,7 +369,8 @@ def train_and_evaluate(
     """One training run scored on `slates`: `row` plus the metrics."""
     try:
         params, _ = train(config, data)
-    except Exception as e:
-        raise RuntimeError(f"training run {row} failed: {e}") from e
+    except Exception as e:  # a diverged run stays a FloatingPointError: exit 2
+        kind = FloatingPointError if isinstance(e, FloatingPointError) else RuntimeError
+        raise kind(f"training run {row} failed: {e}") from e
     row.update(evaluate_ranker(params, slates).metrics)
     return row

@@ -2,13 +2,14 @@
 
 These recompute everything from raw counts and definitions, sharing no
 code with the implementation under test. The exceptions are
-loop_sample_batch, two_pass_validation_loss, entries_eval, the per-array
-parameter code (loop_init_params, per_array_checkpoint_bytes,
-per_array_dense_digest), the one-pair scorers (rank_score, dense_score),
-PerContextDenseScorer, pair_train_in_batch, per_call_score_all,
-PerCallBm25Scorer, rank_of_positive, loop_build_ledger and the
-dict_write_* JSONL writers: earlier forms of library code, kept to show
-that the current forms compute the same bits.
+loop_sample_batch, two_pass_validation_loss, two_step_softmax_grad,
+entries_eval, the per-array parameter code (loop_init_params,
+per_array_checkpoint_bytes, per_array_dense_digest), the one-pair
+scorers (rank_score, dense_score), PerContextDenseScorer,
+pair_train_in_batch, per_call_score_all, PerCallBm25Scorer,
+rank_of_positive, loop_build_ledger and the dict_write_* JSONL writers:
+earlier forms of library code, kept to show that the current forms
+compute the same bits.
 """
 
 from __future__ import annotations
@@ -244,9 +245,39 @@ def two_pass_validation_loss(params, slates) -> float:
         s = np.einsum("ij,j->i", d_enc[[corpus.doc_row[d] for d in pos + negs]], c) / params.tau
         slate = np.column_stack(
             [s[: len(pos)], np.broadcast_to(s[len(pos):], (len(pos), len(negs)))])
-        exp = np.exp(slate - slate.max(axis=1, keepdims=True))
-        losses.extend(-np.log(exp[:, 0] / exp.sum(axis=1)))
+        shifted = slate - slate.max(axis=1, keepdims=True)
+        losses.extend(np.log(np.exp(shifted).sum(axis=1)) - shifted[:, 0])  # in log space
     return float(np.mean(losses)) if losses else 0.0
+
+
+def loop_softmax_cross_entropy(scores, positive):
+    """Each row's -log softmax(row)[positive] and the gradient of their mean,
+    one row and one cell at a time in Python floats, the log-sum-exp summed
+    exactly (math.fsum). `positive` is one column for every row or one per row."""
+    n = len(scores)
+    losses, grad = [], np.zeros_like(scores)
+    for i, row in enumerate(scores.tolist()):
+        pos = int(np.broadcast_to(positive, n)[i])
+        top = max(row)
+        total = math.fsum(math.exp(s - top) for s in row)
+        losses.append(math.log(total) - (row[pos] - top))
+        for j, s in enumerate(row):
+            grad[i, j] = (math.exp(s - top) / total - (j == pos)) / n
+    return np.array(losses), grad
+
+
+def two_step_softmax_grad(scores, positive):
+    """The gradient of the mean loss as the loss functions formed it before
+    they shared one: the softmax as a probability array, copied, less 1 at
+    each row's positive, divided by the row count."""
+    rows = np.arange(len(scores))
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    dscores = probs.copy()
+    dscores[rows, positive] -= 1.0
+    dscores /= len(scores)
+    return dscores
 
 
 def entries_eval(params, slates, tag: str = "currank"):

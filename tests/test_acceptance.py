@@ -34,7 +34,7 @@ from currank.curriculum import (
 )
 from currank.manifest import MANIFEST_NAME
 from currank.metrics import NDCG_CUTOFFS, evaluate_run
-from currank.ranker import RankerParams, init_ranker, loss_and_grad
+from currank.ranker import RankerParams, loss_and_grad
 from currank.scorers import Bm25Scorer
 from currank.sessions import (
     SEP_TOKEN,
@@ -256,8 +256,8 @@ def test_criterion_5_gradient_checks():
         rng = np.random.default_rng(16)
         for draw in range(100):
             vocab, documents, contexts = _random_world(rng)
-            params = init_ranker(len(vocab), 3, 3, rng,
-                                 tau=float(rng.uniform(0.5, 2.0)))
+            tau = float(rng.uniform(0.5, 2.0))  # drawn before the parameters
+            params = RankerParams(towers.init_params(len(vocab), 3, 3, rng), tau=tau)
             rows = item_rows(vocab, documents, [
                 (contexts[0], "d0", ("d1", "d2")),
                 (contexts[1], "d3", ("d4", "d5")),
@@ -362,7 +362,7 @@ def test_criterion_6_oracle_equivalence():
                 positive_doc_id="d0",
                 negative_pool=tuple(f"d{i}" for i in range(1, m + 1)),
             )
-            params = init_ranker(len(vocab), 4, 4, rng)
+            params = RankerParams(towers.init_params(len(vocab), 4, 4, rng))
             rows = item_rows(vocab, documents, [(ctx, "d0", ctx.negative_pool)])
             report = loss_and_grad(params, *rows)
             assert report.loss == math.log(m + 1)

@@ -3,9 +3,11 @@ import errno
 import gc
 import io
 import json
+import math
 import multiprocessing
 import os
 import pickle
+import re
 import shutil
 import signal
 import subprocess
@@ -25,9 +27,9 @@ from currank.checkpoint import MAGIC, file_digest, load_checkpoint, save_checkpo
 from currank.cli import LOCK_NAME, build_vocab, in_split, load_bundle, main, split_of
 from currank.curriculum import load_ledger, save_ledger
 from currank.manifest import MANIFEST_NAME, RunManifest, write_manifest
-from currank.ranker import init_ranker
+from currank.ranker import RankerParams
 from currank.sessions import build_eval_items
-from currank.towers import token_rows
+from currank.towers import init_params, token_rows
 from currank.trainer import MODES, encode_slates, load_ranker, rank_slates, save_ranker
 
 from oracles import entries_eval
@@ -739,7 +741,7 @@ class TestEval:
         sessions, documents, contexts = load_bundle(bundle)
         vocab = build_vocab(documents, contexts)
         ckpt = tmp_path / "ranker.bin"
-        save_ranker(ckpt, init_ranker(len(vocab), 8, 8, rng), vocab)
+        save_ranker(ckpt, RankerParams(init_params(len(vocab), 8, 8, rng)), vocab)
         out = tmp_path / "eval"
         assert run_cli("eval", "--bundle", bundle, "--checkpoint", ckpt, "--out", out) == 0
 
@@ -784,7 +786,8 @@ class TestEval:
         _, documents, contexts = load_bundle(bundle)
         vocab = build_vocab(documents, contexts)
         ckpt = tmp_path / "ranker.bin"
-        save_ranker(ckpt, init_ranker(len(vocab), 4, 4, np.random.default_rng(0)), vocab)
+        params = RankerParams(init_params(len(vocab), 4, 4, np.random.default_rng(0)))
+        save_ranker(ckpt, params, vocab)
         out = tmp_path / "eval"
         assert run_cli("eval", "--bundle", bundle, "--checkpoint", ckpt, "--out", out) == 0
         for name in ("run.txt", "qrels.txt"):
@@ -1733,6 +1736,133 @@ class TestFailedCommandOutput:
         assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
                        "--out", out) == 2
         assert sorted(p.name for p in out.iterdir()) == existing
+
+
+class TestDivergence:
+    """A training run or dense fit whose scores or parameters turn
+    non-finite exits 2, naming where and the flags that drove it, and leaves
+    no output but train's periodic checkpoints from before that step."""
+
+    TRAIN_DIVERGED = (r"step (\d+): non-finite [a-z ]+; the run diverged under "
+                      r"--lr 1e\+30, --momentum 0\.9 and --tau 1")
+
+    def test_train(self, bundle_dir, ledger_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                       "--steps", 20, "--batch-size", 8, "--checkpoint-interval", 1,
+                       "--lr", 1e30, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert (diverged := re.fullmatch(f"error: {self.TRAIN_DIVERGED}\n", err)), err
+        step = int(diverged[1])
+        assert 0 < step < 20
+        assert sorted(p.name for p in out.iterdir()) == \
+            [f"ckpt_{done:08d}.bin" for done in range(1, step + 1)]  # no checkpoint.bin
+
+    def test_ablate(self, bundle_dir, ledger_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("ablate", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                       "--steps", 10, "--batch-size", 8, "--lr", 1e30,
+                       "--grid-deltas", "0.3", "--grid-etas", "0.7", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: training run {{'mode': 'dual'}} failed: "
+                            f"{self.TRAIN_DIVERGED}\n", err), err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_dense_fit(self, bundle_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense", "--fit",
+                       "--fit-lr", 1e30, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: epoch \d+: non-finite [a-z ]+; the dense fit diverged "
+                            r"under --fit-lr 1e\+30\n", err), err
+        assert not out.exists()  # no ledger.json, no dense_scorer.bin
+
+    @staticmethod
+    def _refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(lr=st.floats(-4.0, 30.0).map(lambda e: 10.0**e), momentum=st.floats(0.0, 0.99),
+           tau=st.floats(0.05, 5.0), batch_size=st.integers(1, 16))
+    def test_train_flags_exit_zero_or_two_and_outputs_are_strict_json(
+            self, bundle_dir, ledger_dir, lr, momentum, tau, batch_size):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "train"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = run_cli("train", "--bundle", bundle_dir, "--ledger",
+                             ledger_dir / "ledger.json", "--steps", 12, "--checkpoint-interval", 4,
+                             "--lr", lr, "--momentum", momentum, "--tau", tau,
+                             "--batch-size", batch_size, "--out", out)
+            assert rc in (0, 2), err.getvalue()
+            if rc == 2:
+                assert not any((out / name).exists()
+                               for name in ("checkpoint.bin", "trainlog.jsonl", MANIFEST_NAME))
+                return
+            for line in (out / "trainlog.jsonl").read_text().splitlines():
+                json.loads(line, parse_constant=self._refuse)
+            json.loads((out / MANIFEST_NAME).read_text(), parse_constant=self._refuse)
+            for ckpt in out.glob("*.bin"):
+                load_checkpoint(ckpt)  # refuses a non-finite array
+
+    def test_a_trainlog_that_is_not_strict_json_leaves_no_output(
+            self, bundle_dir, ledger_dir, tmp_path, monkeypatch, capsys):
+        train = cli.train
+
+        def nan_loss(*args, **kwargs):
+            params, log = train(*args, **kwargs)
+            log.steps[-1]["loss"] = math.nan
+            return params, log
+
+        monkeypatch.setattr(cli, "train", nan_loss)
+        out = tmp_path / "o"
+        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                       "--steps", 5, "--batch-size", 8, "--out", out) == 2
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFiniteCheckpoint:
+    """A checkpoint whose arrays hold NaN or infinity is malformed: exit 2, no output."""
+
+    @pytest.mark.parametrize("command, kind", [("score", "dense-scorer"), ("eval", "ranker")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_exits_two_and_leaves_no_output(self, bundle_dir, tmp_path, capsys, command, kind,
+                                            value):
+        _, documents, contexts = load_bundle(bundle_dir)
+        vocab = build_vocab(documents, contexts)
+        params = init_params(len(vocab), 8, 8, np.random.default_rng(0))
+        params.flat[len(params.flat) // 2] = value
+        ckpt = tmp_path / "x.bin"
+        save_checkpoint(ckpt, kind, params, vocab, meta={"tau": 1.0, "step": -1})
+        flags = ("--scorer", "dense") if command == "score" else ()
+        out = tmp_path / "o"
+        assert run_cli(command, "--bundle", bundle_dir, *flags, "--checkpoint", ckpt,
+                       "--out", out) == 2
+        assert capsys.readouterr().err == \
+            f"error: {ckpt}: malformed checkpoint: non-finite array values\n"
+        assert not out.exists()
+
+
+class TestStrictJsonWriters:
+    @pytest.mark.parametrize("name", ["ledger.json", MANIFEST_NAME, "checkpoint.bin"])
+    def test_a_non_finite_number_is_refused_and_nothing_written(self, ledger_dir, train_dir,
+                                                                 tmp_path, name):
+        ledger = load_ledger(ledger_dir / "ledger.json")
+        ledger.positives[0] = (*ledger.positives[0][:2], math.nan)
+        params, vocab, _, meta = load_checkpoint(train_dir / "checkpoint.bin")
+        write = {
+            "ledger.json": lambda: save_ledger(ledger, tmp_path / name),
+            MANIFEST_NAME: lambda: write_manifest(
+                tmp_path, RunManifest("score", {"k1": math.inf}, 0, {}, {})),
+            "checkpoint.bin": lambda: save_checkpoint(tmp_path / name, "ranker", params, vocab,
+                                                      meta={**meta, "tau": math.nan}),
+        }[name]
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            write()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAtomicWrites:

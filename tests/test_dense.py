@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from currank import towers
+from currank import dense, towers
 from currank.checkpoint import load_checkpoint, save_checkpoint
 from currank.curriculum import build_ledger
 from currank.dense import in_batch_loss_and_grad, train_in_batch
@@ -243,6 +243,24 @@ class TestInBatchTraining:
             return params.flat
 
         assert np.array_equal(run(), run())
+
+    def test_parameters_made_non_finite_by_the_last_update_raise(self, rng, monkeypatch):
+        """One batch per epoch: the last update comes after the last loss."""
+        vocab = Vocab([f"t{i}" for i in range(6)])
+        pairs = [((f"t{i}",), (f"t{(i + 3) % 6}",)) for i in range(6)]
+        real = dense.in_batch_loss_and_grad
+
+        def infinite_gradient(*args):
+            loss, grads = real(*args)
+            grads.flat[0] = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(dense, "in_batch_loss_and_grad", infinite_gradient)
+        params = init_params(len(vocab), 4, 4, rng)
+        with pytest.raises(FloatingPointError, match=r"^epoch 0: non-finite dense scorer "
+                           r"parameters; the dense fit diverged under --fit-lr 0\.2$"):
+            train_in_batch(params, *pair_rows(vocab, pairs), batch_size=6, epochs=1,
+                           learning_rate=0.2, seed=11)
 
 
 def _ledger_world(seed=5):

@@ -2,19 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from currank import towers
 from currank.ranker import (
     RankerParams,
-    init_ranker,
     loss_and_grad,
     rank_slate,
+    softmax_cross_entropy,
 )
 from currank.sessions import Document, SearchContext
 from currank.towers import Vocab, encode_corpus, init_params
 
 from batches import item_rows
-from oracles import central_difference_grad, max_relative_error, rank_score
+from oracles import (
+    central_difference_grad, loop_softmax_cross_entropy, max_relative_error, rank_score,
+    two_step_softmax_grad,
+)
 
 
 def make_context(tokens, position=1):
@@ -30,7 +34,7 @@ def batch_rows(vocab, batch, documents):
 
 
 def zero_ranker(vocab_size, d_emb=4, hidden=3, tau=1.0):
-    params = init_ranker(vocab_size, d_emb, hidden, np.random.default_rng(0), tau=tau)
+    params = RankerParams(init_params(vocab_size, d_emb, hidden, np.random.default_rng(0)), tau=tau)
     params.encoder.flat[...] = 0.0
     return params
 
@@ -39,7 +43,7 @@ def zero_ranker(vocab_size, d_emb=4, hidden=3, tau=1.0):
 def small_setup(rng):
     vocab = Vocab([f"t{i}" for i in range(8)])
     documents = {f"d{j}": Document(f"d{j}", (f"t{j % 8}",)) for j in range(10)}
-    params = init_ranker(len(vocab), 4, 4, rng)
+    params = RankerParams(init_params(len(vocab), 4, 4, rng))
     return vocab, documents, params
 
 
@@ -151,12 +155,12 @@ class TestLossAndGrad:
     def test_gradients_match_finite_differences(self, small_setup):
         vocab, documents, _ = small_setup
         rng = np.random.default_rng(77)
-        params = init_ranker(len(vocab), 4, 4, rng, tau=1.3)
+        params = RankerParams(init_params(len(vocab), 4, 4, rng), tau=1.3)
         batch = self._batch(3, 4, documents)
         report = loss_and_grad(params, *batch_rows(vocab, batch, documents))
 
         def f(vec):
-            probe = init_ranker(len(vocab), 4, 4, np.random.default_rng(0), tau=1.3)
+            probe = RankerParams(init_params(len(vocab), 4, 4, np.random.default_rng(0)), tau=1.3)
             probe.encoder.flat[...] = vec
             return loss_and_grad(probe, *batch_rows(vocab, batch, documents)).loss
 
@@ -165,7 +169,7 @@ class TestLossAndGrad:
 
     def test_tau_gradient_matches_finite_differences(self, small_setup):
         vocab, documents, _ = small_setup
-        params = init_ranker(len(vocab), 4, 4, np.random.default_rng(3), tau=0.8)
+        params = RankerParams(init_params(len(vocab), 4, 4, np.random.default_rng(3)), tau=0.8)
         batch = self._batch(3, 4, documents)
         report = loss_and_grad(params, *batch_rows(vocab, batch, documents))
         eps = 1e-6
@@ -194,6 +198,56 @@ class TestLossAndGrad:
         ]
         with pytest.raises(ValueError):
             loss_and_grad(params, *batch_rows(vocab, items, documents))
+
+
+@st.composite
+def score_rows(draw):
+    """A (rows, width) score array, some rows spread by 1e3 or more, and a
+    positive column: one for every row, or one per row."""
+    n, width = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cells = st.floats(-50.0, 50.0) | st.sampled_from([-5e3, -1e3, 1e3, 5e3, 1e4])
+    scores = np.array(draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                                    min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return scores, draw(st.integers(0, width - 1))
+    return scores, np.array(draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n)))
+
+
+class TestSoftmaxCrossEntropy:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=score_rows())
+    def test_equals_a_per_row_loop(self, rows):
+        scores, positive = rows
+        losses, dscores = softmax_cross_entropy(scores, positive)
+        want_losses, want_grad = loop_softmax_cross_entropy(scores, positive)
+        assert np.isfinite(losses).all() and (losses >= 0).all()
+        assert losses == pytest.approx(want_losses, rel=1e-12, abs=1e-12)
+        assert dscores == pytest.approx(want_grad, rel=1e-12, abs=1e-15)
+        # the gradient keeps the bits of the probability-array form
+        assert dscores.tobytes() == two_step_softmax_grad(scores, positive).tobytes()
+
+    def test_a_wide_score_gap_gives_a_finite_loss(self):
+        """A positive 1e3 or more below its row's best: the softmax
+        probability underflows to 0, so its log was -inf; in log space the
+        loss is the gap."""
+        scores = np.array([[0.0, 1e3], [-4e3, 1e3], [2e4, 0.0]])
+        losses, _ = softmax_cross_entropy(scores, 0)
+        assert losses.tolist() == [1e3, 5e3, 0.0]
+
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_score_raises(self, cell):
+        scores = np.zeros((2, 3))
+        scores[1, 2] = cell
+        with pytest.raises(FloatingPointError, match="non-finite scores"):
+            softmax_cross_entropy(scores, 0)
+
+    @np.errstate(over="ignore")  # the shift overflows
+    def test_a_positive_the_float_range_below_its_row_max_raises(self):
+        scores = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.5e308]])
+        losses, _ = softmax_cross_entropy(scores[:1], 0)  # a negative that far down is p = 0
+        assert losses.tolist() == [0.0]
+        with pytest.raises(FloatingPointError, match="non-finite losses"):
+            softmax_cross_entropy(scores, 0)
 
 
 class TestRankSlate:

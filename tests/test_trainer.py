@@ -14,7 +14,7 @@ from currank.curriculum import (
 from currank.scorers import Bm25Scorer
 from currank.sessions import SEP_TOKEN, Document, build_contexts, build_eval_items
 from currank.synth import SynthSpec, generate_synthetic
-from currank.ranker import init_ranker, loss_and_grad, order_slate, rank_slate
+from currank.ranker import RankerParams, loss_and_grad, order_slate, rank_slate
 from currank.towers import Vocab
 from currank.trainer import (
     MODES,
@@ -132,6 +132,23 @@ class TestTrain:
         assert all(a <= b for a, b in zip(pos, pos[1:]))
         assert all(a >= b for a, b in zip(neg, neg[1:]))
 
+    def test_parameters_made_non_finite_by_the_last_update_raise(self, small_world, data,
+                                                                  monkeypatch):
+        config = config_for(small_world[3], T=3, learning_rate=0.5, momentum=0.0, tau=2.0)
+
+        def infinite_at_the_last_step(params, *rows):
+            report = loss_and_grad(params, *rows)
+            if infinite_at_the_last_step.calls == config.pacing.T - 1:
+                report.grads.flat[-1] = -np.inf
+            infinite_at_the_last_step.calls += 1
+            return report
+
+        infinite_at_the_last_step.calls = 0
+        monkeypatch.setattr(trainer, "loss_and_grad", infinite_at_the_last_step)
+        with pytest.raises(FloatingPointError, match=r"^step 2: non-finite ranker parameters; "
+                           r"the run diverged under --lr 0\.5, --momentum 0 and --tau 2$"):
+            train(config, data)
+
     def test_steps_log_the_mean_positive_rank(self, small_world, data, monkeypatch):
         reports = []
 
@@ -200,7 +217,8 @@ class TestTrain:
         config = config_for(ledger, epochs=1, seed=4, momentum=0.0, learning_rate=0.3)
         params, _ = train(config, data)
         # plain SGD on the trainer's init and sampler substreams
-        want = init_ranker(len(data.vocab), 8, 8, np.random.default_rng([4, 0]))
+        want = RankerParams(
+            towers.init_params(len(data.vocab), 8, 8, np.random.default_rng([4, 0])))
         rng = np.random.default_rng([4, 1])
         for t in range(config.pacing.T):
             batch = sample_batch(data.columns, 8, 2, rng, pacing_positive(config.pacing, t),
@@ -283,7 +301,8 @@ class TestBatchedValidation:
         """Ranking reads one score per pair, so a pair scored alone ranks the
         same, ties by doc id included; the loss reads the same vector."""
         vocab = Vocab(WORDS)
-        params = init_ranker(len(vocab), 8, 8, np.random.default_rng(seed), tau=tau)
+        params = RankerParams(towers.init_params(len(vocab), 8, 8, np.random.default_rng(seed)),
+                              tau=tau)
         slates = encode_slates(vocab, items, DOCUMENTS)
         scores = slates.scores(params)
         corpus = slates.corpus
