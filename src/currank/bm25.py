@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from math import log
+from math import inf, log
 from typing import Sequence
 
 import numpy as np
@@ -41,8 +41,8 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 < 0:
-            raise ValueError("k1 must be >= 0")
+        if not 0 <= self.k1 < inf:  # NaN too
+            raise ValueError("k1 must be >= 0 and finite")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
 

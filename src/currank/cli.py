@@ -22,7 +22,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,12 +53,6 @@ BUNDLE_FILES = ("documents.jsonl", "sessions.jsonl", "contexts.jsonl")
 FIT_FLAGS = ("fit_epochs", "fit_batch_size", "fit_lr", "d_emb", "hidden")  # score --fit's
 
 
-class CliError(Exception):
-    def __init__(self, message: str, exit_code: int = 2):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
 @contextlib.contextmanager
 def output_lock(out_dir: Path):
     """Lock `out_dir`; on the way out, rmdir it if this lock created it and it is empty."""
@@ -68,7 +62,7 @@ def output_lock(out_dir: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise CliError(
+        raise ValueError(
             f"output directory {out_dir} is locked by another command "
             f"(pid {_lock_owner(lock)}); if no such command is running, "
             f"remove {lock}"
@@ -104,6 +98,12 @@ def in_split(records: list, split: str) -> list:
     return [r for r in records if r.session_id in keep]
 
 
+def _fields_of(cls, args, *skip: str) -> dict:
+    """The values in `args` of dataclass `cls`'s fields, less `skip`: each
+    flag that sets a field has that field's name as its dest."""
+    return {f.name: vars(args)[f.name] for f in fields(cls) if f.name not in skip}
+
+
 def bundle_paths(bundle_dir: Path) -> list[Path]:
     return [bundle_dir / name for name in BUNDLE_FILES]
 
@@ -112,7 +112,7 @@ def input_path(path, what: str) -> Path:
     """`path` as a Path; a missing one is an input error (exit 2)."""
     path = Path(path)
     if not path.exists():
-        raise CliError(f"{what} not found: {path}")
+        raise ValueError(f"{what} not found: {path}")
     return path
 
 
@@ -120,7 +120,7 @@ def output_path(path: str) -> Path:
     """`--out` as a Path; a file there or above it is an input error (exit 2)."""
     out = Path(path)
     if not (found := next(p for p in (out, *out.parents) if p.exists())).is_dir():
-        raise CliError(f"--out {out}: {found} is not a directory")
+        raise ValueError(f"--out {out}: {found} is not a directory")
     return out
 
 
@@ -129,7 +129,7 @@ def read_checkpoint(path: Path, load, *args):
     try:
         return load(path, *args)
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError) as e:
-        raise CliError(f"{path}: malformed checkpoint: {e!r}") from e
+        raise ValueError(f"{path}: malformed checkpoint: {e!r}") from e
 
 
 def load_bundle(bundle_dir: Path, sessions: bool = True, contexts: bool = True):
@@ -145,9 +145,9 @@ def load_bundle(bundle_dir: Path, sessions: bool = True, contexts: bool = True):
             try:
                 return reader(fp)
             except KeyError as e:
-                raise CliError(f"{path}: malformed record: no {e} entry")
+                raise ValueError(f"{path}: malformed record: no {e} entry")
             except (TypeError, ValueError) as e:
-                raise CliError(f"{path}: malformed record: {e}")
+                raise ValueError(f"{path}: malformed record: {e}")
 
     documents = read(docs_path, read_documents)
     return (read(sessions_path, read_sessions) if sessions else None,
@@ -199,7 +199,7 @@ def cmd_ingest(args) -> int:
         try:
             sessions, documents = parse_sessions(fp)
         except SessionLogError as e:
-            raise CliError(f"{log_path}: {e}")
+            raise ValueError(f"{log_path}: {e}")
     contexts, skipped = build_contexts(sessions, documents, window=args.window)
     config = {"log": str(log_path), "window": args.window}
     with command_output(args, config, [log_path]) as (out_dir, outputs, _):
@@ -212,15 +212,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = synth.SynthSpec(
-        n_sessions=args.sessions,
-        vocab_size=args.vocab_size,
-        n_topics=args.topics,
-        queries_per_session=args.queries,
-        candidates_per_query=args.candidates,
-        noise_rate=args.noise,
-        seed=args.seed,
-    )
+    spec = synth.SynthSpec(**_fields_of(synth.SynthSpec, args))
     sessions, documents, labels = synth.generate_synthetic(spec)
     contexts, _ = build_contexts(sessions, documents, window=args.window)
     config = {**asdict(spec), "window": args.window}
@@ -242,8 +234,8 @@ def cmd_synth(args) -> int:
     print(f"documents: {len(documents)}")
     print(f"contexts: {len(contexts)}")
     print(f"on-topic click fraction: {on_topic / total:.4f}")
-    if args.noise == 0.0 and on_topic != total:
-        raise CliError("separability audit failed with noise 0", exit_code=1)
+    if spec.noise_rate == 0.0 and on_topic != total:
+        raise RuntimeError("separability audit failed with noise 0")  # exit 1
     return 0
 
 
@@ -259,7 +251,7 @@ def _make_scorer(kind: str, args, documents, train_contexts, vocab, out_dir):
         return DenseScorer(params, ckpt_vocab,
                            encode_corpus(ckpt_vocab, documents, tokens_by_id))
     if not args.fit:
-        raise CliError("dense scorer needs --checkpoint or --fit")
+        raise ValueError("dense scorer needs --checkpoint or --fit")
     corpus = encode_corpus(vocab, documents, tokens_by_id)
     rng = np.random.default_rng([args.seed, 2])
     params = towers.init_params(len(vocab), args.d_emb, args.hidden, rng)
@@ -277,17 +269,17 @@ def _make_scorer(kind: str, args, documents, train_contexts, vocab, out_dir):
 
 def cmd_score(args) -> int:
     if args.fit and args.checkpoint:
-        raise CliError("--fit and --checkpoint exclude each other: --fit trains "
-                       "a new dense scorer, --checkpoint loads a trained one")
+        raise ValueError("--fit and --checkpoint exclude each other: --fit trains "
+                         "a new dense scorer, --checkpoint loads a trained one")
     pos_kind = args.pos_scorer or args.scorer
     neg_kind = args.neg_scorer or args.scorer
     if "dense" not in (pos_kind, neg_kind) and (args.fit or args.checkpoint):
-        raise CliError(f"--{'fit' if args.fit else 'checkpoint'} needs a dense scorer; "
-                       f"both curricula use {pos_kind}")
+        raise ValueError(f"--{'fit' if args.fit else 'checkpoint'} needs a dense scorer; "
+                         f"both curricula use {pos_kind}")
     bundle_dir = Path(args.bundle)
     config = {
         "bundle": str(bundle_dir), "pos_scorer": pos_kind,
-        "neg_scorer": neg_kind, "k1": args.k1, "b": args.b,
+        "neg_scorer": neg_kind, **asdict(bm25.Bm25Params(args.k1, args.b)),  # refused here
         "fit": args.fit, **{k: vars(args)[k] for k in FIT_FLAGS if args.fit},
     }
     inputs = bundle_paths(bundle_dir)
@@ -297,7 +289,7 @@ def cmd_score(args) -> int:
     _, documents, contexts = load_bundle(bundle_dir, sessions=False)
     train_contexts = in_split(contexts, "train")
     if not train_contexts:
-        raise CliError("no training-split contexts in bundle")
+        raise ValueError("no training-split contexts in bundle")
     check_documents(train_contexts, documents)  # build_ledger and the dense fit rely on it
     vocab = build_vocab(documents, contexts)
     with command_output(args, config, inputs, args.seed) as (out_dir, outputs, manifest):
@@ -319,22 +311,9 @@ def cmd_score(args) -> int:
 
 
 def _train_config_from(args, n_positives: int) -> TrainConfig:
-    config = TrainConfig(
-        pacing=PacingParams(
-            delta=args.delta, eta=args.eta, alpha=args.alpha, beta=args.beta,
-            k=args.k, T=args.steps or 0,  # set from --epochs below if --steps is unset
-        ),
-        batch_size=args.batch_size,
-        m=args.m,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        seed=args.seed,
-        checkpoint_interval=args.checkpoint_interval,
-        mode=args.mode,
-        d_emb=args.d_emb,
-        hidden=args.hidden,
-        tau=args.tau,
-    )
+    pacing = PacingParams(T=args.steps or 0,  # set from --epochs below if --steps is unset
+                          **_fields_of(PacingParams, args, "T"))
+    config = TrainConfig(pacing, **_fields_of(TrainConfig, args, "pacing"))
     if args.steps is None:  # TrainConfig has checked the batch size by now
         T = args.epochs * steps_per_epoch(n_positives, config.batch_size)
         config = replace(config, pacing=replace(config.pacing, T=T))
@@ -383,7 +362,7 @@ def cmd_eval(args) -> int:
     params, vocab = read_checkpoint(ckpt_path, load_ranker)
     items = build_eval_items(in_split(sessions, args.split), documents)
     if not items:
-        raise CliError(f"no evaluable interactions in split {args.split!r}")
+        raise ValueError(f"no evaluable interactions in split {args.split!r}")
     slates = encode_slates(vocab, items, documents)
     ranked = list(rank_slates(slates, slates.scores(params)))
     table = evaluate_run(query_gains(ranked))
@@ -441,7 +420,7 @@ def _ablation_run(task: tuple[dict, TrainConfig]) -> dict:
 def cmd_ablate(args) -> int:
     ledger, data, slates, inputs = _load_training_inputs(args)  # shared by every run
     if slates is None:
-        raise CliError("ablation needs a non-empty validation split")
+        raise ValueError("ablation needs a non-empty validation split")
     base = _train_config_from(args, len(ledger.positives))
     deltas, etas = ([float(x) for x in f.split(",")] for f in (args.grid_deltas, args.grid_etas))
     runs = ablation_runs(base, deltas, etas)
@@ -479,7 +458,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="total optimizer steps T (overrides --epochs)")
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--m", type=int, default=TrainConfig.m, help="negatives per positive")
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
     p.add_argument("--delta", type=float, default=PacingParams.delta)
     p.add_argument("--eta", type=float, default=PacingParams.eta)
@@ -502,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)  # flags of every command
     common.add_argument("--config", default=None)
-    common.add_argument("--out", required=True, type=output_path)  # checked as it is parsed
+    common.add_argument("--out", required=True)
     reads_bundle = argparse.ArgumentParser(add_help=False, parents=[common])
     reads_bundle.add_argument("--bundle", required=True)
 
@@ -513,12 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus bundle")
-    p.add_argument("--sessions", type=int, required=True)
+    p.add_argument("--sessions", dest="n_sessions", type=int, required=True)
     p.add_argument("--vocab-size", type=int, default=synth.SynthSpec.vocab_size)
-    p.add_argument("--topics", type=int, default=synth.SynthSpec.n_topics)
-    p.add_argument("--queries", type=int, default=synth.SynthSpec.queries_per_session)
-    p.add_argument("--candidates", type=int, default=synth.SynthSpec.candidates_per_query)
-    p.add_argument("--noise", type=float, default=synth.SynthSpec.noise_rate)
+    p.add_argument("--topics", dest="n_topics", type=int, default=synth.SynthSpec.n_topics)
+    p.add_argument("--queries", dest="queries_per_session", type=int,
+                   default=synth.SynthSpec.queries_per_session)
+    p.add_argument("--candidates", dest="candidates_per_query", type=int,
+                   default=synth.SynthSpec.candidates_per_query)
+    p.add_argument("--noise", dest="noise_rate", type=float, default=synth.SynthSpec.noise_rate)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--window", type=int, default=DEFAULT_NEGATIVE_WINDOW)
     p.set_defaults(func=cmd_synth)
@@ -574,20 +555,18 @@ def _apply_config_file(parser, argv):
     try:
         data = yaml.safe_load(path.read_text()) or {}
     except yaml.YAMLError as e:
-        raise CliError(f"config file {path} is not valid YAML: {e}")
+        raise ValueError(f"config file {path} is not valid YAML: {e}")
     if not isinstance(data, dict):
-        raise CliError(f"config file {path} must be a mapping")
-    entries = {str(key).replace("-", "_"): (key, value) for key, value in data.items()}
-    subs = [sub for action in parser._subparsers._group_actions
-            for sub in action.choices.values()]
-    flags = [{a.dest: a for a in sub._actions} for sub in subs]
+        raise ValueError(f"config file {path} must be a mapping")
+    flags = [sub._option_string_actions for action in parser._subparsers._group_actions
+             for sub in action.choices.values()]  # each command's flags by option string
+    options = {key: "--" + str(key).replace("_", "-") for key in data}  # long flag names
     # A key of another command is allowed: one file may serve several.
-    unknown = sorted(str(k) for k in data if str(k).replace("-", "_") not in set().union(*flags))
+    unknown = sorted(str(k) for k, option in options.items() if not any(option in f for f in flags))
     if unknown:
-        raise CliError(f"config file {path}: no command takes {', '.join(unknown)}")
-    for sub, actions in zip(subs, flags):
-        sub.set_defaults(**{dest: _flag_value(path, key, actions[dest], value)
-                            for dest, (key, value) in entries.items() if dest in actions})
+        raise ValueError(f"config file {path}: no command takes {', '.join(unknown)}")
+    for action, key in [(f[o], k) for f in flags for k, o in options.items() if o in f]:
+        action.default = _flag_value(path, key, action, data[key])
 
 
 def _flag_value(path: Path, key, action: argparse.Action, value):
@@ -597,7 +576,7 @@ def _flag_value(path: Path, key, action: argparse.Action, value):
         value = value if action.nargs == 0 else (action.type or str)(str(value))
         if type(value) is bool if action.nargs == 0 else value in (action.choices or [value]):
             return value
-    raise CliError(f"config file {path}: {key}: invalid value {value!r}")
+    raise ValueError(f"config file {path}: {key}: invalid value {value!r}")
 
 
 def main(argv=None) -> int:
@@ -613,11 +592,10 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        # Checked here, not as --out's argparse type: argparse would replace the message.
+        args.out = output_path(args.out)  # before any input is read
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.exit_code
-    except (SessionLogError, ValueError, FloatingPointError) as e:  # the last: a run diverged
+    except (ValueError, FloatingPointError) as e:  # the last: a run diverged
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # internal failure

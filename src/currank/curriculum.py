@@ -45,8 +45,8 @@ class PacingParams:
         for name in ("alpha", "beta"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in (0, 1)")
-        if self.k < 1.0:
-            raise ValueError("k must be >= 1")
+        if not 1.0 <= self.k < math.inf:  # NaN too
+            raise ValueError("k must be >= 1 and finite")
         # T = 0 is allowed as a no-op training budget.
         if self.T < 0:
             raise ValueError("T must be >= 0")

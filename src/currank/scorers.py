@@ -59,8 +59,10 @@ class DenseScorer:
 
     def score_corpus(self, ctxs: Sequence[SearchContext]) -> np.ndarray:
         # A mat-vec per context: a matrix product's bits may depend on a row's place.
-        return np.stack([self._doc_enc @ self._ctx_enc[self._context_row[c.context_id]]
-                         for c in ctxs])
+        block = np.empty((len(ctxs), len(self.doc_ids)), dtype=self._doc_enc.dtype)
+        for row, c in zip(block, ctxs):
+            np.matmul(self._doc_enc, self._ctx_enc[self._context_row[c.context_id]], out=row)
+        return block
 
     def digest(self) -> str:
         h = hashlib.sha256(b"dense:")

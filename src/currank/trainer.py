@@ -76,6 +76,10 @@ class TrainConfig:
             raise ValueError("checkpoint_interval must be >= 0")
         if not self.learning_rate > 0:  # NaN too
             raise ValueError("learning_rate must be > 0")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be > 0 and finite")
+        if not 0 <= self.momentum < 1:  # the velocity decays
+            raise ValueError("momentum must be in [0, 1)")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 

@@ -131,6 +131,24 @@ class TestSynth:
             run_cli("synth", "--sessions", 10, "--out", tmp_path / "x")
         assert exc.value.code == 2
 
+    def test_failed_separability_audit_is_an_internal_error(self, tmp_path, monkeypatch,
+                                                            capsys):
+        generate = cli.synth.generate_synthetic
+
+        def one_click_off_topic(spec):
+            sessions, documents, labels = generate(spec)
+            first, *rest = sessions[0].interactions
+            off = next(d for d in first.candidate_doc_ids if d not in first.clicked_doc_ids)
+            sessions[0] = replace(sessions[0], interactions=(
+                replace(first, clicked_doc_ids=frozenset({off})), *rest))
+            return sessions, documents, labels
+
+        monkeypatch.setattr(cli.synth, "generate_synthetic", one_click_off_topic)
+        assert run_cli(*SYNTH_ARGS, "--out", tmp_path / "o") == 1
+        out, err = capsys.readouterr()
+        assert "on-topic click fraction: 0.9917\n" in out  # 119 of 120 clicks
+        assert err == "internal error: separability audit failed with noise 0\n"
+
     def test_lock_file_rejects_concurrent_run(self, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()
@@ -1127,7 +1145,11 @@ class TestConfigFile:
         ("lerning_rate: 0.5\nsteps: 3\n", "lerning_rate"),
         ("optimizer: sgd\nsteps: 3\n", "optimizer"),
         ("steps: 3\nzeta: 1\nbatch-sise: 8\n", "batch-sise, zeta"),
-    ], ids=["typo", "removed-optimizer", "two-keys"])
+        ("learning_rate: 0.5\nsteps: 3\n", "learning_rate"),
+        ("n_sessions: 9\nsteps: 3\n", "n_sessions"),
+        ("h: true\nsteps: 3\n", "h"),
+    ], ids=["typo", "removed-optimizer", "two-keys", "field-not-flag", "synth-field-not-flag",
+            "short-flag"])
     def test_key_no_command_takes_exits_two(self, bundle_dir, ledger_dir, tmp_path,
                                             capsys, text, keys):
         config = tmp_path / "conf.yaml"
@@ -1179,17 +1201,27 @@ class TestConfigFile:
             f"error: config file {config}: {key}: invalid value {shown}\n"
         assert not out.exists()
 
-    def test_values_parse_as_their_flags_do(self, bundle_dir, ledger_dir, tmp_path):
+    @pytest.mark.parametrize("command, text, flags, float_field", [
+        ("train", "lr: 1\nsteps: '3'\nbatch-size: 8\nmode: none\n",
+         ("--lr", 1, "--steps", 3, "--batch-size", 8, "--mode", "none"), "learning_rate"),
+        # --sessions is required, so the flag's 30 wins over the file's 99 on both runs
+        ("synth", "sessions: 99\ntopics: 5\nqueries: 2\nnoise: 0\n",
+         ("--topics", 5, "--queries", 2, "--noise", 0), "noise_rate"),
+    ], ids=["train", "synth"])
+    def test_values_parse_as_their_flags_do(self, bundle_dir, ledger_dir, tmp_path, command,
+                                            text, flags, float_field):
         config = tmp_path / "conf.yaml"
-        config.write_text("lr: 1\nsteps: '3'\nbatch-size: 8\nmode: none\n")
-        common = ("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json")
-        assert run_cli(*common, "--config", config, "--out", tmp_path / "file") == 0
-        assert run_cli(*common, "--lr", 1, "--steps", 3, "--batch-size", 8, "--mode", "none",
-                       "--out", tmp_path / "flags") == 0
+        config.write_text(text)
+        common = {"synth": ("synth", "--sessions", 30, "--seed", 3),
+                  "train": ("train", "--bundle", bundle_dir,
+                            "--ledger", ledger_dir / "ledger.json")}[command]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(*common, "--config", config, "--out", tmp_path / "file") == 0
+            assert run_cli(*common, *flags, "--out", tmp_path / "flags") == 0
         by_file, by_flags = (json.loads((tmp_path / name / MANIFEST_NAME).read_text())
                              for name in ("file", "flags"))
         assert by_file["config"] == by_flags["config"]
-        assert type(by_file["config"]["learning_rate"]) is float
+        assert type(by_file["config"][float_field]) is float
         assert by_file["output_digests"] == by_flags["output_digests"]
 
 
@@ -1736,6 +1768,40 @@ class TestFailedCommandOutput:
         assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
                        "--out", out) == 2
         assert sorted(p.name for p in out.iterdir()) == existing
+
+
+class TestRefusedHyperparameters:
+    """A hyperparameter outside its range exits 2 naming its field before any
+    training or scoring, and leaves no --out."""
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("train", "--k", "nan", "k must be >= 1 and finite"),
+        ("train", "--k", "inf", "k must be >= 1 and finite"),
+        ("train", "--tau", "inf", "tau must be > 0 and finite"),
+        ("train", "--tau", 0, "tau must be > 0 and finite"),
+        ("train", "--momentum", -3, "momentum must be in [0, 1)"),
+        ("train", "--momentum", 1, "momentum must be in [0, 1)"),
+        ("train", "--momentum", 2, "momentum must be in [0, 1)"),
+        ("ablate", "--k", "nan", "k must be >= 1 and finite"),
+        ("ablate", "--tau", "inf", "tau must be > 0 and finite"),
+        ("ablate", "--tau", 0, "tau must be > 0 and finite"),
+        ("score", "--k1", "nan", "k1 must be >= 0 and finite"),
+        ("score", "--k1", "inf", "k1 must be >= 0 and finite"),
+    ])
+    def test_exits_two_before_any_work(self, bundle_dir, ledger_dir, tmp_path, monkeypatch,
+                                       capsys, command, flag, value, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("trained or scored before checking the flags")
+
+        for name in ("train", "train_and_evaluate", "build_ledger"):
+            monkeypatch.setattr(cli, name, no_work)
+        train_flags = ("--ledger", ledger_dir / "ledger.json", "--steps", 10, "--batch-size", 8)
+        flags = {"train": train_flags, "score": (),
+                 "ablate": (*train_flags, "--grid-deltas", "0.3", "--grid-etas", "0.7")}[command]
+        out = tmp_path / "o"
+        assert run_cli(command, "--bundle", bundle_dir, *flags, flag, value, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestDivergence:
