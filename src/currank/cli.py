@@ -53,39 +53,6 @@ BUNDLE_FILES = ("documents.jsonl", "sessions.jsonl", "contexts.jsonl")
 FIT_FLAGS = ("fit_epochs", "fit_batch_size", "fit_lr", "d_emb", "hidden")  # score --fit's
 
 
-@contextlib.contextmanager
-def output_lock(out_dir: Path):
-    """Lock `out_dir`; on the way out, rmdir it if this lock created it and it is empty."""
-    created = not out_dir.exists()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / LOCK_NAME
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ValueError(
-            f"output directory {out_dir} is locked by another command "
-            f"(pid {_lock_owner(lock)}); if no such command is running, "
-            f"remove {lock}"
-        )
-    try:
-        with os.fdopen(fd, "w") as fp:
-            fp.write(f"{os.getpid()}\n")
-        yield
-    finally:
-        lock.unlink(missing_ok=True)
-        if created:
-            with contextlib.suppress(OSError):  # not empty
-                out_dir.rmdir()
-
-
-def _lock_owner(lock: Path) -> str:
-    """The pid recorded in a lock file, or "unknown"."""
-    try:
-        return lock.read_text().strip() or "unknown"
-    except OSError:
-        return "unknown"
-
-
 def split_of(session_id: str) -> str:
     """Deterministic 8/1/1 train/val/test split keyed on the session id."""
     bucket = hashlib.sha1(session_id.encode()).digest()[0] % 10
@@ -175,18 +142,37 @@ def write_bundle(out_dir: Path, sessions, documents, contexts) -> list[Path]:
 
 @contextlib.contextmanager
 def command_output(args, config: dict, inputs: list[Path], seed: int | None = None):
-    """Lock `args.out` and yield (out_dir, outputs, manifest): the command
-    lists what it writes in `outputs` and may set the manifest's
+    """Create and lock `args.out` and yield (out_dir, outputs, manifest): the
+    command lists what it writes in `outputs` and may set the manifest's
     scorer_digest. The manifest, digesting `inputs` and `outputs`, is
-    written when the body returns; a body that raises leaves none."""
+    written when the body returns; a body that raises leaves none, and an
+    --out created here is removed again if it is still empty."""
     out_dir = Path(args.out)
-    with output_lock(out_dir):
+    created = not out_dir.exists()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    lock = out_dir / LOCK_NAME
+    try:
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        owner = "unknown"
+        with contextlib.suppress(OSError):
+            owner = lock.read_text().strip() or owner
+        raise ValueError(f"output directory {out_dir} is locked by another command "
+                         f"(pid {owner}); if no such command is running, remove {lock}")
+    try:
+        with os.fdopen(fd, "w") as fp:
+            fp.write(f"{os.getpid()}\n")
         outputs: list[Path] = []
         manifest = RunManifest(args.command, config, seed, {}, {})
         yield out_dir, outputs, manifest
         manifest.input_digests = digest_paths(inputs)
         manifest.output_digests = digest_paths(outputs, base=out_dir)
         write_manifest(out_dir, manifest)
+    finally:
+        lock.unlink(missing_ok=True)
+        if created:
+            with contextlib.suppress(OSError):  # not empty
+                out_dir.rmdir()
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +201,8 @@ def cmd_synth(args) -> int:
     spec = synth.SynthSpec(**_fields_of(synth.SynthSpec, args))
     sessions, documents, labels = synth.generate_synthetic(spec)
     contexts, _ = build_contexts(sessions, documents, window=args.window)
-    config = {**asdict(spec), "window": args.window}
-    with command_output(args, config, [], args.seed) as (out_dir, outputs, _):
-        log_path, labels_path = out_dir / "log.jsonl", out_dir / "labels.jsonl"
-        outputs += [*write_bundle(out_dir, sessions, documents, contexts),
-                    log_path, labels_path]
-        with open(log_path, "w") as fp:
-            synth.write_session_log(sessions, documents, fp)
-        with open(labels_path, "w") as fp:
-            synth.write_labels(labels, fp)
 
-    # Post-generation audit: does the click land on the session topic?
+    # Separability audit, before anything is written: does the click land on the session topic?
     clicks = [doc_id.startswith(f"d{labels[session.session_id]:03d}_")
               for session in sessions for inter in session.interactions
               for doc_id in inter.clicked_doc_ids]
@@ -236,10 +213,20 @@ def cmd_synth(args) -> int:
     print(f"on-topic click fraction: {on_topic / total:.4f}")
     if spec.noise_rate == 0.0 and on_topic != total:
         raise RuntimeError("separability audit failed with noise 0")  # exit 1
+
+    config = {**asdict(spec), "window": args.window}
+    with command_output(args, config, [], args.seed) as (out_dir, outputs, _):
+        log_path, labels_path = out_dir / "log.jsonl", out_dir / "labels.jsonl"
+        outputs += [*write_bundle(out_dir, sessions, documents, contexts),
+                    log_path, labels_path]
+        with open(log_path, "w") as fp:
+            synth.write_session_log(sessions, documents, fp)
+        with open(labels_path, "w") as fp:
+            synth.write_labels(labels, fp)
     return 0
 
 
-def _make_scorer(kind: str, args, documents, train_contexts, vocab, out_dir):
+def _make_scorer(kind: str, args, documents, train_contexts, vocab):
     if kind == "bm25":
         index = bm25.build_index(documents)
         return Bm25Scorer(index, bm25.Bm25Params(k1=args.k1, b=args.b))
@@ -250,8 +237,6 @@ def _make_scorer(kind: str, args, documents, train_contexts, vocab, out_dir):
             args.checkpoint, checkpoint.load_checkpoint, "dense-scorer")
         return DenseScorer(params, ckpt_vocab,
                            encode_corpus(ckpt_vocab, documents, tokens_by_id))
-    if not args.fit:
-        raise ValueError("dense scorer needs --checkpoint or --fit")
     corpus = encode_corpus(vocab, documents, tokens_by_id)
     rng = np.random.default_rng([args.seed, 2])
     params = towers.init_params(len(vocab), args.d_emb, args.hidden, rng)
@@ -261,10 +246,8 @@ def _make_scorer(kind: str, args, documents, train_contexts, vocab, out_dir):
         batch_size=args.fit_batch_size, epochs=args.fit_epochs,
         learning_rate=args.fit_lr, seed=args.seed,
     )
-    checkpoint.save_checkpoint(out_dir / "dense_scorer.bin", "dense-scorer", params, vocab,
-                               meta={"fit_losses": losses})
     print("dense fit losses: " + " ".join(f"{loss:.6f}" for loss in losses))
-    return DenseScorer(params, vocab, corpus)
+    return DenseScorer(params, vocab, corpus, fit_losses=losses)
 
 
 def cmd_score(args) -> int:
@@ -276,6 +259,14 @@ def cmd_score(args) -> int:
     if "dense" not in (pos_kind, neg_kind) and (args.fit or args.checkpoint):
         raise ValueError(f"--{'fit' if args.fit else 'checkpoint'} needs a dense scorer; "
                          f"both curricula use {pos_kind}")
+    if "dense" in (pos_kind, neg_kind) and not (args.fit or args.checkpoint):
+        raise ValueError("dense scorer needs --checkpoint or --fit")
+    if args.fit:  # in-batch negatives need two pairs a batch
+        for name, least in (("fit_epochs", 1), ("fit_batch_size", 2), ("d_emb", 1), ("hidden", 1)):
+            if vars(args)[name] < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
+        if not 0 < args.fit_lr < math.inf:  # NaN too
+            raise ValueError("--fit-lr must be > 0 and finite")
     bundle_dir = Path(args.bundle)
     config = {
         "bundle": str(bundle_dir), "pos_scorer": pos_kind,
@@ -293,14 +284,14 @@ def cmd_score(args) -> int:
     check_documents(train_contexts, documents)  # build_ledger and the dense fit rely on it
     vocab = build_vocab(documents, contexts)
     with command_output(args, config, inputs, args.seed) as (out_dir, outputs, manifest):
-        pos_scorer = _make_scorer(pos_kind, args, documents, train_contexts, vocab, out_dir)
-        neg_scorer = (
-            pos_scorer if neg_kind == pos_kind
-            else _make_scorer(neg_kind, args, documents, train_contexts, vocab, out_dir)
-        )
-        ledger = build_ledger(pos_scorer, neg_scorer, train_contexts)
-        if "dense" in (pos_kind, neg_kind) and not args.checkpoint:
+        scorers = {kind: _make_scorer(kind, args, documents, train_contexts, vocab)
+                   for kind in dict.fromkeys((pos_kind, neg_kind))}
+        ledger = build_ledger(scorers[pos_kind], scorers[neg_kind], train_contexts)
+        if args.fit:  # the fitted scorer is saved only once its ledger is built
+            fitted = scorers["dense"]
             outputs.append(out_dir / "dense_scorer.bin")
+            checkpoint.save_checkpoint(outputs[-1], "dense-scorer", fitted.params, fitted.vocab,
+                                       meta={"fit_losses": fitted.fit_losses})
         outputs.append(out_dir / "ledger.json")
         save_ledger(ledger, outputs[-1])
         manifest.scorer_digest = f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}"
@@ -393,11 +384,15 @@ def cmd_eval(args) -> int:
 
 def usable_cpus() -> int:
     """The CPUs this process may run on (affinity mask, else CPU count), capped at
-    ceil(quota / period) of CGROUP_CPU_MAX; no cap for "max" or a file not read."""
+    ceil(quota / period) of CGROUP_CPU_MAX or, without it, of cgroup v1's cpu/cpu.cfs_*_us
+    beside it; no cap for a quota of "max" or -1, or for files not read."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    files = [CGROUP_CPU_MAX] if CGROUP_CPU_MAX.exists() else [
+        CGROUP_CPU_MAX.parent / "cpu" / f"cpu.cfs_{name}_us" for name in ("quota", "period")]
     with contextlib.suppress(OSError, ValueError, ZeroDivisionError):
-        quota, period = CGROUP_CPU_MAX.read_text().split()
-        cpus = min(cpus, max(1, math.ceil(int(quota) / int(period))))
+        quota, period = map(int, " ".join(f.read_text() for f in files).split())
+        if quota > 0:
+            cpus = min(cpus, max(1, math.ceil(quota / period)))
     return cpus
 
 
@@ -545,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser, argv):
-    """Use --config values as defaults so explicit flags still win."""
+    """Use --config values as defaults so explicit flags still win; a key
+    supplies its flag, so a required flag the file sets is no longer required."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
@@ -566,7 +562,7 @@ def _apply_config_file(parser, argv):
     if unknown:
         raise ValueError(f"config file {path}: no command takes {', '.join(unknown)}")
     for action, key in [(f[o], k) for f in flags for k, o in options.items() if o in f]:
-        action.default = _flag_value(path, key, action, data[key])
+        action.default, action.required = _flag_value(path, key, action, data[key]), False
 
 
 def _flag_value(path: Path, key, action: argparse.Action, value):

@@ -46,11 +46,14 @@ class Bm25Scorer:
 
 class DenseScorer:
     """Scores the contexts and documents of `corpus`, which `vocab` encoded,
-    from one forward pass per tower."""
+    from one forward pass per tower. `fit_losses` are the epoch losses of
+    the fit that produced `params`, if this run fitted them."""
 
-    def __init__(self, params: DualEncoderParams, vocab: Vocab, corpus: EncodedCorpus):
+    def __init__(self, params: DualEncoderParams, vocab: Vocab, corpus: EncodedCorpus,
+                 fit_losses: list[float] | None = None):
         self.params = params
         self.vocab = vocab
+        self.fit_losses = fit_losses
         self.doc_ids = sorted(corpus.doc_row)
         self._context_row = corpus.context_row
         self._ctx_enc, _ = towers.encode_batch(params, corpus.contexts, "context")

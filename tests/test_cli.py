@@ -148,6 +148,7 @@ class TestSynth:
         out, err = capsys.readouterr()
         assert "on-topic click fraction: 0.9917\n" in out  # 119 of 120 clicks
         assert err == "internal error: separability audit failed with noise 0\n"
+        assert not (tmp_path / "o").exists()  # audited before anything is written
 
     def test_lock_file_rejects_concurrent_run(self, tmp_path, capsys):
         out = tmp_path / "locked"
@@ -996,15 +997,23 @@ class TestAblate:
         assert not out.exists()  # no lock, no manifest, no ablation.json
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("cpu_max, workers", [
-        ("50000 100000\n", 1), ("150000 100000\n", 2), ("max 100000\n", 4),
-        (None, 4), ("", 4),
-    ], ids=["half a CPU", "one and a half CPUs", "no quota", "no file", "empty file"])
+    @pytest.mark.parametrize("cpu_max, v1_quota, workers", [
+        ("50000 100000\n", None, 1), ("150000 100000\n", None, 2), ("max 100000\n", None, 4),
+        (None, None, 4), ("", None, 4),
+        (None, "50000\n", 1), (None, "250000\n", 3), (None, "-1\n", 4), (None, "", 4),
+        ("max 100000\n", "50000\n", 4),
+    ], ids=["half a CPU", "one and a half CPUs", "no quota", "no file", "empty file",
+            "v1 half a CPU", "v1 two and a half CPUs", "v1 no quota", "v1 empty quota",
+            "v2 before v1"])
     def test_worker_count_honours_a_cgroup_cpu_quota(self, tmp_path, monkeypatch,
-                                                      cpu_max, workers):
-        cpu_max_file = tmp_path / "cpu.max"
+                                                      cpu_max, v1_quota, workers):
+        cpu_max_file, v1 = tmp_path / "cpu.max", tmp_path / "cpu"
         if cpu_max is not None:
             cpu_max_file.write_text(cpu_max)
+        if v1_quota is not None:  # cgroup v1, read only without cpu.max
+            v1.mkdir()
+            (v1 / "cpu.cfs_quota_us").write_text(v1_quota)
+            (v1 / "cpu.cfs_period_us").write_text("100000\n")
         monkeypatch.setattr(cli, "CGROUP_CPU_MAX", cpu_max_file)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         assert cli.usable_cpus() == workers
@@ -1161,6 +1170,35 @@ class TestConfigFile:
             == capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_supplies_synths_required_flags(self, tmp_path):
+        """A key for a required flag supplies it; the flag still wins."""
+        config = tmp_path / "conf.yaml"
+        config.write_text("sessions: 30\nseed: 4\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("synth", "--config", config, "--out", tmp_path / "file") == 0
+            assert run_cli("synth", "--sessions", 30, "--seed", 4,
+                           "--out", tmp_path / "flags") == 0
+            assert run_cli("synth", "--config", config, "--sessions", 20,
+                           "--out", tmp_path / "flag-wins") == 0
+        by_file, by_flags, flag_wins = (json.loads((tmp_path / name / MANIFEST_NAME).read_text())
+                                        for name in ("file", "flags", "flag-wins"))
+        assert by_file["master_seed"] == 4
+        assert by_file["config"] == by_flags["config"]
+        assert by_file["output_digests"] == by_flags["output_digests"]
+        assert flag_wins["config"]["n_sessions"] == 20
+
+    def test_config_supplies_trains_required_flags(self, bundle_dir, ledger_dir, tmp_path):
+        config, out = tmp_path / "conf.yaml", tmp_path / "file"
+        config.write_text(yaml.safe_dump({
+            "bundle": str(bundle_dir), "ledger": str(ledger_dir / "ledger.json"),
+            "out": str(out), "steps": 3, "batch-size": 8}))
+        assert run_cli("train", "--config", config) == 0
+        assert run_cli("train", "--config", config, "--out", tmp_path / "flag-wins") == 0
+        by_file, flag_wins = (json.loads((tmp_path / name / MANIFEST_NAME).read_text())
+                              for name in ("file", "flag-wins"))
+        assert by_file["input_digests"] == flag_wins["input_digests"]
+        assert by_file["output_digests"] == flag_wins["output_digests"]
+
     def test_missing_config_exits_two(self, bundle_dir, tmp_path, capsys):
         assert run_cli("train", "--config", tmp_path / "nope.yaml",
                        "--bundle", bundle_dir, "--ledger", tmp_path / "l",
@@ -1204,7 +1242,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, text, flags, float_field", [
         ("train", "lr: 1\nsteps: '3'\nbatch-size: 8\nmode: none\n",
          ("--lr", 1, "--steps", 3, "--batch-size", 8, "--mode", "none"), "learning_rate"),
-        # --sessions is required, so the flag's 30 wins over the file's 99 on both runs
+        # --sessions 30 on both runs: the flag wins over the file's 99
         ("synth", "sessions: 99\ntopics: 5\nqueries: 2\nnoise: 0\n",
          ("--topics", 5, "--queries", 2, "--noise", 0), "noise_rate"),
     ], ids=["train", "synth"])
@@ -1734,12 +1772,27 @@ class TestFailedCommandOutput:
         assert capsys.readouterr().err == f"error: --out {out}: {afile} is not a directory\n"
         assert afile.read_text() == "mine\n"
 
-    def test_only_the_leaf_is_removed(self, bundle_dir, tmp_path):
+    @pytest.fixture
+    def failing_ledger_build(self, monkeypatch):
+        """`score` fails inside its output lock, once the scorers are built."""
+        def refuse(*args, **kwargs):
+            raise ValueError("refused inside the lock")
+
+        monkeypatch.setattr(cli, "build_ledger", refuse)
+
+    def test_only_the_leaf_is_removed(self, bundle_dir, tmp_path, failing_ledger_build):
         out = tmp_path / "new" / "o"
-        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
-                       "--out", out) == 2
+        assert run_cli("score", "--bundle", bundle_dir, "--out", out) == 2
         assert not out.exists()
         assert list((tmp_path / "new").iterdir()) == []
+
+    def test_a_failed_ledger_build_leaves_no_fitted_scorer(self, bundle_dir, tmp_path, capsys,
+                                                           failing_ledger_build):
+        out = tmp_path / "o"
+        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense", "--fit",
+                       "--fit-epochs", 1, "--out", out) == 2
+        assert capsys.readouterr().err == "error: refused inside the lock\n"
+        assert not out.exists()  # no dense_scorer.bin without its ledger
 
     def test_a_failed_train_keeps_its_periodic_checkpoints(self, bundle_dir, ledger_dir,
                                                            tmp_path, monkeypatch, capsys):
@@ -1760,13 +1813,13 @@ class TestFailedCommandOutput:
                        "--resume", out / "ckpt_00000005.bin", "--out", tmp_path / "resumed") == 0
 
     @pytest.mark.parametrize("existing", [[], ["notes.txt"]], ids=["empty", "with-a-file"])
-    def test_a_directory_that_existed_is_never_removed(self, bundle_dir, tmp_path, existing):
+    def test_a_directory_that_existed_is_never_removed(self, bundle_dir, tmp_path,
+                                                       failing_ledger_build, existing):
         out = tmp_path / "o"
         out.mkdir()
         for name in existing:
             (out / name).write_text("mine\n")
-        assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense",
-                       "--out", out) == 2
+        assert run_cli("score", "--bundle", bundle_dir, "--out", out) == 2
         assert sorted(p.name for p in out.iterdir()) == existing
 
 
@@ -1787,19 +1840,32 @@ class TestRefusedHyperparameters:
         ("ablate", "--tau", 0, "tau must be > 0 and finite"),
         ("score", "--k1", "nan", "k1 must be >= 0 and finite"),
         ("score", "--k1", "inf", "k1 must be >= 0 and finite"),
+        ("score", "--scorer", "dense", "dense scorer needs --checkpoint or --fit"),
+        ("score --fit", "--fit-lr", -1, "--fit-lr must be > 0 and finite"),
+        ("score --fit", "--fit-lr", 0, "--fit-lr must be > 0 and finite"),
+        ("score --fit", "--fit-lr", "nan", "--fit-lr must be > 0 and finite"),
+        ("score --fit", "--fit-lr", "inf", "--fit-lr must be > 0 and finite"),
+        ("score --fit", "--fit-epochs", 0, "--fit-epochs must be >= 1"),
+        ("score --fit", "--fit-epochs", -2, "--fit-epochs must be >= 1"),
+        ("score --fit", "--d-emb", 0, "--d-emb must be >= 1"),
+        ("score --fit", "--hidden", 0, "--hidden must be >= 1"),
+        ("score --fit", "--fit-batch-size", 1, "--fit-batch-size must be >= 2"),
     ])
     def test_exits_two_before_any_work(self, bundle_dir, ledger_dir, tmp_path, monkeypatch,
                                        capsys, command, flag, value, message):
         def no_work(*args, **kwargs):
-            raise AssertionError("trained or scored before checking the flags")
+            raise AssertionError("read, trained or scored before checking the flags")
 
         for name in ("train", "train_and_evaluate", "build_ledger"):
             monkeypatch.setattr(cli, name, no_work)
+        if command.startswith("score"):  # score's flags are all checked before its bundle
+            monkeypatch.setattr(cli, "load_bundle", no_work)
         train_flags = ("--ledger", ledger_dir / "ledger.json", "--steps", 10, "--batch-size", 8)
-        flags = {"train": train_flags, "score": (),
+        flags = {"train": train_flags, "score": (), "score --fit": ("--scorer", "dense"),
                  "ablate": (*train_flags, "--grid-deltas", "0.3", "--grid-etas", "0.7")}[command]
         out = tmp_path / "o"
-        assert run_cli(command, "--bundle", bundle_dir, *flags, flag, value, "--out", out) == 2
+        assert run_cli(*command.split(), "--bundle", bundle_dir, *flags, flag, value,
+                       "--out", out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
