@@ -1,10 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ingest, synth, score, train, eval, ablate. Every command
-that writes outputs drops a manifest.json with config and input/output
-digests next to them, and takes an exclusive lock on the output
-directory. Flags override values from an optional YAML --config file,
-which overrides built-in defaults.
+takes an exclusive lock on its output directory and leaves a manifest.json
+next to its outputs (see `command_output`). Flags override values from an
+optional YAML --config file, which overrides built-in defaults.
 
 Exit codes: 0 success, 1 internal failure, 2 usage or input error or a
 diverged run (non-finite scores or parameters in training or the dense fit).
@@ -23,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,6 @@ import yaml
 
 from . import __version__, bm25, checkpoint, dense, synth, towers
 from .curriculum import PacingParams, build_ledger, check_documents, load_ledger, save_ledger
-from .manifest import RunManifest, digest_paths, write_manifest
 from .metrics import evaluate_run, query_gains, write_qrels, write_run_file
 from .ranker import rank_slate  # noqa: F401 -- perfbench/spans.py traces it here
 from .scorers import Bm25Scorer, DenseScorer
@@ -48,6 +47,7 @@ from .trainer import (  # evaluate_ranker: perfbench/spans.py traces it here
 )
 
 LOCK_NAME = ".currank.lock"
+MANIFEST_NAME = "manifest.json"
 CGROUP_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2: "<quota> <period>" or "max <period>"
 BUNDLE_FILES = ("documents.jsonl", "sessions.jsonl", "contexts.jsonl")
 FIT_FLAGS = ("fit_epochs", "fit_batch_size", "fit_lr", "d_emb", "hidden")  # score --fit's
@@ -140,11 +140,22 @@ def write_bundle(out_dir: Path, sessions, documents, contexts) -> list[Path]:
     return paths
 
 
+def digest_paths(paths: list[Path], base: Path | None = None) -> dict[str, str]:
+    out = {}
+    for p in paths:
+        key = str(p.relative_to(base)) if base else str(p)
+        out[key] = checkpoint.file_digest(p)
+    return out
+
+
 @contextlib.contextmanager
 def command_output(args, config: dict, inputs: list[Path], seed: int | None = None):
     """Create and lock `args.out` and yield (out_dir, outputs, manifest): the
     command lists what it writes in `outputs` and may set the manifest's
-    scorer_digest. The manifest, digesting `inputs` and `outputs`, is
+    "scorer_digest". The manifest is the run's reproducibility record: the
+    effective config, the master seed, and sha256 digests of `inputs` and
+    `outputs`. Re-running the command with that config must reproduce the
+    output digests byte for byte; only the manifest holds a timestamp. It is
     written when the body returns; a body that raises leaves none, and an
     --out created here is removed again if it is still empty."""
     out_dir = Path(args.out)
@@ -163,11 +174,15 @@ def command_output(args, config: dict, inputs: list[Path], seed: int | None = No
         with os.fdopen(fd, "w") as fp:
             fp.write(f"{os.getpid()}\n")
         outputs: list[Path] = []
-        manifest = RunManifest(args.command, config, seed, {}, {})
+        manifest = {"scorer_digest": ""}
         yield out_dir, outputs, manifest
-        manifest.input_digests = digest_paths(inputs)
-        manifest.output_digests = digest_paths(outputs, base=out_dir)
-        write_manifest(out_dir, manifest)
+        manifest.update(command=args.command, config=config, master_seed=seed,
+                        input_digests=digest_paths(inputs),
+                        output_digests=digest_paths(outputs, base=out_dir),
+                        tool_version=__version__,
+                        created_at=datetime.now(timezone.utc).isoformat())
+        checkpoint.write_atomic(out_dir / MANIFEST_NAME,
+                                (checkpoint.strict_json(manifest, indent=2) + "\n").encode())
     finally:
         lock.unlink(missing_ok=True)
         if created:
@@ -180,6 +195,8 @@ def command_output(args, config: dict, inputs: list[Path], seed: int | None = No
 
 
 def cmd_ingest(args) -> int:
+    if args.window < 1:
+        raise ValueError("--window must be >= 1")
     log_path = input_path(args.log, "log file")
     with open(log_path) as fp:
         try:
@@ -198,6 +215,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.window < 1:
+        raise ValueError("--window must be >= 1")
     spec = synth.SynthSpec(**_fields_of(synth.SynthSpec, args))
     sessions, documents, labels = synth.generate_synthetic(spec)
     contexts, _ = build_contexts(sessions, documents, window=args.window)
@@ -294,41 +313,39 @@ def cmd_score(args) -> int:
                                        meta={"fit_losses": fitted.fit_losses})
         outputs.append(out_dir / "ledger.json")
         save_ledger(ledger, outputs[-1])
-        manifest.scorer_digest = f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}"
+        manifest["scorer_digest"] = f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}"
     print(f"positives scored: {len(ledger.positives)}")
     print(f"pos scorer digest: {ledger.pos_scorer_digest}")
     print(f"neg scorer digest: {ledger.neg_scorer_digest}")
     return 0
 
 
-def _train_config_from(args, n_positives: int) -> TrainConfig:
-    pacing = PacingParams(T=args.steps or 0,  # set from --epochs below if --steps is unset
-                          **_fields_of(PacingParams, args, "T"))
-    config = TrainConfig(pacing, **_fields_of(TrainConfig, args, "pacing"))
-    if args.steps is None:  # TrainConfig has checked the batch size by now
-        T = args.epochs * steps_per_epoch(n_positives, config.batch_size)
-        config = replace(config, pacing=replace(config.pacing, T=T))
-    return config
-
-
 def _load_training_inputs(args):
-    """The training-split ledger, its encoded training data, the encoded
+    """The training config, its flags checked before any input is read and
+    its T from --epochs once the ledger is read, unless --steps sets it;
+    the training-split ledger, its encoded training data, the encoded
     validation slates (None if the split has none), and the input paths
     a training manifest digests."""
+    if args.epochs < 0:
+        raise ValueError("--epochs must be >= 0")
+    config = TrainConfig(PacingParams(T=args.steps or 0, **_fields_of(PacingParams, args, "T")),
+                         **_fields_of(TrainConfig, args, "pacing"))
     bundle_dir, ledger_path = Path(args.bundle), input_path(args.ledger, "ledger file")
     sessions, documents, contexts = load_bundle(bundle_dir)
     ledger = load_ledger(ledger_path)
+    if args.steps is None:
+        T = args.epochs * steps_per_epoch(len(ledger.positives), config.batch_size)
+        config = replace(config, pacing=replace(config.pacing, T=T))
     vocab = build_vocab(documents, contexts)
     val_items = build_eval_items(in_split(sessions, "val"), documents)
     data = training_data(vocab, documents, in_split(contexts, "train"), ledger)
     slates = encode_slates(vocab, val_items, documents) if val_items else None
-    return ledger, data, slates, bundle_paths(bundle_dir) + [ledger_path]
+    return config, ledger, data, slates, bundle_paths(bundle_dir) + [ledger_path]
 
 
 def cmd_train(args) -> int:
     resume_path = input_path(args.resume, "checkpoint") if args.resume else None
-    ledger, data, slates, inputs = _load_training_inputs(args)
-    config = _train_config_from(args, len(ledger.positives))
+    config, ledger, data, slates, inputs = _load_training_inputs(args)
     resume = resume_path and read_checkpoint(resume_path, load_resume, config, data.vocab)
     with command_output(args, asdict(config), inputs, args.seed) as (
             out_dir, outputs, manifest):
@@ -339,7 +356,7 @@ def cmd_train(args) -> int:
         save_ranker(ckpt_path, params, data.vocab)
         log_path.write_text("".join(lines))
         outputs += [ckpt_path, *log.checkpoints, log_path]
-        manifest.scorer_digest = f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}"
+        manifest["scorer_digest"] = f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}"
     print(f"steps: {len(log.steps)} (T={config.pacing.T}, mode={config.mode})")
     if log.validations:
         last = log.validations[-1]
@@ -348,6 +365,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.tag.split() != [args.tag]:  # run.txt's sixth and last column
+        raise ValueError(f"--tag {args.tag!r} must be one word: not empty, no whitespace")
     bundle_dir, ckpt_path = Path(args.bundle), input_path(args.checkpoint, "checkpoint")
     sessions, documents, _ = load_bundle(bundle_dir, contexts=False)
     params, vocab = read_checkpoint(ckpt_path, load_ranker)
@@ -413,12 +432,10 @@ def _ablation_run(task: tuple[dict, TrainConfig]) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    ledger, data, slates, inputs = _load_training_inputs(args)  # shared by every run
+    base, _, data, slates, inputs = _load_training_inputs(args)  # shared by every run
     if slates is None:
         raise ValueError("ablation needs a non-empty validation split")
-    base = _train_config_from(args, len(ledger.positives))
-    deltas, etas = ([float(x) for x in f.split(",")] for f in (args.grid_deltas, args.grid_etas))
-    runs = ablation_runs(base, deltas, etas)
+    runs = ablation_runs(base, args.grid_deltas, args.grid_etas)
     for _, config in runs:
         check_prefixes(config, data.columns)  # every run, before the first
 
@@ -426,7 +443,7 @@ def cmd_ablate(args) -> int:
     # here, since these modules add about 2 MB of RSS that no other command needs.
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
-    config = {**asdict(base), "grid_deltas": deltas, "grid_etas": etas}
+    config = {**asdict(base), "grid_deltas": args.grid_deltas, "grid_etas": args.grid_etas}
     with command_output(args, config, inputs, args.seed) as (out_dir, outputs, _), \
             ProcessPoolExecutor(min(usable_cpus(), len(runs)), get_context("fork"),
                                 _init_ablation_worker, (data, slates)) as pool:
@@ -465,6 +482,15 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=TrainConfig.tau)
     p.add_argument("--checkpoint-interval", type=int, default=TrainConfig.checkpoint_interval)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
+
+
+def grid_values(text: str) -> list[float]:
+    """A grid flag's comma-separated values: distinct, each in (0, 1]."""
+    with contextlib.suppress(ValueError):
+        values = [float(x) for x in text.split(",")]
+        if len(set(values)) == len(values) and all(0 < v <= 1 for v in values):
+            return values
+    raise argparse.ArgumentTypeError(f"{text!r} is not a list of distinct numbers in (0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", parents=[reads_bundle],
                        help="run curriculum-mode ablations and the delta/eta grid")
-    p.add_argument("--grid-deltas", default="0.1,0.3,0.5")
-    p.add_argument("--grid-etas", default="0.5,0.7,0.9")
+    p.add_argument("--grid-deltas", type=grid_values, default="0.1,0.3,0.5")
+    p.add_argument("--grid-etas", type=grid_values, default="0.5,0.7,0.9")
     _add_train_flags(p)
     p.set_defaults(func=cmd_ablate)
 
@@ -568,7 +594,7 @@ def _apply_config_file(parser, argv):
 def _flag_value(path: Path, key, action: argparse.Action, value):
     """A config file's `value` for `key`, parsed as its flag would be: by the
     flag's type and choices. A switch such as --fit takes only true or false."""
-    with contextlib.suppress(ValueError):
+    with contextlib.suppress(ValueError, argparse.ArgumentTypeError):
         value = value if action.nargs == 0 else (action.type or str)(str(value))
         if type(value) is bool if action.nargs == 0 else value in (action.choices or [value]):
             return value

@@ -247,8 +247,6 @@ def negative_window_pool(
 
     Preserves logged order and never returns any clicked document.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     try:
         center = interaction.candidate_doc_ids.index(clicked_doc_id)
     except ValueError:

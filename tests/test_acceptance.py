@@ -21,7 +21,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from currank import bm25, dense, towers
-from currank.cli import main as cli_main, split_of
+from currank.cli import MANIFEST_NAME, main as cli_main, split_of
 from currank.curriculum import (
     DifficultyLedger,
     PacingParams,
@@ -32,7 +32,6 @@ from currank.curriculum import (
     pacing_negative,
     pacing_positive,
 )
-from currank.manifest import MANIFEST_NAME
 from currank.metrics import NDCG_CUTOFFS, evaluate_run
 from currank.ranker import RankerParams, loss_and_grad
 from currank.scorers import Bm25Scorer

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import gc
@@ -24,9 +25,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from currank import cli, trainer
 from currank.checkpoint import MAGIC, file_digest, load_checkpoint, save_checkpoint
-from currank.cli import LOCK_NAME, build_vocab, in_split, load_bundle, main, split_of
+from currank.cli import (
+    LOCK_NAME, MANIFEST_NAME, build_vocab, command_output, in_split, load_bundle, main, split_of,
+)
 from currank.curriculum import load_ledger, save_ledger
-from currank.manifest import MANIFEST_NAME, RunManifest, write_manifest
 from currank.ranker import RankerParams
 from currank.sessions import build_eval_items
 from currank.towers import init_params, token_rows
@@ -1824,8 +1826,8 @@ class TestFailedCommandOutput:
 
 
 class TestRefusedHyperparameters:
-    """A hyperparameter outside its range exits 2 naming its field before any
-    training or scoring, and leaves no --out."""
+    """A hyperparameter outside its range exits 2 naming its field or flag
+    before any input is read, and leaves no --out."""
 
     @pytest.mark.parametrize("command, flag, value, message", [
         ("train", "--k", "nan", "k must be >= 1 and finite"),
@@ -1850,23 +1852,48 @@ class TestRefusedHyperparameters:
         ("score --fit", "--d-emb", 0, "--d-emb must be >= 1"),
         ("score --fit", "--hidden", 0, "--hidden must be >= 1"),
         ("score --fit", "--fit-batch-size", 1, "--fit-batch-size must be >= 2"),
+        ("train", "--epochs", -1, "--epochs must be >= 0"),
+        ("ablate", "--epochs", -1, "--epochs must be >= 0"),
+        ("eval", "--tag", "a b", "--tag 'a b' must be one word: not empty, no whitespace"),
+        ("eval", "--tag", "", "--tag '' must be one word: not empty, no whitespace"),
+        ("eval", "--tag", "run\t1", "--tag 'run\\t1' must be one word: not empty, no whitespace"),
+        ("ingest", "--window", 0, "--window must be >= 1"),
+        ("ingest", "--window", -5, "--window must be >= 1"),
+        ("synth", "--window", 0, "--window must be >= 1"),
+        ("ablate", "--grid-deltas", "0.3,x",
+         "argument --grid-deltas: '0.3,x' is not a list of distinct numbers in (0, 1]"),
+        ("ablate", "--grid-deltas", "0.3,0.3",
+         "argument --grid-deltas: '0.3,0.3' is not a list of distinct numbers in (0, 1]"),
+        ("ablate", "--grid-etas", "0.7,1.5",
+         "argument --grid-etas: '0.7,1.5' is not a list of distinct numbers in (0, 1]"),
+        ("ablate", "--grid-etas", "nan",
+         "argument --grid-etas: 'nan' is not a list of distinct numbers in (0, 1]"),
     ])
-    def test_exits_two_before_any_work(self, bundle_dir, ledger_dir, tmp_path, monkeypatch,
-                                       capsys, command, flag, value, message):
+    def test_exits_two_before_any_work(self, bundle_dir, ledger_dir, train_dir, tmp_path,
+                                       monkeypatch, capsys, command, flag, value, message):
         def no_work(*args, **kwargs):
             raise AssertionError("read, trained or scored before checking the flags")
 
-        for name in ("train", "train_and_evaluate", "build_ledger"):
+        for name in ("train", "train_and_evaluate", "build_ledger", "load_bundle",
+                     "parse_sessions"):
             monkeypatch.setattr(cli, name, no_work)
-        if command.startswith("score"):  # score's flags are all checked before its bundle
-            monkeypatch.setattr(cli, "load_bundle", no_work)
+        monkeypatch.setattr(cli.synth, "generate_synthetic", no_work)
         train_flags = ("--ledger", ledger_dir / "ledger.json", "--steps", 10, "--batch-size", 8)
         flags = {"train": train_flags, "score": (), "score --fit": ("--scorer", "dense"),
-                 "ablate": (*train_flags, "--grid-deltas", "0.3", "--grid-etas", "0.7")}[command]
+                 "ablate": (*train_flags, "--grid-deltas", "0.3", "--grid-etas", "0.7"),
+                 "eval": ("--checkpoint", train_dir / "checkpoint.bin"),
+                 "ingest": ("--log", bundle_dir / "log.jsonl"),
+                 "synth": SYNTH_ARGS[1:]}[command]
+        if command not in ("ingest", "synth"):
+            flags = ("--bundle", bundle_dir, *flags)
         out = tmp_path / "o"
-        assert run_cli(*command.split(), "--bundle", bundle_dir, *flags, flag, value,
-                       "--out", out) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        try:
+            code = run_cli(*command.split(), *flags, flag, value, "--out", out)
+        except SystemExit as e:  # refused by argparse: its usage, then "currank <command>: "
+            code = e.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.split(f"currank {command}: ")[-1] == f"error: {message}\n"
         assert not out.exists()
 
 
@@ -1978,6 +2005,12 @@ class TestNonFiniteCheckpoint:
         assert not out.exists()
 
 
+def write_manifest(out: Path, config: dict) -> None:
+    """A score manifest of `config`, written by `command_output` around an empty body."""
+    with command_output(argparse.Namespace(out=out, command="score"), config, [], 0):
+        pass
+
+
 class TestStrictJsonWriters:
     @pytest.mark.parametrize("name", ["ledger.json", MANIFEST_NAME, "checkpoint.bin"])
     def test_a_non_finite_number_is_refused_and_nothing_written(self, ledger_dir, train_dir,
@@ -1987,8 +2020,7 @@ class TestStrictJsonWriters:
         params, vocab, _, meta = load_checkpoint(train_dir / "checkpoint.bin")
         write = {
             "ledger.json": lambda: save_ledger(ledger, tmp_path / name),
-            MANIFEST_NAME: lambda: write_manifest(
-                tmp_path, RunManifest("score", {"k1": math.inf}, 0, {}, {})),
+            MANIFEST_NAME: lambda: write_manifest(tmp_path, {"k1": math.inf}),
             "checkpoint.bin": lambda: save_checkpoint(tmp_path / name, "ranker", params, vocab,
                                                       meta={**meta, "tau": math.nan}),
         }[name]
@@ -2001,11 +2033,10 @@ class TestAtomicWrites:
     @pytest.fixture
     def writers(self, ledger_dir, train_dir):
         ledger = load_ledger(ledger_dir / "ledger.json")
-        manifest = RunManifest("score", {"k1": 1.2}, 0, {}, {})
         params, vocab, _, meta = load_checkpoint(train_dir / "checkpoint.bin")
         return {
             "ledger.json": lambda out: save_ledger(ledger, out / "ledger.json"),
-            MANIFEST_NAME: lambda out: write_manifest(out, manifest),
+            MANIFEST_NAME: lambda out: write_manifest(out, {"k1": 1.2}),
             "checkpoint.bin": lambda out: save_checkpoint(
                 out / "checkpoint.bin", "ranker", params, vocab, meta=meta),
         }
