@@ -326,8 +326,9 @@ def _load_training_inputs(args):
     the training-split ledger, its encoded training data, the encoded
     validation slates (None if the split has none), and the input paths
     a training manifest digests."""
-    if args.epochs < 0:
-        raise ValueError("--epochs must be >= 0")
+    for flag, value in (("--epochs", args.epochs), ("--steps", args.steps or 0)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0")
     config = TrainConfig(PacingParams(T=args.steps or 0, **_fields_of(PacingParams, args, "T")),
                          **_fields_of(TrainConfig, args, "pacing"))
     bundle_dir, ledger_path = Path(args.bundle), input_path(args.ledger, "ledger file")
@@ -480,7 +481,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d-emb", type=int, default=TrainConfig.d_emb)
     p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
     p.add_argument("--tau", type=float, default=TrainConfig.tau)
-    p.add_argument("--checkpoint-interval", type=int, default=TrainConfig.checkpoint_interval)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
@@ -546,6 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[reads_bundle],
                        help="train the ranker with the dual curriculum")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
+    p.add_argument("--checkpoint-interval", type=int, default=TrainConfig.checkpoint_interval)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -560,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-deltas", type=grid_values, default="0.1,0.3,0.5")
     p.add_argument("--grid-etas", type=grid_values, default="0.5,0.7,0.9")
     _add_train_flags(p)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_ablate, checkpoint_interval=0)  # its runs write no checkpoints
 
     return parser
 

@@ -205,15 +205,6 @@ def ledger_columns(
     return LedgerColumns(ids, row[positive], row[neg], neg_start, neg_len)
 
 
-@dataclass(frozen=True)
-class TrainingBatch:
-    """Row indices: each item's context, and its slate, the positive
-    then m negatives."""
-
-    contexts: np.ndarray  # (n,)
-    docs: np.ndarray  # (n, 1 + m)
-
-
 def check_documents(contexts: Sequence[SearchContext], doc_ids) -> None:
     """Each context's negative pool must be non-empty, and its positive and
     negatives must be in `doc_ids`."""
@@ -294,9 +285,11 @@ def sample_batch(
     rng: np.random.Generator,
     f_p: float,
     f_n: float,
-) -> TrainingBatch:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw one curriculum batch from the easiest fraction f_p of the
-    positives and, for each, the hardest fraction f_n of its negatives.
+    positives and, for each, the hardest fraction f_n of its negatives:
+    the items' context rows, shape (n,), and each item's slate of doc
+    rows, shape (n, 1 + m), the positive then its m negatives.
 
     Positives come from one rng.choice, each item's m negatives from its
     own, all read in one rng.integers call (see _choose_each). The
@@ -307,10 +300,7 @@ def sample_batch(
     n_neg = eligible_negative_count(columns.neg_len[chosen], f_n)
     picks = _choose_each(rng, n_neg, m)
     negs = columns.neg_rows[columns.neg_start[chosen][:, None] + picks]
-    return TrainingBatch(
-        contexts=chosen,
-        docs=np.column_stack([columns.positive_rows[chosen], negs]),
-    )
+    return chosen, np.column_stack([columns.positive_rows[chosen], negs])
 
 
 def _choose_each(rng: np.random.Generator, n: np.ndarray, m: int) -> np.ndarray:

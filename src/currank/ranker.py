@@ -64,8 +64,8 @@ def loss_and_grad(
 ) -> LossReport:
     """Mean listwise cross-entropy over a batch with exact gradients.
 
-    Rows as EncodedCorpus.batch_rows lays them out: item i's slate is its
-    positive then its m negatives.
+    Rows as the trainer takes them from curriculum.sample_batch's row
+    arrays: item i's slate is its positive then its m negatives.
     """
     n = len(ctx_rows)
     if not n or len(doc_rows) % n:

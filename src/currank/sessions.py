@@ -247,12 +247,7 @@ def negative_window_pool(
 
     Preserves logged order and never returns any clicked document.
     """
-    try:
-        center = interaction.candidate_doc_ids.index(clicked_doc_id)
-    except ValueError:
-        raise ValueError(
-            f"{clicked_doc_id!r} is not a candidate of {interaction.query_id}"
-        )
+    center = interaction.candidate_doc_ids.index(clicked_doc_id)
     return [
         doc_id
         for i, doc_id in enumerate(interaction.candidate_doc_ids)

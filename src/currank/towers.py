@@ -31,14 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .sessions import Document
-
-if TYPE_CHECKING:
-    from .curriculum import TrainingBatch
 
 PAD_TOKEN = "<pad>"  # reserved embedding used for empty token lists
 UNK_TOKEN = "<unk>"
@@ -96,10 +93,6 @@ class EncodedCorpus:
     context_row: dict[str, int]
     docs: TokenRows
     doc_row: dict[str, int]
-
-    def batch_rows(self, batch: TrainingBatch) -> tuple[TokenRows, TokenRows]:
-        """The batch's context rows, and its document rows slate by slate."""
-        return self.contexts.take(batch.contexts), self.docs.take(batch.docs.ravel())
 
 
 def encode_corpus(

@@ -2,8 +2,9 @@
 
 Each optimizer step samples one curriculum batch from the frozen
 difficulty ledger, computes the listwise loss and its exact gradients,
-and applies SGD with momentum (0 for plain SGD). Ablation modes disable one
-or both curricula or pin negatives to the easy/hard half of each list.
+and applies SGD with momentum (0 for plain SGD). Ablation modes switch one
+or both curricula off, by setting delta or eta to 1.0, and may pin negatives
+to the easy/hard half of each list.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ from .ranker import (  # noqa: F401 -- perfbench/spans.py traces rank_slate here
 from .sessions import Document, EvalSlate, SearchContext
 from .towers import PARAM_NAMES, EncodedCorpus, Vocab, encode_corpus
 
-# mode -> (negative half kept or None for all, pin f_p to 1, pin f_n to 1)
+# mode -> (negative half kept or None for all, the pacing fields it sets to 1.0)
 _MODE_TABLE = {
-    "dual": (None, False, False),
-    "pos-only": (None, False, True),
-    "neg-only": (None, True, False),
-    "none": (None, True, True),
-    "easy-neg-only": ("easy", True, True),
-    "hard-neg-only": ("hard", True, True),
+    "dual": (None, ()),
+    "pos-only": (None, ("eta",)),
+    "neg-only": (None, ("delta",)),
+    "none": (None, ("delta", "eta")),
+    "easy-neg-only": ("easy", ("delta", "eta")),
+    "hard-neg-only": ("hard", ("delta", "eta")),
 }
 MODES = tuple(_MODE_TABLE)
 
@@ -116,21 +117,28 @@ def training_data(vocab: Vocab, documents: dict[str, Document],
     return TrainingData(vocab, corpus, ledger_columns(ledger, by_id, corpus.doc_row))
 
 
+def _mode_view(config: TrainConfig, columns: LedgerColumns) -> tuple[PacingParams, LedgerColumns]:
+    """The pacing and ledger columns that config's mode trains on: each curriculum
+    it switches off has delta or eta set to 1.0, so its fraction is 1.0 at every step."""
+    half, off = _MODE_TABLE[config.mode]
+    return (replace(config.pacing, **dict.fromkeys(off, 1.0)),
+            columns.halved(half) if half else columns)
+
+
 def check_prefixes(config: TrainConfig, columns: LedgerColumns) -> None:
     """Fail before step 0, not in sample_batch mid-run, if the batch size
     exceeds the eligible positives at step 0, the smallest prefix, or m
     exceeds a context's eligible negatives at the run's last, tightest, f_n."""
-    half, pin_fp, pin_fn = _MODE_TABLE[config.mode]
-    T = config.pacing.T
+    pacing, columns = _mode_view(config, columns)
+    T = pacing.T
     if T == 0:
         return
-    n_pos = eligible_positive_count(len(columns.context_ids),
-                                    1.0 if pin_fp else pacing_positive(config.pacing, 0))
+    n_pos = eligible_positive_count(len(columns.context_ids), pacing_positive(pacing, 0))
     if config.batch_size > n_pos:
         raise ValueError(f"delta={config.pacing.delta:g}: batch_size {config.batch_size} "
                          f"exceeds the {n_pos} eligible positives at step 0")
-    f_n = 1.0 if pin_fn else pacing_negative(config.pacing, T - 1)
-    n_neg = eligible_negative_count((columns.halved(half) if half else columns).neg_len, f_n)
+    f_n = pacing_negative(pacing, T - 1)
+    n_neg = eligible_negative_count(columns.neg_len, f_n)
     short = np.flatnonzero(n_neg < config.m)
     if short.size:
         raise ValueError(f"context {columns.context_ids[short[0]]}: eligible "
@@ -230,12 +238,9 @@ def train(
     arrays it trains in place) continues bit-identically. A non-finite score,
     loss or parameter raises FloatingPointError naming the step and the flags.
     """
-    pacing = config.pacing
-    T = pacing.T
-    half, pin_fp, pin_fn = _MODE_TABLE[config.mode]
-    vocab = data.vocab
     check_prefixes(config, data.columns)
-    columns = data.columns.halved(half) if half else data.columns
+    pacing, columns = _mode_view(config, data.columns)
+    T, vocab = pacing.T, data.vocab
 
     rng_init = np.random.default_rng([config.seed, _SEED_INIT])
     rng_sampler = np.random.default_rng([config.seed, _SEED_SAMPLER])
@@ -250,11 +255,11 @@ def train(
     prev_val_loss = None
 
     for t in range(start_step, T):
-        f_p = 1.0 if pin_fp else pacing_positive(pacing, t)
-        f_n = 1.0 if pin_fn else pacing_negative(pacing, t)
-        batch = sample_batch(columns, config.batch_size, config.m, rng_sampler, f_p, f_n)
+        f_p, f_n = pacing_positive(pacing, t), pacing_negative(pacing, t)
+        contexts, docs = sample_batch(columns, config.batch_size, config.m, rng_sampler, f_p, f_n)
         try:
-            report = loss_and_grad(params, *data.corpus.batch_rows(batch))
+            report = loss_and_grad(params, data.corpus.contexts.take(contexts),
+                                   data.corpus.docs.take(docs.ravel()))
             velocity *= config.momentum
             velocity += report.grads.flat
             params.encoder.flat[...] -= config.learning_rate * velocity
@@ -359,8 +364,8 @@ def ablation_runs(
 ) -> list[tuple[dict, TrainConfig]]:
     """The ablation's (row, config) pairs, all with base's seed: one per
     curriculum mode, then one per (delta, eta) grid point. delta=1.0 and
-    eta=1.0 act as sentinels that disable the respective curriculum (the
-    pacing value is pinned at 1 from step 0)."""
+    eta=1.0 switch the respective curriculum off, as the modes do (its
+    pacing value is 1 from step 0)."""
     return [({"mode": mode}, replace(base, mode=mode)) for mode in MODES] + [
         ({"delta": delta, "eta": eta},
          replace(base, pacing=replace(base.pacing, delta=delta, eta=eta)))

@@ -24,15 +24,14 @@ def sample_items(ledger, contexts, pacing, t, batch_size, m, rng, f_p=None, f_n=
     by_id = {c.context_id: c for c in contexts}
     f_p = pacing_positive(pacing, t) if f_p is None else f_p
     f_n = pacing_negative(pacing, t) if f_n is None else f_n
-    batch = sample_batch(columns, batch_size, m, rng, f_p, f_n)
     return [(by_id[columns.context_ids[c]], docs[slate[0]],
              tuple(docs[d] for d in slate[1:]))
-            for c, slate in zip(batch.contexts, batch.docs)]
+            for c, slate in zip(*sample_batch(columns, batch_size, m, rng, f_p, f_n))]
 
 
 def item_rows(vocab, documents, items):
     """The context rows and the slate document rows of `items`, laid out
-    as EncodedCorpus.batch_rows lays out a sampled batch."""
+    as the trainer lays out a sampled batch."""
     corpus = encode_corpus(vocab, documents,
                            {c.context_id: c.context_tokens for c, _, _ in items})
     return (corpus.contexts.take([corpus.context_row[c.context_id] for c, _, _ in items]),

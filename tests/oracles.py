@@ -26,7 +26,7 @@ from currank import towers
 from currank.bm25 import idf
 from currank.dense import in_batch_loss_and_grad
 from currank.checkpoint import FORMAT_VERSION, MAGIC
-from currank.curriculum import DifficultyLedger, TrainingBatch, difficulty_positive
+from currank.curriculum import DifficultyLedger, difficulty_positive
 from currank.metrics import evaluate_run
 from currank.ranker import order_slate
 from currank.scorers import Bm25Scorer
@@ -224,7 +224,7 @@ def loop_sample_batch(columns, batch_size, m, rng, f_p, f_n):
         picks = rng.choice(min(n, math.ceil(f_n * n)), size=m, replace=False)
         slates.append([columns.positive_rows[idx],
                        *(columns.neg_rows[start + int(j)] for j in picks)])
-    return TrainingBatch(contexts=chosen, docs=np.array(slates))
+    return chosen, np.array(slates)
 
 
 def two_pass_validation_loss(params, slates) -> float:

@@ -614,6 +614,7 @@ class TestTrain:
             ("--d-emb", 0, "d_emb must be >= 1"),
             ("--hidden", -2, "hidden must be >= 1"),
         ]
+        if (command, flag) != ("ablate", "--checkpoint-interval")  # a train flag alone
     ])
     def test_batch_size_below_one_exits_two(self, bundle_dir, ledger_dir, tmp_path,
                                             capsys, command, flag, value, message):
@@ -836,6 +837,23 @@ class TestAblate:
         ]
         assert len(payload["grid"]) == 2
         assert all("MAP" in r for r in payload["modes"] + payload["grid"])
+
+    def test_modes_equal_their_sentinel_grid_points(self, bundle_dir, ledger_dir, tmp_path):
+        """A mode switches a curriculum off as delta = 1.0 or eta = 1.0 does."""
+        out = tmp_path / "ablate"
+        assert run_cli(
+            "ablate", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+            "--out", out, "--steps", 20, "--batch-size", 8,
+            "--grid-deltas", "0.3,1.0", "--grid-etas", "0.7,1.0",
+        ) == 0
+        payload = json.loads((out / "ablation.json").read_text())
+        modes = {row.pop("mode"): row for row in payload["modes"]}
+        grid = {(row.pop("delta"), row.pop("eta")): row for row in payload["grid"]}
+        pairs = [("dual", (0.3, 0.7)), ("pos-only", (0.3, 1.0)),
+                 ("neg-only", (1.0, 0.7)), ("none", (1.0, 1.0))]
+        assert len({tuple(modes[mode].values()) for mode, _ in pairs}) == 4  # runs differ
+        for mode, point in pairs:
+            assert modes[mode] == grid[point], mode
 
     def test_checks_exactly_the_runs_it_trains(self, bundle_dir, ledger_dir, tmp_path,
                                                monkeypatch, capsys):
@@ -1854,6 +1872,10 @@ class TestRefusedHyperparameters:
         ("score --fit", "--fit-batch-size", 1, "--fit-batch-size must be >= 2"),
         ("train", "--epochs", -1, "--epochs must be >= 0"),
         ("ablate", "--epochs", -1, "--epochs must be >= 0"),
+        ("train", "--steps", -1, "--steps must be >= 0"),
+        ("ablate", "--steps", -1, "--steps must be >= 0"),
+        ("ablate", "--checkpoint-interval", 5,
+         "unrecognized arguments: --checkpoint-interval 5"),
         ("eval", "--tag", "a b", "--tag 'a b' must be one word: not empty, no whitespace"),
         ("eval", "--tag", "", "--tag '' must be one word: not empty, no whitespace"),
         ("eval", "--tag", "run\t1", "--tag 'run\\t1' must be one word: not empty, no whitespace"),
@@ -1889,11 +1911,12 @@ class TestRefusedHyperparameters:
         out = tmp_path / "o"
         try:
             code = run_cli(*command.split(), *flags, flag, value, "--out", out)
-        except SystemExit as e:  # refused by argparse: its usage, then "currank <command>: "
-            code = e.code
+        except SystemExit as e:  # refused by argparse: its usage, then "currank <command>: ",
+            code = e.code  # or "currank: " for a flag the command does not take
         assert code == 2
         err = capsys.readouterr().err
-        assert err.split(f"currank {command}: ")[-1] == f"error: {message}\n"
+        prefix = f"^currank(?: {re.escape(command)})?: "
+        assert re.split(prefix, err, flags=re.M)[-1] == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -109,6 +109,21 @@ class TestPacingMonotonicity:
             assert fn[0] == 1.0
 
 
+class TestPacingSwitchedOff:
+    """delta = 1.0 and eta = 1.0 hold their fraction at exactly 1.0: the
+    trainer's modes switch a curriculum off through them alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), T=st.integers(1, 10**6), k=st.floats(1.0, 1e6),
+           alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           beta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_fraction_is_one_at_every_step(self, data, T, k, alpha, beta):
+        t = data.draw(st.integers(0, T), label="t")
+        p = PacingParams(delta=1.0, eta=1.0, alpha=alpha, beta=beta, k=k, T=T)
+        assert pacing_positive(p, t) == 1.0
+        assert pacing_negative(p, t) == 1.0
+
+
 class TestDifficultyPositive:
     def test_easiest_pair_is_one(self):
         assert difficulty_positive(score=4.0, rank=1, corpus_max_score=4.0) == 1.0
@@ -591,8 +606,8 @@ class TestSamplerMatchesPerItemLoop:
             f_p = min(1.0, batch_size / len(columns.context_ids) + t / 10)
             got = sample_batch(columns, batch_size, m, fast, f_p, f_n)
             want = loop_sample_batch(columns, batch_size, m, slow, f_p, f_n)
-            assert np.array_equal(got.contexts, want.contexts)
-            assert np.array_equal(got.docs, want.docs)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
             assert fast.bit_generator.state == slow.bit_generator.state
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

@@ -221,9 +221,10 @@ class TestTrain:
             towers.init_params(len(data.vocab), 8, 8, np.random.default_rng([4, 0])))
         rng = np.random.default_rng([4, 1])
         for t in range(config.pacing.T):
-            batch = sample_batch(data.columns, 8, 2, rng, pacing_positive(config.pacing, t),
-                                 pacing_negative(config.pacing, t))
-            report = loss_and_grad(want, *data.corpus.batch_rows(batch))
+            f_p, f_n = pacing_positive(config.pacing, t), pacing_negative(config.pacing, t)
+            contexts, docs = sample_batch(data.columns, 8, 2, rng, f_p, f_n)
+            report = loss_and_grad(want, data.corpus.contexts.take(contexts),
+                                   data.corpus.docs.take(docs.ravel()))
             want.encoder.flat[...] -= 0.3 * report.grads.flat
         assert np.array_equal(params.encoder.flat, want.encoder.flat)
 
