@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import gc
 import hashlib
 import math
@@ -24,6 +25,7 @@ import sys
 from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -59,8 +61,8 @@ def split_of(session_id: str) -> str:
     return "train" if bucket < 8 else ("val" if bucket == 8 else "test")
 
 
-def in_split(records: list, split: str) -> list:
-    """The sessions or contexts whose session id (each hashed once) falls in `split`."""
+def in_split(records: list, split: str, split_of=split_of) -> list:
+    """The sessions or contexts whose session id `split_of` puts in `split`."""
     keep = {s for s in {r.session_id for r in records} if split_of(s) == split}
     return [r for r in records if r.session_id in keep]
 
@@ -99,11 +101,12 @@ def read_checkpoint(path: Path, load, *args):
         raise ValueError(f"{path}: malformed checkpoint: {e!r}") from e
 
 
-def load_bundle(bundle_dir: Path, sessions: bool = True, contexts: bool = True):
-    """(sessions, documents, contexts) of a bundle, with None for the
-    sessions or contexts a command does not ask for. Every bundle file
-    must exist either way: the command's manifest digests all three. A
-    malformed record is an input error naming its file."""
+def load_bundle(bundle_dir: Path, sessions: bool = True, contexts: bool = True,
+                keep: Callable[[str], bool] | None = None):
+    """(sessions, documents, contexts) of a bundle, with None for the sessions or
+    contexts a command does not ask for, and only the sessions whose id `keep` accepts.
+    Every bundle file must exist either way: the command's manifest digests all
+    three. Every record is checked; a malformed one is an input error naming its file."""
     docs_path, sessions_path, contexts_path = [
         input_path(path, "bundle file") for path in bundle_paths(bundle_dir)]
 
@@ -117,7 +120,7 @@ def load_bundle(bundle_dir: Path, sessions: bool = True, contexts: bool = True):
                 raise ValueError(f"{path}: malformed record: {e}")
 
     documents = read(docs_path, read_documents)
-    return (read(sessions_path, read_sessions) if sessions else None,
+    return (read(sessions_path, lambda fp: read_sessions(fp, keep)) if sessions else None,
             documents,
             read(contexts_path, read_contexts) if contexts else None)
 
@@ -281,7 +284,8 @@ def cmd_score(args) -> int:
     if "dense" in (pos_kind, neg_kind) and not (args.fit or args.checkpoint):
         raise ValueError("dense scorer needs --checkpoint or --fit")
     if args.fit:  # in-batch negatives need two pairs a batch
-        for name, least in (("fit_epochs", 1), ("fit_batch_size", 2), ("d_emb", 1), ("hidden", 1)):
+        for name, least in (("fit_epochs", 1), ("fit_batch_size", 2), ("d_emb", 1), ("hidden", 1),
+                            ("seed", 0)):
             if vars(args)[name] < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
         if not 0 < args.fit_lr < math.inf:  # NaN too
@@ -326,20 +330,24 @@ def _load_training_inputs(args):
     the training-split ledger, its encoded training data, the encoded
     validation slates (None if the split has none), and the input paths
     a training manifest digests."""
-    for flag, value in (("--epochs", args.epochs), ("--steps", args.steps or 0)):
+    for flag, value in (("--epochs", args.epochs), ("--steps", args.steps or 0),
+                        ("--seed", args.seed)):
         if value < 0:
             raise ValueError(f"{flag} must be >= 0")
+    if not args.learning_rate > 0:  # NaN too; TrainConfig's refusal names the field
+        raise ValueError("--lr must be > 0")
     config = TrainConfig(PacingParams(T=args.steps or 0, **_fields_of(PacingParams, args, "T")),
                          **_fields_of(TrainConfig, args, "pacing"))
     bundle_dir, ledger_path = Path(args.bundle), input_path(args.ledger, "ledger file")
-    sessions, documents, contexts = load_bundle(bundle_dir)
+    split = functools.cache(split_of)  # this command's: it hashes each session id once
+    sessions, documents, contexts = load_bundle(bundle_dir, keep=lambda s: split(s) == "val")
     ledger = load_ledger(ledger_path)
     if args.steps is None:
         T = args.epochs * steps_per_epoch(len(ledger.positives), config.batch_size)
         config = replace(config, pacing=replace(config.pacing, T=T))
     vocab = build_vocab(documents, contexts)
-    val_items = build_eval_items(in_split(sessions, "val"), documents)
-    data = training_data(vocab, documents, in_split(contexts, "train"), ledger)
+    val_items = build_eval_items(sessions, documents)
+    data = training_data(vocab, documents, in_split(contexts, "train", split), ledger)
     slates = encode_slates(vocab, val_items, documents) if val_items else None
     return config, ledger, data, slates, bundle_paths(bundle_dir) + [ledger_path]
 
@@ -369,9 +377,10 @@ def cmd_eval(args) -> int:
     if args.tag.split() != [args.tag]:  # run.txt's sixth and last column
         raise ValueError(f"--tag {args.tag!r} must be one word: not empty, no whitespace")
     bundle_dir, ckpt_path = Path(args.bundle), input_path(args.checkpoint, "checkpoint")
-    sessions, documents, _ = load_bundle(bundle_dir, contexts=False)
+    sessions, documents, _ = load_bundle(bundle_dir, contexts=False,
+                                         keep=lambda s: split_of(s) == args.split)
     params, vocab = read_checkpoint(ckpt_path, load_ranker)
-    items = build_eval_items(in_split(sessions, args.split), documents)
+    items = build_eval_items(sessions, documents)
     if not items:
         raise ValueError(f"no evaluable interactions in split {args.split!r}")
     slates = encode_slates(vocab, items, documents)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .checkpoint import strict_json, write_atomic
 from .scorers import ScoreSource
-from .sessions import SearchContext
+from .sessions import SearchContext, _Shared
 
 LEDGER_FORMAT_VERSION = 1
 _BLOCK_CELLS = 2**17  # (context, document) scores per build_ledger block: 1 MB of float64
@@ -335,8 +335,8 @@ def save_ledger(ledger: DifficultyLedger, path: str | Path) -> None:
 
 def load_ledger(path: str | Path) -> DifficultyLedger:
     """Parse a ledger file and check its entries' fields: ids are strings,
-    difficulties finite JSON numbers. training_data checks the ledger
-    against the contexts."""
+    difficulties finite JSON numbers. Equal ids share one string.
+    training_data checks the ledger against the contexts."""
     try:
         payload = json.loads(Path(path).read_text())
         if payload["version"] != LEDGER_FORMAT_VERSION:
@@ -351,6 +351,11 @@ def load_ledger(path: str | Path) -> DifficultyLedger:
             neg_scorer_digest=payload["neg_scorer_digest"],
         )
         _check_fields(ledger)
+        # Then one string per id; each context's list is replaced in turn.
+        shared = _Shared(zip(ledger.negatives, ledger.negatives))  # JSON keys: strings
+        ledger.positives = [(shared[cid], shared[doc], dp) for cid, doc, dp in ledger.positives]
+        for cid, negs in ledger.negatives.items():
+            ledger.negatives[cid] = [(shared[d], dn) for d, dn in negs]
         return ledger
     except KeyError as e:
         raise ValueError(f"{path}: malformed ledger: no {e} entry") from e

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter, itemgetter
-from typing import IO, Iterable, Iterator
+from itertools import chain, islice
+from operator import itemgetter
+from typing import IO, Callable, Iterable, Iterator
 
 # Segment separator inserted between queries/documents in flattened
 # context token sequences. `tokenize` never emits it, so it can not
@@ -39,26 +39,20 @@ class Document:
 
 @dataclass(frozen=True)
 class Interaction:
+    """Its clicked documents are candidates (parse_sessions and read_sessions check)."""
+
     query_id: str
     query_tokens: tuple[str, ...]
     clicked_doc_ids: frozenset[str]
     candidate_doc_ids: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.clicked_doc_ids <= set(self.candidate_doc_ids):
-            raise ValueError(
-                f"{self.query_id}: clicked documents must be candidates"
-            )
-
 
 @dataclass(frozen=True)
 class Session:
+    """A session has interactions (parse_sessions and read_sessions check)."""
+
     session_id: str
     interactions: tuple[Interaction, ...]
-
-    def __post_init__(self):
-        if not self.interactions:
-            raise ValueError(f"session {self.session_id} has no interactions")
 
 
 @dataclass(frozen=True)
@@ -294,32 +288,45 @@ class _JsonText(dict):
 
 
 _decode = json.JSONDecoder().raw_decode
+_CHUNK = 256  # records a reader holds at a time, decoded but not yet checked
 
 
-def _records(fp: Iterable[str]) -> Iterator[dict]:
-    for line in map(str.strip, fp):
-        if line:
-            rec, end = _decode(line)  # json.loads less its per-call checks
-            if end < len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
-            yield rec
+def _record(line: str) -> dict:
+    rec, end = _decode(line)  # json.loads less its per-call checks
+    if end < len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return rec
 
 
-def _strings(rec: dict, key: str) -> tuple:
-    """Field `key` of `rec`, a JSON list, as a tuple (`_check_types` checks its entries)."""
+def _record_chunks(fp: Iterable[str]) -> Iterator[list[dict]]:
+    """The records of `fp`'s non-blank lines, in lists of up to _CHUNK."""
+    records = map(_record, filter(None, map(str.strip, fp)))
+    return iter(lambda: list(islice(records, _CHUNK)), [])
+
+
+class _Shared(dict):
+    """One string per distinct value: `shared[s]` is the first string equal to s."""
+
+    def __missing__(self, s: str) -> str:
+        self[s] = s
+        return s
+
+
+def _strings(rec: dict, key: str) -> list:
+    """Field `key` of `rec`, a JSON list (`_check_types` checks its entries)."""
     value = rec[key]
     if type(value) is not list:
         raise SessionLogError(f"{key} {value!r} is not a list")
-    return tuple(value)
+    return value
 
 
-def _check_types(records: list, fields: dict[str, type]) -> None:
-    """Refuse the first field value of `records` whose type is not the field's
-    (a bool is not an int); each entry of a tuple field must be a string.
-    One set of types per column: no branch per value."""
-    for field, kind in fields.items():
-        what, column = field, list(map(attrgetter(field), records))
-        if kind is tuple:
+def _check_types(rows: list[tuple], fields: dict[str, type]) -> None:
+    """Refuse the first value in `rows`, tuples that start with `fields`, whose type is not
+    its field's (a bool is not an int); each entry of a list field must be a
+    string. One set of types per column: no branch per value."""
+    for (field, kind), column in zip(fields.items(), zip(*rows)):
+        what = field
+        if kind is list:
             what, column, kind = f"{field} entry", list(chain.from_iterable(column)), str
         if set(map(type, column)) - {kind}:
             bad = next(v for v in column if type(v) is not kind)
@@ -335,9 +342,9 @@ def write_documents(documents: dict[str, Document], fp: IO[str]) -> None:
 
 
 def read_documents(fp: Iterable[str]) -> dict[str, Document]:
-    documents = [Document(rec["doc_id"], _strings(rec, "title_tokens")) for rec in _records(fp)]
-    _check_types(documents, {"doc_id": str, "title_tokens": tuple})
-    return {doc.doc_id: doc for doc in documents}
+    rows = [(r["doc_id"], _strings(r, "title_tokens")) for c in _record_chunks(fp) for r in c]
+    _check_types(rows, {"doc_id": str, "title_tokens": list})
+    return {doc_id: Document(doc_id, tuple(tokens)) for doc_id, tokens in rows}
 
 
 def write_sessions(sessions: Iterable[Session], fp: IO[str]) -> None:
@@ -351,19 +358,29 @@ def write_sessions(sessions: Iterable[Session], fp: IO[str]) -> None:
         fp.write(f'{{"interactions":[{interactions}],"session_id":{_dumps(session.session_id)}}}\n')
 
 
-def read_sessions(fp: Iterable[str]) -> list[Session]:
-    sessions = [
-        Session(rec["session_id"], tuple(
-            Interaction(i["query_id"], _strings(i, "query_tokens"),
-                        frozenset(_strings(i, "clicked_doc_ids")),
-                        _strings(i, "candidate_doc_ids"))
-            for i in rec["interactions"]))
-        for rec in _records(fp)
-    ]
-    _check_types(sessions, {"session_id": str})
-    # Clicks are candidates (Interaction checks), so strings too.
-    _check_types(list(chain.from_iterable(s.interactions for s in sessions)),
-                 {"query_id": str, "query_tokens": tuple, "candidate_doc_ids": tuple})
+def read_sessions(fp: Iterable[str], keep: Callable[[str], bool] | None = None) -> list[Session]:
+    """The sessions of `fp`, or those whose id `keep` accepts: every record is checked, a
+    chunk at a time, before `keep` sees its id, and only kept sessions become objects.
+    Equal tokens and doc ids share one string; query ids are unique."""
+    sessions, shared = [], _Shared().__getitem__
+    for chunk in _record_chunks(fp):
+        rows = [(rec["session_id"], [
+            (i["query_id"], _strings(i, "query_tokens"), _strings(i, "candidate_doc_ids"),
+             _strings(i, "clicked_doc_ids")) for i in rec["interactions"]]) for rec in chunk]
+        queries = list(chain.from_iterable(map(itemgetter(1), rows)))
+        for query_id, _, cands, clicked in queries:
+            if not set(cands).issuperset(clicked):
+                raise ValueError(f"{query_id}: clicked documents must be candidates")
+        if not all(map(itemgetter(1), rows)):
+            raise ValueError(f"session {next(s for s, q in rows if not q)} has no interactions")
+        _check_types(rows, {"session_id": str})  # before `keep` hashes it
+        # Clicks are candidates (checked above), so strings too.
+        _check_types(queries, {"query_id": str, "query_tokens": list, "candidate_doc_ids": list})
+        sessions += [
+            Session(shared(sid), tuple(
+                Interaction(q, tuple(map(shared, tokens)), frozenset(map(shared, clicked)),
+                            tuple(map(shared, cands))) for q, tokens, cands, clicked in inters))
+            for sid, inters in rows if keep is None or keep(sid)]
     return sessions
 
 
@@ -377,11 +394,14 @@ def write_contexts(contexts: Iterable[SearchContext], fp: IO[str]) -> None:
 
 
 def read_contexts(fp: Iterable[str]) -> list[SearchContext]:
-    contexts = [
-        SearchContext(rec["session_id"], rec["position"], _strings(rec, "context_tokens"),
-                      rec["positive_doc_id"], _strings(rec, "negative_pool"))
-        for rec in _records(fp)
-    ]
-    _check_types(contexts, {"session_id": str, "position": int, "context_tokens": tuple,
-                            "positive_doc_id": str, "negative_pool": tuple})
+    """The contexts of `fp`; equal tokens and ids share one string."""
+    contexts, shared = [], _Shared().__getitem__
+    for chunk in _record_chunks(fp):
+        rows = [(rec["session_id"], rec["position"], _strings(rec, "context_tokens"),
+                 rec["positive_doc_id"], _strings(rec, "negative_pool")) for rec in chunk]
+        _check_types(rows, {"session_id": str, "position": int, "context_tokens": list,
+                            "positive_doc_id": str, "negative_pool": list})
+        contexts += [SearchContext(shared(sid), position, tuple(map(shared, tokens)),
+                                   shared(doc_id), tuple(map(shared, pool)))
+                     for sid, position, tokens, doc_id, pool in rows]
     return contexts

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,13 +75,17 @@ class TokenRows:
         return TokenRows(self.ids[rows, : lengths.max()], lengths)
 
 
-def token_rows(sequences: Iterable[Sequence[int]]) -> TokenRows:
-    sequences = [s if len(s) else [0] for s in sequences]
-    lengths = np.array([len(s) for s in sequences], dtype=np.intp)
+def token_rows(sequences: Iterable[Sequence], vocab: Vocab | None = None) -> TokenRows:
+    """Id sequences, or token sequences encoded under `vocab` in one pass over
+    all their tokens, as rows padded with -1; an empty sequence is [0]."""
+    sequences = list(sequences)
+    lengths = np.fromiter(map(len, sequences), np.intp, len(sequences))
+    flat = chain.from_iterable(sequences)
     ids = np.full((len(sequences), lengths.max(initial=1)), -1, dtype=np.int32)
     ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(sequences), np.int32, lengths.sum())
-    return TokenRows(ids, lengths)
+        flat if vocab is None else map(vocab.index.get, flat, repeat(1)), np.int32, lengths.sum())
+    ids[lengths == 0, 0] = 0
+    return TokenRows(ids, np.maximum(lengths, 1))
 
 
 @dataclass
@@ -105,9 +109,9 @@ def encode_corpus(
     doc_row = {d: titles.setdefault(doc.title_tokens, len(titles))
                for d, doc in documents.items()}
     return EncodedCorpus(
-        contexts=token_rows(vocab.encode(tokens) for tokens in contexts.values()),
+        contexts=token_rows(contexts.values(), vocab),
         context_row={cid: i for i, cid in enumerate(contexts)},
-        docs=token_rows(vocab.encode(t) for t in titles),
+        docs=token_rows(titles, vocab),
         doc_row=doc_row,
     )
 

@@ -7,7 +7,8 @@ entries_eval, the per-array parameter code (loop_init_params,
 per_array_checkpoint_bytes, per_array_dense_digest), the one-pair
 scorers (rank_score, dense_score), PerContextDenseScorer,
 pair_train_in_batch, per_call_score_all, PerCallBm25Scorer,
-rank_of_positive, loop_build_ledger and the dict_write_* JSONL writers:
+rank_of_positive, loop_build_ledger, the dict_write_* JSONL writers and
+the object_read_* bundle readers:
 earlier forms of library code, kept to show that the current forms
 compute the same bits.
 """
@@ -19,6 +20,8 @@ import json
 import math
 import struct
 from collections import Counter
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from currank.curriculum import DifficultyLedger, difficulty_positive
 from currank.metrics import evaluate_run
 from currank.ranker import order_slate
 from currank.scorers import Bm25Scorer
+from currank.sessions import Interaction, SearchContext, Session, SessionLogError
 from currank.towers import PARAM_NAMES
 
 
@@ -482,3 +486,62 @@ def dict_write_session_log(sessions, documents, fp) -> None:
                 ],
             }
             fp.write(_dumps(rec) + "\n")
+
+
+def _object_strings(rec: dict, key: str) -> tuple:
+    value = rec[key]
+    if type(value) is not list:
+        raise SessionLogError(f"{key} {value!r} is not a list")
+    return tuple(value)
+
+
+def _object_check_types(records: list, fields: dict[str, type]) -> None:
+    for field, kind in fields.items():
+        what, column = field, list(map(attrgetter(field), records))
+        if kind is tuple:
+            what, column, kind = f"{field} entry", list(chain.from_iterable(column)), str
+        if set(map(type, column)) - {kind}:
+            bad = next(v for v in column if type(v) is not kind)
+            raise SessionLogError(
+                f"{what} {bad!r} is not {'a string' if kind is str else 'an integer'}")
+
+
+def _checked_interaction(query_id, tokens, clicked, candidates) -> Interaction:
+    if not clicked <= set(candidates):
+        raise ValueError(f"{query_id}: clicked documents must be candidates")
+    return Interaction(query_id, tokens, clicked, candidates)
+
+
+def _checked_session(session_id, interactions) -> Session:
+    if not interactions:
+        raise ValueError(f"session {session_id} has no interactions")
+    return Session(session_id, interactions)
+
+
+def object_read_sessions(fp) -> list[Session]:
+    """Every record as a Session of Interactions, each checked as it is
+    built, then the type checks."""
+    sessions = [
+        _checked_session(rec["session_id"], tuple(
+            _checked_interaction(i["query_id"], _object_strings(i, "query_tokens"),
+                                 frozenset(_object_strings(i, "clicked_doc_ids")),
+                                 _object_strings(i, "candidate_doc_ids"))
+            for i in rec["interactions"]))
+        for rec in map(json.loads, filter(None, map(str.strip, fp)))
+    ]
+    _object_check_types(sessions, {"session_id": str})
+    _object_check_types(list(chain.from_iterable(s.interactions for s in sessions)),
+                        {"query_id": str, "query_tokens": tuple, "candidate_doc_ids": tuple})
+    return sessions
+
+
+def object_read_contexts(fp) -> list[SearchContext]:
+    """Every record as a SearchContext, then the type checks."""
+    contexts = [
+        SearchContext(rec["session_id"], rec["position"], _object_strings(rec, "context_tokens"),
+                      rec["positive_doc_id"], _object_strings(rec, "negative_pool"))
+        for rec in map(json.loads, filter(None, map(str.strip, fp)))
+    ]
+    _object_check_types(contexts, {"session_id": str, "position": int, "context_tokens": tuple,
+                                   "positive_doc_id": str, "negative_pool": tuple})
+    return contexts

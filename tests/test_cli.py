@@ -1335,6 +1335,75 @@ class TestBundleReads:
             path = bundle_dir / name
             assert manifest["input_digests"][str(path)] == file_digest(path)
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("field, value", [
+        ("session_id", {}), ("session_id", 5), ("interactions", None), ("interactions", []),
+        ("interactions.clicked_doc_ids", ["nosuchdoc"]), ("interactions.query_tokens", [5]),
+        ("interactions.candidate_doc_ids", [["d"]]),
+    ], ids=lambda v: json.dumps(v))
+    def test_malformed_record_outside_the_split_exits_two(
+            self, bundle_dir, ledger_dir, train_dir, tmp_path, capsys, command, field, value):
+        """train builds the val split's sessions and eval the test split's; a
+        train-split record is still checked, before its session id is hashed."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        path = bundle / "sessions.jsonl"
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines)
+                 if split_of(json.loads(line)["session_id"]) == "train")
+        record = holder = json.loads(lines[i])
+        *parents, key = field.split(".")
+        for parent in parents:
+            holder = holder[parent][0]
+        if value is None:
+            del holder[key]
+        else:
+            holder[key] = value
+        lines[i] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        flags = {"eval": ("--checkpoint", train_dir / "checkpoint.bin", "--split", "test"),
+                 "train": ("--ledger", ledger_dir / "ledger.json", "--steps", 10,
+                           "--batch-size", 8)}[command]
+        out = tmp_path / "o"
+        assert run_cli(command, "--bundle", bundle, *flags, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: malformed record: ")
+        assert not out.exists()
+
+    def test_train_and_eval_build_only_their_split(self, bundle_dir, ledger_dir, train_dir,
+                                                   tmp_path, monkeypatch):
+        built, build_eval_items = [], cli.build_eval_items
+        monkeypatch.setattr(cli, "build_eval_items",
+                            lambda sessions, documents: build_eval_items(
+                                built.append(sessions) or sessions, documents))
+        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                       "--steps", 5, "--batch-size", 8, "--out", tmp_path / "train") == 0
+        assert run_cli("eval", "--bundle", bundle_dir, "--checkpoint",
+                       train_dir / "checkpoint.bin", "--out", tmp_path / "eval") == 0
+        sessions = load_bundle(bundle_dir, contexts=False)[0]
+        assert built == [in_split(sessions, "val"), in_split(sessions, "test")]
+        assert all(built)
+
+    def test_train_hashes_each_session_id_once(self, bundle_dir, ledger_dir, tmp_path,
+                                               monkeypatch):
+        hashed, sha1 = [], cli.hashlib.sha1
+        monkeypatch.setattr(cli.hashlib, "sha1", lambda data: sha1(hashed.append(data) or data))
+        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger_dir / "ledger.json",
+                       "--steps", 5, "--batch-size", 8, "--out", tmp_path / "train") == 0
+        sessions = load_bundle(bundle_dir, contexts=False)[0]
+        assert sorted(hashed) == sorted(s.session_id.encode() for s in sessions)
+
+    def test_equal_tokens_and_ids_are_one_object(self, bundle_dir, ledger_dir):
+        contexts = load_bundle(bundle_dir)[2]
+        ledger = load_ledger(ledger_dir / "ledger.json")
+        for strings in [
+            [t for c in contexts
+             for t in (c.session_id, *c.context_tokens, c.positive_doc_id, *c.negative_pool)],
+            [s for cid, doc, _ in ledger.positives for s in (cid, doc)]
+            + [d for negs in ledger.negatives.values() for d, _ in negs],
+        ]:
+            assert len(strings) > len(set(strings))
+            assert len({id(s) for s in strings}) == len(set(strings))
+
 
 # bundle file -> (the key a malformed record drops, the commands that read the file)
 BUNDLE_READERS = {
@@ -1874,6 +1943,12 @@ class TestRefusedHyperparameters:
         ("ablate", "--epochs", -1, "--epochs must be >= 0"),
         ("train", "--steps", -1, "--steps must be >= 0"),
         ("ablate", "--steps", -1, "--steps must be >= 0"),
+        ("train", "--seed", -1, "--seed must be >= 0"),
+        ("ablate", "--seed", -1, "--seed must be >= 0"),
+        ("score --fit", "--seed", -1, "--seed must be >= 0"),
+        ("train", "--lr", 0, "--lr must be > 0"),
+        ("train", "--lr", "nan", "--lr must be > 0"),
+        ("ablate", "--lr", -1, "--lr must be > 0"),
         ("ablate", "--checkpoint-interval", 5,
          "unrecognized arguments: --checkpoint-interval 5"),
         ("eval", "--tag", "a b", "--tag 'a b' must be one word: not empty, no whitespace"),

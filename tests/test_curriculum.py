@@ -478,6 +478,17 @@ class TestLoadLedgerFieldTypes:
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed ledger: {message}")):
             load_ledger(path)
 
+    def test_equal_ids_are_one_object(self, tmp_path):
+        ledger, _ = _toy_ledger()
+        path = tmp_path / "ledger.json"
+        save_ledger(ledger, path)
+        loaded = load_ledger(path)
+        assert loaded == ledger
+        ids = [s for cid, doc, _ in loaded.positives for s in (cid, doc)] + list(loaded.negatives)
+        ids += [d for negs in loaded.negatives.values() for d, _ in negs]
+        assert len(ids) > len(set(ids))
+        assert len({id(s) for s in ids}) == len(set(ids))
+
     def test_integer_difficulties_accepted(self, tmp_path):
         ledger, _ = _toy_ledger()
         path = tmp_path / "ledger.json"

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from currank import sessions as sessions_module
 from currank.sessions import (
     Document,
     Interaction,
@@ -273,6 +274,105 @@ class TestWritersMatchDictOracles:
             write(*args, got)
             oracle(*args, want)
             assert got.getvalue() == want.getvalue(), write.__name__
+
+
+
+# A bundle file's fields a corruption may strike ("a.b": field b of an entry of a).
+READ_FIELDS = {
+    "sessions": ["session_id", "interactions", "interactions.query_id",
+                 "interactions.query_tokens", "interactions.clicked_doc_ids",
+                 "interactions.candidate_doc_ids"],
+    "contexts": ["session_id", "position", "context_tokens", "positive_doc_id",
+                 "negative_pool"],
+}
+ODD = st.sampled_from([None, 5, -1, True, 1.5, "", "d", [], [5], [None], [["w"]], [{}], {},
+                       {"w": 1}])
+
+
+def corrupt_line(lines: list[str], kind: str, data) -> None:
+    """Change one field, or one entry of a list field, of one record in `lines`."""
+    i = data.draw(st.integers(0, len(lines) - 1), label="record")
+    record = holder = json.loads(lines[i])
+    *parents, key = data.draw(st.sampled_from(READ_FIELDS[kind]), label="field").split(".")
+    for parent in parents:
+        if not holder[parent]:
+            return
+        holder = holder[parent][data.draw(st.integers(0, len(holder[parent]) - 1))]
+    how = data.draw(st.sampled_from(["drop", "replace", "entry"]), label="how")
+    if how == "drop":
+        del holder[key]
+    elif how == "entry" and type(holder[key]) is list and holder[key]:
+        holder[key][data.draw(st.integers(0, len(holder[key]) - 1))] = data.draw(ODD)
+    else:
+        holder[key] = data.draw(ODD, label="value")
+    lines[i] = json.dumps(record)
+
+
+def outcome(read, text: str, *args):
+    """What `read` makes of `text`: its result, or its exception's type and message."""
+    try:
+        return read(io.StringIO(text), *args)
+    except Exception as e:  # noqa: BLE001 -- compared, not handled
+        return type(e), str(e)
+
+
+class TestSplitReads:
+    """read_sessions(fp, keep) builds objects only for the sessions `keep`
+    accepts, but refuses what the object-building reader refuses, with its
+    message, wherever the record lies; records are read in chunks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(bundle=bundles(), data=st.data())
+    @pytest.mark.parametrize("chunk", [1, 2, 256])
+    def test_equals_the_object_reader_filtered(self, chunk, bundle, data):
+        _, sessions, contexts, _ = bundle
+        texts = {}
+        for kind, write, records in [("sessions", write_sessions, sessions),
+                                     ("contexts", write_contexts, contexts)]:
+            buf = io.StringIO()
+            write(records, buf)
+            lines = buf.getvalue().split("\n")[:-1]
+            if lines and data.draw(st.booleans(), label=f"corrupt {kind}"):
+                corrupt_line(lines, kind, data)
+            texts[kind] = "".join(line + "\n" for line in lines)
+        ids = {s.session_id for s in sessions}
+        kept = data.draw(st.sets(st.sampled_from(sorted(ids)))) if ids else set()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sessions_module, "_CHUNK", chunk)
+            want = outcome(oracles.object_read_sessions, texts["sessions"])
+            assert outcome(read_sessions, texts["sessions"]) == want
+            assert outcome(read_sessions, texts["sessions"], kept.__contains__) == (
+                [s for s in want if s.session_id in kept] if type(want) is list else want)
+            assert outcome(read_contexts, texts["contexts"]) == \
+                outcome(oracles.object_read_contexts, texts["contexts"])
+
+    def test_keep_sees_only_checked_string_ids(self, tiny_session):
+        buf = io.StringIO()
+        write_sessions([tiny_session, tiny_session], buf)
+        first, second = buf.getvalue().splitlines()
+        bad = json.loads(second)
+        bad["session_id"] = {}
+        seen = []
+        with pytest.raises(SessionLogError, match=re.escape("session_id {} is not a string")):
+            read_sessions(io.StringIO(f"{first}\n{json.dumps(bad)}\n"), seen.append)
+        assert seen == []
+
+    def test_equal_strings_are_one_object_per_read(self, tiny_session, tiny_contexts):
+        buf = io.StringIO()
+        write_sessions([tiny_session] * 3, buf)
+        interactions = [i for s in read_sessions(io.StringIO(buf.getvalue()))
+                        for i in s.interactions]
+        buf = io.StringIO()
+        write_contexts(tiny_contexts * 3, buf)
+        contexts = read_contexts(io.StringIO(buf.getvalue()))
+        for strings in [
+            [t for i in interactions
+             for t in (*i.query_tokens, *i.clicked_doc_ids, *i.candidate_doc_ids)],
+            [t for c in contexts
+             for t in (c.session_id, *c.context_tokens, c.positive_doc_id, *c.negative_pool)],
+        ]:
+            assert len(strings) > len(set(strings))
+            assert len({id(s) for s in strings}) == len(set(strings))
 
 
 def _session(session_id, specs, documents):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from currank import towers
-from currank.towers import Vocab, init_params, token_rows
+from currank.sessions import Document
+from currank.towers import Vocab, encode_corpus, init_params, token_rows
 
 from oracles import loop_init_params, loop_pool, loop_scatter, param_list
 
@@ -40,6 +41,27 @@ class TestTokenRows:
         vocab = Vocab(["a", "b"])
         rows = token_rows(map(vocab.encode, [("a", "zzz"), (), ("b",)]))
         assert rows.ids.tolist() == [[2, 1], [0, -1], [3, -1]]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_encode_corpus_equals_per_sequence_encoding(self, seed):
+        """One flat pass over all tokens gives token_rows' arrays of the
+        per-sequence id lists: unknown tokens, empty sequences and titles included."""
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(12)]
+        vocab = Vocab(words[:8])
+
+        def tokens():
+            return tuple(rng.choice(words, size=int(rng.integers(0, 7))).tolist())
+
+        contexts = {f"c{i}": tokens() for i in range(40)}
+        documents = {f"d{i}": Document(f"d{i}", tokens()) for i in range(15)}
+        corpus = encode_corpus(vocab, documents, contexts)
+        titles = list(dict.fromkeys(doc.title_tokens for doc in documents.values()))
+        for got, sequences in [(corpus.contexts, contexts.values()), (corpus.docs, titles)]:
+            want = token_rows(map(vocab.encode, sequences))
+            for name in ("ids", "lengths"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestEncodeBatch:
