@@ -23,8 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .sessions import Document
-
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 INDEX_FORMAT_VERSION = 1
@@ -68,16 +66,14 @@ class LexicalIndex:
         return h.hexdigest()
 
 
-def build_index(documents: dict[str, Document]) -> LexicalIndex:
+def build_index(documents: dict[str, tuple[str, ...]]) -> LexicalIndex:
     if not documents:
         raise ValueError("cannot index an empty document table")
     doc_ids = sorted(documents)
-    lengths = np.array(
-        [len(documents[d].title_tokens) for d in doc_ids], dtype=np.int64
-    )
+    lengths = np.array([len(documents[d]) for d in doc_ids], dtype=np.int64)
     raw: dict[str, list[tuple[int, int]]] = {}
     for i, doc_id in enumerate(doc_ids):
-        for term, tf in Counter(documents[doc_id].title_tokens).items():
+        for term, tf in Counter(documents[doc_id]).items():
             raw.setdefault(term, []).append((i, tf))
     postings = {
         term: (

@@ -36,8 +36,7 @@ from .metrics import evaluate_run, query_gains, write_qrels, write_run_file
 from .ranker import rank_slate  # noqa: F401 -- perfbench/spans.py traces it here
 from .scorers import Bm25Scorer, DenseScorer
 from .sessions import (
-    DEFAULT_NEGATIVE_WINDOW, SEP_TOKEN, SessionLogError,
-    build_contexts, build_eval_items, parse_sessions,
+    DEFAULT_NEGATIVE_WINDOW, SEP_TOKEN, build_contexts, build_eval_items, parse_sessions,
     read_contexts, read_documents, read_sessions,
     write_contexts, write_documents, write_sessions,
 )
@@ -127,8 +126,8 @@ def load_bundle(bundle_dir: Path, sessions: bool = True, contexts: bool = True,
 
 def build_vocab(documents, contexts) -> Vocab:
     tokens: set[str] = {SEP_TOKEN}
-    for doc in documents.values():
-        tokens.update(doc.title_tokens)
+    for title in documents.values():
+        tokens.update(title)
     for ctx in contexts:
         tokens.update(ctx.context_tokens)
     return Vocab(tokens)
@@ -204,7 +203,7 @@ def cmd_ingest(args) -> int:
     with open(log_path) as fp:
         try:
             sessions, documents = parse_sessions(fp)
-        except SessionLogError as e:
+        except ValueError as e:
             raise ValueError(f"{log_path}: {e}")
     contexts, skipped = build_contexts(sessions, documents, window=args.window)
     config = {"log": str(log_path), "window": args.window}

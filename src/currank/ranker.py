@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from . import towers
-from .sessions import Document
 from .towers import DualEncoderParams, TokenRows, Vocab, token_rows
 
 
@@ -97,13 +96,13 @@ def rank_slate(
     vocab: Vocab,
     context_tokens: Sequence[str],
     candidate_doc_ids: Sequence[str],
-    documents: dict[str, Document],
+    documents: dict[str, tuple[str, ...]],
 ) -> list[tuple[str, float]]:
     """Rank a candidate slate: score descending, ties by doc id ascending."""
     if not candidate_doc_ids:
         raise ValueError("candidate list must be non-empty")
     c = towers.encode(params.encoder, vocab.encode(context_tokens), "context")
-    doc_rows = token_rows(vocab.encode(documents[d].title_tokens) for d in candidate_doc_ids)
+    doc_rows = token_rows(vocab.encode(documents[d]) for d in candidate_doc_ids)
     d_enc, _ = towers.encode_batch(params.encoder, doc_rows, "document")
     return order_slate(candidate_doc_ids, np.einsum("ij,j->i", d_enc, c) / params.tau)
 

@@ -14,6 +14,8 @@ from itertools import chain, islice
 from operator import itemgetter
 from typing import IO, Callable, Iterable, Iterator
 
+from .bm25 import tokenize
+
 # Segment separator inserted between queries/documents in flattened
 # context token sequences. `tokenize` never emits it, so it can not
 # collide with corpus terms and contributes nothing to BM25 scores.
@@ -21,20 +23,6 @@ SEP_TOKEN = "|"
 
 # Default symmetric rank window for negative pools.
 DEFAULT_NEGATIVE_WINDOW = 3
-
-
-class SessionLogError(ValueError):
-    """Malformed session log input."""
-
-
-@dataclass(frozen=True)
-class Document:
-    doc_id: str
-    title_tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.doc_id:
-            raise ValueError("doc_id must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -84,24 +72,22 @@ def _candidate_rank(cand: dict) -> int:
 
 def parse_sessions(
     stream: Iterable[str],
-) -> tuple[list[Session], dict[str, Document]]:
+) -> tuple[list[Session], dict[str, tuple[str, ...]]]:
     """Parse a line-delimited session log.
 
     Each line is a JSON record with fields
     ``{session_id, query_position, query_text, candidates}`` where
     ``candidates`` is a list of ``{doc_id, title, rank, clicked}``.
-    Returns time-ordered sessions plus a deduplicated document table.
+    Returns time-ordered sessions plus a document table: each doc id's title tokens.
     """
-    from .bm25 import tokenize
-
-    documents: dict[str, Document] = {}
+    documents: dict[str, tuple[str, ...]] = {}
     tokens_of: dict[str, tuple[str, ...]] = {}  # each distinct text tokenized once
     # session_id -> {position -> Interaction}
     by_session: dict[str, dict[int, Interaction]] = {}
 
     def tokens(text, field: str) -> tuple[str, ...]:
         if type(text) is not str:
-            raise SessionLogError(f"line {lineno}: {field} {text!r} is not a string")
+            raise ValueError(f"line {lineno}: {field} {text!r} is not a string")
         if text not in tokens_of:
             tokens_of[text] = tuple(tokenize(text))
         return tokens_of[text]
@@ -113,34 +99,30 @@ def parse_sessions(
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
-            raise SessionLogError(f"line {lineno}: invalid JSON ({e.msg})")
+            raise ValueError(f"line {lineno}: invalid JSON ({e.msg})")
         try:
             sid = rec["session_id"]
             position = rec["query_position"]
             query_text = rec["query_text"]
             candidates = rec["candidates"]
         except (KeyError, TypeError) as e:
-            raise SessionLogError(f"line {lineno}: missing or bad field ({e})")
+            raise ValueError(f"line {lineno}: missing or bad field ({e})")
         if type(sid) is not str or not sid:
-            raise SessionLogError(f"line {lineno}: session_id {sid!r} is "
-                                  + ("empty" if sid == "" else "not a string"))
+            raise ValueError(f"line {lineno}: session_id {sid!r} is "
+                             + ("empty" if sid == "" else "not a string"))
         if type(position) is not int:  # also rejects bool, a subclass of int
-            raise SessionLogError(f"line {lineno}: query_position {position!r} is not an integer")
+            raise ValueError(f"line {lineno}: query_position {position!r} is not an integer")
         query_tokens = tokens(query_text, "query_text")
         if not candidates:
-            raise SessionLogError(
-                f"line {lineno}: interaction has zero candidates"
-            )
+            raise ValueError(f"line {lineno}: interaction has zero candidates")
         interactions = by_session.setdefault(sid, {})
         if position in interactions:
-            raise SessionLogError(
-                f"line {lineno}: duplicate (session {sid!r}, position {position})"
-            )
+            raise ValueError(f"line {lineno}: duplicate (session {sid!r}, position {position})")
 
         try:
             ordered = sorted(candidates, key=_candidate_rank)
         except (KeyError, TypeError, ValueError) as e:
-            raise SessionLogError(f"line {lineno}: missing or bad candidate rank ({e})")
+            raise ValueError(f"line {lineno}: missing or bad candidate rank ({e})")
         cand_ids = []
         clicked = set()
         for cand in ordered:
@@ -149,24 +131,18 @@ def parse_sessions(
                 title = cand["title"]
                 is_clicked = cand["clicked"]
             except (KeyError, TypeError) as e:
-                raise SessionLogError(f"line {lineno}: bad candidate ({e})")
+                raise ValueError(f"line {lineno}: bad candidate ({e})")
             if type(doc_id) is not str or not doc_id:
-                raise SessionLogError(f"line {lineno}: doc_id {doc_id!r} is "
-                                      + ("empty" if doc_id == "" else "not a string"))
+                raise ValueError(f"line {lineno}: doc_id {doc_id!r} is "
+                                 + ("empty" if doc_id == "" else "not a string"))
             if type(is_clicked) is not bool:
-                raise SessionLogError(f"line {lineno}: clicked {is_clicked!r} is not a boolean")
+                raise ValueError(f"line {lineno}: clicked {is_clicked!r} is not a boolean")
             if doc_id in cand_ids:
-                raise SessionLogError(
-                    f"line {lineno}: doc {doc_id!r} appears twice among the candidates"
-                )
+                raise ValueError(
+                    f"line {lineno}: doc {doc_id!r} appears twice among the candidates")
             title_tokens = tokens(title, "title")
-            prev = documents.get(doc_id)
-            if prev is None:
-                documents[doc_id] = Document(doc_id, title_tokens)
-            elif prev.title_tokens != title_tokens:
-                raise SessionLogError(
-                    f"line {lineno}: doc {doc_id!r} has conflicting titles"
-                )
+            if documents.setdefault(doc_id, title_tokens) != title_tokens:
+                raise ValueError(f"line {lineno}: doc {doc_id!r} has conflicting titles")
             cand_ids.append(doc_id)
             if is_clicked:
                 clicked.add(doc_id)
@@ -185,7 +161,7 @@ def parse_sessions(
 
 
 def _walk(
-    sessions: Iterable[Session], documents: dict[str, Document]
+    sessions: Iterable[Session], documents: dict[str, tuple[str, ...]]
 ) -> Iterator[tuple[str, int, Interaction, tuple[str, ...]]]:
     """Yield (session_id, 1-based position, interaction, context tokens)
     for every interaction. The context is the flattened history of earlier
@@ -200,12 +176,12 @@ def _walk(
             # Clicked titles join the history for later queries.
             for doc_id in sorted(inter.clicked_doc_ids):
                 history.append(SEP_TOKEN)
-                history.extend(documents[doc_id].title_tokens)
+                history.extend(documents[doc_id])
 
 
 def build_contexts(
     sessions: Iterable[Session],
-    documents: dict[str, Document],
+    documents: dict[str, tuple[str, ...]],
     window: int = DEFAULT_NEGATIVE_WINDOW,
 ) -> tuple[list[SearchContext], int]:
     """Expand sessions into per-click training contexts.
@@ -252,7 +228,7 @@ def negative_window_pool(
 
 def build_eval_items(
     sessions: list[Session],
-    documents: dict[str, Document],
+    documents: dict[str, tuple[str, ...]],
 ) -> list[EvalSlate]:
     """One evaluation slate per interaction with at least one click. The
     query id is session_id:<1-based index of the interaction>, as _walk
@@ -262,7 +238,7 @@ def build_eval_items(
     if set(chain.from_iterable(map(itemgetter(1), candidates))) - documents.keys():
         session_id, doc_id = next((s, d) for s, ids in candidates for d in ids
                                   if d not in documents)
-        raise SessionLogError(f"session {session_id}: document {doc_id} is not in the corpus")
+        raise ValueError(f"session {session_id}: document {doc_id} is not in the corpus")
     return [(f"{session_id}:{position}", ctx_tokens, inter.candidate_doc_ids,
              inter.clicked_doc_ids)
             for session_id, position, inter, ctx_tokens in _walk(sessions, documents)
@@ -316,7 +292,7 @@ def _strings(rec: dict, key: str) -> list:
     """Field `key` of `rec`, a JSON list (`_check_types` checks its entries)."""
     value = rec[key]
     if type(value) is not list:
-        raise SessionLogError(f"{key} {value!r} is not a list")
+        raise ValueError(f"{key} {value!r} is not a list")
     return value
 
 
@@ -330,21 +306,34 @@ def _check_types(rows: list[tuple], fields: dict[str, type]) -> None:
             what, column, kind = f"{field} entry", list(chain.from_iterable(column)), str
         if set(map(type, column)) - {kind}:
             bad = next(v for v in column if type(v) is not kind)
-            raise SessionLogError(
+            raise ValueError(
                 f"{what} {bad!r} is not {'a string' if kind is str else 'an integer'}")
 
 
-def write_documents(documents: dict[str, Document], fp: IO[str]) -> None:
+def _add_unique(seen: set, keys: list, what: str) -> None:
+    """Add `keys`, one chunk's, to `seen`, those of the read so far: each must be new."""
+    new = set(keys)
+    if len(new) < len(keys) or not seen.isdisjoint(new):
+        repeat = next(k for k in keys if k in seen or seen.add(k))  # add returns None
+        raise ValueError(f"{what} {repeat!r} is listed more than once")
+    seen |= new
+
+
+def write_documents(documents: dict[str, tuple[str, ...]], fp: IO[str]) -> None:
     text = _JsonText()
     for doc_id in sorted(documents):
         fp.write(f'{{"doc_id":{_dumps(doc_id)},'
-                 f'"title_tokens":{text.array(documents[doc_id].title_tokens)}}}\n')
+                 f'"title_tokens":{text.array(documents[doc_id])}}}\n')
 
 
-def read_documents(fp: Iterable[str]) -> dict[str, Document]:
+def read_documents(fp: Iterable[str]) -> dict[str, tuple[str, ...]]:
+    """The document table of `fp`: each doc id, non-empty and listed once, to its title."""
     rows = [(r["doc_id"], _strings(r, "title_tokens")) for c in _record_chunks(fp) for r in c]
     _check_types(rows, {"doc_id": str, "title_tokens": list})
-    return {doc_id: Document(doc_id, tuple(tokens)) for doc_id, tokens in rows}
+    if not all(map(itemgetter(0), rows)):
+        raise ValueError("doc_id must be non-empty")
+    _add_unique(set(), list(map(itemgetter(0), rows)), "doc_id")
+    return {doc_id: tuple(tokens) for doc_id, tokens in rows}
 
 
 def write_sessions(sessions: Iterable[Session], fp: IO[str]) -> None:
@@ -362,7 +351,7 @@ def read_sessions(fp: Iterable[str], keep: Callable[[str], bool] | None = None) 
     """The sessions of `fp`, or those whose id `keep` accepts: every record is checked, a
     chunk at a time, before `keep` sees its id, and only kept sessions become objects.
     Equal tokens and doc ids share one string; query ids are unique."""
-    sessions, shared = [], _Shared().__getitem__
+    sessions, shared, seen = [], _Shared().__getitem__, set()
     for chunk in _record_chunks(fp):
         rows = [(rec["session_id"], [
             (i["query_id"], _strings(i, "query_tokens"), _strings(i, "candidate_doc_ids"),
@@ -376,6 +365,7 @@ def read_sessions(fp: Iterable[str], keep: Callable[[str], bool] | None = None) 
         _check_types(rows, {"session_id": str})  # before `keep` hashes it
         # Clicks are candidates (checked above), so strings too.
         _check_types(queries, {"query_id": str, "query_tokens": list, "candidate_doc_ids": list})
+        _add_unique(seen, list(map(itemgetter(0), rows)), "session_id")
         sessions += [
             Session(shared(sid), tuple(
                 Interaction(q, tuple(map(shared, tokens)), frozenset(map(shared, clicked)),
@@ -395,12 +385,14 @@ def write_contexts(contexts: Iterable[SearchContext], fp: IO[str]) -> None:
 
 def read_contexts(fp: Iterable[str]) -> list[SearchContext]:
     """The contexts of `fp`; equal tokens and ids share one string."""
-    contexts, shared = [], _Shared().__getitem__
+    contexts, shared, seen = [], _Shared().__getitem__, set()
     for chunk in _record_chunks(fp):
         rows = [(rec["session_id"], rec["position"], _strings(rec, "context_tokens"),
                  rec["positive_doc_id"], _strings(rec, "negative_pool")) for rec in chunk]
         _check_types(rows, {"session_id": str, "position": int, "context_tokens": list,
                             "positive_doc_id": str, "negative_pool": list})
+        _add_unique(seen, list(map(itemgetter(0, 1, 3), rows)),
+                    "(session_id, position, positive_doc_id)")
         contexts += [SearchContext(shared(sid), position, tuple(map(shared, tokens)),
                                    shared(doc_id), tuple(map(shared, pool)))
                      for sid, position, tokens, doc_id, pool in rows]

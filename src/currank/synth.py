@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import IO
 
-from .sessions import Document, Interaction, Session, _dumps
+from .sessions import Interaction, Session, _dumps
 
 MIN_TERMS_PER_TOPIC = 4
 _QUERY_TERMS = 2
@@ -46,7 +46,7 @@ class SynthSpec:
 
 def generate_synthetic(
     spec: SynthSpec,
-) -> tuple[list[Session], dict[str, Document], dict[str, int]]:
+) -> tuple[list[Session], dict[str, tuple[str, ...]], dict[str, int]]:
     """Returns (sessions, document table, hidden session->topic labels)."""
     rng = random.Random(spec.seed)
     terms_per_topic = spec.vocab_size // spec.n_topics
@@ -57,14 +57,14 @@ def generate_synthetic(
 
     # A fixed per-topic document pool keeps the corpus desk-sized.
     pool_size = max(2 * spec.candidates_per_query, 12)
-    documents: dict[str, Document] = {}
+    documents: dict[str, tuple[str, ...]] = {}
     pools: list[list[str]] = []
     for t in range(spec.n_topics):
         pool = []
         for j in range(pool_size):
             doc_id = f"d{t:03d}_{j:04d}"
             title = tuple(rng.sample(topic_terms[t], min(_TITLE_TERMS, terms_per_topic)))
-            documents[doc_id] = Document(doc_id, title)
+            documents[doc_id] = title
             pool.append(doc_id)
         pools.append(pool)
 
@@ -115,9 +115,10 @@ def write_labels(labels: dict[str, int], fp: IO[str]) -> None:
         fp.write(f'{{"session_id":{_dumps(session_id)},"topic_id":{labels[session_id]:d}}}\n')
 
 
-def write_session_log(sessions: list[Session], documents: dict[str, Document], fp: IO[str]) -> None:
+def write_session_log(sessions: list[Session], documents: dict[str, tuple[str, ...]],
+                      fp: IO[str]) -> None:
     """Emit sessions in the external log format; each (doc, rank, clicked) is serialized once."""
-    titles = {doc_id: " ".join(doc.title_tokens) for doc_id, doc in documents.items()}
+    titles = {doc_id: " ".join(title) for doc_id, title in documents.items()}
     candidates: dict[tuple[str, int, bool], str] = {}
     for session in sessions:
         for position, inter in enumerate(session.interactions, start=1):

@@ -35,7 +35,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .sessions import Document
 
 PAD_TOKEN = "<pad>"  # reserved embedding used for empty token lists
 UNK_TOKEN = "<unk>"
@@ -100,14 +99,13 @@ class EncodedCorpus:
 
 
 def encode_corpus(
-    vocab: Vocab, documents: dict[str, Document], contexts: dict[str, Sequence[str]]
+    vocab: Vocab, documents: dict[str, tuple[str, ...]], contexts: dict[str, Sequence[str]]
 ) -> EncodedCorpus:
     """Encode the token sequences `contexts`, keyed by the caller's ids
     (context ids, or query ids for held-out slates), and `documents`;
     documents with identical titles share a row, so one encoding."""
     titles: dict[tuple[str, ...], int] = {}
-    doc_row = {d: titles.setdefault(doc.title_tokens, len(titles))
-               for d, doc in documents.items()}
+    doc_row = {d: titles.setdefault(title, len(titles)) for d, title in documents.items()}
     return EncodedCorpus(
         contexts=token_rows(contexts.values(), vocab),
         context_row={cid: i for i, cid in enumerate(contexts)},

@@ -34,7 +34,7 @@ from .metrics import MetricTable, RankedSlate, evaluate_run, query_gains
 from .ranker import (  # noqa: F401 -- perfbench/spans.py traces rank_slate here
     RankerParams, check_finite, loss_and_grad, order_slate, rank_slate, softmax_cross_entropy,
 )
-from .sessions import Document, EvalSlate, SearchContext
+from .sessions import EvalSlate, SearchContext
 from .towers import PARAM_NAMES, EncodedCorpus, Vocab, encode_corpus
 
 # mode -> (negative half kept or None for all, the pacing fields it sets to 1.0)
@@ -106,7 +106,7 @@ class TrainingData:
     columns: LedgerColumns
 
 
-def training_data(vocab: Vocab, documents: dict[str, Document],
+def training_data(vocab: Vocab, documents: dict[str, tuple[str, ...]],
                   contexts: Iterable[SearchContext],
                   ledger: DifficultyLedger) -> TrainingData:
     """`ledger` over `contexts`, encoded in ledger order: once ledger_columns
@@ -198,7 +198,7 @@ class EvalSlates:
 
 
 def encode_slates(
-    vocab: Vocab, eval_items: list[EvalSlate], documents: dict[str, Document]
+    vocab: Vocab, eval_items: list[EvalSlate], documents: dict[str, tuple[str, ...]]
 ) -> EvalSlates:
     return EvalSlates(eval_items, encode_corpus(
         vocab, documents, {query_id: tokens for query_id, tokens, _, _ in eval_items}))

@@ -7,17 +7,17 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from currank.bm25 import build_index
-from currank.sessions import Document, Interaction, Session, build_contexts
+from currank.sessions import Interaction, Session, build_contexts
 from currank.towers import Vocab
 
 
 @pytest.fixture
 def tiny_documents():
     return {
-        "d1": Document("d1", ("clay", "aiken", "fansite")),
-        "d2": Document("d2", ("chanel", "designer", "handbags")),
-        "d3": Document("d3", ("clay", "pottery", "studio")),
-        "d4": Document("d4", ("aiken", "county", "news")),
+        "d1": ("clay", "aiken", "fansite"),
+        "d2": ("chanel", "designer", "handbags"),
+        "d3": ("clay", "pottery", "studio"),
+        "d4": ("aiken", "county", "news"),
     }
 
 
@@ -52,8 +52,8 @@ def tiny_contexts(tiny_session, tiny_documents):
 @pytest.fixture
 def tiny_vocab(tiny_documents, tiny_contexts):
     tokens = {"|"}
-    for doc in tiny_documents.values():
-        tokens.update(doc.title_tokens)
+    for title in tiny_documents.values():
+        tokens.update(title)
     for ctx in tiny_contexts:
         tokens.update(ctx.context_tokens)
     return Vocab(tokens)

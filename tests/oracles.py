@@ -33,7 +33,7 @@ from currank.curriculum import DifficultyLedger, difficulty_positive
 from currank.metrics import evaluate_run
 from currank.ranker import order_slate
 from currank.scorers import Bm25Scorer
-from currank.sessions import Interaction, SearchContext, Session, SessionLogError
+from currank.sessions import Interaction, SearchContext, Session
 from currank.towers import PARAM_NAMES
 
 
@@ -199,7 +199,7 @@ def loop_validation_loss(params, vocab, eval_items, documents) -> float:
     def score(tokens, doc_id):
         return float(naive_encode(params.encoder, vocab, tokens, "context")
                      @ naive_encode(params.encoder, vocab,
-                                    documents[doc_id].title_tokens, "document"))
+                                    documents[doc_id], "document"))
 
     total = 0.0
     count = 0
@@ -388,7 +388,7 @@ class PerContextDenseScorer:
         self.vocab = vocab
         self.doc_ids = sorted(documents)
         doc_rows = towers.token_rows(
-            vocab.encode(documents[d].title_tokens) for d in self.doc_ids)
+            vocab.encode(documents[d]) for d in self.doc_ids)
         self._doc_enc, _ = towers.encode_batch(params, doc_rows, "document")
 
     def score_corpus(self, ctxs) -> np.ndarray:
@@ -430,8 +430,7 @@ def _dumps(obj) -> str:
 def dict_write_documents(documents, fp) -> None:
     """sessions.write_documents as it built and dumped one dict per record."""
     for doc_id in sorted(documents):
-        doc = documents[doc_id]
-        fp.write(_dumps({"doc_id": doc.doc_id, "title_tokens": list(doc.title_tokens)}) + "\n")
+        fp.write(_dumps({"doc_id": doc_id, "title_tokens": list(documents[doc_id])}) + "\n")
 
 
 def dict_write_sessions(sessions, fp) -> None:
@@ -478,7 +477,7 @@ def dict_write_session_log(sessions, documents, fp) -> None:
                 "candidates": [
                     {
                         "doc_id": doc_id,
-                        "title": " ".join(documents[doc_id].title_tokens),
+                        "title": " ".join(documents[doc_id]),
                         "rank": rank,
                         "clicked": doc_id in inter.clicked_doc_ids,
                     }
@@ -491,7 +490,7 @@ def dict_write_session_log(sessions, documents, fp) -> None:
 def _object_strings(rec: dict, key: str) -> tuple:
     value = rec[key]
     if type(value) is not list:
-        raise SessionLogError(f"{key} {value!r} is not a list")
+        raise ValueError(f"{key} {value!r} is not a list")
     return tuple(value)
 
 
@@ -502,7 +501,7 @@ def _object_check_types(records: list, fields: dict[str, type]) -> None:
             what, column, kind = f"{field} entry", list(chain.from_iterable(column)), str
         if set(map(type, column)) - {kind}:
             bad = next(v for v in column if type(v) is not kind)
-            raise SessionLogError(
+            raise ValueError(
                 f"{what} {bad!r} is not {'a string' if kind is str else 'an integer'}")
 
 
@@ -518,9 +517,17 @@ def _checked_session(session_id, interactions) -> Session:
     return Session(session_id, interactions)
 
 
+def _refuse_repeats(keys, what: str) -> None:
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError(f"{what} {key!r} is listed more than once")
+        seen.add(key)
+
+
 def object_read_sessions(fp) -> list[Session]:
     """Every record as a Session of Interactions, each checked as it is
-    built, then the type checks."""
+    built, then the type checks, then that no session id repeats."""
     sessions = [
         _checked_session(rec["session_id"], tuple(
             _checked_interaction(i["query_id"], _object_strings(i, "query_tokens"),
@@ -532,11 +539,13 @@ def object_read_sessions(fp) -> list[Session]:
     _object_check_types(sessions, {"session_id": str})
     _object_check_types(list(chain.from_iterable(s.interactions for s in sessions)),
                         {"query_id": str, "query_tokens": tuple, "candidate_doc_ids": tuple})
+    _refuse_repeats((s.session_id for s in sessions), "session_id")
     return sessions
 
 
 def object_read_contexts(fp) -> list[SearchContext]:
-    """Every record as a SearchContext, then the type checks."""
+    """Every record as a SearchContext, then the type checks, then that no
+    (session id, position, positive doc id) repeats."""
     contexts = [
         SearchContext(rec["session_id"], rec["position"], _object_strings(rec, "context_tokens"),
                       rec["positive_doc_id"], _object_strings(rec, "negative_pool"))
@@ -544,4 +553,6 @@ def object_read_contexts(fp) -> list[SearchContext]:
     ]
     _object_check_types(contexts, {"session_id": str, "position": int, "context_tokens": tuple,
                                    "positive_doc_id": str, "negative_pool": tuple})
+    _refuse_repeats(((c.session_id, c.position, c.positive_doc_id) for c in contexts),
+                    "(session_id, position, positive_doc_id)")
     return contexts

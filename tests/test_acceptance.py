@@ -37,7 +37,6 @@ from currank.ranker import RankerParams, loss_and_grad
 from currank.scorers import Bm25Scorer
 from currank.sessions import (
     SEP_TOKEN,
-    Document,
     SearchContext,
     build_contexts,
     build_eval_items,
@@ -231,7 +230,7 @@ def _random_world(rng, n_docs=6, vocab_size=10):
         # a unique leading token keeps every slate non-degenerate
         title = (tokens[i],) + tuple(
             rng.choice(tokens, size=int(rng.integers(0, 3))))
-        documents[f"d{i}"] = Document(doc_id=f"d{i}", title_tokens=title)
+        documents[f"d{i}"] = title
     contexts = []
     for i in range(2):
         contexts.append(SearchContext(
@@ -317,7 +316,7 @@ def test_criterion_6_oracle_equivalence():
                 for i in range(100)
             }
             documents = {
-                d: Document(doc_id=d, title_tokens=tuple(toks))
+                d: tuple(toks)
                 for d, toks in raw.items()
             }
             index = bm25.build_index(documents)
@@ -353,7 +352,7 @@ def test_criterion_6_oracle_equivalence():
         for m in (1, 2, 3, 4, 5):
             vocab = Vocab({"a", "b"})
             documents = {
-                f"d{i}": Document(doc_id=f"d{i}", title_tokens=("a",))
+                f"d{i}": ("a",)
                 for i in range(m + 1)
             }
             ctx = SearchContext(
@@ -396,8 +395,8 @@ def desk_experiment():
     scorer = Bm25Scorer(bm25.build_index(documents), bm25.Bm25Params())
     ledger = build_ledger(scorer, scorer, train_contexts)
     tokens = {SEP_TOKEN}
-    for doc in documents.values():
-        tokens.update(doc.title_tokens)
+    for title in documents.values():
+        tokens.update(title)
     for ctx in contexts:
         tokens.update(ctx.context_tokens)
     vocab = Vocab(tokens)

@@ -11,7 +11,7 @@ from currank.bm25 import (
     tokenize,
 )
 from currank.scorers import Bm25Scorer
-from currank.sessions import Document, SearchContext
+from currank.sessions import SearchContext
 
 from oracles import naive_bm25, per_call_score_all
 
@@ -37,7 +37,7 @@ class TestTokenize:
 
 class TestBuildIndex:
     def test_single_doc_counts(self):
-        docs = {"d": Document("d", ("a", "b", "a"))}
+        docs = {"d": ("a", "b", "a")}
         index = build_index(docs)
         positions, tfs = index.postings["a"]
         assert len(positions) == 1
@@ -46,8 +46,8 @@ class TestBuildIndex:
 
     def test_two_doc_counts(self):
         docs = {
-            "d1": Document("d1", ("a",)),
-            "d2": Document("d2", ("a", "b")),
+            "d1": ("a",),
+            "d2": ("a", "b"),
         }
         index = build_index(docs)
         assert {t: len(p) for t, (p, _) in index.postings.items()} == {"a": 2, "b": 1}
@@ -79,7 +79,7 @@ class TestScore:
 
     def test_matches_naive_oracle_small(self):
         raw = {"d1": ["a", "b"], "d2": ["c"]}
-        docs = {d: Document(d, tuple(toks)) for d, toks in raw.items()}
+        docs = {d: tuple(toks) for d, toks in raw.items()}
         index = build_index(docs)
         got = score(index, Bm25Params(k1=1.2, b=0.75), ["a"], "d1")
         assert got == pytest.approx(naive_bm25(raw, ["a"], "d1"), abs=1e-12)
@@ -91,7 +91,7 @@ class TestScore:
                 f"d{i}": [vocab[j] for j in rng.integers(0, 30, rng.integers(1, 12))]
                 for i in range(100)
             }
-            docs = {d: Document(d, tuple(toks)) for d, toks in raw.items()}
+            docs = {d: tuple(toks) for d, toks in raw.items()}
             index = build_index(docs)
             query = [vocab[j] for j in rng.integers(0, 30, rng.integers(1, 9))]
             for doc_id in list(raw)[:10]:
@@ -101,16 +101,16 @@ class TestScore:
 
     def test_monotone_in_tf(self):
         # same length, higher tf of the matched term never scores lower
-        low = {"d": Document("d", ("a", "b", "c")), "e": Document("e", ("x", "y", "z"))}
-        high = {"d": Document("d", ("a", "a", "b")), "e": Document("e", ("x", "y", "z"))}
+        low = {"d": ("a", "b", "c"), "e": ("x", "y", "z")}
+        high = {"d": ("a", "a", "b"), "e": ("x", "y", "z")}
         s_low = score(build_index(low), Bm25Params(), ["a"], "d")
         s_high = score(build_index(high), Bm25Params(), ["a"], "d")
         assert s_high >= s_low
 
     def test_b_zero_ignores_length(self):
         docs = {
-            "short": Document("short", ("a",)),
-            "long": Document("long", ("a",) + tuple(f"f{i}" for i in range(9))),
+            "short": ("a",),
+            "long": ("a",) + tuple(f"f{i}" for i in range(9)),
         }
         index = build_index(docs)
         params = Bm25Params(b=0.0)
@@ -147,7 +147,7 @@ class TestScoreContext:
             "d2": ["pottery", "shop"],
             "d3": ["other", "stuff"],
         }
-        docs = {d: Document(d, tuple(toks)) for d, toks in raw.items()}
+        docs = {d: tuple(toks) for d, toks in raw.items()}
         index = build_index(docs)
         params = Bm25Params()
         alone = self._context(["news"])
@@ -175,8 +175,8 @@ class TestScoreMatchesPerCallOracle:
         words = [f"w{i}" for i in range(25)]
         for _ in range(20):
             docs = {
-                f"d{j:03d}": Document(f"d{j:03d}", tuple(
-                    rng.choice(words, size=int(rng.integers(1, 10))).tolist()))
+                f"d{j:03d}": tuple(
+                    rng.choice(words, size=int(rng.integers(1, 10))).tolist())
                 for j in range(int(rng.integers(1, 80)))
             }
             index = build_index(docs)

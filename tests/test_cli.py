@@ -26,7 +26,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from currank import cli, trainer
 from currank.checkpoint import MAGIC, file_digest, load_checkpoint, save_checkpoint
 from currank.cli import (
-    LOCK_NAME, MANIFEST_NAME, build_vocab, command_output, in_split, load_bundle, main, split_of,
+    LOCK_NAME, MANIFEST_NAME, build_parser, build_vocab, command_output, in_split, load_bundle,
+    main, split_of,
 )
 from currank.curriculum import load_ledger, save_ledger
 from currank.ranker import RankerParams
@@ -267,6 +268,13 @@ class TestIngest:
         assert "line 2" in err and error in err
         assert not (tmp_path / "o").exists()
 
+    def test_log_that_is_not_utf8_exits_two_naming_the_log(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"session_id": "s\xff"}\n')
+        assert run_cli("ingest", "--log", bad, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "o").exists()
+
 
 class TestScore:
     def test_ledger_written(self, ledger_dir):
@@ -416,7 +424,7 @@ class TestScore:
         (ctx_rows, doc_rows), = fit_rows
         for got, sequences in [
             (ctx_rows, [c.context_tokens for c in train]),
-            (doc_rows, [documents[c.positive_doc_id].title_tokens for c in train]),
+            (doc_rows, [documents[c.positive_doc_id] for c in train]),
         ]:
             want = token_rows(vocab.encode(tokens) for tokens in sequences)
             assert np.array_equal(got.ids, want.ids)
@@ -786,7 +794,7 @@ class TestEval:
         for query_id, ranked, _ in rank_slates(slates, slates.scores(params)):
             by_title: dict[tuple, list] = {}
             for doc_id, score in ranked:
-                by_title.setdefault(documents[doc_id].title_tokens, []).append((doc_id, score))
+                by_title.setdefault(documents[doc_id], []).append((doc_id, score))
             for tied in (t for t in by_title.values() if len(t) > 1):
                 ties += 1
                 assert [d for d, _ in tied] == sorted(d for d, _ in tied), query_id
@@ -1449,6 +1457,65 @@ class TestMalformedBundle:
         assert not out.exists()
 
 
+def _bundle_flags(command: str, ledger_dir: Path, train_dir: Path) -> tuple:
+    """The flags besides --bundle and --out of a quick `command` run on the test bundle."""
+    return {
+        "score": (),
+        "eval": ("--checkpoint", train_dir / "checkpoint.bin", "--split", "test"),
+        "ablate": ("--ledger", ledger_dir / "ledger.json", "--steps", 2, "--batch-size", 8,
+                   "--grid-deltas", "0.3", "--grid-etas", "0.7"),
+    }.get(command, ("--ledger", ledger_dir / "ledger.json", "--steps", 2, "--batch-size", 8))
+
+
+class TestRepeatedBundleRecord:
+    """Every record of a bundle file names a new doc id, session or context,
+    wherever it lies: a repeat is an input error naming the file and the id,
+    under every command that reads the file, before --out exists."""
+
+    @pytest.mark.parametrize("name, command", [
+        (name, command) for name, (_, commands) in BUNDLE_READERS.items()
+        for command in commands])
+    def test_repeat_exits_two_naming_the_id(self, bundle_dir, ledger_dir, train_dir, tmp_path,
+                                            capsys, name, command):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        path = bundle / name
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        if name == "documents.jsonl":  # the same doc id with another title
+            record = {**records[0], "title_tokens": ["another", "title"]}
+            key, what = record["doc_id"], "doc_id"
+        elif name == "sessions.jsonl":  # a train-split session: outside train's and eval's
+            record = next(r for r in records if split_of(r["session_id"]) == "train")
+            key, what = record["session_id"], "session_id"
+        else:  # a context outside the train split that score and train read
+            record = next(r for r in records if split_of(r["session_id"]) != "train")
+            key = (record["session_id"], record["position"], record["positive_doc_id"])
+            what = "(session_id, position, positive_doc_id)"
+        path.write_text(path.read_text() + json.dumps(record) + "\n")
+        out = tmp_path / "o"
+        flags = _bundle_flags(command, ledger_dir, train_dir)
+        assert run_cli(command, "--bundle", bundle, *flags, "--out", out) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: malformed record: {what} {key!r} is listed more than once\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "train", "eval", "ablate"])
+    def test_empty_doc_id_exits_two(self, bundle_dir, ledger_dir, train_dir, tmp_path, capsys,
+                                    command):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        path = bundle / "documents.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[-1]["doc_id"] = ""
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "o"
+        flags = _bundle_flags(command, ledger_dir, train_dir)
+        assert run_cli(command, "--bundle", bundle, *flags, "--out", out) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: malformed record: doc_id must be non-empty\n"
+        assert not out.exists()
+
+
 # bundle file -> (the table's cases: record 0 with one field or entry changed)
 WRONG_TYPES = {
     "contexts.jsonl": [("session_id", None), ("session_id", 5), ("session_id", ["s"]),
@@ -1993,6 +2060,44 @@ class TestRefusedHyperparameters:
         prefix = f"^currank(?: {re.escape(command)})?: "
         assert re.split(prefix, err, flags=re.M)[-1] == f"error: {message}\n"
         assert not out.exists()
+
+
+COMMANDS = next(a.choices for a in build_parser()._actions if a.dest == "command")
+
+
+def _numeric_flags(command: str) -> list[tuple[str, type]]:
+    """`command`'s flags that take an int or a float, as build_parser defines them."""
+    return [(a.option_strings[0], a.type) for a in COMMANDS[command]._actions
+            if a.type in (int, float)]
+
+
+# Edge values only: a huge --steps or --sessions would start a run that never ends.
+SWEEP_VALUES = {int: ["-1", "0"], float: ["-1", "0", "nan", "inf", "-inf", "1e-320"]}
+# The base flags a swept flag is added to; score runs its flags both ways. eval has no
+# int or float flag today, but a base, so that one it gains is swept.
+SWEEP_BASES = {"ingest": ["ingest"], "synth": ["synth"], "score": ["score", "score --fit"],
+               "train": ["train"], "eval": ["eval"], "ablate": ["ablate"]}
+
+
+class TestFlagSweep:
+    """Every int and float flag of every command, at each edge value, exits 0
+    or 2 (never 1, an internal error), and a 2 leaves no --out."""
+
+    @pytest.mark.parametrize("base, flag, value", [
+        pytest.param(base, flag, value, id=f"{base}{flag}={value}")
+        for command, bases in SWEEP_BASES.items() for base in bases
+        for flag, kind in _numeric_flags(command) for value in SWEEP_VALUES[kind]])
+    def test_exits_zero_or_two(self, bundle_dir, ledger_dir, train_dir, tmp_path, base, flag,
+                               value):
+        flags = {"ingest": ("--log", bundle_dir / "log.jsonl"), "synth": SYNTH_ARGS[1:],
+                 "score --fit": ("--bundle", bundle_dir, "--scorer", "dense", "--fit",
+                                 "--fit-epochs", 1)}.get(base) or \
+            ("--bundle", bundle_dir, *_bundle_flags(base, ledger_dir, train_dir))
+        # "--flag=value": argparse would take a separate "-inf" for a flag
+        check_exit(*base.split(), *flags, f"{flag}={value}", out=tmp_path / "o")
+
+    def test_every_command_has_a_base(self):
+        assert sorted(COMMANDS) == sorted(SWEEP_BASES)
 
 
 class TestDivergence:

@@ -24,7 +24,7 @@ from currank.curriculum import (
     save_ledger,
 )
 from currank.scorers import Bm25Scorer, DenseScorer
-from currank.sessions import Document, Interaction, SearchContext, Session, build_contexts
+from currank.sessions import Interaction, SearchContext, Session, build_contexts
 from currank.towers import Vocab, encode_corpus, init_params
 
 from batches import sample_items
@@ -169,9 +169,9 @@ class TestDifficultyNegative:
 
     def test_bm25_tf_makes_harder(self):
         docs = {
-            "hit": Document("hit", ("chanel", "bags")),
-            "miss": Document("miss", ("pottery", "news")),
-            "other": Document("other", ("misc", "misc2")),
+            "hit": ("chanel", "bags"),
+            "miss": ("pottery", "news"),
+            "other": ("misc", "misc2"),
         }
         index = build_index(docs)
         query = SearchContext("s0", 1, ("chanel",), "hit", ("miss",))
@@ -205,11 +205,11 @@ def _toy_ledger(n_pos=10, n_neg=6):
 class TestBuildLedger:
     def _fixture(self):
         docs = {
-            "p0": Document("p0", ("clay", "aiken")),
-            "p1": Document("p1", ("chanel", "bags")),
-            "n0": Document("n0", ("clay", "pottery")),
-            "n1": Document("n1", ("aiken", "county")),
-            "n2": Document("n2", ("random", "stuff")),
+            "p0": ("clay", "aiken"),
+            "p1": ("chanel", "bags"),
+            "n0": ("clay", "pottery"),
+            "n1": ("aiken", "county"),
+            "n2": ("random", "stuff"),
         }
         contexts = [
             SearchContext("s0", 1, ("clay", "aiken"), "p0", ("n0", "n1", "n2")),
@@ -271,7 +271,7 @@ def _mixed_fixture(extra_doc=False):
     def tokens(lo, hi):
         return tuple(str(w) for w in rng.choice(words, size=int(rng.integers(lo, hi))))
 
-    docs = {f"d{j:02d}": Document(f"d{j:02d}", tokens(2, 6)) for j in range(60)}
+    docs = {f"d{j:02d}": tokens(2, 6) for j in range(60)}
     contexts = [
         SearchContext(
             f"s{i:02d}", 1, tokens(1, 9), f"d{i:02d}",
@@ -282,7 +282,7 @@ def _mixed_fixture(extra_doc=False):
     vocab = Vocab(words)
     params = init_params(len(vocab), 32, 32, rng)
     if extra_doc:
-        docs["zz"] = Document("zz", ("w0",))
+        docs["zz"] = ("w0",)
     return contexts, {
         "bm25": Bm25Scorer(build_index(docs), Bm25Params()),
         "dense": DenseScorer(params, vocab, encode_corpus(
@@ -321,7 +321,7 @@ def _multi_click_contexts(rng, n_sessions=40):
     def tokens(lo, hi):
         return tuple(rng.choice(words, size=int(rng.integers(lo, hi))).tolist())
 
-    docs = {f"d{j:02d}": Document(f"d{j:02d}", tokens(1, 6)) for j in range(50)}
+    docs = {f"d{j:02d}": tokens(1, 6) for j in range(50)}
     sessions = []
     for i in range(n_sessions):
         inters = []
@@ -351,7 +351,7 @@ class TestBuildLedgerMatchesPerCallScorer:
         """2,000 documents make a block of 65 contexts; 150 contexts span three."""
         rng = np.random.default_rng(3)
         words = [f"w{i}" for i in range(40)]
-        docs = {f"d{j:04d}": Document(f"d{j:04d}", tuple(rng.choice(words, 4).tolist()))
+        docs = {f"d{j:04d}": tuple(rng.choice(words, 4).tolist())
                 for j in range(2000)}
         ids = sorted(docs)
         contexts = [SearchContext(f"s{i}", 1, tuple(rng.choice(words, 5).tolist()),
@@ -375,7 +375,7 @@ def ledger_worlds(draw):
     words = [f"w{i}" for i in range(draw(st.integers(1, 6)))]
     titles = draw(st.lists(st.lists(st.sampled_from(words), max_size=4), min_size=2, max_size=12)
                   .filter(any))  # all-empty titles have no average length
-    docs = {f"d{j:02d}": Document(f"d{j:02d}", tuple(t)) for j, t in enumerate(titles)}
+    docs = {f"d{j:02d}": tuple(t) for j, t in enumerate(titles)}
     ids = sorted(docs)
     contexts = []
     # Session ids drawn out of order, so that the context-id order is not the input order.
@@ -407,7 +407,7 @@ class TestBlockLedgerMatchesPerContextLoop:
         want = np.stack([per_call_score_all(index, params, c.context_tokens) for c in contexts])
         assert bm25.score_corpus(contexts).tobytes() == want.tobytes()
 
-        vocab = Vocab({t for d in docs.values() for t in d.title_tokens})
+        vocab = Vocab({t for title in docs.values() for t in title})
         dense = DenseScorer(init_params(len(vocab), 4, 3, np.random.default_rng(seed)), vocab,
                             encode_corpus(vocab, docs, {c.context_id: c.context_tokens
                                                         for c in contexts}))

@@ -8,7 +8,7 @@ from currank.checkpoint import load_checkpoint, save_checkpoint
 from currank.curriculum import build_ledger
 from currank.dense import in_batch_loss_and_grad, train_in_batch
 from currank.scorers import DenseScorer
-from currank.sessions import Document, SearchContext
+from currank.sessions import SearchContext
 from currank.towers import Vocab, encode, encode_corpus, init_params, token_rows
 
 from oracles import (
@@ -24,8 +24,8 @@ def zero_params(vocab_size, d_emb, hidden):
     return params
 
 
-def doc_table(docs):
-    return {d.doc_id: d for d in docs}
+def doc_table(titles):
+    return {f"d{j}": title for j, title in enumerate(titles)}
 
 
 def contexts_of(token_lists, positive="d0"):
@@ -108,12 +108,12 @@ class TestDenseScore:
         vocab = Vocab([f"t{i}" for i in range(10)])
         params = init_params(len(vocab), 4, 3, rng)
         contexts = contexts_of((f"t{i}", f"t{(i+1) % 10}") for i in range(3))
-        docs = [Document(f"d{j}", (f"t{j % 10}",)) for j in range(4)]
-        scorer = dense_scorer(params, vocab, doc_table(docs), contexts)
+        titles = [(f"t{j % 10}",) for j in range(4)]
+        scorer = dense_scorer(params, vocab, doc_table(titles), contexts)
         for ctx in contexts:
             corpus = scorer.score_corpus([ctx])[0]
-            for j, doc in enumerate(docs):
-                expected = dense_score(params, vocab, ctx.context_tokens, doc.title_tokens)
+            for j, title in enumerate(titles):
+                expected = dense_score(params, vocab, ctx.context_tokens, title)
                 assert corpus[j] == pytest.approx(expected, abs=1e-12)
 
 
@@ -124,7 +124,7 @@ class TestScoreAll:
         vocab = Vocab(["a", "b"])
         params = init_params(len(vocab), 4, 3, rng)
         ctx = contexts_of([["a"]])[0]
-        scorer = dense_scorer(params, vocab, {"d": Document("d", ("b",))}, [ctx])
+        scorer = dense_scorer(params, vocab, {"d": ("b",)}, [ctx])
         expected = dense_score(params, vocab, ["a"], ["b"])
         corpus = scorer.score_corpus([ctx])
         assert corpus.shape == (1, 1)
@@ -135,12 +135,10 @@ class TestScoreAll:
         # scores, which are in doc-id order.
         vocab = Vocab([f"t{i}" for i in range(8)])
         params = init_params(len(vocab), 4, 3, rng)
-        ids = [f"d{j}" for j in range(5)]
         titles = [(f"t{j}",) for j in range(5)]
         contexts = contexts_of([f"t{i}"] for i in range(4))
-        base = dense_scorer(params, vocab, doc_table(map(Document, ids, titles)), contexts)
-        perm = dense_scorer(params, vocab, doc_table(map(Document, ids, titles[::-1])),
-                            contexts)
+        base = dense_scorer(params, vocab, doc_table(titles), contexts)
+        perm = dense_scorer(params, vocab, doc_table(titles[::-1]), contexts)
         assert np.allclose(
             base.score_corpus(contexts)[:, ::-1], perm.score_corpus(contexts), atol=0,
         )
@@ -149,17 +147,17 @@ class TestScoreAll:
         vocab = Vocab([f"t{i}" for i in range(8)])
         params = init_params(len(vocab), 4, 3, rng)
         contexts = contexts_of((f"t{i}",) for i in range(10))
-        docs = [Document(f"d{j}", (f"t{j % 8}",)) for j in range(20)]
+        titles = [(f"t{j % 8}",) for j in range(20)]
         before = towers.ENCODE_CALLS
-        scorer = dense_scorer(params, vocab, doc_table(docs), contexts)
+        scorer = dense_scorer(params, vocab, doc_table(titles), contexts)
         scorer.score_corpus(contexts)
-        distinct_titles = len({d.title_tokens for d in docs})
+        distinct_titles = len(set(titles))
         assert towers.ENCODE_CALLS - before == len(contexts) + distinct_titles
 
     def test_determinism(self, rng):
         vocab = Vocab([f"t{i}" for i in range(8)])
         params = init_params(len(vocab), 4, 3, rng)
-        docs = doc_table(Document(f"d{j}", (f"t{j}",)) for j in range(5))
+        docs = doc_table((f"t{j}",) for j in range(5))
         contexts = contexts_of([f"t{i}"] for i in range(4))
         a = dense_scorer(params, vocab, docs, contexts)
         b = dense_scorer(params, vocab, docs, contexts)
@@ -172,7 +170,7 @@ class TestScoreAll:
         pairs = [((f"t{i}",), (f"t{(i + 2) % 8}",)) for i in range(8)]
         train_in_batch(params, *pair_rows(vocab, pairs), batch_size=4, epochs=2,
                        learning_rate=0.3, seed=1)
-        docs = doc_table(Document(f"d{j}", (f"t{j}",)) for j in range(5))
+        docs = doc_table((f"t{j}",) for j in range(5))
         assert dense_scorer(params, vocab, docs, []).digest() == \
             per_array_dense_digest(param_list(params), vocab)
         path = tmp_path / "dense_scorer.bin"
@@ -273,8 +271,8 @@ def _ledger_world(seed=5):
     def tokens(lo, hi):
         return tuple(str(w) for w in rng.choice(words, size=int(rng.integers(lo, hi))))
 
-    docs = {f"d{j:02d}": Document(f"d{j:02d}", tokens(2, 6)) for j in range(60)}
-    docs["d59"] = Document("d59", docs["d58"].title_tokens)
+    docs = {f"d{j:02d}": tokens(2, 6) for j in range(60)}
+    docs["d59"] = docs["d58"]
     contexts = [
         SearchContext(f"s{i:02d}", 1, tokens(1, 9), f"d{i:02d}",
                       tuple(f"d{j}" for j in rng.choice(range(40, 60), 6, replace=False)))
@@ -335,7 +333,7 @@ class TestBatchedScorerMatchesPerContextOracle:
 
     def test_fit_on_rows_is_byte_equal_to_token_pairs(self):
         _, vocab, docs, contexts, corpus = _ledger_world()
-        pairs = [(c.context_tokens, docs[c.positive_doc_id].title_tokens) for c in contexts]
+        pairs = [(c.context_tokens, docs[c.positive_doc_id]) for c in contexts]
         positive_rows = [corpus.doc_row[c.positive_doc_id] for c in contexts]
         a = init_params(len(vocab), 16, 16, np.random.default_rng(3))
         b = init_params(len(vocab), 16, 16, np.random.default_rng(3))

@@ -11,7 +11,7 @@ from currank.ranker import (
     rank_slate,
     softmax_cross_entropy,
 )
-from currank.sessions import Document, SearchContext
+from currank.sessions import SearchContext
 from currank.towers import Vocab, encode_corpus, init_params
 
 from batches import item_rows
@@ -42,7 +42,7 @@ def zero_ranker(vocab_size, d_emb=4, hidden=3, tau=1.0):
 @pytest.fixture
 def small_setup(rng):
     vocab = Vocab([f"t{i}" for i in range(8)])
-    documents = {f"d{j}": Document(f"d{j}", (f"t{j % 8}",)) for j in range(10)}
+    documents = {f"d{j}": (f"t{j % 8}",) for j in range(10)}
     params = RankerParams(init_params(len(vocab), 4, 4, rng))
     return vocab, documents, params
 
@@ -56,10 +56,10 @@ class TestRankScore:
     def test_temperature_scales_scores_not_order(self, small_setup):
         vocab, documents, params = small_setup
         ctx = make_context(["t0", "t1"])
-        base = [rank_score(params, vocab, ctx.context_tokens, documents[d].title_tokens)
+        base = [rank_score(params, vocab, ctx.context_tokens, documents[d])
                 for d in sorted(documents)]
         hot = RankerParams(encoder=params.encoder, tau=3.0)
-        scaled = [rank_score(hot, vocab, ctx.context_tokens, documents[d].title_tokens)
+        scaled = [rank_score(hot, vocab, ctx.context_tokens, documents[d])
                   for d in sorted(documents)]
         assert np.allclose(np.array(scaled) * 3.0, base, atol=1e-12)
         assert np.argsort(base).tolist() == np.argsort(scaled).tolist()
@@ -89,7 +89,7 @@ class TestRankScore:
 
 def test_identical_titles_share_a_row():
     vocab = Vocab(["a", "b"])
-    docs = {d: Document(d, t) for d, t in
+    docs = {d: t for d, t in
             [("d1", ("a", "b")), ("d2", ("b",)), ("d3", ("a", "b"))]}
     corpus = encode_corpus(vocab, docs, {})
     assert corpus.doc_row["d1"] == corpus.doc_row["d3"] != corpus.doc_row["d2"]
@@ -128,7 +128,7 @@ class TestLossAndGrad:
         for t in (params.encoder.ctx_tower, params.encoder.doc_tower):
             t.w1[...] = np.eye(2)
             t.w2[...] = np.eye(2)
-        docs = {"pos": Document("pos", ("a",)), "neg": Document("neg", ("b",))}
+        docs = {"pos": ("a",), "neg": ("b",)}
         ctx = make_context(["a"])
         batch = [(ctx, "pos", ("neg", "neg"))]
         report = loss_and_grad(params, *batch_rows(vocab, batch, docs))
@@ -280,7 +280,7 @@ class TestRankSlate:
         for doc_id, score in rank_slate(params, vocab, ctx.context_tokens, sorted(documents),
                                         documents):
             want = rank_score(params, vocab, ctx.context_tokens,
-                              documents[doc_id].title_tokens)
+                              documents[doc_id])
             assert score == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_scores_sorted_descending(self, small_setup):

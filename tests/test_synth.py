@@ -63,7 +63,7 @@ class TestGenerateSynthetic:
             }
             for inter in session.interactions:
                 overlaps = {
-                    d: len(set(documents[d].title_tokens) & topic_terms)
+                    d: len(set(documents[d]) & topic_terms)
                     for d in inter.candidate_doc_ids
                 }
                 for clicked in inter.clicked_doc_ids:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from currank import towers
-from currank.sessions import Document
 from currank.towers import Vocab, encode_corpus, init_params, token_rows
 
 from oracles import loop_init_params, loop_pool, loop_scatter, param_list
@@ -54,9 +53,9 @@ class TestTokenRows:
             return tuple(rng.choice(words, size=int(rng.integers(0, 7))).tolist())
 
         contexts = {f"c{i}": tokens() for i in range(40)}
-        documents = {f"d{i}": Document(f"d{i}", tokens()) for i in range(15)}
+        documents = {f"d{i}": tokens() for i in range(15)}
         corpus = encode_corpus(vocab, documents, contexts)
-        titles = list(dict.fromkeys(doc.title_tokens for doc in documents.values()))
+        titles = list(dict.fromkeys(documents.values()))
         for got, sequences in [(corpus.contexts, contexts.values()), (corpus.docs, titles)]:
             want = token_rows(map(vocab.encode, sequences))
             for name in ("ids", "lengths"):

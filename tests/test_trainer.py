@@ -12,7 +12,7 @@ from currank.curriculum import (
     PacingParams, build_ledger, pacing_negative, pacing_positive, sample_batch,
 )
 from currank.scorers import Bm25Scorer
-from currank.sessions import SEP_TOKEN, Document, build_contexts, build_eval_items
+from currank.sessions import SEP_TOKEN, build_contexts, build_eval_items
 from currank.synth import SynthSpec, generate_synthetic
 from currank.ranker import RankerParams, loss_and_grad, order_slate, rank_slate
 from currank.towers import Vocab
@@ -48,8 +48,8 @@ def small_world():
     scorer = Bm25Scorer(build_index(documents), Bm25Params())
     ledger = build_ledger(scorer, scorer, contexts)
     tokens = {SEP_TOKEN}
-    for doc in documents.values():
-        tokens.update(doc.title_tokens)
+    for title in documents.values():
+        tokens.update(title)
     for ctx in contexts:
         tokens.update(ctx.context_tokens)
     vocab = Vocab(tokens)
@@ -71,7 +71,7 @@ def slates(small_world):
 
 WORDS = ("w0", "w1", "w2", "w3", "w4")
 # 16 distinct two-word titles, each shared by two documents: d{k} and d{k + 16}.
-DOCUMENTS = {f"d{j:02d}": Document(f"d{j:02d}", (WORDS[j % 16 % 5], WORDS[j % 16 // 5]))
+DOCUMENTS = {f"d{j:02d}": (WORDS[j % 16 % 5], WORDS[j % 16 // 5])
              for j in range(32)}
 
 
