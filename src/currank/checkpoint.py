@@ -15,6 +15,7 @@ import os
 import struct
 from functools import partial
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -47,11 +48,11 @@ def save_checkpoint(
         "meta": meta or {},
     }
     blob = strict_json(header, separators=(",", ":")).encode()
-    write_atomic(path, b"".join([
+    write_atomic(path, [
         MAGIC, struct.pack("<I", len(blob)), blob,
         *(np.ascontiguousarray(arr, dtype="<f8").tobytes()
           for arr in (params.flat, *extras.values())),
-    ]))
+    ])
 
 
 def load_checkpoint(
@@ -104,16 +105,17 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write `data` to `path` through a temporary file in the same directory
-    and `os.replace`, so that a reader or a failed write finds the old file
-    or the new one, never part of one. The temporary file is removed when
-    the write fails; it is not fsynced, so this guards against a crashing
-    process, not against a power cut."""
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` in turn to `path` through a temporary file in the same
+    directory and `os.replace`, so that a reader or a failed write finds the
+    old file or the new one, never part of one. The temporary file is removed
+    when the write fails; it is not fsynced, so this guards against a
+    crashing process, not against a power cut."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as fp:
+            fp.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

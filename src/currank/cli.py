@@ -184,7 +184,7 @@ def command_output(args, config: dict, inputs: list[Path], seed: int | None = No
                         tool_version=__version__,
                         created_at=datetime.now(timezone.utc).isoformat())
         checkpoint.write_atomic(out_dir / MANIFEST_NAME,
-                                (checkpoint.strict_json(manifest, indent=2) + "\n").encode())
+                                [(checkpoint.strict_json(manifest, indent=2) + "\n").encode()])
     finally:
         lock.unlink(missing_ok=True)
         if created:
@@ -203,9 +203,9 @@ def cmd_ingest(args) -> int:
     with open(log_path) as fp:
         try:
             sessions, documents = parse_sessions(fp)
+            contexts, skipped = build_contexts(sessions, documents, window=args.window)
         except ValueError as e:
             raise ValueError(f"{log_path}: {e}")
-    contexts, skipped = build_contexts(sessions, documents, window=args.window)
     config = {"log": str(log_path), "window": args.window}
     with command_output(args, config, [log_path]) as (out_dir, outputs, _):
         outputs += write_bundle(out_dir, sessions, documents, contexts)
@@ -317,7 +317,7 @@ def cmd_score(args) -> int:
         outputs.append(out_dir / "ledger.json")
         save_ledger(ledger, outputs[-1])
         manifest["scorer_digest"] = f"{ledger.pos_scorer_digest}/{ledger.neg_scorer_digest}"
-    print(f"positives scored: {len(ledger.positives)}")
+    print(f"positives scored: {len(ledger.context_ids)}")
     print(f"pos scorer digest: {ledger.pos_scorer_digest}")
     print(f"neg scorer digest: {ledger.neg_scorer_digest}")
     return 0
@@ -342,7 +342,7 @@ def _load_training_inputs(args):
     sessions, documents, contexts = load_bundle(bundle_dir, keep=lambda s: split(s) == "val")
     ledger = load_ledger(ledger_path)
     if args.steps is None:
-        T = args.epochs * steps_per_epoch(len(ledger.positives), config.batch_size)
+        T = args.epochs * steps_per_epoch(len(ledger.context_ids), config.batch_size)
         config = replace(config, pacing=replace(config.pacing, T=T))
     vocab = build_vocab(documents, contexts)
     val_items = build_eval_items(sessions, documents)

@@ -11,21 +11,23 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .checkpoint import strict_json, write_atomic
+from .checkpoint import write_atomic
 from .scorers import ScoreSource
-from .sessions import SearchContext, _Shared
+from .sessions import SearchContext, _check_column, _decode, _dumps, _Shared
 
 LEDGER_FORMAT_VERSION = 1
 _BLOCK_CELLS = 2**17  # (context, document) scores per build_ledger block: 1 MB of float64
+_WRITE_ROWS = 1024  # positives, or contexts' negative lists, save_ledger encodes at a time
 
 
 @dataclass(frozen=True)
@@ -93,12 +95,19 @@ def difficulty_negative(score):
 
 @dataclass
 class DifficultyLedger:
-    """What ledger.json holds: (context id, positive doc id, d_p) by
-    ascending d_p, ties by context id, and each context's (doc id, d_n)
-    negatives by descending d_n."""
+    """What ledger.json holds, as columns. Positive i, by ascending d_p,
+    ties by context id: context_ids[i], positive_doc_ids[i], d_p[i]. The
+    negatives of context neg_context_ids[k], in the file's order: neg_len[k]
+    (doc id, d_n) pairs by descending d_n, after those of contexts 0..k-1
+    in neg_doc_ids and d_n. The difficulties are float64 arrays."""
 
-    positives: list[tuple[str, str, float]]
-    negatives: dict[str, list[tuple[str, float]]]
+    context_ids: list[str]
+    positive_doc_ids: list[str]
+    d_p: array
+    neg_context_ids: list[str]
+    neg_doc_ids: list[str]
+    d_n: array
+    neg_len: list[int]
     pos_scorer_digest: str = ""
     neg_scorer_digest: str = ""
 
@@ -134,18 +143,22 @@ def ledger_columns(
     ascend in (d_p, context id) and each context's negatives descend in
     d_n, ties by ascending doc id, as build_ledger writes them. A ledger
     that breaks this is refused with a ValueError."""
-    ids = list(map(itemgetter(0), ledger.positives))
-    negs = list(map(ledger.negatives.get, ids))
+    ids = ledger.context_ids
+    # Each context's negative list, the last if listed twice, as json.loads keeps it.
+    block = {cid: k for k, cid in enumerate(ledger.neg_context_ids)}
+    lens = np.array(ledger.neg_len + [0], dtype=np.intp)  # [-1]: no list
+    k = np.fromiter(map(block.get, ids, repeat(-1)), np.intp, len(ids))
+    neg_len = lens[k]
     unique = set(ids)
-    if not (unique <= contexts.keys() and len(unique) == len(ids) and all(negs)):
+    if not (unique <= contexts.keys() and len(unique) == len(ids) and neg_len.all()):
         for what, bad in [
             ("references unknown contexts", [cid for cid in ids if cid not in contexts]),
-            ("lists contexts more than once", [c for c, k in Counter(ids).items() if k > 1]),
-            ("has no negatives for contexts", [cid for cid, n in zip(ids, negs) if not n]),
+            ("lists contexts more than once", [c for c, n in Counter(ids).items() if n > 1]),
+            ("has no negatives for contexts", [cid for cid, n in zip(ids, neg_len) if not n]),
         ]:
             if bad:
                 raise ValueError(f"ledger {what}: {bad[:5]}")
-    d_p = np.fromiter(map(itemgetter(2), ledger.positives), np.float64, len(ids))
+    d_p = np.asarray(ledger.d_p)
     late = [*np.flatnonzero(d_p[1:] < d_p[:-1])[:1],
             *(i for i in np.flatnonzero(d_p[1:] == d_p[:-1]) if ids[i] > ids[i + 1])]
     if late:
@@ -167,23 +180,26 @@ def ledger_columns(
                            np.intp, len(ids))
     if (pool < 0).any() or (positive < 0).any():
         check_documents(ctxs, doc_row)  # names the first missing document
-    for (cid, doc, _), ctx in zip(ledger.positives, ctxs):
+    for cid, doc, ctx in zip(ids, ledger.positive_doc_ids, ctxs):
         if doc != ctx.positive_doc_id:
             raise ValueError(f"ledger: context {cid}: positive {doc} is not the "
                              f"context's positive {ctx.positive_doc_id}")
 
-    neg_len = np.fromiter(map(len, negs), np.intp, len(ids))
+    # Each positive's negative list, gathered in positive order.
+    at = (np.cumsum(lens) - lens)[k]
     neg_start = np.cumsum(neg_len) - neg_len
-    flat = list(chain.from_iterable(negs))
-    neg = np.fromiter(map(index, map(itemgetter(0), flat), repeat(-1)), np.intp, len(flat))
-    d_n = np.fromiter(map(itemgetter(1), flat), np.float64, len(flat))
+    take = np.repeat(at - neg_start, neg_len) + np.arange(neg_len.sum())
+    neg = np.fromiter(map(index, ledger.neg_doc_ids, repeat(-1)), np.intp,
+                      len(ledger.neg_doc_ids))[take]
+    d_n = np.asarray(ledger.d_n)[take]
     offset = np.arange(len(ids)) * n_docs
     keys = neg + np.repeat(offset, neg_len)
     pool = np.sort(pool + np.repeat(offset, pool_len))
     foreign = (neg < 0) | (np.searchsorted(pool, keys) == np.searchsorted(pool, keys, "right"))
     if foreign.any():
         i = np.searchsorted(neg_start, foreign.argmax(), "right") - 1
-        bad = [d for d, _ in negs[i] if d not in ctxs[i].negative_pool]
+        negs = ledger.neg_doc_ids[at[i]:at[i] + neg_len[i]]
+        bad = [d for d in negs if d not in ctxs[i].negative_pool]
         raise ValueError(f"ledger: context {ids[i]}: negatives {bad[:5]} are not "
                          "in the context's negative pool")
     keys.sort()
@@ -257,15 +273,14 @@ def build_ledger(
     d_p = difficulty_positive(s, rank, s.max())
     ids = [c.context_id for c in contexts]
     by_id = np.array(sorted(range(n), key=ids.__getitem__))
-    order = by_id[np.argsort(d_p[by_id], kind="stable")].tolist()  # by (d_p, context id)
+    order = by_id[np.argsort(d_p[by_id], kind="stable")]  # by (d_p, context id)
     neg_order = np.lexsort((neg, -d_n, neg_ctx))  # doc positions ascend with doc ids
-    negs = list(zip(map(doc_ids.__getitem__, neg[neg_order].tolist()), d_n[neg_order].tolist()))
     return DifficultyLedger(
-        positives=list(zip(map(ids.__getitem__, order),
-                           map(doc_ids.__getitem__, pos[order].tolist()), d_p[order].tolist())),
-        negatives={cid: negs[a:b] for cid, a, b in zip(ids, bounds.tolist(), bounds[1:].tolist())},
-        pos_scorer_digest=pos_scorer.digest(),
-        neg_scorer_digest=neg_scorer.digest(),
+        list(map(ids.__getitem__, order.tolist())),
+        list(map(doc_ids.__getitem__, pos[order].tolist())), array("d", d_p[order].tobytes()),
+        ids, list(map(doc_ids.__getitem__, neg[neg_order].tolist())),
+        array("d", d_n[neg_order].tobytes()), np.diff(bounds).tolist(),
+        pos_scorer.digest(), neg_scorer.digest(),
     )
 
 
@@ -329,54 +344,142 @@ def _choose_each(rng: np.random.Generator, n: np.ndarray, m: int) -> np.ndarray:
 
 
 def save_ledger(ledger: DifficultyLedger, path: str | Path) -> None:
-    payload = {"version": LEDGER_FORMAT_VERSION, **vars(ledger)}
-    write_atomic(path, strict_json(payload, separators=(",", ":")).encode())
+    """The compact strict_json text of {"negatives": {context id: [[doc id,
+    d_n], ...]}, "positives": [[context id, doc id, d_p], ...], "version" and
+    the digests}, encoded _WRITE_ROWS entries at a time."""
+    ids, docs, d_n = ledger.neg_context_ids, ledger.neg_doc_ids, ledger.d_n
+    at = list(accumulate(ledger.neg_len, initial=0))
+    negatives = ((ids[k], list(zip(docs[at[k]:at[k + 1]], d_n[at[k]:at[k + 1]])))
+                 for k in sorted(range(len(ids)), key=ids.__getitem__))
+    write_atomic(path, map(str.encode, chain(
+        [f'{{"neg_scorer_digest":{_dumps(ledger.neg_scorer_digest)},"negatives":{{'],
+        _member_text(negatives, dict),
+        [f'}},"pos_scorer_digest":{_dumps(ledger.pos_scorer_digest)},"positives":['],
+        _member_text(zip(ledger.context_ids, ledger.positive_doc_ids, ledger.d_p), list),
+        [f'],"version":{LEDGER_FORMAT_VERSION}}}'])))
+
+
+def _member_text(entries: Iterable, kind: type) -> Iterator[str]:
+    """The JSON text of kind(entries), a list or a dict, less its brackets."""
+    entries = iter(entries)
+    for i, chunk in enumerate(iter(lambda: kind(islice(entries, _WRITE_ROWS)), kind())):
+        yield "," * bool(i) + _dumps(chunk)[1:-1]
+
+
+_WS = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
+
+
+class _Cursor:
+    """A place in JSON text, to read a ledger's long members an entry at a
+    time. ValueError where the text is not what it expects."""
+
+    def __init__(self, text: str):
+        self.text, self.at = text, 0
+
+    def peek(self) -> str:
+        """Step past whitespace; the next character, '' at the end."""
+        if self.text[self.at:self.at + 1].isspace():
+            self.at = _WS(self.text, self.at).end()
+        return self.text[self.at:self.at + 1]
+
+    def take(self, char: str) -> bool:
+        """Step past whitespace, and past `char` ('' for the end) if it comes next."""
+        found = self.peek() == char
+        self.at += found
+        return found
+
+    def value(self):
+        self.peek()
+        value, self.at = _decode(self.text, self.at)
+        return value
+
+    def members(self, close: str) -> Iterator[str | None]:
+        """After an array's [ or an object's {: each member's key (None in an
+        array), with the cursor at its value, which the caller reads."""
+        more = not self.take(close)
+        while more:
+            key = self.value() if close == "}" else None
+            if close == "}" and not (type(key) is str and self.take(":")):
+                raise ValueError("expected a key")
+            yield key
+            more = self.take(",")
+            if not (more or self.take(close)):
+                raise ValueError(f"expected , or {close}")
+
+
+def _check_numbers(what: str, column: array, odd: list) -> None:
+    """Refuse the first of `odd`, the (index, value) of each value in `column`
+    that was not a float, that is not an int (a bool is not), then the first
+    non-finite value once each int has its place in `column`."""
+    for _, value in odd:
+        if type(value) is not int:
+            raise ValueError(f"{what} {value!r} is not a finite number")
+    for i, value in odd:
+        column[i] = value  # OverflowError beyond a float's range
+    finite = np.isfinite(column)
+    if not finite.all():
+        raise ValueError(f"{what} {column[finite.argmin()]!r} is not a finite number")
 
 
 def load_ledger(path: str | Path) -> DifficultyLedger:
-    """Parse a ledger file and check its entries' fields: ids are strings,
-    difficulties finite JSON numbers. Equal ids share one string.
-    training_data checks the ledger against the contexts."""
+    """Read a ledger file an entry at a time into the columns: each positive,
+    and each context's negative list, is decoded, taken apart and dropped. A
+    file the cursor cannot follow is parsed whole, so json.loads refuses what
+    is not JSON. Then, in this order: the version, the positives', the
+    negatives' and the digests' unpacking, and ids (strings) and difficulties
+    (finite JSON numbers). Equal ids share one string. training_data checks
+    the ledger against the contexts."""
+    share = _Shared().__getitem__  # an id of another type is refused below
+
+    def read(lists):
+        """(ids, doc ids, numbers, odd numbers, lengths) of (id, [(doc id, number), ...]) lists."""
+        ids, docs, numbers, odd, lens = [], [], array("d"), [], []
+        for cid, pairs in lists:
+            ids.append(share(cid))
+            start = len(docs)
+            for doc, number in pairs:
+                docs.append(share(doc))
+                if type(number) is not float:  # _check_numbers checks it
+                    odd.append((len(numbers), number))
+                    number = math.nan
+                numbers.append(number)
+            lens.append(len(docs) - start)
+        return ids, docs, numbers, odd, lens
+
+    def positives(entries):
+        return read((cid, [(doc, dp)]) for cid, doc, dp in entries)
+
     try:
-        payload = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        try:
+            cursor, payload = _Cursor(text), {}
+            if not cursor.take("{"):
+                raise ValueError("expected {")
+            for key in cursor.members("}"):
+                if key == "positives" and cursor.take("["):
+                    payload[key] = positives(cursor.value() for _ in cursor.members("]"))
+                elif key == "negatives" and cursor.take("{"):
+                    payload[key] = read((cid, cursor.value()) for cid in cursor.members("}"))
+                else:
+                    payload[key] = cursor.value()
+            if not cursor.take(""):
+                raise ValueError("expected the end")
+        except (TypeError, ValueError):  # such a file is refused: no need to share ids
+            share, payload = (lambda s: s), json.loads(text)  # json's error on what is not JSON
         if payload["version"] != LEDGER_FORMAT_VERSION:
             raise ValueError(f"unsupported version {payload['version']!r}")
-        # Popping each parsed list as its tuples are made frees it at once,
-        # so the file is never in memory in both forms.
-        negatives = payload.pop("negatives")
-        ledger = DifficultyLedger(
-            positives=[(cid, doc, dp) for cid, doc, dp in payload.pop("positives")],
-            negatives={cid: [(d, dn) for d, dn in negatives.pop(cid)] for cid in list(negatives)},
-            pos_scorer_digest=payload["pos_scorer_digest"],
-            neg_scorer_digest=payload["neg_scorer_digest"],
-        )
-        _check_fields(ledger)
-        # Then one string per id; each context's list is replaced in turn.
-        shared = _Shared(zip(ledger.negatives, ledger.negatives))  # JSON keys: strings
-        ledger.positives = [(shared[cid], shared[doc], dp) for cid, doc, dp in ledger.positives]
-        for cid, negs in ledger.negatives.items():
-            ledger.negatives[cid] = [(shared[d], dn) for d, dn in negs]
+        neg, pos = payload.pop("negatives"), payload.pop("positives")
+        ids, docs, d_p, odd_p, _ = pos if type(pos) is tuple else positives(pos)
+        neg_ids, neg_docs, d_n, odd_n, neg_len = (
+            neg if type(neg) is tuple else read((cid, neg.pop(cid)) for cid in list(neg)))
+        ledger = DifficultyLedger(ids, docs, d_p, neg_ids, neg_docs, d_n, neg_len,
+                                  payload["pos_scorer_digest"], payload["neg_scorer_digest"])
+        for what, column in (("context id", ids), ("doc id", docs), ("doc id", neg_docs)):
+            _check_column(what, column, str)
+        _check_numbers("d_p", d_p, odd_p)
+        _check_numbers("d_n", d_n, odd_n)
         return ledger
     except KeyError as e:
         raise ValueError(f"{path}: malformed ledger: no {e} entry") from e
     except (AttributeError, IndexError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"{path}: malformed ledger: {e}") from e
-
-
-def _check_fields(ledger: DifficultyLedger) -> None:
-    """Refuse the first id that is not a string or difficulty that is not
-    a finite int or float (a bool is neither); each negative is a pair."""
-    pairs = list(chain.from_iterable(chain.from_iterable(ledger.negatives.values())))
-    for what, values, number in [
-        ("context id", list(map(itemgetter(0), ledger.positives)), False),
-        ("doc id", list(map(itemgetter(1), ledger.positives)) + pairs[0::2], False),
-        ("d_p", list(map(itemgetter(2), ledger.positives)), True),
-        ("d_n", pairs[1::2], True),
-    ]:
-        types = {int, float} if number else {str}
-        bad = [v for v in values if type(v) not in types] if set(map(type, values)) - types else []
-        if number and not bad and not math.isfinite(sum(values)):
-            bad = [v for v in values if not math.isfinite(v)]  # none if the sum overflowed
-        if bad:
-            kind = "finite number" if number else "string"
-            raise ValueError(f"{what} {bad[0]!r} is not a {kind}")

@@ -79,9 +79,11 @@ def parse_sessions(
     ``{session_id, query_position, query_text, candidates}`` where
     ``candidates`` is a list of ``{doc_id, title, rank, clicked}``.
     Returns time-ordered sessions plus a document table: each doc id's title tokens.
+    Equal doc ids and tokens share one string.
     """
     documents: dict[str, tuple[str, ...]] = {}
     tokens_of: dict[str, tuple[str, ...]] = {}  # each distinct text tokenized once
+    shared = _Shared()
     # session_id -> {position -> Interaction}
     by_session: dict[str, dict[int, Interaction]] = {}
 
@@ -89,7 +91,7 @@ def parse_sessions(
         if type(text) is not str:
             raise ValueError(f"line {lineno}: {field} {text!r} is not a string")
         if text not in tokens_of:
-            tokens_of[text] = tuple(tokenize(text))
+            tokens_of[text] = tuple(map(shared.__getitem__, tokenize(text)))
         return tokens_of[text]
 
     for lineno, line in enumerate(stream, start=1):
@@ -137,6 +139,7 @@ def parse_sessions(
                                  + ("empty" if doc_id == "" else "not a string"))
             if type(is_clicked) is not bool:
                 raise ValueError(f"line {lineno}: clicked {is_clicked!r} is not a boolean")
+            doc_id = shared[doc_id]
             if doc_id in cand_ids:
                 raise ValueError(
                     f"line {lineno}: doc {doc_id!r} appears twice among the candidates")
@@ -207,7 +210,23 @@ def build_contexts(
                 )
             )
     contexts.sort(key=lambda c: (c.session_id, c.position, c.positive_doc_id))
+    _check_context_ids(contexts)
     return contexts, skipped
+
+
+def _check_context_ids(contexts: list[SearchContext]) -> None:
+    """Distinct contexts must have distinct ids. An id joins session id,
+    position and doc id with ':', so two can be equal only if a session id
+    holds ':': (session a, query 1, doc 2:x) and (session a:1, query 2, doc x)
+    both give a:1:2:x."""
+    if not any(":" in c.session_id for c in contexts):
+        return
+    first: dict[str, SearchContext] = {}
+    for ctx in contexts:
+        if (other := first.setdefault(ctx.context_id, ctx)) is not ctx:
+            a, b = ((c.session_id, c.position, c.positive_doc_id) for c in (other, ctx))
+            raise ValueError(f"context id {ctx.context_id!r} is shared by "
+                             f"(session, position, doc) {a!r} and {b!r}")
 
 
 def negative_window_pool(
@@ -249,7 +268,8 @@ def build_eval_items(
 # Bundle serialization (line-delimited JSON, deterministic field order)
 
 
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # built once, not per call
+# Built once, not per call; NaN and infinity refused, as by checkpoint.strict_json.
+_dumps = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",", ":")).encode
 
 
 class _JsonText(dict):
@@ -296,18 +316,21 @@ def _strings(rec: dict, key: str) -> list:
     return value
 
 
+def _check_column(what: str, column: list, kind: type) -> None:
+    """Refuse the first value in `column` whose type is not `kind` (a bool is
+    not an int). One set of types per column: no branch per value."""
+    if set(map(type, column)) - {kind}:
+        bad = next(v for v in column if type(v) is not kind)
+        raise ValueError(f"{what} {bad!r} is not {'a string' if kind is str else 'an integer'}")
+
+
 def _check_types(rows: list[tuple], fields: dict[str, type]) -> None:
-    """Refuse the first value in `rows`, tuples that start with `fields`, whose type is not
-    its field's (a bool is not an int); each entry of a list field must be a
-    string. One set of types per column: no branch per value."""
+    """_check_column on each column of `rows`, tuples that start with `fields`;
+    each entry of a list field must be a string."""
     for (field, kind), column in zip(fields.items(), zip(*rows)):
-        what = field
         if kind is list:
-            what, column, kind = f"{field} entry", list(chain.from_iterable(column)), str
-        if set(map(type, column)) - {kind}:
-            bad = next(v for v in column if type(v) is not kind)
-            raise ValueError(
-                f"{what} {bad!r} is not {'a string' if kind is str else 'an integer'}")
+            field, column, kind = f"{field} entry", list(chain.from_iterable(column)), str
+        _check_column(field, column, kind)
 
 
 def _add_unique(seen: set, keys: list, what: str) -> None:
@@ -396,4 +419,5 @@ def read_contexts(fp: Iterable[str]) -> list[SearchContext]:
         contexts += [SearchContext(shared(sid), position, tuple(map(shared, tokens)),
                                    shared(doc_id), tuple(map(shared, pool)))
                      for sid, position, tokens, doc_id, pool in rows]
+    _check_context_ids(contexts)
     return contexts

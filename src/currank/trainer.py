@@ -113,7 +113,7 @@ def training_data(vocab: Vocab, documents: dict[str, tuple[str, ...]],
     has refused unknown and repeated context ids, context row i is positive i's."""
     by_id = {c.context_id: c for c in contexts}
     corpus = encode_corpus(vocab, documents, {
-        cid: by_id[cid].context_tokens for cid, _, _ in ledger.positives if cid in by_id})
+        cid: by_id[cid].context_tokens for cid in ledger.context_ids if cid in by_id})
     return TrainingData(vocab, corpus, ledger_columns(ledger, by_id, corpus.doc_row))
 
 

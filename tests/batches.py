@@ -10,8 +10,7 @@ from currank.towers import encode_corpus
 def ledger_view(ledger, contexts):
     """The ledger's columns over `contexts` and doc rows that number the
     ledger's doc ids in sorted order, and that sorted id list."""
-    docs = sorted({doc for _, doc, _ in ledger.positives}
-                  | {d for neg in ledger.negatives.values() for d, _ in neg})
+    docs = sorted({*ledger.positive_doc_ids, *ledger.neg_doc_ids})
     columns = ledger_columns(ledger, {c.context_id: c for c in contexts},
                              {d: i for i, d in enumerate(docs)})
     return columns, docs

@@ -7,8 +7,8 @@ entries_eval, the per-array parameter code (loop_init_params,
 per_array_checkpoint_bytes, per_array_dense_digest), the one-pair
 scorers (rank_score, dense_score), PerContextDenseScorer,
 pair_train_in_batch, per_call_score_all, PerCallBm25Scorer,
-rank_of_positive, loop_build_ledger, the dict_write_* JSONL writers and
-the object_read_* bundle readers:
+rank_of_positive, loop_build_ledger, the dict_write_* JSONL writers,
+the object_read_* bundle readers and object_load_ledger:
 earlier forms of library code, kept to show that the current forms
 compute the same bits.
 """
@@ -19,9 +19,11 @@ import hashlib
 import json
 import math
 import struct
+from array import array
 from collections import Counter
-from itertools import chain
-from operator import attrgetter
+from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from currank import towers
 from currank.bm25 import idf
 from currank.dense import in_batch_loss_and_grad
 from currank.checkpoint import FORMAT_VERSION, MAGIC
-from currank.curriculum import DifficultyLedger, difficulty_positive
+from currank.curriculum import LEDGER_FORMAT_VERSION, DifficultyLedger, difficulty_positive
 from currank.metrics import evaluate_run
 from currank.ranker import order_slate
 from currank.scorers import Bm25Scorer
@@ -115,7 +117,65 @@ def loop_build_ledger(pos_scorer, neg_scorer, contexts) -> DifficultyLedger:
     positives = sorted(
         ((ctx.context_id, ctx.positive_doc_id, difficulty_positive(s, rank, corpus_max))
          for ctx, rank, s in raw), key=lambda e: (e[2], e[0]))
-    return DifficultyLedger(positives, negatives, pos_scorer.digest(), neg_scorer.digest())
+    return ledger_from_entries(positives, negatives, pos_scorer.digest(), neg_scorer.digest())
+
+
+def ledger_from_entries(positives, negatives, pos_scorer_digest="", neg_scorer_digest=""):
+    """The DifficultyLedger of `positives`, (context id, doc id, d_p) tuples,
+    and `negatives`, each context id's (doc id, d_n) tuples."""
+    flat = list(chain.from_iterable(negatives.values()))
+    return DifficultyLedger(
+        list(map(itemgetter(0), positives)), list(map(itemgetter(1), positives)),
+        array("d", map(itemgetter(2), positives)), list(negatives),
+        list(map(itemgetter(0), flat)), array("d", map(itemgetter(1), flat)),
+        list(map(len, negatives.values())), pos_scorer_digest, neg_scorer_digest)
+
+
+def ledger_entries(ledger: DifficultyLedger):
+    """(positives, negatives) of `ledger` as ledger_from_entries takes them."""
+    at = list(accumulate(ledger.neg_len, initial=0))
+    return (list(zip(ledger.context_ids, ledger.positive_doc_ids, ledger.d_p)),
+            {cid: list(zip(ledger.neg_doc_ids[a:b], ledger.d_n[a:b]))
+             for cid, a, b in zip(ledger.neg_context_ids, at, at[1:])})
+
+
+def object_load_ledger(path) -> DifficultyLedger:
+    """curriculum.load_ledger as it parsed the whole file with json.loads,
+    built (context id, doc id, d_p) and (doc id, d_n) tuples and checked
+    their fields."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        if payload["version"] != LEDGER_FORMAT_VERSION:
+            raise ValueError(f"unsupported version {payload['version']!r}")
+        negatives = payload.pop("negatives")
+        positives = [(cid, doc, dp) for cid, doc, dp in payload.pop("positives")]
+        negatives = {cid: [(d, dn) for d, dn in negatives.pop(cid)] for cid in list(negatives)}
+        digests = payload["pos_scorer_digest"], payload["neg_scorer_digest"]
+        _check_entry_fields(positives, negatives)
+        return ledger_from_entries(positives, negatives, *digests)
+    except KeyError as e:
+        raise ValueError(f"{path}: malformed ledger: no {e} entry") from e
+    except (AttributeError, IndexError, TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"{path}: malformed ledger: {e}") from e
+
+
+def _check_entry_fields(positives, negatives) -> None:
+    """Refuse the first id that is not a string or difficulty that is not
+    a finite int or float (a bool is neither)."""
+    pairs = list(chain.from_iterable(chain.from_iterable(negatives.values())))
+    for what, values, number in [
+        ("context id", list(map(itemgetter(0), positives)), False),
+        ("doc id", list(map(itemgetter(1), positives)) + pairs[0::2], False),
+        ("d_p", list(map(itemgetter(2), positives)), True),
+        ("d_n", pairs[1::2], True),
+    ]:
+        types = {int, float} if number else {str}
+        bad = [v for v in values if type(v) not in types] if set(map(type, values)) - types else []
+        if number and not bad and not math.isfinite(sum(values)):
+            bad = [v for v in values if not math.isfinite(v)]  # none if the sum overflowed
+        if bad:
+            kind = "finite number" if number else "string"
+            raise ValueError(f"{what} {bad[0]!r} is not a {kind}")
 
 
 def naive_ap(ranked: list[str], relevant: set[str]) -> float | None:

@@ -23,7 +23,6 @@ from scipy import stats as scipy_stats
 from currank import bm25, dense, towers
 from currank.cli import MANIFEST_NAME, main as cli_main, split_of
 from currank.curriculum import (
-    DifficultyLedger,
     PacingParams,
     build_ledger,
     difficulty_negative,
@@ -58,6 +57,8 @@ from currank.trainer import (
 from batches import item_rows, sample_items
 from oracles import (
     central_difference_grad,
+    ledger_entries,
+    ledger_from_entries,
     naive_ap,
     naive_bm25,
     naive_ndcg,
@@ -164,14 +165,15 @@ def _tiny_ledger(n_contexts=40, pool=6, seed=0):
         positives.append((cid, f"p{i}", float(i)))
         scores = sorted(rng.uniform(0, 1, size=pool), reverse=True)
         negatives[cid] = [(f"n{i}_{j}", s) for j, s in enumerate(scores)]
-    return DifficultyLedger(positives=positives, negatives=negatives), contexts
+    return ledger_from_entries(positives, negatives), contexts
 
 
 def test_criterion_4_sampler_soundness():
     with criterion(4, "sampler soundness"):
         start = time.monotonic()
         ledger, contexts = _tiny_ledger()
-        pos_index = {e[0]: i for i, e in enumerate(ledger.positives)}
+        positives, negatives = ledger_entries(ledger)
+        pos_index = {e[0]: i for i, e in enumerate(positives)}
         pacing = PacingParams(T=100)
         rng = np.random.default_rng(13)
 
@@ -181,18 +183,18 @@ def test_criterion_4_sampler_soundness():
             t = int(rng.integers(0, pacing.T + 1))
             f_p = pacing_positive(pacing, t)
             f_n = pacing_negative(pacing, t)
-            n_pos = eligible_positive_count(len(ledger.positives), f_p)
+            n_pos = eligible_positive_count(len(positives), f_p)
             batch = sample_items(ledger, contexts, pacing, t, min(4, n_pos), 1, rng)
             for ctx, pos_id, negs in batch:
                 assert pos_index[ctx.context_id] < n_pos
-                neg_list = ledger.negatives[ctx.context_id]
+                neg_list = negatives[ctx.context_id]
                 n_neg = math.ceil(f_n * len(neg_list))
                 eligible = {d for d, _ in neg_list[:n_neg]}
                 assert set(negs) <= eligible
 
         # within-prefix uniformity at a fixed mid-schedule step
         t = 30
-        n_pos = eligible_positive_count(len(ledger.positives), pacing_positive(pacing, t))
+        n_pos = eligible_positive_count(len(positives), pacing_positive(pacing, t))
         counts = np.zeros(n_pos)
         rng2 = np.random.default_rng(14)
         for _ in range(10_000):
@@ -207,11 +209,11 @@ def test_criterion_4_sampler_soundness():
         for t in range(50):
             batch = sample_items(ledger, contexts, pacing, t, 4, 2, rng_a,
                                  f_p=1.0, f_n=1.0)
-            chosen = rng_b.choice(len(ledger.positives), size=4, replace=False)
+            chosen = rng_b.choice(len(positives), size=4, replace=False)
             expected = []
             for idx in chosen:
-                cid, positive_doc_id, _ = ledger.positives[int(idx)]
-                neg_list = ledger.negatives[cid]
+                cid, positive_doc_id, _ = positives[int(idx)]
+                neg_list = negatives[cid]
                 picks = rng_b.choice(len(neg_list), size=2, replace=False)
                 expected.append(
                     (cid, positive_doc_id,
@@ -405,7 +407,7 @@ def desk_experiment():
 
     data = training_data(vocab, documents, train_contexts, ledger)
     slates = encode_slates(vocab, val_items, documents)
-    T = 8 * steps_per_epoch(len(ledger.positives), 32)
+    T = 8 * steps_per_epoch(len(ledger.context_ids), 32)
     base = TrainConfig(pacing=PacingParams(T=T))
     seeds = (0, 1, 2)
 

@@ -35,7 +35,7 @@ from currank.sessions import build_eval_items
 from currank.towers import init_params, token_rows
 from currank.trainer import MODES, encode_slates, load_ranker, rank_slates, save_ranker
 
-from oracles import entries_eval
+from oracles import entries_eval, ledger_from_entries, object_load_ledger
 
 
 def run_cli(*argv):
@@ -266,6 +266,22 @@ class TestIngest:
         assert run_cli("ingest", "--log", bad, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "line 2" in err and error in err
+        assert not (tmp_path / "o").exists()
+
+    def test_colliding_context_ids_exit_two_naming_both(self, tmp_path, capsys):
+        """A context id joins session id, position and doc id with ':', which
+        ids may hold: session a (query 1 clicks doc 2:x) and session a:1
+        (query 2 clicks doc x) would both give a:1:2:x."""
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(json.dumps({
+            "session_id": sid, "query_position": position, "query_text": "q",
+            "candidates": [{"doc_id": doc, "title": "t", "rank": 1, "clicked": True},
+                           {"doc_id": "n", "title": "u", "rank": 2, "clicked": False}],
+        }) + "\n" for sid, position, doc in [("a", 1, "2:x"), ("a:1", 1, "y"), ("a:1", 2, "x")]))
+        assert run_cli("ingest", "--log", log, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"error: {log}: context id 'a:1:2:x' is shared by (session, position, doc) "
+            "('a', 1, '2:x') and ('a:1', 2, 'x')\n")
         assert not (tmp_path / "o").exists()
 
     def test_log_that_is_not_utf8_exits_two_naming_the_log(self, tmp_path, capsys):
@@ -1406,8 +1422,8 @@ class TestBundleReads:
         for strings in [
             [t for c in contexts
              for t in (c.session_id, *c.context_tokens, c.positive_doc_id, *c.negative_pool)],
-            [s for cid, doc, _ in ledger.positives for s in (cid, doc)]
-            + [d for negs in ledger.negatives.values() for d, _ in negs],
+            ledger.context_ids + ledger.positive_doc_ids + ledger.neg_context_ids
+            + ledger.neg_doc_ids,
         ]:
             assert len(strings) > len(set(strings))
             assert len({id(s) for s in strings}) == len(set(strings))
@@ -1713,6 +1729,82 @@ class TestCorruptedLedger:
             corrupt_ledger(ledger, data)
             check_exit("train", "--bundle", bundle_dir, "--ledger", ledger, "--steps", 10,
                        "--batch-size", 8, out=Path(tmp) / "train")
+
+
+def read_ledger(read, path: Path):
+    """What `read` makes of the ledger at `path`: a ledger, or its ValueError's message."""
+    try:
+        return read(path)
+    except ValueError as e:
+        return str(e)
+
+
+def respace_ledger(text: str, data) -> str:
+    """The ledger JSON `text` again, with the keys of the ledger and of its
+    negatives in a drawn order, and drawn indents and whitespace."""
+    def shuffled(mapping: dict) -> dict:
+        return dict(data.draw(st.permutations(list(mapping.items())), label="key order"))
+
+    payload = json.loads(text)
+    payload = shuffled({**payload, "negatives": shuffled(payload["negatives"])})
+    text = json.dumps(payload, indent=data.draw(st.sampled_from([None, 0, 1, 3]), label="indent"),
+                      separators=data.draw(st.sampled_from([None, (",", ":"), (" ,\t", "\r: ")]),
+                                           label="separators"))
+    ws = st.text(" \t\n\r", max_size=3)
+    return (data.draw(ws, label="before") + text.replace("\n", data.draw(
+        st.sampled_from(["\n", "\r\n", "\n\t", " \n "]), label="line break"))
+        + data.draw(ws, label="after"))
+
+
+class TestLedgerReaders:
+    """load_ledger reads a ledger an entry at a time, object_load_ledger as
+    it parsed the whole file: the same ledger, or the same refusal."""
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_any_whitespace_and_key_order(self, ledger_dir, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ledger.json"
+            path.write_text(respace_ledger((ledger_dir / "ledger.json").read_text(), data))
+            ledger = load_ledger(path)
+            assert ledger == object_load_ledger(path)
+            save_ledger(ledger, path)
+            assert path.read_bytes() == (ledger_dir / "ledger.json").read_bytes()
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_every_single_fault_corruption(self, ledger_dir, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ledger.json"
+            shutil.copyfile(ledger_dir / "ledger.json", path)
+            corrupt_ledger(path, data)
+            assert read_ledger(load_ledger, path) == read_ledger(object_load_ledger, path)
+
+    def test_every_truncation(self, tmp_path):
+        path = tmp_path / "ledger.json"
+        save_ledger(ledger_from_entries(
+            [("a:1:x", "x", 1.0), ("b:2:y", "y", 2.5)],
+            {"a:1:x": [("n1", 0.5), ("n2", -1e-3)], "b:2:y": [("n3", 4)]}, "pd", "nd"), path)
+        text = path.read_text()
+        for end in range(len(text)):
+            path.write_text(text[:end])
+            got = read_ledger(load_ledger, path)
+            assert got == read_ledger(object_load_ledger, path)
+            assert got.startswith(f"{path}: malformed ledger: ")
+
+    def test_a_repeated_negatives_key_keeps_its_last_list(self, bundle_dir, ledger_dir,
+                                                         train_dir, tmp_path):
+        """As in json.loads: train uses the last list, and trains as on the ledger
+        without the repeat."""
+        text = (ledger_dir / "ledger.json").read_text()
+        head, tail = text.split('"negatives":{', 1)
+        cid = next(iter(json.loads(text)["negatives"]))
+        ledger = tmp_path / "ledger.json"
+        ledger.write_text(f'{head}"negatives":{{{json.dumps(cid)}:[["nosuchdoc",1.0]],{tail}')
+        assert run_cli("train", "--bundle", bundle_dir, "--ledger", ledger, "--out",
+                       tmp_path / "o", "--steps", 10, "--seed", 1, "--batch-size", 8) == 0
+        assert (tmp_path / "o" / "checkpoint.bin").read_bytes() == \
+            (train_dir / "checkpoint.bin").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -2219,7 +2311,7 @@ class TestStrictJsonWriters:
     def test_a_non_finite_number_is_refused_and_nothing_written(self, ledger_dir, train_dir,
                                                                  tmp_path, name):
         ledger = load_ledger(ledger_dir / "ledger.json")
-        ledger.positives[0] = (*ledger.positives[0][:2], math.nan)
+        ledger.d_p[0] = math.nan
         params, vocab, _, meta = load_checkpoint(train_dir / "checkpoint.bin")
         write = {
             "ledger.json": lambda: save_ledger(ledger, tmp_path / name),
@@ -2253,12 +2345,27 @@ class TestAtomicWrites:
         if existing:
             (out / name).write_text("old\n")
 
-        def write_half_then_fail(path, data, *args, **kwargs):
-            with open(path, "wb") as fp:
-                fp.write(data[: len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
+        real_open = Path.open
 
-        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        class HalfThenFail:
+            """A file that takes half of what is written, then fails as a full disk does."""
+
+            def __init__(self, fp):
+                self.fp = fp
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fp.close()
+
+            def writelines(self, chunks):
+                data = b"".join(chunks)
+                self.fp.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs: HalfThenFail(
+            real_open(path, *args, **kwargs)))
         with pytest.raises(OSError):
             writers[name](out)
         monkeypatch.undo()

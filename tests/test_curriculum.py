@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy import stats
 from currank import curriculum
 from currank.bm25 import Bm25Params, build_index
 from currank.curriculum import (
-    DifficultyLedger,
     LedgerColumns,
     PacingParams,
     build_ledger,
@@ -30,6 +30,8 @@ from currank.towers import Vocab, encode_corpus, init_params
 from batches import sample_items
 from oracles import (
     PerCallBm25Scorer,
+    ledger_entries,
+    ledger_from_entries,
     loop_build_ledger,
     loop_sample_batch,
     per_call_score_all,
@@ -199,7 +201,7 @@ def _toy_ledger(n_pos=10, n_neg=6):
         c.context_id: [(f"n{i}_{j}", float(n_neg - j)) for j in range(n_neg)]
         for i, c in enumerate(contexts)
     }
-    return DifficultyLedger(positives=positives, negatives=negatives), contexts
+    return ledger_from_entries(positives, negatives), contexts
 
 
 class TestBuildLedger:
@@ -221,30 +223,30 @@ class TestBuildLedger:
     def test_single_pair(self):
         scorer, contexts = self._fixture()
         ledger = build_ledger(scorer, scorer, contexts[:1])
-        assert len(ledger.positives) == 1
+        assert len(ledger.context_ids) == 1
 
     def test_sortedness(self):
         scorer, contexts = self._fixture()
-        ledger = build_ledger(scorer, scorer, contexts)
-        dps = [e[2] for e in ledger.positives]
+        positives, negatives = ledger_entries(build_ledger(scorer, scorer, contexts))
+        dps = [e[2] for e in positives]
         assert dps == sorted(dps)
-        for entries in ledger.negatives.values():
+        for entries in negatives.values():
             dns = [s for _, s in entries]
             assert dns == sorted(dns, reverse=True)
 
     def test_hand_sorted_order(self):
         scorer, contexts = self._fixture()
-        ledger = build_ledger(scorer, scorer, contexts)
+        positives, negatives = ledger_entries(build_ledger(scorer, scorer, contexts))
         # hand check: under C=(clay aiken), p0 matches both terms and must
         # rank 1; under C=(chanel,), p1 is the only match and ranks 1; the
         # tie at rank 1 is broken by the normalized score term.
         clay, chanel = (dict(zip(scorer.doc_ids, row)) for row in scorer.score_corpus(contexts))
         s0, s1 = clay["p0"], chanel["p1"]
-        first = ledger.positives[0]
+        first = positives[0]
         expected_first = "s0:1:p0" if s0 >= s1 else "s1:1:p1"
         assert first[0] == expected_first
         # negatives for s0 sorted by BM25 against (clay aiken)
-        neg = ledger.negatives["s0:1:p0"]
+        neg = negatives["s0:1:p0"]
         assert [d for d, _ in neg] == sorted(
             ["n0", "n1", "n2"],
             key=lambda d: (-clay[d], d),
@@ -295,9 +297,9 @@ class TestMixedScorers:
     def test_each_curriculum_follows_its_own_scorer(self, pos_kind, neg_kind):
         contexts, scorers = _mixed_fixture()
         a, b = scorers[pos_kind], scorers[neg_kind]
-        mixed = build_ledger(a, b, contexts)
-        assert mixed.positives == build_ledger(a, a, contexts).positives
-        assert mixed.negatives == build_ledger(b, b, contexts).negatives
+        mixed = ledger_entries(build_ledger(a, b, contexts))
+        assert mixed[0] == ledger_entries(build_ledger(a, a, contexts))[0]
+        assert mixed[1] == ledger_entries(build_ledger(b, b, contexts))[1]
 
     def test_mixed_ledger_round_trips(self, tmp_path):
         contexts, scorers = _mixed_fixture()
@@ -439,19 +441,21 @@ class TestLedgerColumnsRefuses:
 
     def test_tied_positives_out_of_id_order(self):
         ledger, contexts = _toy_ledger()
-        (a, da, _), (b, db, _) = ledger.positives[4:6]
-        ledger.positives[4:6] = [(b, db, 5.0), (a, da, 5.0)]
+        positives, negatives = ledger_entries(ledger)
+        (a, da, _), (b, db, _) = positives[4:6]
+        positives[4:6] = [(b, db, 5.0), (a, da, 5.0)]
         with pytest.raises(ValueError, match=f"positive {a} .* follows {b}"):
-            self._columns(ledger, contexts)
+            self._columns(ledger_from_entries(positives, negatives), contexts)
 
     def test_tied_negatives_out_of_id_order(self):
         ledger, contexts = _toy_ledger()
-        cid = ledger.positives[0][0]
-        ledger.negatives[cid][:2] = [("n0_1", 6.0), ("n0_0", 6.0)]
+        positives, negatives = ledger_entries(ledger)
+        cid = positives[0][0]
+        negatives[cid][:2] = [("n0_1", 6.0), ("n0_0", 6.0)]
         with pytest.raises(ValueError, match="negative n0_0 .* follows n0_1"):
-            self._columns(ledger, contexts)
-        ledger.negatives[cid][:2] = [("n0_0", 6.0), ("n0_1", 6.0)]
-        self._columns(ledger, contexts)
+            self._columns(ledger_from_entries(positives, negatives), contexts)
+        negatives[cid][:2] = [("n0_0", 6.0), ("n0_1", 6.0)]
+        self._columns(ledger_from_entries(positives, negatives), contexts)
 
 
 class TestLoadLedgerFieldTypes:
@@ -471,9 +475,10 @@ class TestLoadLedgerFieldTypes:
             "long-negative", "short-positive"])
     def test_refused(self, tmp_path, edit, message):
         ledger, _ = _toy_ledger()
-        payload = json.loads(json.dumps({"version": 1, **vars(ledger)}))
-        edit(payload)
         path = tmp_path / "ledger.json"
+        save_ledger(ledger, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed ledger: {message}")):
             load_ledger(path)
@@ -484,8 +489,8 @@ class TestLoadLedgerFieldTypes:
         save_ledger(ledger, path)
         loaded = load_ledger(path)
         assert loaded == ledger
-        ids = [s for cid, doc, _ in loaded.positives for s in (cid, doc)] + list(loaded.negatives)
-        ids += [d for negs in loaded.negatives.values() for d, _ in negs]
+        ids = (loaded.context_ids + loaded.positive_doc_ids + loaded.neg_context_ids
+               + loaded.neg_doc_ids)
         assert len(ids) > len(set(ids))
         assert len({id(s) for s in ids}) == len(set(ids))
 
@@ -496,6 +501,28 @@ class TestLoadLedgerFieldTypes:
         path.write_text(path.read_text().replace(".0", ""))
         assert load_ledger(path) == ledger
 
+
+class TestLoadLedgerMemory:
+    def test_peak_below_three_times_the_file(self, tmp_path):
+        """json.loads of a whole ledger held about nine times its file size;
+        read an entry at a time, the columns stay below three times."""
+        rng = np.random.default_rng(0)
+        ids = sorted(f"s{i // 3:06d}:{i % 3 + 1}:d{i % 40:03d}_{i % 19:04d}" for i in range(6000))
+        positives = [(cid, cid.rsplit(":", 1)[1], float(dp))
+                     for cid, dp in zip(ids, np.sort(rng.uniform(1.0, 80.0, len(ids))))]
+        negatives = {cid: [(f"d{j:03d}_{k:04d}", float(dn) if j % 2 else 0.0)
+                           for j, k, dn in zip(range(6), rng.integers(0, 20, 6),
+                                               np.sort(rng.uniform(0, 9, 6))[::-1])]
+                     for cid in ids}
+        path = tmp_path / "ledger.json"
+        save_ledger(ledger_from_entries(positives, negatives, "p", "n"), path)
+        tracemalloc.start()
+        try:
+            load_ledger(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size
 
 class TestSampleBatch:
     def test_full_prefix_when_pacing_one(self, rng):
@@ -542,6 +569,7 @@ class TestSampleBatch:
 
     def test_sampler_soundness_over_steps(self, rng):
         ledger, contexts = _toy_ledger(n_pos=40, n_neg=8)
+        negatives = ledger_entries(ledger)[1]
         pacing = PacingParams(delta=0.2, eta=0.5, alpha=0.6, beta=0.6, k=2.0, T=50)
         from currank.curriculum import pacing_negative, pacing_positive
 
@@ -550,12 +578,12 @@ class TestSampleBatch:
             f_n = pacing_negative(pacing, t)
             max_pos = math.ceil(f_p * 40)
             max_neg = math.ceil(f_n * 8)
-            eligible_ids = {e[0] for e in ledger.positives[:max_pos]}
+            eligible_ids = set(ledger.context_ids[:max_pos])
             for _ in range(50):
                 batch = sample_items(ledger, contexts, pacing, t, 2, 2, rng)
                 for ctx, pos, negs in batch:
                     assert ctx.context_id in eligible_ids
-                    allowed = {d for d, _ in ledger.negatives[ctx.context_id][:max_neg]}
+                    allowed = {d for d, _ in negatives[ctx.context_id][:max_neg]}
                     assert set(negs) <= allowed
 
     def test_monotone_hardness_exposure(self):
@@ -569,9 +597,9 @@ class TestSampleBatch:
         for t in range(0, 101, 10):
             n_pos = math.ceil(pacing_positive(pacing, t) * 50)
             n_neg = math.ceil(pacing_negative(pacing, t) * 10)
-            max_dp = ledger.positives[n_pos - 1][2]
+            max_dp = ledger.d_p[n_pos - 1]
             min_dn = min(
-                entries[n_neg - 1][1] for entries in ledger.negatives.values()
+                entries[n_neg - 1][1] for entries in ledger_entries(ledger)[1].values()
             )
             assert max_dp >= prev_max_dp
             assert min_dn >= prev_min_dn

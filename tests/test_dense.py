@@ -12,7 +12,7 @@ from currank.sessions import SearchContext
 from currank.towers import Vocab, encode, encode_corpus, init_params, token_rows
 
 from oracles import (
-    PerContextDenseScorer, central_difference_grad, dense_score, max_relative_error,
+    PerContextDenseScorer, central_difference_grad, dense_score, ledger_entries, max_relative_error,
     pair_train_in_batch, param_list, per_array_checkpoint_bytes, per_array_dense_digest,
 )
 
@@ -315,17 +315,18 @@ class TestBatchedScorerMatchesPerContextOracle:
         oracle = PerContextDenseScorer(params, vocab, docs)
         got = build_ledger(batched, batched, contexts)
         want = build_ledger(oracle, oracle, contexts)
-        assert [e[0] for e in got.positives] == [e[0] for e in want.positives]
-        assert max(abs(a[2] - b[2]) for a, b in zip(got.positives, want.positives)) < 1e-12
+        (got_pos, got_neg), (want_pos, want_neg) = map(ledger_entries, (got, want))
+        assert [e[0] for e in got_pos] == [e[0] for e in want_pos]
+        assert max(abs(a[2] - b[2]) for a, b in zip(got_pos, want_pos)) < 1e-12
         assert got.pos_scorer_digest == want.pos_scorer_digest
 
         def tie_key(negatives):
             return [self.NEAR_TIES.get(d, d) for d, _ in negatives]
 
-        for cid, negatives in want.negatives.items():
-            assert tie_key(got.negatives[cid]) == tie_key(negatives)
-            assert max(abs(a[1] - b[1]) for a, b in zip(got.negatives[cid], negatives)) < 1e-12
-        twins = [n for n in got.negatives.values() if {"d58", "d59"} <= {d for d, _ in n}]
+        for cid, negatives in want_neg.items():
+            assert tie_key(got_neg[cid]) == tie_key(negatives)
+            assert max(abs(a[1] - b[1]) for a, b in zip(got_neg[cid], negatives)) < 1e-12
+        twins = [n for n in got_neg.values() if {"d58", "d59"} <= {d for d, _ in n}]
         assert twins  # the tie is exercised
         for negatives in twins:
             scores = dict(negatives)

@@ -379,6 +379,43 @@ class TestSplitReads:
             assert len({id(s) for s in strings}) == len(set(strings))
 
 
+class TestSharedStrings:
+    def test_parse_sessions_equal_ids_and_tokens_are_one_object(self):
+        lines = [
+            record("s1", 1, "clay aiken", [("a", "clay pottery"), ("b", "aiken news")], {"a"}),
+            record("s1", 2, "aiken clay", [("b", "aiken news"), ("c", "clay")], {"b"}),
+            record("s2", 1, "news", [("c", "clay"), ("a", "clay pottery")], {"c"}),
+        ]
+        sessions, documents = parse_sessions(lines)
+        strings = [t for s in sessions for i in s.interactions
+                   for t in (*i.query_tokens, *i.clicked_doc_ids, *i.candidate_doc_ids)]
+        strings += [t for doc_id, title in documents.items() for t in (doc_id, *title)]
+        assert len(strings) > len(set(strings))
+        assert len({id(s) for s in strings}) == len(set(strings))
+
+
+class TestCollidingContextIds:
+    """Distinct contexts whose ids join to one string are refused, naming both."""
+
+    MESSAGE = ("context id 'a:1:2:x' is shared by (session, position, doc) "
+               "('a', 1, '2:x') and ('a:1', 2, 'x')")
+
+    def test_build_contexts(self):
+        documents = {d: ("t",) for d in ("2:x", "x", "y", "n")}
+        sessions = [_session("a", [("q", ["2:x", "n"], {"2:x"})], documents),
+                    _session("a:1", [("q", ["y", "n"], {"y"}), ("q", ["x", "n"], {"x"})],
+                             documents)]
+        with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
+            build_contexts(sessions, documents)
+
+    def test_read_contexts(self):
+        buf = io.StringIO()
+        write_contexts([SearchContext("a", 1, ("q",), "2:x", ("n",)),
+                        SearchContext("a:1", 2, ("q",), "x", ("n",))], buf)
+        with pytest.raises(ValueError, match=re.escape(self.MESSAGE)):
+            read_contexts(io.StringIO(buf.getvalue()))
+
+
 def _session(session_id, specs, documents):
     from currank.bm25 import tokenize
 

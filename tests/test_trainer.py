@@ -32,7 +32,7 @@ from currank.trainer import (
 
 from batches import sample_items
 from oracles import (
-    entries_eval, loop_sample_batch, loop_validation_loss, param_list,
+    entries_eval, ledger_entries, loop_sample_batch, loop_validation_loss, param_list,
     per_array_checkpoint_bytes, two_pass_validation_loss,
 )
 
@@ -95,7 +95,7 @@ def held_out_items(draw):
 def config_for(ledger, batch_size=8, epochs=2, mode="dual", m=2, seed=0, **kw):
     T = kw.pop("T", None)
     if T is None:
-        T = epochs * steps_per_epoch(len(ledger.positives), batch_size)
+        T = epochs * steps_per_epoch(len(ledger.context_ids), batch_size)
     pacing = PacingParams(T=T, **kw.pop("pacing_kw", {}))
     return TrainConfig(
         pacing=pacing, batch_size=batch_size, m=m, mode=mode, seed=seed,
@@ -171,12 +171,12 @@ class TestTrain:
 
         # plain uniform sampler drawing from the same labeled substream
         rng = np.random.default_rng([13, 1])
+        negatives = ledger_entries(ledger)[1]
         for t in range(config.pacing.T):
-            chosen = rng.choice(len(ledger.positives), size=config.batch_size,
+            chosen = rng.choice(len(ledger.context_ids), size=config.batch_size,
                                 replace=False)
             for idx in chosen:
-                entry = ledger.positives[int(idx)]
-                neg_list = ledger.negatives[entry[0]]
+                neg_list = negatives[ledger.context_ids[int(idx)]]
                 rng.choice(len(neg_list), size=config.m, replace=False)
         # identical consumption of the stream implies identical batches;
         # verify by replaying the trainer's own sampler
@@ -204,7 +204,7 @@ class TestTrain:
 
     def test_context_row_i_is_positive_i(self, small_world, data):
         _, _, contexts, ledger, vocab, _ = small_world
-        assert data.columns.context_ids == [cid for cid, _, _ in ledger.positives]
+        assert data.columns.context_ids == ledger.context_ids
         assert list(data.corpus.context_row) == data.columns.context_ids
         by_id = {c.context_id: c for c in contexts}
         rows = data.corpus.contexts
@@ -404,7 +404,7 @@ class TestNegativePrefixCheck:
 
     def test_tightest_eta_checked_before_step_0(self, small_world, data, monkeypatch):
         ledger = small_world[3]
-        smallest = min(len(n) for n in ledger.negatives.values())
+        smallest = min(ledger.neg_len)
         config = config_for(ledger, m=smallest, pacing_kw={"eta": 0.05})
         self._no_sampling(monkeypatch)
         with pytest.raises(ValueError, match=r"context \S+: eligible negative prefix"):
@@ -412,7 +412,7 @@ class TestNegativePrefixCheck:
 
     def test_halved_modes_use_halved_lists(self, small_world, data, monkeypatch):
         ledger = small_world[3]
-        smallest = min(len(n) for n in ledger.negatives.values())
+        smallest = min(ledger.neg_len)
         self._no_sampling(monkeypatch)
         for mode in ("easy-neg-only", "hard-neg-only"):
             config = config_for(ledger, m=(smallest + 1) // 2 + 1, mode=mode)
@@ -430,7 +430,7 @@ class TestPositivePrefixCheck:
 
     def test_batch_above_the_first_positive_prefix(self, small_world, data, monkeypatch):
         ledger = small_world[3]
-        n = len(ledger.positives)
+        n = len(ledger.context_ids)
         first = math.ceil(0.1 * n)  # eligible positives at step 0 under delta=0.1
         TestNegativePrefixCheck._no_sampling(monkeypatch)
         config = config_for(ledger, batch_size=first + 1, pacing_kw={"delta": 0.1})
