@@ -24,6 +24,7 @@ import os
 import sys
 from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -43,7 +44,7 @@ from .sessions import (
 from .towers import Vocab, encode_corpus
 from .trainer import (  # evaluate_ranker: perfbench/spans.py traces it here
     MODES, TrainConfig, ablation_runs, check_prefixes, encode_slates, evaluate_ranker,
-    load_ranker, load_resume, rank_slates, save_ranker, steps_per_epoch, train,
+    load_ranker, load_resume, rank_slates, resolve_mode, save_ranker, steps_per_epoch, train,
     train_and_evaluate, training_data,
 )
 
@@ -60,10 +61,11 @@ def split_of(session_id: str) -> str:
     return "train" if bucket < 8 else ("val" if bucket == 8 else "test")
 
 
-def in_split(records: list, split: str, split_of=split_of) -> list:
-    """The sessions or contexts whose session id `split_of` puts in `split`."""
-    keep = {s for s in {r.session_id for r in records} if split_of(s) == split}
-    return [r for r in records if r.session_id in keep]
+def split_keeps(*splits: str) -> list[Callable[[str], bool]]:
+    """One keep predicate per split, true for the session ids split_of puts in
+    it; together they hash each session id once."""
+    split = functools.cache(split_of)
+    return [lambda session_id, want=want: split(session_id) == want for want in splits]
 
 
 def _fields_of(cls, args, *skip: str) -> dict:
@@ -100,10 +102,10 @@ def read_checkpoint(path: Path, load, *args):
         raise ValueError(f"{path}: malformed checkpoint: {e!r}") from e
 
 
-def load_bundle(bundle_dir: Path, sessions: bool = True, contexts: bool = True,
-                keep: Callable[[str], bool] | None = None):
-    """(sessions, documents, contexts) of a bundle, with None for the sessions or
-    contexts a command does not ask for, and only the sessions whose id `keep` accepts.
+def load_bundle(bundle_dir: Path, sessions=None, contexts=None):
+    """(sessions, documents, contexts, context tokens) of a bundle: the sessions and the
+    contexts whose session id a keep predicate accepts (None: all), and the distinct
+    tokens of every context. False skips a file: None in its place, and for its tokens.
     Every bundle file must exist either way: the command's manifest digests all
     three. Every record is checked; a malformed one is an input error naming its file."""
     docs_path, sessions_path, contexts_path = [
@@ -119,18 +121,14 @@ def load_bundle(bundle_dir: Path, sessions: bool = True, contexts: bool = True,
                 raise ValueError(f"{path}: malformed record: {e}")
 
     documents = read(docs_path, read_documents)
-    return (read(sessions_path, lambda fp: read_sessions(fp, keep)) if sessions else None,
-            documents,
-            read(contexts_path, read_contexts) if contexts else None)
+    return (None if sessions is False else
+            read(sessions_path, lambda fp: read_sessions(fp, sessions)), documents,
+            *((None, None) if contexts is False else
+              read(contexts_path, lambda fp: read_contexts(fp, contexts))))
 
 
-def build_vocab(documents, contexts) -> Vocab:
-    tokens: set[str] = {SEP_TOKEN}
-    for title in documents.values():
-        tokens.update(title)
-    for ctx in contexts:
-        tokens.update(ctx.context_tokens)
-    return Vocab(tokens)
+def build_vocab(documents, context_tokens) -> Vocab:
+    return Vocab(chain([SEP_TOKEN], chain.from_iterable(documents.values()), context_tokens))
 
 
 def write_bundle(out_dir: Path, sessions, documents, contexts) -> list[Path]:
@@ -251,8 +249,7 @@ def _make_scorer(kind: str, args, documents, train_contexts, vocab):
     if kind == "bm25":
         index = bm25.build_index(documents)
         return Bm25Scorer(index, bm25.Bm25Params(k1=args.k1, b=args.b))
-    contexts_by_id = {c.context_id: c for c in train_contexts}
-    tokens_by_id = {cid: c.context_tokens for cid, c in contexts_by_id.items()}
+    tokens_by_id = {c.context_id: c.context_tokens for c in train_contexts}
     if args.checkpoint:
         params, ckpt_vocab, _, _ = read_checkpoint(
             args.checkpoint, checkpoint.load_checkpoint, "dense-scorer")
@@ -261,7 +258,7 @@ def _make_scorer(kind: str, args, documents, train_contexts, vocab):
     corpus = encode_corpus(vocab, documents, tokens_by_id)
     rng = np.random.default_rng([args.seed, 2])
     params = towers.init_params(len(vocab), args.d_emb, args.hidden, rng)
-    positive_rows = [corpus.doc_row[c.positive_doc_id] for c in contexts_by_id.values()]
+    positive_rows = [corpus.doc_row[c.positive_doc_id] for c in train_contexts]
     losses = dense.train_in_batch(
         params, corpus.contexts, corpus.docs.take(positive_rows),
         batch_size=args.fit_batch_size, epochs=args.fit_epochs,
@@ -299,12 +296,11 @@ def cmd_score(args) -> int:
     if args.checkpoint:
         config["checkpoint"] = str(args.checkpoint)
         inputs.append(input_path(args.checkpoint, "checkpoint"))
-    _, documents, contexts = load_bundle(bundle_dir, sessions=False)
-    train_contexts = in_split(contexts, "train")
+    _, documents, train_contexts, tokens = load_bundle(bundle_dir, False, *split_keeps("train"))
     if not train_contexts:
         raise ValueError("no training-split contexts in bundle")
     check_documents(train_contexts, documents)  # build_ledger and the dense fit rely on it
-    vocab = build_vocab(documents, contexts)
+    vocab = build_vocab(documents, tokens)
     with command_output(args, config, inputs, args.seed) as (out_dir, outputs, manifest):
         scorers = {kind: _make_scorer(kind, args, documents, train_contexts, vocab)
                    for kind in dict.fromkeys((pos_kind, neg_kind))}
@@ -338,15 +334,14 @@ def _load_training_inputs(args):
     config = TrainConfig(PacingParams(T=args.steps or 0, **_fields_of(PacingParams, args, "T")),
                          **_fields_of(TrainConfig, args, "pacing"))
     bundle_dir, ledger_path = Path(args.bundle), input_path(args.ledger, "ledger file")
-    split = functools.cache(split_of)  # this command's: it hashes each session id once
-    sessions, documents, contexts = load_bundle(bundle_dir, keep=lambda s: split(s) == "val")
+    sessions, documents, contexts, tokens = load_bundle(bundle_dir, *split_keeps("val", "train"))
     ledger = load_ledger(ledger_path)
     if args.steps is None:
         T = args.epochs * steps_per_epoch(len(ledger.context_ids), config.batch_size)
         config = replace(config, pacing=replace(config.pacing, T=T))
-    vocab = build_vocab(documents, contexts)
+    vocab = build_vocab(documents, tokens)
     val_items = build_eval_items(sessions, documents)
-    data = training_data(vocab, documents, in_split(contexts, "train", split), ledger)
+    data = training_data(vocab, documents, contexts, ledger)
     slates = encode_slates(vocab, val_items, documents) if val_items else None
     return config, ledger, data, slates, bundle_paths(bundle_dir) + [ledger_path]
 
@@ -376,8 +371,8 @@ def cmd_eval(args) -> int:
     if args.tag.split() != [args.tag]:  # run.txt's sixth and last column
         raise ValueError(f"--tag {args.tag!r} must be one word: not empty, no whitespace")
     bundle_dir, ckpt_path = Path(args.bundle), input_path(args.checkpoint, "checkpoint")
-    sessions, documents, _ = load_bundle(bundle_dir, contexts=False,
-                                         keep=lambda s: split_of(s) == args.split)
+    sessions, documents, _, _ = load_bundle(bundle_dir, lambda s: split_of(s) == args.split,
+                                            False)
     params, vocab = read_checkpoint(ckpt_path, load_ranker)
     items = build_eval_items(sessions, documents)
     if not items:
@@ -437,7 +432,10 @@ def _init_ablation_worker(data, slates) -> None:
 
 
 def _ablation_run(task: tuple[dict, TrainConfig]) -> dict:
-    return train_and_evaluate(task[1], *_ablation_inputs, **task[0])
+    """The metrics of a run; its row names it in an error."""
+    row, config = task
+    return {k: v for k, v in train_and_evaluate(config, *_ablation_inputs, **row).items()
+            if k not in row}
 
 
 def cmd_ablate(args) -> int:
@@ -445,8 +443,10 @@ def cmd_ablate(args) -> int:
     if slates is None:
         raise ValueError("ablation needs a non-empty validation split")
     runs = ablation_runs(base, args.grid_deltas, args.grid_etas)
-    for _, config in runs:
+    distinct: dict[tuple, tuple[dict, TrainConfig]] = {}  # each run trained once, as its first row
+    for row, config in runs:
         check_prefixes(config, data.columns)  # every run, before the first
+        distinct.setdefault(resolve_mode(config), (row, config))
 
     # One forked worker per usable CPU; map gives the rows back in run order. Imported
     # here, since these modules add about 2 MB of RSS that no other command needs.
@@ -454,10 +454,12 @@ def cmd_ablate(args) -> int:
     from multiprocessing import get_context
     config = {**asdict(base), "grid_deltas": args.grid_deltas, "grid_etas": args.grid_etas}
     with command_output(args, config, inputs, args.seed) as (out_dir, outputs, _), \
-            ProcessPoolExecutor(min(usable_cpus(), len(runs)), get_context("fork"),
+            ProcessPoolExecutor(min(usable_cpus(), len(distinct)), get_context("fork"),
                                 _init_ablation_worker, (data, slates)) as pool:
         payload = {"modes": [], "grid": []}
-        for row in pool.map(_ablation_run, runs):
+        metrics = dict(zip(distinct, pool.map(_ablation_run, distinct.values())))
+        for row, config in runs:
+            row = {**row, **metrics[resolve_mode(config)]}
             payload["modes" if "mode" in row else "grid"].append(row)
             print(f"mode {row['mode']:>14s}: MAP={row['MAP']:.4f} MRR={row['MRR']:.4f}"
                   if "mode" in row else

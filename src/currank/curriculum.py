@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from .sessions import SearchContext, _check_column, _decode, _dumps, _Shared
 
 LEDGER_FORMAT_VERSION = 1
 _BLOCK_CELLS = 2**17  # (context, document) scores per build_ledger block: 1 MB of float64
+_READ_CHARS = 2**16  # ledger text load_ledger reads at a time
 _WRITE_ROWS = 1024  # positives, or contexts' negative lists, save_ledger encodes at a time
+_LEDGER_BLOCK = 1024  # positives ledger_columns checks and gathers at a time
 
 
 @dataclass(frozen=True)
@@ -125,36 +127,41 @@ class LedgerColumns:
     neg_start: np.ndarray
     neg_len: np.ndarray
 
-    def halved(self, keep: str) -> LedgerColumns:
+    def halved(self, keep: str | None) -> LedgerColumns:
         """Each negative list's hard or easy half, split at its median:
-        an offset view of the same arrays."""
+        an offset view of the same arrays; all of each for None."""
+        if keep is None:
+            return self
         half = (self.neg_len + 1) // 2
         skip = 0 if keep == "hard" else self.neg_len - half
         return replace(self, neg_start=self.neg_start + skip, neg_len=half)
 
 
 def ledger_columns(
-    ledger: DifficultyLedger, contexts: dict[str, SearchContext], doc_row: dict[str, int]
+    ledger: DifficultyLedger, contexts: Mapping[str, SearchContext | None], doc_row: dict[str, int]
 ) -> LedgerColumns:
-    """`ledger` over `contexts`, keyed by context id, and the document rows
-    `doc_row` gives. Each positive must name a distinct context of
-    `contexts` and that context's positive document, and have distinct
-    negatives, all from the context's negative pool. Positives must
-    ascend in (d_p, context id) and each context's negatives descend in
-    d_n, ties by ascending doc id, as build_ledger writes them. A ledger
-    that breaks this is refused with a ValueError."""
-    ids = ledger.context_ids
-    # Each context's negative list, the last if listed twice, as json.loads keeps it.
-    block = {cid: k for k, cid in enumerate(ledger.neg_context_ids)}
+    """`ledger` over `contexts`, keyed by context id (None: no such context),
+    and the document rows `doc_row` gives. Each positive must name a distinct
+    context of `contexts` and that context's positive document, and have
+    distinct negatives, all from the context's negative pool. Positives must
+    ascend in (d_p, context id) and each context's negatives descend in d_n,
+    ties by ascending doc id, as build_ledger writes them. A ledger that
+    breaks this is refused with a ValueError. The contexts and the positive
+    order are checked first, then _LEDGER_BLOCK positives at a time."""
+    ids, n = ledger.context_ids, len(ledger.context_ids)
+    place = dict(zip(ids, range(n)))  # a repeated id's last place
+    # Each positive's negative list, the last if listed twice, as json.loads keeps it.
+    k = np.full(n, -1, np.intp)
+    for j, cid in enumerate(ledger.neg_context_ids):
+        if (i := place.get(cid)) is not None:
+            k[i] = j
     lens = np.array(ledger.neg_len + [0], dtype=np.intp)  # [-1]: no list
-    k = np.fromiter(map(block.get, ids, repeat(-1)), np.intp, len(ids))
-    neg_len = lens[k]
-    unique = set(ids)
-    if not (unique <= contexts.keys() and len(unique) == len(ids) and neg_len.all()):
+    neg_len, ctxs = lens[k], list(map(contexts.get, ids))
+    if not (all(ctxs) and len(place) == n and neg_len.all()):
         for what, bad in [
-            ("references unknown contexts", [cid for cid in ids if cid not in contexts]),
-            ("lists contexts more than once", [c for c, n in Counter(ids).items() if n > 1]),
-            ("has no negatives for contexts", [cid for cid, n in zip(ids, neg_len) if not n]),
+            ("references unknown contexts", [cid for cid, c in zip(ids, ctxs) if c is None]),
+            ("lists contexts more than once", [c for c, m in Counter(ids).items() if m > 1]),
+            ("has no negatives for contexts", [cid for cid, m in zip(ids, neg_len) if not m]),
         ]:
             if bad:
                 raise ValueError(f"ledger {what}: {bad[:5]}")
@@ -167,58 +174,62 @@ def ledger_columns(
                          f"{ids[i]} (d_p {d_p[i]}): positives must ascend in "
                          "(d_p, context id)")
 
-    ctxs = [contexts[cid] for cid in ids]
     # Documents by their index in doc-id order, -1 if unknown; a (context,
-    # document) pair is the key i * n_docs + document index.
+    # document) pair of a block is the key i * n_docs + document index.
     doc_ids = sorted(doc_row)
     index = {d: i for i, d in enumerate(doc_ids)}.get
-    n_docs = len(doc_ids)
-    pool_len = np.fromiter(map(len, (c.negative_pool for c in ctxs)), np.intp, len(ids))
-    pool = np.fromiter(map(index, chain.from_iterable(c.negative_pool for c in ctxs),
-                           repeat(-1)), np.intp, pool_len.sum())
-    positive = np.fromiter(map(index, (c.positive_doc_id for c in ctxs), repeat(-1)),
-                           np.intp, len(ids))
-    if (pool < 0).any() or (positive < 0).any():
-        check_documents(ctxs, doc_row)  # names the first missing document
-    for cid, doc, ctx in zip(ids, ledger.positive_doc_ids, ctxs):
-        if doc != ctx.positive_doc_id:
-            raise ValueError(f"ledger: context {cid}: positive {doc} is not the "
-                             f"context's positive {ctx.positive_doc_id}")
-
-    # Each positive's negative list, gathered in positive order.
-    at = (np.cumsum(lens) - lens)[k]
+    n_docs, row = len(doc_ids), np.array([doc_row[d] for d in doc_ids], dtype=np.intp)
+    at = (np.cumsum(lens) - lens)[k]  # each positive's negatives in neg_doc_ids and d_n
     neg_start = np.cumsum(neg_len) - neg_len
-    take = np.repeat(at - neg_start, neg_len) + np.arange(neg_len.sum())
-    neg = np.fromiter(map(index, ledger.neg_doc_ids, repeat(-1)), np.intp,
-                      len(ledger.neg_doc_ids))[take]
-    d_n = np.asarray(ledger.d_n)[take]
-    offset = np.arange(len(ids)) * n_docs
-    keys = neg + np.repeat(offset, neg_len)
-    pool = np.sort(pool + np.repeat(offset, pool_len))
-    foreign = (neg < 0) | (np.searchsorted(pool, keys) == np.searchsorted(pool, keys, "right"))
-    if foreign.any():
-        i = np.searchsorted(neg_start, foreign.argmax(), "right") - 1
-        negs = ledger.neg_doc_ids[at[i]:at[i] + neg_len[i]]
-        bad = [d for d in negs if d not in ctxs[i].negative_pool]
-        raise ValueError(f"ledger: context {ids[i]}: negatives {bad[:5]} are not "
-                         "in the context's negative pool")
-    keys.sort()
-    repeated = keys[1:][np.diff(keys) == 0]
-    if repeated.size:
-        i, d = divmod(int(repeated[0]), n_docs)
-        raise ValueError(f"ledger: context {ids[i]}: negative {doc_ids[d]} "
-                         "is listed more than once")
-    step = np.diff(d_n)
-    unordered = (step > 0) | ((step == 0) & (np.diff(neg) < 0))
-    unordered[neg_start[1:] - 1] = False  # the last negative of a context, the next's first
-    if unordered.any():
-        j = unordered.argmax()
-        i = np.searchsorted(neg_start, j, "right") - 1
-        raise ValueError(f"ledger: context {ids[i]}: negative {doc_ids[neg[j + 1]]} "
-                         f"(d_n {d_n[j + 1]}) follows {doc_ids[neg[j]]} (d_n {d_n[j]}): "
-                         "negatives must descend in d_n, ties by ascending doc id")
-    row = np.array([doc_row[d] for d in doc_ids], dtype=np.intp)
-    return LedgerColumns(ids, row[positive], row[neg], neg_start, neg_len)
+    positive_rows, neg_rows = np.empty(n, np.intp), np.empty(neg_len.sum(), np.intp)
+    for lo in range(0, n, _LEDGER_BLOCK):
+        hi = min(lo + _LEDGER_BLOCK, n)
+        block, m, start = ctxs[lo:hi], neg_len[lo:hi], neg_start[lo:hi] - neg_start[lo]
+        pool_len = np.fromiter(map(len, (c.negative_pool for c in block)), np.intp, len(block))
+        pool = np.fromiter(map(index, chain.from_iterable(c.negative_pool for c in block),
+                               repeat(-1)), np.intp, pool_len.sum())
+        positive = np.fromiter(map(index, (c.positive_doc_id for c in block), repeat(-1)),
+                               np.intp, len(block))
+        if (pool < 0).any() or (positive < 0).any():
+            check_documents(block, doc_row)  # names the first missing document
+        for cid, doc, ctx in zip(ids[lo:hi], ledger.positive_doc_ids[lo:hi], block):
+            if doc != ctx.positive_doc_id:
+                raise ValueError(f"ledger: context {cid}: positive {doc} is not the "
+                                 f"context's positive {ctx.positive_doc_id}")
+
+        # The block's negative lists, gathered in positive order.
+        take = np.repeat(at[lo:hi] - start, m) + np.arange(m.sum())
+        neg = np.fromiter(map(index, map(ledger.neg_doc_ids.__getitem__, take.tolist()),
+                              repeat(-1)), np.intp, len(take))
+        d_n = np.asarray(ledger.d_n)[take]
+        offset = np.arange(len(block)) * n_docs
+        keys = neg + np.repeat(offset, m)
+        pool = np.sort(pool + np.repeat(offset, pool_len))
+        foreign = (neg < 0) | (np.searchsorted(pool, keys) == np.searchsorted(pool, keys, "right"))
+        if foreign.any():
+            i = np.searchsorted(start, foreign.argmax(), "right") - 1
+            negs = ledger.neg_doc_ids[at[lo + i]:at[lo + i] + m[i]]
+            bad = [d for d in negs if d not in block[i].negative_pool]
+            raise ValueError(f"ledger: context {ids[lo + i]}: negatives {bad[:5]} are not "
+                             "in the context's negative pool")
+        keys.sort()
+        repeated = keys[1:][np.diff(keys) == 0]
+        if repeated.size:
+            i, d = divmod(int(repeated[0]), n_docs)
+            raise ValueError(f"ledger: context {ids[lo + i]}: negative {doc_ids[d]} "
+                             "is listed more than once")
+        step = np.diff(d_n)
+        unordered = (step > 0) | ((step == 0) & (np.diff(neg) < 0))
+        unordered[start[1:] - 1] = False  # the last negative of a context, the next's first
+        if unordered.any():
+            j = unordered.argmax()
+            i = lo + np.searchsorted(start, j, "right") - 1
+            raise ValueError(f"ledger: context {ids[i]}: negative {doc_ids[neg[j + 1]]} "
+                             f"(d_n {d_n[j + 1]}) follows {doc_ids[neg[j]]} (d_n {d_n[j]}): "
+                             "negatives must descend in d_n, ties by ascending doc id")
+        positive_rows[lo:hi] = row[positive]
+        neg_rows[neg_start[lo]:neg_start[lo] + len(neg)] = row[neg]
+    return LedgerColumns(ids, positive_rows, neg_rows, neg_start, neg_len)
 
 
 def check_documents(contexts: Sequence[SearchContext], doc_ids) -> None:
@@ -229,16 +240,11 @@ def check_documents(contexts: Sequence[SearchContext], doc_ids) -> None:
             raise ValueError(f"context {ctx.context_id} has an empty negative pool")
         for d in (ctx.positive_doc_id, *ctx.negative_pool):
             if d not in doc_ids:
-                raise ValueError(
-                    f"context {ctx.context_id}: document {d} is not in the corpus"
-                )
+                raise ValueError(f"context {ctx.context_id}: document {d} is not in the corpus")
 
 
-def build_ledger(
-    pos_scorer: ScoreSource,
-    neg_scorer: ScoreSource,
-    contexts: Sequence[SearchContext],
-) -> DifficultyLedger:
+def build_ledger(pos_scorer: ScoreSource, neg_scorer: ScoreSource,
+                 contexts: Sequence[SearchContext]) -> DifficultyLedger:
     """Score and sort the training pairs of contexts that pass
     check_documents under the frozen scorers.
 
@@ -293,14 +299,8 @@ def eligible_negative_count(n_negatives: np.ndarray, fraction: float) -> np.ndar
     return np.minimum(n_negatives, np.ceil(fraction * n_negatives)).astype(int)
 
 
-def sample_batch(
-    columns: LedgerColumns,
-    batch_size: int,
-    m: int,
-    rng: np.random.Generator,
-    f_p: float,
-    f_n: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def sample_batch(columns: LedgerColumns, batch_size: int, m: int, rng: np.random.Generator,
+                 f_p: float, f_n: float) -> tuple[np.ndarray, np.ndarray]:
     """Draw one curriculum batch from the easiest fraction f_p of the
     positives and, for each, the hardest fraction f_n of its negatives:
     the items' context rows, shape (n,), and each item's slate of doc
@@ -370,17 +370,28 @@ _WS = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
 
 
 class _Cursor:
-    """A place in JSON text, to read a ledger's long members an entry at a
-    time. ValueError where the text is not what it expects."""
+    """A place in the JSON text of `fp`, read _READ_CHARS at a time, to read a
+    ledger's long members an entry at a time. ValueError where the text is not
+    what it expects."""
 
-    def __init__(self, text: str):
-        self.text, self.at = text, 0
+    def __init__(self, fp: IO[str]):
+        self.fp, self.text, self.at = fp, "", 0
+
+    def _more(self) -> bool:
+        """Read on, at least as much again as is left, in place of the text
+        before the cursor; False at the end of the file."""
+        more = self.fp.read(max(_READ_CHARS, len(self.text) - self.at))
+        if more:
+            self.text, self.at = self.text[self.at:] + more, 0
+        return bool(more)
 
     def peek(self) -> str:
         """Step past whitespace; the next character, '' at the end."""
-        if self.text[self.at:self.at + 1].isspace():
-            self.at = _WS(self.text, self.at).end()
-        return self.text[self.at:self.at + 1]
+        while True:
+            if self.text[self.at:self.at + 1].isspace():
+                self.at = _WS(self.text, self.at).end()
+            if self.at < len(self.text) or not self._more():
+                return self.text[self.at:self.at + 1]
 
     def take(self, char: str) -> bool:
         """Step past whitespace, and past `char` ('' for the end) if it comes next."""
@@ -389,9 +400,19 @@ class _Cursor:
         return found
 
     def value(self):
+        """The next value, read again with more text while it fails or ends
+        where the text read so far ends."""
         self.peek()
-        value, self.at = _decode(self.text, self.at)
-        return value
+        while True:
+            try:
+                value, end = _decode(self.text, self.at)
+            except ValueError:
+                if self._more():
+                    continue
+                raise
+            if end < len(self.text) or not self._more():
+                self.at = end
+                return value
 
     def members(self, close: str) -> Iterator[str | None]:
         """After an array's [ or an object's {: each member's key (None in an
@@ -422,13 +443,13 @@ def _check_numbers(what: str, column: array, odd: list) -> None:
 
 
 def load_ledger(path: str | Path) -> DifficultyLedger:
-    """Read a ledger file an entry at a time into the columns: each positive,
-    and each context's negative list, is decoded, taken apart and dropped. A
-    file the cursor cannot follow is parsed whole, so json.loads refuses what
-    is not JSON. Then, in this order: the version, the positives', the
-    negatives' and the digests' unpacking, and ids (strings) and difficulties
-    (finite JSON numbers). Equal ids share one string. training_data checks
-    the ledger against the contexts."""
+    """Read a ledger file, _READ_CHARS at a time, an entry at a time into the
+    columns: each positive, and each context's negative list, is decoded,
+    taken apart and dropped. A file the cursor cannot follow is parsed whole,
+    so json.loads refuses what is not JSON. Then, in this order: the version,
+    the positives', the negatives' and the digests' unpacking, and ids
+    (strings) and difficulties (finite JSON numbers). Equal ids share one
+    string. training_data checks the ledger against the contexts."""
     share = _Shared().__getitem__  # an id of another type is refused below
 
     def read(lists):
@@ -450,22 +471,22 @@ def load_ledger(path: str | Path) -> DifficultyLedger:
         return read((cid, [(doc, dp)]) for cid, doc, dp in entries)
 
     try:
-        text = Path(path).read_text()
         try:
-            cursor, payload = _Cursor(text), {}
-            if not cursor.take("{"):
-                raise ValueError("expected {")
-            for key in cursor.members("}"):
-                if key == "positives" and cursor.take("["):
-                    payload[key] = positives(cursor.value() for _ in cursor.members("]"))
-                elif key == "negatives" and cursor.take("{"):
-                    payload[key] = read((cid, cursor.value()) for cid in cursor.members("}"))
-                else:
-                    payload[key] = cursor.value()
-            if not cursor.take(""):
-                raise ValueError("expected the end")
+            with open(path) as fp:
+                cursor, payload = _Cursor(fp), {}
+                if not cursor.take("{"):
+                    raise ValueError("expected {")
+                for key in cursor.members("}"):
+                    if key == "positives" and cursor.take("["):
+                        payload[key] = positives(cursor.value() for _ in cursor.members("]"))
+                    elif key == "negatives" and cursor.take("{"):
+                        payload[key] = read((cid, cursor.value()) for cid in cursor.members("}"))
+                    else:
+                        payload[key] = cursor.value()
+                if not cursor.take(""):
+                    raise ValueError("expected the end")
         except (TypeError, ValueError):  # such a file is refused: no need to share ids
-            share, payload = (lambda s: s), json.loads(text)  # json's error on what is not JSON
+            share, payload = (lambda s: s), json.loads(Path(path).read_text())  # json's error
         if payload["version"] != LEDGER_FORMAT_VERSION:
             raise ValueError(f"unsupported version {payload['version']!r}")
         neg, pos = payload.pop("negatives"), payload.pop("positives")

@@ -25,7 +25,7 @@ SEP_TOKEN = "|"
 DEFAULT_NEGATIVE_WINDOW = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interaction:
     """Its clicked documents are candidates (parse_sessions and read_sessions check)."""
 
@@ -35,7 +35,7 @@ class Interaction:
     candidate_doc_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
     """A session has interactions (parse_sessions and read_sessions check)."""
 
@@ -43,7 +43,7 @@ class Session:
     interactions: tuple[Interaction, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchContext:
     """One positive training pair: flattened history + current query,
     the clicked document, and a pool of unclicked negatives."""
@@ -149,23 +149,16 @@ def parse_sessions(
             cand_ids.append(doc_id)
             if is_clicked:
                 clicked.add(doc_id)
-        interactions[position] = Interaction(
-            query_id=f"{sid}:{position}",
-            query_tokens=query_tokens,
-            clicked_doc_ids=frozenset(clicked),
-            candidate_doc_ids=tuple(cand_ids),
-        )
+        interactions[position] = Interaction(f"{sid}:{position}", query_tokens,
+                                             frozenset(clicked), tuple(cand_ids))
 
-    sessions = [
-        Session(sid, tuple(inter[p] for p in sorted(inter)))
-        for sid, inter in sorted(by_session.items())
-    ]
+    sessions = [Session(sid, tuple(inter[p] for p in sorted(inter)))
+                for sid, inter in sorted(by_session.items())]
     return sessions, documents
 
 
-def _walk(
-    sessions: Iterable[Session], documents: dict[str, tuple[str, ...]]
-) -> Iterator[tuple[str, int, Interaction, tuple[str, ...]]]:
+def _walk(sessions: Iterable[Session], documents: dict[str, tuple[str, ...]]
+          ) -> Iterator[tuple[str, int, Interaction, tuple[str, ...]]]:
     """Yield (session_id, 1-based position, interaction, context tokens)
     for every interaction. The context is the flattened history of earlier
     queries and their clicked titles, then the current query."""
@@ -182,11 +175,8 @@ def _walk(
                 history.extend(documents[doc_id])
 
 
-def build_contexts(
-    sessions: Iterable[Session],
-    documents: dict[str, tuple[str, ...]],
-    window: int = DEFAULT_NEGATIVE_WINDOW,
-) -> tuple[list[SearchContext], int]:
+def build_contexts(sessions: Iterable[Session], documents: dict[str, tuple[str, ...]],
+                   window: int = DEFAULT_NEGATIVE_WINDOW) -> tuple[list[SearchContext], int]:
     """Expand sessions into per-click training contexts.
 
     One context is emitted per (interaction, clicked document) pair,
@@ -198,57 +188,40 @@ def build_contexts(
     for session_id, position, inter, ctx_tokens in _walk(sessions, documents):
         if not inter.clicked_doc_ids:
             skipped += 1
-        for doc_id in sorted(inter.clicked_doc_ids):
-            pool = negative_window_pool(inter, doc_id, window)
-            contexts.append(
-                SearchContext(
-                    session_id=session_id,
-                    position=position,
-                    context_tokens=ctx_tokens,
-                    positive_doc_id=doc_id,
-                    negative_pool=tuple(pool),
-                )
-            )
+        contexts += [SearchContext(session_id, position, ctx_tokens, doc_id,
+                                   tuple(negative_window_pool(inter, doc_id, window)))
+                     for doc_id in sorted(inter.clicked_doc_ids)]
     contexts.sort(key=lambda c: (c.session_id, c.position, c.positive_doc_id))
-    _check_context_ids(contexts)
+    _check_context_ids([(c.session_id, c.position, c.positive_doc_id) for c in contexts])
     return contexts, skipped
 
 
-def _check_context_ids(contexts: list[SearchContext]) -> None:
-    """Distinct contexts must have distinct ids. An id joins session id,
-    position and doc id with ':', so two can be equal only if a session id
-    holds ':': (session a, query 1, doc 2:x) and (session a:1, query 2, doc x)
+def _check_context_ids(keys: list[tuple[str, int, str]]) -> None:
+    """Distinct contexts, by (session id, position, doc id), must have distinct
+    ids. An id joins the three with ':', so two can be equal only if a session
+    id holds ':': (session a, query 1, doc 2:x) and (session a:1, query 2, doc x)
     both give a:1:2:x."""
-    if not any(":" in c.session_id for c in contexts):
+    if not any(":" in sid for sid, _, _ in keys):
         return
-    first: dict[str, SearchContext] = {}
-    for ctx in contexts:
-        if (other := first.setdefault(ctx.context_id, ctx)) is not ctx:
-            a, b = ((c.session_id, c.position, c.positive_doc_id) for c in (other, ctx))
-            raise ValueError(f"context id {ctx.context_id!r} is shared by "
-                             f"(session, position, doc) {a!r} and {b!r}")
+    first: dict[str, tuple] = {}
+    for key in keys:
+        if (other := first.setdefault(cid := ":".join(map(str, key)), key)) is not key:
+            raise ValueError(f"context id {cid!r} is shared by "
+                             f"(session, position, doc) {other!r} and {key!r}")
 
 
-def negative_window_pool(
-    interaction: Interaction, clicked_doc_id: str, window: int
-) -> list[str]:
+def negative_window_pool(interaction: Interaction, clicked_doc_id: str, window: int) -> list[str]:
     """Unclicked candidates within `window` rank positions of the click.
 
     Preserves logged order and never returns any clicked document.
     """
     center = interaction.candidate_doc_ids.index(clicked_doc_id)
-    return [
-        doc_id
-        for i, doc_id in enumerate(interaction.candidate_doc_ids)
-        if abs(i - center) <= window
-        and doc_id not in interaction.clicked_doc_ids
-    ]
+    return [doc_id for i, doc_id in enumerate(interaction.candidate_doc_ids)
+            if abs(i - center) <= window and doc_id not in interaction.clicked_doc_ids]
 
 
-def build_eval_items(
-    sessions: list[Session],
-    documents: dict[str, tuple[str, ...]],
-) -> list[EvalSlate]:
+def build_eval_items(sessions: list[Session],
+                     documents: dict[str, tuple[str, ...]]) -> list[EvalSlate]:
     """One evaluation slate per interaction with at least one click. The
     query id is session_id:<1-based index of the interaction>, as _walk
     counts it, not the log's query_position, which may have gaps. Every
@@ -406,18 +379,23 @@ def write_contexts(contexts: Iterable[SearchContext], fp: IO[str]) -> None:
                  f'"session_id":{_dumps(ctx.session_id)}}}\n')
 
 
-def read_contexts(fp: Iterable[str]) -> list[SearchContext]:
-    """The contexts of `fp`; equal tokens and ids share one string."""
-    contexts, shared, seen = [], _Shared().__getitem__, set()
+def read_contexts(fp: Iterable[str], keep: Callable[[str], bool] | None = None
+                  ) -> tuple[list[SearchContext], set[str]]:
+    """The contexts of `fp`, or those whose session id `keep` accepts, and the distinct
+    context tokens of every context: every record is checked, a chunk at a time, before
+    `keep` sees its id. Equal tokens and ids share one string."""
+    contexts, tokens, shared, seen, keys = [], set(), _Shared().__getitem__, set(), []
     for chunk in _record_chunks(fp):
         rows = [(rec["session_id"], rec["position"], _strings(rec, "context_tokens"),
                  rec["positive_doc_id"], _strings(rec, "negative_pool")) for rec in chunk]
         _check_types(rows, {"session_id": str, "position": int, "context_tokens": list,
                             "positive_doc_id": str, "negative_pool": list})
-        _add_unique(seen, list(map(itemgetter(0, 1, 3), rows)),
-                    "(session_id, position, positive_doc_id)")
-        contexts += [SearchContext(shared(sid), position, tuple(map(shared, tokens)),
+        keys += map(itemgetter(0, 1, 3), rows)
+        _add_unique(seen, keys[-len(rows):], "(session_id, position, positive_doc_id)")
+        tokens.update(chain.from_iterable(map(itemgetter(2), rows)))
+        contexts += [SearchContext(shared(sid), position, tuple(map(shared, context_tokens)),
                                    shared(doc_id), tuple(map(shared, pool)))
-                     for sid, position, tokens, doc_id, pool in rows]
-    _check_context_ids(contexts)
-    return contexts
+                     for sid, position, context_tokens, doc_id, pool in rows
+                     if keep is None or keep(sid)]
+    _check_context_ids(keys)
+    return contexts, tokens

@@ -35,7 +35,7 @@ from .ranker import (  # noqa: F401 -- perfbench/spans.py traces rank_slate here
     RankerParams, check_finite, loss_and_grad, order_slate, rank_slate, softmax_cross_entropy,
 )
 from .sessions import EvalSlate, SearchContext
-from .towers import PARAM_NAMES, EncodedCorpus, Vocab, encode_corpus
+from .towers import PARAM_NAMES, EncodedCorpus, Vocab, encode_corpus, token_rows
 
 # mode -> (negative half kept or None for all, the pacing fields it sets to 1.0)
 _MODE_TABLE = {
@@ -98,8 +98,9 @@ def steps_per_epoch(n_positives: int, batch_size: int) -> int:
 
 @dataclass(frozen=True)
 class TrainingData:
-    """A ledger's contexts, in ledger order, and documents encoded under
-    `vocab`, and its columns over them."""
+    """A ledger's contexts, in ledger order (row i is positive i's, so
+    corpus.context_row is empty), and documents encoded under `vocab`, and
+    its columns over them."""
 
     vocab: Vocab
     corpus: EncodedCorpus
@@ -109,27 +110,33 @@ class TrainingData:
 def training_data(vocab: Vocab, documents: dict[str, tuple[str, ...]],
                   contexts: Iterable[SearchContext],
                   ledger: DifficultyLedger) -> TrainingData:
-    """`ledger` over `contexts`, encoded in ledger order: once ledger_columns
-    has refused unknown and repeated context ids, context row i is positive i's."""
-    by_id = {c.context_id: c for c in contexts}
-    corpus = encode_corpus(vocab, documents, {
-        cid: by_id[cid].context_tokens for cid in ledger.context_ids if cid in by_id})
-    return TrainingData(vocab, corpus, ledger_columns(ledger, by_id, corpus.doc_row))
+    """`ledger` over `contexts`, found by the ledger's own id strings, encoded in
+    ledger order once ledger_columns has refused unknown and repeated ids."""
+    by_id = dict.fromkeys(ledger.context_ids)  # setting a value keeps the ledger's key
+    for c in contexts:
+        if (cid := c.context_id) in by_id:
+            by_id[cid] = c
+    corpus = encode_corpus(vocab, documents, {})
+    columns = ledger_columns(ledger, by_id, corpus.doc_row)
+    corpus.contexts = token_rows((by_id[cid].context_tokens for cid in columns.context_ids), vocab)
+    return TrainingData(vocab, corpus, columns)
 
 
-def _mode_view(config: TrainConfig, columns: LedgerColumns) -> tuple[PacingParams, LedgerColumns]:
-    """The pacing and ledger columns that config's mode trains on: each curriculum
-    it switches off has delta or eta set to 1.0, so its fraction is 1.0 at every step."""
+def resolve_mode(config: TrainConfig) -> tuple[TrainConfig, str | None]:
+    """config as its mode trains it, mode "dual" with delta or eta 1.0 for each
+    curriculum the mode switches off, and the negative half it keeps (None for
+    all). Configs that resolve alike train alike."""
     half, off = _MODE_TABLE[config.mode]
-    return (replace(config.pacing, **dict.fromkeys(off, 1.0)),
-            columns.halved(half) if half else columns)
+    pacing = replace(config.pacing, **dict.fromkeys(off, 1.0))
+    return replace(config, mode="dual", pacing=pacing), half
 
 
 def check_prefixes(config: TrainConfig, columns: LedgerColumns) -> None:
     """Fail before step 0, not in sample_batch mid-run, if the batch size
     exceeds the eligible positives at step 0, the smallest prefix, or m
     exceeds a context's eligible negatives at the run's last, tightest, f_n."""
-    pacing, columns = _mode_view(config, columns)
+    resolved, half = resolve_mode(config)
+    pacing, columns = resolved.pacing, columns.halved(half)
     T = pacing.T
     if T == 0:
         return
@@ -197,9 +204,8 @@ class EvalSlates:
         return scores / params.tau
 
 
-def encode_slates(
-    vocab: Vocab, eval_items: list[EvalSlate], documents: dict[str, tuple[str, ...]]
-) -> EvalSlates:
+def encode_slates(vocab: Vocab, eval_items: list[EvalSlate],
+                  documents: dict[str, tuple[str, ...]]) -> EvalSlates:
     return EvalSlates(eval_items, encode_corpus(
         vocab, documents, {query_id: tokens for query_id, tokens, _, _ in eval_items}))
 
@@ -213,9 +219,8 @@ def rank_slates(slates: EvalSlates, scores: np.ndarray) -> Iterator[RankedSlate]
             for i, (query_id, _, candidates, clicked) in enumerate(slates.items))
 
 
-def evaluate_ranker(
-    params: RankerParams, slates: EvalSlates, scores: np.ndarray | None = None
-) -> MetricTable:
+def evaluate_ranker(params: RankerParams, slates: EvalSlates,
+                    scores: np.ndarray | None = None) -> MetricTable:
     """The metrics of `slates` ranked by `params`; `scores`, a
     slates.scores(params) result, saves a forward pass."""
     scores = slates.scores(params) if scores is None else scores
@@ -223,13 +228,9 @@ def evaluate_ranker(
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise below instead
-def train(
-    config: TrainConfig,
-    data: TrainingData,
-    slates: EvalSlates | None = None,
-    checkpoint_dir: str | Path | None = None,
-    resume: tuple | None = None,
-) -> tuple[RankerParams, TrainLog]:
+def train(config: TrainConfig, data: TrainingData, slates: EvalSlates | None = None,
+          checkpoint_dir: str | Path | None = None,
+          resume: tuple | None = None) -> tuple[RankerParams, TrainLog]:
     """Run pacing.T optimizer steps of curriculum training, validating on
     `slates`, when given, after every epoch.
 
@@ -239,7 +240,8 @@ def train(
     loss or parameter raises FloatingPointError naming the step and the flags.
     """
     check_prefixes(config, data.columns)
-    pacing, columns = _mode_view(config, data.columns)
+    resolved, half = resolve_mode(config)
+    pacing, columns = resolved.pacing, data.columns.halved(half)
     T, vocab = pacing.T, data.vocab
 
     rng_init = np.random.default_rng([config.seed, _SEED_INIT])
@@ -264,27 +266,19 @@ def train(
             velocity += report.grads.flat
             params.encoder.flat[...] -= config.learning_rate * velocity
             check_finite(params.encoder.flat, "ranker parameters")
-            log.steps.append(
-                {
-                    "t": t,
-                    "f_p": f_p,
-                    "f_n": f_n,
-                    "eligible_positives": eligible_positive_count(len(columns.context_ids), f_p),
-                    "eligible_negative_fraction": f_n,
-                    "loss": report.loss,
-                    "mean_positive_rank": sum(report.positive_ranks) / len(report.positive_ranks),
-                }
-            )
+            log.steps.append({
+                "t": t, "f_p": f_p, "f_n": f_n,
+                "eligible_positives": eligible_positive_count(len(columns.context_ids), f_p),
+                "eligible_negative_fraction": f_n, "loss": report.loss,
+                "mean_positive_rank": sum(report.positive_ranks) / len(report.positive_ranks)})
 
             done = t + 1
             if checkpoint_dir and config.checkpoint_interval and (
-                done % config.checkpoint_interval == 0 or done == T
-            ):
+                    done % config.checkpoint_interval == 0 or done == T):
                 Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
                 log.checkpoints.append(Path(checkpoint_dir) / f"ckpt_{done:08d}.bin")
-                _save_train_checkpoint(
-                    log.checkpoints[-1], params, vocab, velocity, done, rng_sampler, config
-                )
+                _save_train_checkpoint(log.checkpoints[-1], params, vocab, velocity, done,
+                                       rng_sampler, config)
             if slates and done % spe == 0:
                 scores = slates.scores(params)
                 metrics = evaluate_ranker(params, slates, scores).metrics
@@ -359,9 +353,8 @@ def load_ranker(path: str | Path) -> tuple[RankerParams, Vocab]:
     return RankerParams(encoder=enc, tau=float(meta["tau"])), vocab
 
 
-def ablation_runs(
-    base: TrainConfig, deltas: list[float], etas: list[float]
-) -> list[tuple[dict, TrainConfig]]:
+def ablation_runs(base: TrainConfig, deltas: list[float],
+                  etas: list[float]) -> list[tuple[dict, TrainConfig]]:
     """The ablation's (row, config) pairs, all with base's seed: one per
     curriculum mode, then one per (delta, eta) grid point. delta=1.0 and
     eta=1.0 switch the respective curriculum off, as the modes do (its
@@ -372,9 +365,8 @@ def ablation_runs(
         for delta in deltas for eta in etas]
 
 
-def train_and_evaluate(
-    config: TrainConfig, data: TrainingData, slates: EvalSlates, **row
-) -> dict:
+def train_and_evaluate(config: TrainConfig, data: TrainingData, slates: EvalSlates,
+                       **row) -> dict:
     """One training run scored on `slates`: `row` plus the metrics."""
     try:
         params, _ = train(config, data)

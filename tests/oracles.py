@@ -8,7 +8,7 @@ per_array_checkpoint_bytes, per_array_dense_digest), the one-pair
 scorers (rank_score, dense_score), PerContextDenseScorer,
 pair_train_in_batch, per_call_score_all, PerCallBm25Scorer,
 rank_of_positive, loop_build_ledger, the dict_write_* JSONL writers,
-the object_read_* bundle readers and object_load_ledger:
+the object_read_* bundle readers, object_load_ledger and in_split:
 earlier forms of library code, kept to show that the current forms
 compute the same bits.
 """
@@ -31,6 +31,7 @@ from currank import towers
 from currank.bm25 import idf
 from currank.dense import in_batch_loss_and_grad
 from currank.checkpoint import FORMAT_VERSION, MAGIC
+from currank.cli import split_of
 from currank.curriculum import LEDGER_FORMAT_VERSION, DifficultyLedger, difficulty_positive
 from currank.metrics import evaluate_run
 from currank.ranker import order_slate
@@ -616,3 +617,11 @@ def object_read_contexts(fp) -> list[SearchContext]:
     _refuse_repeats(((c.session_id, c.position, c.positive_doc_id) for c in contexts),
                     "(session_id, position, positive_doc_id)")
     return contexts
+
+
+def in_split(records: list, split: str) -> list:
+    """The sessions or contexts whose session id split_of puts in `split`: how
+    the commands picked a split's records from a whole file before the readers
+    took a keep predicate."""
+    keep = {s for s in {r.session_id for r in records} if split_of(s) == split}
+    return [r for r in records if r.session_id in keep]

@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from currank import cli, trainer
 from currank.checkpoint import MAGIC, file_digest, load_checkpoint, save_checkpoint
 from currank.cli import (
-    LOCK_NAME, MANIFEST_NAME, build_parser, build_vocab, command_output, in_split, load_bundle,
+    LOCK_NAME, MANIFEST_NAME, build_parser, build_vocab, command_output, load_bundle,
     main, split_of,
 )
 from currank.curriculum import load_ledger, save_ledger
@@ -35,7 +35,7 @@ from currank.sessions import build_eval_items
 from currank.towers import init_params, token_rows
 from currank.trainer import MODES, encode_slates, load_ranker, rank_slates, save_ranker
 
-from oracles import entries_eval, ledger_from_entries, object_load_ledger
+from oracles import entries_eval, in_split, ledger_from_entries, object_load_ledger
 
 
 def run_cli(*argv):
@@ -428,7 +428,7 @@ class TestScore:
                  else ("--checkpoint", fitted / "dense_scorer.bin"))
         assert run_cli("score", "--bundle", bundle_dir, "--scorer", "dense", *flags,
                        "--out", tmp_path / "o") == 0
-        _, documents, contexts = load_bundle(bundle_dir)
+        _, documents, contexts, tokens = load_bundle(bundle_dir)
         train = in_split(contexts, "train")
         assert len(train) < len(contexts)
         assert encoded == [[(c.context_id, c.context_tokens) for c in train]]
@@ -436,7 +436,7 @@ class TestScore:
             assert fit_rows == []
             return
         # the fit pairs each training context with its positive's title
-        vocab = build_vocab(documents, contexts)
+        vocab = build_vocab(documents, tokens)
         (ctx_rows, doc_rows), = fit_rows
         for got, sequences in [
             (ctx_rows, [c.context_tokens for c in train]),
@@ -561,7 +561,7 @@ class TestTrain:
         """And every other ledger that does not match the bundle's training
         contexts: the resolver refuses it before any work."""
         payload = json.loads((ledger_dir / "ledger.json").read_text())
-        _, _, contexts = load_bundle(bundle_dir)
+        _, _, contexts, _ = load_bundle(bundle_dir)
         message = self._break_ledger(payload, in_split(contexts, "train"), case)
         ledger = tmp_path / "ledger.json"
         ledger.write_text(json.dumps(payload))
@@ -746,7 +746,7 @@ class TestEval:
         assert run_cli("eval", "--bundle", bundle, "--checkpoint", ckpt,
                        "--out", tmp_path / "eval") == 0
         out, err = capsys.readouterr()
-        sessions, documents, _ = load_bundle(bundle, contexts=False)
+        sessions, documents, _, _ = load_bundle(bundle, contexts=False)
         vocab = load_ranker(ckpt)[1]
         tokens = [t for _, context, _, _ in build_eval_items(in_split(sessions, "test"),
                                                              documents) for t in context]
@@ -784,8 +784,8 @@ class TestEval:
         (tmp_path / "log.jsonl").write_text("\n".join(lines) + "\n")
         bundle = tmp_path / "bundle"
         assert run_cli("ingest", "--log", tmp_path / "log.jsonl", "--out", bundle) == 0
-        sessions, documents, contexts = load_bundle(bundle)
-        vocab = build_vocab(documents, contexts)
+        sessions, documents, _, tokens = load_bundle(bundle)
+        vocab = build_vocab(documents, tokens)
         ckpt = tmp_path / "ranker.bin"
         save_ranker(ckpt, RankerParams(init_params(len(vocab), 8, 8, rng)), vocab)
         out = tmp_path / "eval"
@@ -829,8 +829,8 @@ class TestEval:
             for position in (8, 3)))
         bundle = tmp_path / "bundle"
         assert run_cli("ingest", "--log", tmp_path / "log.jsonl", "--out", bundle) == 0
-        _, documents, contexts = load_bundle(bundle)
-        vocab = build_vocab(documents, contexts)
+        _, documents, _, tokens = load_bundle(bundle)
+        vocab = build_vocab(documents, tokens)
         ckpt = tmp_path / "ranker.bin"
         params = RankerParams(init_params(len(vocab), 4, 4, np.random.default_rng(0)))
         save_ranker(ckpt, params, vocab)
@@ -906,18 +906,20 @@ class TestAblate:
         checked, trained = read_records(checked_log), read_records(trained_log)
         assert len({pid for *_, pid in trained} - {os.getpid()}) == 1
         trained = [(config, row) for config, row, _ in trained]
-        assert checked == [config for config, _ in trained]
-        assert len(trained) == len(MODES) + 4
-        modes, grid = trained[:len(MODES)], trained[len(MODES):]
-        base = modes[0][0]
-        assert modes == [(replace(base, mode=mode), {"mode": mode}) for mode in MODES]
-        assert grid == [(replace(base, pacing=replace(base.pacing, delta=d, eta=e)),
-                         {"delta": d, "eta": e})
-                        for d in (0.3, 1.0) for e in (0.5, 0.7)]
+        base = checked[0]
+        modes = [(replace(base, mode=mode), {"mode": mode}) for mode in MODES]
+        grid = [(replace(base, pacing=replace(base.pacing, delta=d, eta=e)),
+                 {"delta": d, "eta": e})
+                for d in (0.3, 1.0) for e in (0.5, 0.7)]
+        assert checked == [config for config, _ in modes + grid]
+        # (0.3, 0.7) is the dual run and (1.0, 0.7) the neg-only run: each trains once.
+        assert trained == modes + [grid[0], grid[2]]
         payload = json.loads((out / "ablation.json").read_text())
         assert [r["mode"] for r in payload["modes"]] == list(MODES)
         assert [(r["delta"], r["eta"]) for r in payload["grid"]] == \
             [(row["delta"], row["eta"]) for _, row in grid]
+        dual, point = payload["modes"][0], payload["grid"][1]  # its row has the dual run's metrics
+        assert {**dual, "delta": 0.3, "eta": 0.7} == {**point, "mode": "dual"}
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == \
             [f"mode {mode:>14s}" for mode in MODES] + \
@@ -1388,6 +1390,36 @@ class TestBundleReads:
         flags = {"eval": ("--checkpoint", train_dir / "checkpoint.bin", "--split", "test"),
                  "train": ("--ledger", ledger_dir / "ledger.json", "--steps", 10,
                            "--batch-size", 8)}[command]
+        out = tmp_path / "o"
+        assert run_cli(command, "--bundle", bundle, *flags, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: malformed record: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "score"])
+    @pytest.mark.parametrize("split", ["val", "test"])
+    @pytest.mark.parametrize("field, value", [
+        ("context_tokens", [5]), ("position", "1"), ("negative_pool", None),
+        ("positive_doc_id", 7),
+    ], ids=lambda v: json.dumps(v))
+    def test_malformed_context_outside_the_training_split_exits_two(
+            self, bundle_dir, ledger_dir, tmp_path, capsys, command, split, field, value):
+        """train and score build only the training split's contexts, but every
+        context record is still checked."""
+        bundle = tmp_path / "bundle"
+        shutil.copytree(bundle_dir, bundle)
+        path = bundle / "contexts.jsonl"
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines)
+                 if split_of(json.loads(line)["session_id"]) == split)
+        record = json.loads(lines[i])
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        lines[i] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        flags = {"score": (), "train": ("--ledger", ledger_dir / "ledger.json", "--steps", 10,
+                                        "--batch-size", 8)}[command]
         out = tmp_path / "o"
         assert run_cli(command, "--bundle", bundle, *flags, "--out", out) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: malformed record: ")
@@ -2285,8 +2317,8 @@ class TestNonFiniteCheckpoint:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_exits_two_and_leaves_no_output(self, bundle_dir, tmp_path, capsys, command, kind,
                                             value):
-        _, documents, contexts = load_bundle(bundle_dir)
-        vocab = build_vocab(documents, contexts)
+        _, documents, _, tokens = load_bundle(bundle_dir)
+        vocab = build_vocab(documents, tokens)
         params = init_params(len(vocab), 8, 8, np.random.default_rng(0))
         params.flat[len(params.flat) // 2] = value
         ckpt = tmp_path / "x.bin"

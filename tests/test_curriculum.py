@@ -458,6 +458,104 @@ class TestLedgerColumnsRefuses:
         self._columns(ledger_from_entries(positives, negatives), contexts)
 
 
+class TestLedgerColumnsBlocks:
+    """ledger_columns checks and gathers _LEDGER_BLOCK positives at a time: a
+    defect in a later block is refused with the message of a single block,
+    and a sound ledger gives the same columns at every block size."""
+
+    AT = 7  # positive 7 opens a block of size 1, and is inside the third of size 3
+
+    @staticmethod
+    def _columns(ledger, contexts, without=()):
+        docs = {d for c in contexts for d in (c.positive_doc_id, *c.negative_pool)}
+        return ledger_columns(ledger, {c.context_id: c for c in contexts},
+                              {d: i for i, d in enumerate(sorted(docs - set(without)))})
+
+    def _broken(self, case):
+        """The toy ledger and its contexts, broken at positive AT in one way, the
+        documents to leave out of doc_row, and what the message must name."""
+        ledger, contexts = _toy_ledger()
+        positives, negatives = ledger_entries(ledger)
+        cid, doc, d_p = positives[self.AT]
+        negs, without = negatives[cid], ()
+        if case == "unknown-context":
+            cid = "s07:1:nosuch"
+            positives[self.AT] = (cid, doc, d_p)
+        elif case == "repeated-context":
+            positives.insert(self.AT + 1, (cid, doc, d_p))
+        elif case == "missing-negatives":
+            del negatives[cid]
+        elif case == "unknown-document":
+            without = (contexts[self.AT].negative_pool[2],)
+        elif case == "wrong-positive":
+            positives[self.AT] = (cid, "p0", d_p)
+        elif case == "foreign-negative":
+            negs[0] = ("n0_0", negs[0][1])
+        elif case == "repeated-negative":
+            negs.append(negs[-1])
+        else:  # unordered negatives
+            negs[1:3] = negs[2:0:-1]
+        return ledger_from_entries(positives, negatives), contexts, without, cid
+
+    @pytest.mark.parametrize("case", [
+        "unknown-context", "repeated-context", "missing-negatives", "unknown-document",
+        "wrong-positive", "foreign-negative", "repeated-negative", "unordered-negatives",
+    ])
+    def test_defect_in_a_later_block(self, monkeypatch, case):
+        ledger, contexts, without, cid = self._broken(case)
+        with pytest.raises(ValueError) as whole:
+            self._columns(ledger, contexts, without)
+        assert cid in str(whole.value)
+        for size in (1, 3):
+            monkeypatch.setattr(curriculum, "_LEDGER_BLOCK", size)
+            with pytest.raises(ValueError, match=re.escape(str(whole.value))):
+                self._columns(ledger, contexts, without)
+
+    @pytest.mark.parametrize("size", [1, 3, 4, 10])
+    def test_same_columns_at_every_block_size(self, monkeypatch, size):
+        ledger, contexts = _toy_ledger(n_neg=4)
+        want = self._columns(ledger, contexts)
+        monkeypatch.setattr(curriculum, "_LEDGER_BLOCK", size)
+        got = self._columns(ledger, contexts)
+        assert got.context_ids == want.context_ids
+        for name in ("positive_rows", "neg_rows", "neg_start", "neg_len"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
+
+
+class TestLedgerColumnsMemory:
+    @staticmethod
+    def _traced(n):
+        """ledger_columns' tracemalloc peak on an n-positive ledger, over the
+        bytes of the arrays it returns."""
+        contexts = sorted((SearchContext(f"s{i // 3:06d}", i % 3 + 1, ("q",),
+                                         f"d{i % 40:03d}_{i % 19:04d}",
+                                         tuple(f"n{(i + j) % 500:03d}" for j in range(6)))
+                           for i in range(n)), key=lambda c: c.context_id)
+        ledger = ledger_from_entries(
+            [(c.context_id, c.positive_doc_id, float(i + 1)) for i, c in enumerate(contexts)],
+            {c.context_id: [(d, float(6 - j)) for j, d in enumerate(sorted(c.negative_pool))]
+             for c in contexts})
+        by_id = {c.context_id: c for c in contexts}
+        docs = sorted({d for c in contexts for d in (c.positive_doc_id, *c.negative_pool)})
+        doc_row = {d: i for i, d in enumerate(docs)}
+        tracemalloc.start()
+        try:
+            columns = ledger_columns(ledger, by_id, doc_row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / sum(a.nbytes for a in (columns.positive_rows, columns.neg_rows,
+                                             columns.neg_start, columns.neg_len))
+
+    def test_peak_bounded_by_the_columns(self):
+        """Gathered over the whole ledger at once, the temporaries peaked at about
+        eight times the returned arrays at any size; a block at a time, below
+        five, and no higher for a ledger four times larger."""
+        small, large = self._traced(6000), self._traced(24000)
+        assert small < 5
+        assert large <= small
+
+
 class TestLoadLedgerFieldTypes:
     """test_cli covers a list context id, a NaN d_p and a string d_p."""
 

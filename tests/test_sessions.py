@@ -223,7 +223,8 @@ class TestRoundTrip:
 
         buf = io.StringIO()
         write_contexts(tiny_contexts, buf)
-        assert read_contexts(io.StringIO(buf.getvalue())) == tiny_contexts
+        assert read_contexts(io.StringIO(buf.getvalue())) == \
+            (tiny_contexts, {t for c in tiny_contexts for t in c.context_tokens})
 
 
 # Quotes, backslashes, control characters, non-ASCII and a line separator,
@@ -346,8 +347,11 @@ class TestSplitReads:
             assert outcome(read_sessions, texts["sessions"]) == want
             assert outcome(read_sessions, texts["sessions"], kept.__contains__) == (
                 [s for s in want if s.session_id in kept] if type(want) is list else want)
-            assert outcome(read_contexts, texts["contexts"]) == \
-                outcome(oracles.object_read_contexts, texts["contexts"])
+            want = outcome(oracles.object_read_contexts, texts["contexts"])
+            for keep in (None, kept.__contains__):  # tokens of every context, kept or not
+                assert outcome(read_contexts, texts["contexts"], keep) == (
+                    ([c for c in want if keep is None or keep(c.session_id)],
+                     {t for c in want for t in c.context_tokens}) if type(want) is list else want)
 
     def test_keep_sees_only_checked_string_ids(self, tiny_session):
         buf = io.StringIO()
@@ -368,7 +372,7 @@ class TestSplitReads:
         buf = io.StringIO()
         write_contexts([replace(c, position=c.position + 10 * i)
                         for i in range(3) for c in tiny_contexts], buf)
-        contexts = read_contexts(io.StringIO(buf.getvalue()))
+        contexts, _ = read_contexts(io.StringIO(buf.getvalue()))
         for strings in [
             [t for i in interactions
              for t in (*i.query_tokens, *i.clicked_doc_ids, *i.candidate_doc_ids)],

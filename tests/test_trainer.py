@@ -22,6 +22,7 @@ from currank.trainer import (
     encode_slates,
     evaluate_ranker,
     load_ranker,
+    resolve_mode,
     save_ranker,
     ablation_runs,
     steps_per_epoch,
@@ -205,7 +206,7 @@ class TestTrain:
     def test_context_row_i_is_positive_i(self, small_world, data):
         _, _, contexts, ledger, vocab, _ = small_world
         assert data.columns.context_ids == ledger.context_ids
-        assert list(data.corpus.context_row) == data.columns.context_ids
+        assert data.corpus.context_row == {}  # row i is positive i's: no map is kept
         by_id = {c.context_id: c for c in contexts}
         rows = data.corpus.contexts
         for i, cid in enumerate(data.columns.context_ids):
@@ -509,6 +510,22 @@ class TestSweep:
                  for row, config in ablation_runs(base, [0.2, 0.5], [0.7])[len(MODES):]]
                 for _ in range(2))
         assert len(a) == 2 and a == b
+
+    @pytest.mark.parametrize("mode, point", [
+        ("dual", (0.3, 0.7)), ("pos-only", (0.3, 1.0)), ("neg-only", (1.0, 0.7)),
+        ("none", (1.0, 1.0)),
+    ])
+    def test_mode_trains_as_its_sentinel_grid_point(self, small_world, data, mode, point):
+        """ablate trains a mode and the grid point it resolves to once; trained
+        apart, the two give the same parameters, bit for bit."""
+        base = config_for(small_world[3], epochs=1)
+        moded = replace(base, mode=mode)
+        sentinel = replace(base, pacing=replace(base.pacing, delta=point[0], eta=point[1]))
+        assert (base.pacing.delta, base.pacing.eta) == (0.3, 0.7)
+        assert resolve_mode(moded) == resolve_mode(sentinel)
+        assert len({resolve_mode(replace(base, mode=m)) for m in MODES}) == len(MODES)
+        (a, _), (b, _) = train(moded, data), train(sentinel, data)
+        assert a.encoder.flat.tobytes() == b.encoder.flat.tobytes()
 
     def test_grid_shape(self, small_world):
         base = config_for(small_world[3], epochs=1)
