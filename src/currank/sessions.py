@@ -192,7 +192,8 @@ def build_contexts(sessions: Iterable[Session], documents: dict[str, tuple[str, 
                                    tuple(negative_window_pool(inter, doc_id, window)))
                      for doc_id in sorted(inter.clicked_doc_ids)]
     contexts.sort(key=lambda c: (c.session_id, c.position, c.positive_doc_id))
-    _check_context_ids([(c.session_id, c.position, c.positive_doc_id) for c in contexts])
+    if any(":" in c.session_id for c in contexts):
+        _check_context_ids([(c.session_id, c.position, c.positive_doc_id) for c in contexts])
     return contexts, skipped
 
 
@@ -216,8 +217,8 @@ def negative_window_pool(interaction: Interaction, clicked_doc_id: str, window: 
     Preserves logged order and never returns any clicked document.
     """
     center = interaction.candidate_doc_ids.index(clicked_doc_id)
-    return [doc_id for i, doc_id in enumerate(interaction.candidate_doc_ids)
-            if abs(i - center) <= window and doc_id not in interaction.clicked_doc_ids]
+    near = interaction.candidate_doc_ids[max(center - window, 0):center + window + 1]
+    return [doc_id for doc_id in near if doc_id not in interaction.clicked_doc_ids]
 
 
 def build_eval_items(sessions: list[Session],

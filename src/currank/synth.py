@@ -16,7 +16,7 @@ from typing import IO
 
 from .sessions import Interaction, Session, _dumps
 
-MIN_TERMS_PER_TOPIC = 4
+MIN_TERMS_PER_TOPIC = 4  # above the terms a query or a title samples from its topic
 _QUERY_TERMS = 2
 _TITLE_TERMS = 3
 
@@ -47,8 +47,11 @@ class SynthSpec:
 def generate_synthetic(
     spec: SynthSpec,
 ) -> tuple[list[Session], dict[str, tuple[str, ...]], dict[str, int]]:
-    """Returns (sessions, document table, hidden session->topic labels)."""
+    """Returns (sessions, document table, hidden session->topic labels). Each index below n
+    is drawn as random.Random's choice, randrange and shuffle draw one, getrandbits(
+    n.bit_length()) until it is below n: their corpus, from far fewer calls."""
     rng = random.Random(spec.seed)
+    bits = rng.getrandbits
     terms_per_topic = spec.vocab_size // spec.n_topics
     topic_terms = [
         [f"w{t * terms_per_topic + j:05d}" for j in range(terms_per_topic)]
@@ -57,44 +60,42 @@ def generate_synthetic(
 
     # A fixed per-topic document pool keeps the corpus desk-sized.
     pool_size = max(2 * spec.candidates_per_query, 12)
-    documents: dict[str, tuple[str, ...]] = {}
-    pools: list[list[str]] = []
-    for t in range(spec.n_topics):
-        pool = []
-        for j in range(pool_size):
-            doc_id = f"d{t:03d}_{j:04d}"
-            title = tuple(rng.sample(topic_terms[t], min(_TITLE_TERMS, terms_per_topic)))
-            documents[doc_id] = title
-            pool.append(doc_id)
-        pools.append(pool)
+    pools = [[f"d{t:03d}_{j:04d}" for j in range(pool_size)] for t in range(spec.n_topics)]
+    documents = {doc_id: tuple(rng.sample(topic_terms[t], _TITLE_TERMS))
+                 for t, pool in enumerate(pools) for doc_id in pool}
 
+    n_topics, n_other = spec.n_topics, spec.candidates_per_query - 1
+    topic_bits, pool_bits, other_bits = (n.bit_length() for n in (n_topics, pool_size, n_other))
+    swaps = [(i, (i + 1).bit_length()) for i in range(n_other, 0, -1)]  # shuffle's x[i], x[j <= i]
     sessions: list[Session] = []
     labels: dict[str, int] = {}
     used_docs: set[str] = set()
     for s in range(spec.n_sessions):
         session_id = f"s{s:06d}"
-        topic = rng.randrange(spec.n_topics)
+        while (topic := bits(topic_bits)) >= n_topics: pass
         labels[session_id] = topic
         interactions = []
         for position in range(1, spec.queries_per_session + 1):
-            query = tuple(
-                rng.sample(topic_terms[topic], min(_QUERY_TERMS, terms_per_topic))
-            )
-            relevant = rng.choice(pools[topic])
+            query = tuple(rng.sample(topic_terms[topic], _QUERY_TERMS))
+            while (j := bits(pool_bits)) >= pool_size: pass
+            relevant = pools[topic][j]
             distractors = []
-            while len(distractors) < spec.candidates_per_query - 1:
-                other = rng.randrange(spec.n_topics)
-                if other == topic and spec.n_topics > 1:
+            while len(distractors) < n_other:
+                while (other := bits(topic_bits)) >= n_topics: pass
+                if other == topic and n_topics > 1:
                     continue
-                candidate = rng.choice(pools[other])
+                while (j := bits(pool_bits)) >= pool_size: pass
+                candidate = pools[other][j]
                 if candidate != relevant and candidate not in distractors:
                     distractors.append(candidate)
             candidates = distractors + [relevant]
-            rng.shuffle(candidates)
+            for i, k in swaps:
+                while (j := bits(k)) > i: pass
+                candidates[i], candidates[j] = candidates[j], candidates[i]
+            clicked = relevant
             if distractors and rng.random() < spec.noise_rate:
-                clicked = rng.choice([c for c in candidates if c != relevant])
-            else:
-                clicked = relevant
+                while (j := bits(other_bits)) >= n_other: pass
+                clicked = [c for c in candidates if c != relevant][j]
             used_docs.update(candidates)
             interactions.append(
                 Interaction(

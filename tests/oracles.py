@@ -8,7 +8,8 @@ per_array_checkpoint_bytes, per_array_dense_digest), the one-pair
 scorers (rank_score, dense_score), PerContextDenseScorer,
 pair_train_in_batch, per_call_score_all, PerCallBm25Scorer,
 rank_of_positive, loop_build_ledger, the dict_write_* JSONL writers,
-the object_read_* bundle readers, object_load_ledger and in_split:
+the object_read_* bundle readers, object_load_ledger, in_split and
+method_generate_synthetic:
 earlier forms of library code, kept to show that the current forms
 compute the same bits.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import struct
 from array import array
 from collections import Counter
@@ -37,6 +39,7 @@ from currank.metrics import evaluate_run
 from currank.ranker import order_slate
 from currank.scorers import Bm25Scorer
 from currank.sessions import Interaction, SearchContext, Session
+from currank.synth import SynthSpec
 from currank.towers import PARAM_NAMES
 
 
@@ -625,3 +628,53 @@ def in_split(records: list, split: str) -> list:
     took a keep predicate."""
     keep = {s for s in {r.session_id for r in records} if split_of(s) == split}
     return [r for r in records if r.session_id in keep]
+
+
+def method_generate_synthetic(spec: SynthSpec):
+    """synth.generate_synthetic as it drew through random.Random's choice,
+    randrange and shuffle methods, and capped each sample at the topic's
+    term count."""
+    rng = random.Random(spec.seed)
+    terms_per_topic = spec.vocab_size // spec.n_topics
+    topic_terms = [
+        [f"w{t * terms_per_topic + j:05d}" for j in range(terms_per_topic)]
+        for t in range(spec.n_topics)
+    ]
+    pool_size = max(2 * spec.candidates_per_query, 12)
+    documents, pools = {}, []
+    for t in range(spec.n_topics):
+        pool = []
+        for j in range(pool_size):
+            doc_id = f"d{t:03d}_{j:04d}"
+            documents[doc_id] = tuple(rng.sample(topic_terms[t], min(3, terms_per_topic)))
+            pool.append(doc_id)
+        pools.append(pool)
+
+    sessions, labels, used_docs = [], {}, set()
+    for s in range(spec.n_sessions):
+        session_id = f"s{s:06d}"
+        topic = rng.randrange(spec.n_topics)
+        labels[session_id] = topic
+        interactions = []
+        for position in range(1, spec.queries_per_session + 1):
+            query = tuple(rng.sample(topic_terms[topic], min(2, terms_per_topic)))
+            relevant = rng.choice(pools[topic])
+            distractors = []
+            while len(distractors) < spec.candidates_per_query - 1:
+                other = rng.randrange(spec.n_topics)
+                if other == topic and spec.n_topics > 1:
+                    continue
+                candidate = rng.choice(pools[other])
+                if candidate != relevant and candidate not in distractors:
+                    distractors.append(candidate)
+            candidates = distractors + [relevant]
+            rng.shuffle(candidates)
+            if distractors and rng.random() < spec.noise_rate:
+                clicked = rng.choice([c for c in candidates if c != relevant])
+            else:
+                clicked = relevant
+            used_docs.update(candidates)
+            interactions.append(Interaction(f"{session_id}:{position}", query,
+                                            frozenset({clicked}), tuple(candidates)))
+        sessions.append(Session(session_id, tuple(interactions)))
+    return sessions, {d: documents[d] for d in sorted(used_docs)}, labels

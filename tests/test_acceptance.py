@@ -49,8 +49,8 @@ from currank.trainer import (
     evaluate_ranker,
     ablation_runs,
     steps_per_epoch,
+    resolve_mode,
     train,
-    train_and_evaluate,
     training_data,
 )
 
@@ -410,14 +410,18 @@ def desk_experiment():
     T = 8 * steps_per_epoch(len(ledger.context_ids), 32)
     base = TrainConfig(pacing=PacingParams(T=T))
     seeds = (0, 1, 2)
+    trained = {}  # resolve_mode(config) -> (params, seconds): as ablate, each distinct run once
+
+    def fit(config):
+        if (key := resolve_mode(config)) not in trained:
+            start = time.monotonic()
+            params, _ = train(config, data)
+            trained[key] = params, time.monotonic() - start
+        return trained[key]
 
     def fit_and_score(mode, seed):
-        config = replace(base, mode=mode, seed=seed)
-        start = time.monotonic()
-        params, _ = train(config, data)
-        elapsed = time.monotonic() - start
-        table = evaluate_ranker(params, slates)
-        return table.metrics["MAP"], elapsed
+        params, elapsed = fit(replace(base, mode=mode, seed=seed))
+        return evaluate_ranker(params, slates).metrics["MAP"], elapsed
 
     untrained, _ = train(replace(base, pacing=replace(base.pacing, T=0)), data)
     untrained_map = evaluate_ranker(untrained, slates).metrics["MAP"]
@@ -428,7 +432,7 @@ def desk_experiment():
         maps, times = zip(*(fit_and_score(mode, s) for s in run_seeds))
         mode_results[mode] = (list(maps), max(times))
 
-    grid = [train_and_evaluate(config, data, slates, **row)
+    grid = [{**row, **evaluate_ranker(fit(config)[0], slates).metrics}
             for row, config in ablation_runs(base, [0.1, 0.3, 0.5], [0.5, 0.7, 0.9])
             if "delta" in row]
     return {

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,15 @@ from currank.synth import (
     write_labels,
     write_session_log,
 )
+from oracles import method_generate_synthetic
+
+FIXTURE_PATH = Path(__file__).parent / "fixtures" / "acceptance_corpus.json"
+
+
+def acceptance_spec() -> SynthSpec:
+    fixture = json.loads(FIXTURE_PATH.read_text())
+    del fixture["session_log_sha256"]
+    return SynthSpec(**fixture)
 
 
 class TestSynthSpec:
@@ -90,6 +101,47 @@ class TestGenerateSynthetic:
         write_labels(labels, buf)
         records = map(json.loads, buf.getvalue().splitlines())
         assert {r["session_id"]: r["topic_id"] for r in records} == labels
+
+
+class TestDrawsMatchRandomMethods:
+    """generate_synthetic draws its indices from getrandbits as random.Random's
+    choice, randrange and shuffle do, so its corpus is method_generate_synthetic's."""
+
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(n_sessions=200),
+        SynthSpec(n_sessions=200, seed=1),
+        SynthSpec(n_sessions=200, seed=12345),
+        acceptance_spec(),
+        SynthSpec(n_sessions=200, n_topics=1, seed=2),
+        # no distractors: no shuffle swap, no noise draw
+        SynthSpec(n_sessions=200, candidates_per_query=1, seed=3),
+        # pool_size 34: a 6-bit width; 16 distractors, a 5-bit swap width
+        SynthSpec(n_sessions=200, candidates_per_query=17, seed=4),
+        # 50 terms per topic: rng.sample takes its set branch
+        SynthSpec(n_sessions=200, vocab_size=1000, n_topics=20, seed=5),
+        # 4 terms per topic, the fewest; 16 topics and a 16-document pool, powers of two
+        SynthSpec(n_sessions=200, vocab_size=64, n_topics=16, candidates_per_query=8, seed=6),
+        SynthSpec(n_sessions=200, noise_rate=0.0, seed=7),
+        SynthSpec(n_sessions=200, noise_rate=0.9, seed=8),
+        SynthSpec(n_sessions=200, queries_per_session=1, seed=9),
+        SynthSpec(n_sessions=200, queries_per_session=5, seed=10),
+        SynthSpec(n_sessions=200, vocab_size=12, n_topics=3, candidates_per_query=4,
+                  noise_rate=0.5, seed=11),
+    ], ids=repr)
+    def test_same_corpus_as_method_draws(self, spec):
+        sessions, documents, labels = generate_synthetic(spec)
+        old_sessions, old_documents, old_labels = method_generate_synthetic(spec)
+        assert sessions == old_sessions
+        assert list(documents.items()) == list(old_documents.items())
+        assert list(labels.items()) == list(old_labels.items())
+
+    def test_acceptance_log_digest(self):
+        """The committed fixture digest that criteria 7 and 8 check, without their training."""
+        sessions, documents, _ = generate_synthetic(acceptance_spec())
+        buf = io.StringIO()
+        write_session_log(sessions, documents, buf)
+        digest = json.loads(FIXTURE_PATH.read_text())["session_log_sha256"]
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 class TestLogExport:
